@@ -23,7 +23,7 @@ from .graphs import (
     Graph,
     Labeling,
     Orientation,
-    _peels_to_empty,
+    acyclic_orientation_masks,
     acyclic_orientations,
     proper_colorings_bounded,
     stable_partitions_by_type,
@@ -99,34 +99,58 @@ def csf_schur(graph: Graph) -> dict[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=8)
-def _sink_counts(key) -> tuple[tuple[int, int], ...]:
-    # Mask enumeration without Orientation objects; this is the hot loop
-    # of the exhaustive sweeps.
-    n, edges = key
-    counts: dict[int, int] = {}
-    for mask in range(1 << len(edges)):
-        out = [0] * n
-        for e, (u, v) in enumerate(edges):
-            if mask >> e & 1:
-                out[u - 1] |= 1 << (v - 1)
-            else:
-                out[v - 1] |= 1 << (u - 1)
-        if _peels_to_empty(n, out):
-            s = sum(1 for v in range(n) if out[v] == 0)
-            counts[s] = counts.get(s, 0) + 1
-    return tuple(sorted(counts.items()))
+def _sink_counts(graph: Graph) -> tuple[tuple[int, int], ...]:
+    # No orientation is listed.  With a(U) the number of acyclic orientations
+    # of the induced subgraph G[U], sink removal gives (Stanley 1973)
+    #   a(U) = sum over nonempty stable T within U of (-1)^(|T|+1) a(U - T),
+    # since the orientations of G[U] whose sinks include T are those of
+    # G[U - T] with every edge to T pointing into T.  Summing all stable T,
+    # the empty one included,
+    #   P(y) = sum_T y^|T| a(V - T) = sum over orientations O of (1 + y)^sinks(O),
+    # so the histogram is the coefficient list of P(x - 1).  This is the
+    # 3^n subset-sum scheme of Bjorklund, Husfeldt and Koivisto, "Set
+    # partitioning via inclusion-exclusion" (SIAM J. Comput. 2009).
+    n = graph.n
+    adj = graph.adjacency_masks()
+    full = (1 << n) - 1
+    stable = [True] * (full + 1)  # stable[T]: no edge inside T
+    size = [0] * (full + 1)
+    for t in range(1, full + 1):
+        low = (t & -t).bit_length() - 1
+        rest = t & (t - 1)
+        stable[t] = stable[rest] and not adj[low] & rest
+        size[t] = size[rest] + 1
+    a = [1] * (full + 1)
+    for u in range(1, full + 1):
+        total = 0
+        t = u
+        while t:
+            if stable[t]:
+                total += a[u ^ t] if size[t] & 1 else -a[u ^ t]
+            t = (t - 1) & u
+        a[u] = total
+    p = [0] * (n + 1)  # coefficients of P(y)
+    for t in range(full + 1):
+        if stable[t]:
+            p[size[t]] += a[full ^ t]
+    counts = []
+    for s in range(n + 1):
+        h = sum(p[j] * comb(j, s) * (-1) ** (j - s) for j in range(s, n + 1))
+        if h:
+            counts.append((s, h))
+    return tuple(counts)
 
 
 def sink_profile(graph: Graph) -> SinkProfile:
     """Sink histogram over all acyclic orientations."""
-    return SinkProfile(_sink_counts(graph.key()))
+    return SinkProfile(_sink_counts(graph))
 
 
 def hook_coefficient_via_sinks(graph: Graph, k: int) -> int:
     """Binomial-weighted sink enumeration for the hook coefficient."""
     if not 1 <= k <= graph.n:
         raise ValueError(f"hook arm length must be in 1..{graph.n}, got {k}")
-    return sum(comb(j - 1, k - 1) * a for j, a in _sink_counts(graph.key()))
+    return sum(comb(j - 1, k - 1) * a for j, a in _sink_counts(graph))
 
 
 def chromatic_polynomial_value(graph: Graph, k: int) -> int:
@@ -280,15 +304,21 @@ def dual_linear_extensions(o: Orientation, omega: Labeling) -> tuple[tuple[int, 
 
 
 @lru_cache(maxsize=4)
-def _orientation_profile(key) -> tuple:
-    """(direction bits, sinks, composition counts) per acyclic orientation.
+def _orientation_sinks(graph: Graph) -> tuple[tuple[int, int], ...]:
+    """(direction bits, sinks) per acyclic orientation, read off the
+    kernel's masks; no linear extensions are listed."""
+    return tuple((mask, out.count(0)) for mask, out in acyclic_orientation_masks(graph))
+
+
+@lru_cache(maxsize=4)
+def _orientation_compositions(graph: Graph) -> tuple:
+    """(direction bits, composition counts) per acyclic orientation.
 
     The composition counts record, for each linear extension of the
     orientation under its canonical labeling, the composition of the
     reflected descent set {i : n - i in Des}.
     """
-    n, edges = key
-    graph = Graph(n, edges)
+    n = graph.n
     entries = []
     for o in acyclic_orientations(graph):
         dirbits = 0
@@ -300,7 +330,7 @@ def _orientation_profile(key) -> tuple:
         for word in dual_linear_extensions(o, omega):
             reflected = {n - i for i in descent_set(word)}
             comps[composition_from_descents(reflected, n)] += 1
-        entries.append((dirbits, o.sinks(), tuple(sorted(comps.items()))))
+        entries.append((dirbits, tuple(sorted(comps.items()))))
     return tuple(entries)
 
 
@@ -314,7 +344,7 @@ def cqf_fundamental_via_orientations(
     m = graph.m
     zbits = _zeta_bits(graph, zeta)
     acc: dict[tuple[int, ...], list[int]] = {}
-    for dirbits, _, comp_counts in _orientation_profile(graph.key()):
+    for dirbits, comp_counts in _orientation_compositions(graph):
         des = (dirbits ^ zbits).bit_count()
         for comp, count in comp_counts:
             arr = acc.get(comp)
@@ -334,7 +364,7 @@ def hook_coefficient_via_orientations_t(
     zeta = _check_labeling(graph, zeta)
     zbits = _zeta_bits(graph, zeta)
     arr = [0] * (graph.m + 1)
-    for dirbits, sinks_, _ in _orientation_profile(graph.key()):
+    for dirbits, sinks_ in _orientation_sinks(graph):
         w = comb(sinks_ - 1, k - 1)
         if w:
             arr[(dirbits ^ zbits).bit_count()] += w

@@ -2,9 +2,10 @@
 colorings, stable partitions, and acyclic orientations.
 
 Vertices are always 1..n.  Edges are stored canonically as sorted pairs
-with no loops or duplicates.  Orientation enumeration walks all 2^|E|
-direction vectors and keeps the acyclic ones; at the intended scale
-(|E| <= 15) this doubles as an oracle-grade reference enumeration.
+with no loops or duplicates.  Acyclic orientations come from one
+backtracking kernel, ``acyclic_orientation_masks``, whose cost grows with
+the number of acyclic orientations rather than with the 2^|E| direction
+vectors.
 """
 
 from __future__ import annotations
@@ -202,22 +203,54 @@ def _peels_to_empty(n: int, out_masks) -> bool:
     return True
 
 
-def acyclic_orientations(graph: Graph) -> tuple[Orientation, ...]:
-    """All acyclic orientations; the empty orientation for edgeless graphs."""
+def acyclic_orientation_masks(graph: Graph):
+    """Stream ``(mask, out_masks)`` for every acyclic orientation, in
+    ascending mask order.
+
+    Bit e of ``mask`` set means edge e keeps its canonical (low -> high)
+    direction, as in ``Orientation.from_mask``; ``out_masks[v]`` holds the
+    heads of the arcs leaving vertex v + 1, as 0-indexed bits.
+
+    The search fixes edges from the highest index down, the non-canonical
+    direction first, and keeps for each vertex the mask of vertices it
+    reaches.  Every partial acyclic orientation extends to a full one (orient
+    the rest along a topological order), so no branch dead-ends and the work
+    is O(|E| n) per orientation produced.
+    """
     n = graph.n
     edges = graph.edges
+    out = [0] * n
+    reach = [1 << v for v in range(n)]  # reach[v]: v and every vertex it reaches
+
+    def rec(e: int, mask: int):
+        if e < 0:
+            yield mask, tuple(out)
+            return
+        u, v = edges[e]
+        for tail, head, bit in ((v - 1, u - 1, 0), (u - 1, v - 1, 1 << e)):
+            if reach[head] >> tail & 1:
+                continue  # head already reaches tail: the arc would close a cycle
+            saved = reach[:]
+            below = reach[head]
+            for w in range(n):
+                if reach[w] >> tail & 1:
+                    reach[w] |= below
+            out[tail] |= 1 << head
+            yield from rec(e - 1, mask | bit)
+            out[tail] &= ~(1 << head)
+            reach[:] = saved
+
+    yield from rec(len(edges) - 1, 0)
+
+
+def acyclic_orientations(graph: Graph) -> tuple[Orientation, ...]:
+    """All acyclic orientations in ascending mask order; the empty
+    orientation for edgeless graphs."""
     out = []
-    for mask in range(1 << len(edges)):
-        masks = [0] * n
-        for e, (u, v) in enumerate(edges):
-            if mask >> e & 1:
-                masks[u - 1] |= 1 << (v - 1)
-            else:
-                masks[v - 1] |= 1 << (u - 1)
-        if _peels_to_empty(n, masks):
-            o = Orientation.from_mask(graph, mask)
-            o._acyclic = True
-            out.append(o)
+    for mask, _ in acyclic_orientation_masks(graph):
+        o = Orientation.from_mask(graph, mask)
+        o._acyclic = True
+        out.append(o)
     return tuple(out)
 
 
@@ -360,22 +393,40 @@ def _parse_graph_json(text: str, source: str) -> GraphInput:
     if not isinstance(data, dict) or "n" not in data:
         raise ValueError(f"{source}: expected an object with fields 'n' and 'edges'")
     n = data["n"]
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"{source}: 'n' must be a nonnegative integer")
-    edges = data.get("edges", [])
+    if not _is_int(n) or n < 0:
+        raise ValueError(f"{source}: 'n' must be a nonnegative integer, got {json.dumps(n)}")
+    edges = _check_int_pairs(data.get("edges", []), "edges", source)
     try:
         graph = Graph(n, edges)
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
     labeling = None
     if "labels" in data and data["labels"] is not None:
+        labels = data["labels"]
+        if not (isinstance(labels, list) and all(map(_is_int, labels))):
+            raise ValueError(f"{source}: 'labels' must be a list of integers, got {json.dumps(labels)}")
         try:
-            labeling = Labeling(data["labels"])
+            labeling = Labeling(labels)
         except ValueError as exc:
             raise ValueError(f"{source}: {exc}") from None
         if labeling.n != n:
             raise ValueError(f"{source}: labels must be a permutation of 1..{n}")
     return GraphInput(graph, labeling)
+
+
+def _is_int(value) -> bool:
+    """True for JSON integers; JSON true and false are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_int_pairs(pairs, field: str, source: str) -> list:
+    """pairs itself, if it is a JSON list of pairs of integers."""
+    if not isinstance(pairs, list):
+        raise ValueError(f"{source}: '{field}' must be a list of pairs")
+    for i, pair in enumerate(pairs):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))):
+            raise ValueError(f"{source}: '{field}'[{i}] must be a pair of integers, got {json.dumps(pair)}")
+    return pairs
 
 
 def _parse_graph_edges(text: str, source: str) -> GraphInput:
@@ -394,7 +445,9 @@ def _parse_graph_edges(text: str, source: str) -> GraphInput:
         raw_edges.append((lineno, u, v))
         names.update((u, v))
     if all(name.lstrip("-").isdigit() for name in names):
-        ordered = sorted(names, key=int)
+        # Names such as 1 and 01 have equal values; the name breaks the tie,
+        # so the numbering never follows set order.
+        ordered = sorted(names, key=lambda name: (int(name), name))
     else:
         ordered = sorted(names)
     index = {name: i + 1 for i, name in enumerate(ordered)}

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .chromatic import csf_schur
-from .graphs import Graph
+from .graphs import Graph, _check_int_pairs, _is_int
 from .partitions import hook_partition
 
 COLUMN_RULES = ("upper-not-less", "lower-not-less")
@@ -231,10 +231,11 @@ def parse_poset_text(text: str, source: str = "<input>") -> Poset:
     if not isinstance(data, dict) or "n" not in data:
         raise ValueError(f"{source}: expected an object with fields 'n' and 'covers'")
     n = data["n"]
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"{source}: 'n' must be a nonnegative integer")
+    if not _is_int(n) or n < 0:
+        raise ValueError(f"{source}: 'n' must be a nonnegative integer, got {json.dumps(n)}")
+    covers = _check_int_pairs(data.get("covers", []), "covers", source)
     try:
-        return Poset.from_covers(n, data.get("covers", []))
+        return Poset.from_covers(n, covers)
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
 

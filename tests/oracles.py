@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from random import Random
 
 from chromsym import Graph
 
@@ -137,3 +138,69 @@ def all_graphs(n: int):
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     for mask in range(1 << len(pairs)):
         yield Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+
+
+def _peels_away(out: list[int]) -> bool:
+    """True iff deleting sinks over and over deletes every vertex."""
+    alive = (1 << len(out)) - 1
+    while alive:
+        sinks = 0
+        for v, heads in enumerate(out):
+            if alive >> v & 1 and not heads & alive:
+                sinks |= 1 << v
+        if not sinks:
+            return False
+        alive &= ~sinks
+    return True
+
+
+def _arc_masks(n: int, edges, bits: int) -> list[int]:
+    """Out-neighbour masks of the edges oriented by bits (bit i set: edge i
+    points from its lower to its higher vertex)."""
+    out = [0] * n
+    for i, (u, v) in enumerate(edges):
+        if bits >> i & 1:
+            out[u - 1] |= 1 << (v - 1)
+        else:
+            out[v - 1] |= 1 << (u - 1)
+    return out
+
+
+def acyclic_orientations_scan(graph: Graph) -> list[tuple[int, tuple[int, ...]]]:
+    """(mask, out-neighbour masks) of every acyclic orientation, found by
+    trying all 2^|E| direction masks in ascending order.  Bit e set means
+    edge e points from its lower to its higher vertex."""
+    n, edges = graph.n, graph.edges
+    # The masks of the low and high halves of the edges are tabulated once,
+    # so each direction mask costs one merge of two tables.
+    half = len(edges) // 2
+    low = [_arc_masks(n, edges[:half], bits) for bits in range(1 << half)]
+    high = [_arc_masks(n, edges[half:], bits) for bits in range(1 << len(edges) - half)]
+    found = []
+    for hi_bits, hi_out in enumerate(high):
+        for lo_bits, lo_out in enumerate(low):
+            out = [a | b for a, b in zip(lo_out, hi_out)]
+            if _peels_away(out):
+                found.append((hi_bits << half | lo_bits, tuple(out)))
+    return found
+
+
+def sink_histogram(oriented) -> tuple[tuple[int, int], ...]:
+    """(sinks, orientations with that many sinks), sinks ascending, over
+    (mask, out-neighbour masks) pairs."""
+    return tuple(sorted(Counter(out.count(0) for _, out in oriented).items()))
+
+
+def sink_counts_scan(graph: Graph) -> tuple[tuple[int, int], ...]:
+    """The sink histogram of the mask scan."""
+    return sink_histogram(acyclic_orientations_scan(graph))
+
+
+def seeded_graphs(count: int, seed: int, max_edges: int = 13):
+    """count random labeled graphs on 6 to 8 vertices with at most
+    max_edges edges, so that the mask scan stays cheap."""
+    rng = Random(seed)
+    for i in range(count):
+        n = 6 + i % 3
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        yield Graph(n, rng.sample(pairs, rng.randint(0, max_edges)))

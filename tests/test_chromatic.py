@@ -21,6 +21,7 @@ from chromsym.graphs import (
     Graph,
     Labeling,
     Orientation,
+    acyclic_orientation_masks,
     acyclic_orientations,
     complete_graph,
     edgeless_graph,
@@ -38,7 +39,14 @@ from chromsym.symfunc import (
 )
 from chromsym.tableaux import descent_set
 from chromsym.tpoly import TPoly
-from oracles import all_graphs, count_colorings_brute
+from oracles import (
+    acyclic_orientations_scan,
+    all_graphs,
+    count_colorings_brute,
+    seeded_graphs,
+    sink_counts_scan,
+    sink_histogram,
+)
 
 CLAW = star_graph(3)
 
@@ -78,6 +86,26 @@ def test_sink_profile_matches_orientation_objects(n):
         for o in acyclic_orientations(g):
             histogram[o.sinks()] = histogram.get(o.sinks(), 0) + 1
         assert dict(sink_profile(g).counts) == histogram
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_sink_profile_matches_the_mask_scan_on_every_small_graph(n):
+    for g in all_graphs(n):
+        assert sink_profile(g).counts == sink_counts_scan(g)
+
+
+def test_sink_profile_matches_the_mask_scan_on_seeded_graphs():
+    for g in seeded_graphs(60, seed=12):
+        assert sink_profile(g).counts == sink_counts_scan(g)
+
+
+@pytest.mark.parametrize("g, count", [(complete_graph(7), 5040), (path_graph(12), 2**11)])
+def test_orientation_kernels_match_the_mask_scan_on_k7_and_path_12(g, count):
+    scanned = acyclic_orientations_scan(g)
+    assert len(scanned) == count
+    assert list(acyclic_orientation_masks(g)) == scanned
+    assert acyclic_orientations(g) == tuple(Orientation.from_mask(g, mask) for mask, _ in scanned)
+    assert sink_profile(g).counts == sink_histogram(scanned)
 
 
 def test_hook_coefficient_via_sinks_examples():

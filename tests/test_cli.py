@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -92,6 +93,40 @@ def test_input_errors_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "expand", str(bad))
     assert code == 2
     assert "bad.txt:2" in err
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"n": 3, "edges": [5]}', "'edges'[0]"),
+        ('{"n": 3, "edges": [[1.9, 2]]}', "'edges'[0]"),
+        ('{"n": true, "edges": []}', "'n'"),
+    ],
+)
+def test_non_integer_json_fields_exit_2(capsys, tmp_path, text, field):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "expand", str(path))
+    assert code == 2
+    assert out == ""
+    assert field in err
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"n": 3, "covers": [5]}', "'covers'[0]"),
+        ('{"n": 3, "covers": [[1.9, 2]]}', "'covers'[0]"),
+        ('{"n": false, "covers": []}', "'n'"),
+    ],
+)
+def test_non_integer_poset_fields_exit_2(capsys, tmp_path, text, field):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "verify", str(path), "ptableaux")
+    assert code == 2
+    assert out == ""
+    assert field in err
 
 
 def test_verify_hook_1(capsys, claw_file):
@@ -233,3 +268,34 @@ def test_cli_output_is_byte_deterministic(tmp_path):
     ]
     assert sweeps[0].returncode == 0
     assert sweeps[0].stdout == sweeps[1].stdout
+
+
+def test_edge_list_numbering_does_not_depend_on_the_hash_seed(tmp_path):
+    # 1 and 01 have the same value; set order must not decide their numbers.
+    path = tmp_path / "g.txt"
+    path.write_text("1 01\n01 2\n")
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "chromsym", "expand", str(path), "--json"],
+            capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": str(seed)},
+        )
+        for seed in range(8)
+    ]
+    assert runs[0].returncode == 0
+    assert json.loads(runs[0].stdout)["inputs"]["vertex_names"] == ["01", "1", "2"]
+    assert all(run.stdout == runs[0].stdout for run in runs)
+
+
+@pytest.mark.parametrize("check", ["hook-1", "e-sink"])
+def test_verify_finishes_on_k10(tmp_path, check):
+    # 45 edges: a scan over 2^45 direction masks would never finish.
+    path = tmp_path / "k10.json"
+    path.write_text(json.dumps({"n": 10, "edges": [[u, v] for u in range(1, 11) for v in range(u + 1, 11)]}))
+    run = subprocess.run(
+        [sys.executable, "-m", "chromsym", "verify", str(path), check],
+        capture_output=True,
+        timeout=120,
+    )
+    assert run.returncode == 0
+    assert run.stdout.decode().endswith("status: ok\n")

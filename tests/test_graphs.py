@@ -7,6 +7,7 @@ from chromsym.graphs import (
     Graph,
     Labeling,
     Orientation,
+    acyclic_orientation_masks,
     acyclic_orientations,
     ascents,
     complete_graph,
@@ -21,7 +22,13 @@ from chromsym.graphs import (
     stable_partitions_by_type,
     star_graph,
 )
-from oracles import all_graphs, count_colorings_brute, interpolate_at
+from oracles import (
+    acyclic_orientations_scan,
+    all_graphs,
+    count_colorings_brute,
+    interpolate_at,
+    seeded_graphs,
+)
 
 
 def test_graph_normalisation_and_validation():
@@ -126,6 +133,23 @@ def test_acyclic_orientation_count_matches_chromatic_polynomial_at_minus_one(n):
         assert expected == len(acyclic_orientations(g))
 
 
+def _assert_kernel_matches_scan(g):
+    scanned = acyclic_orientations_scan(g)
+    assert list(acyclic_orientation_masks(g)) == scanned
+    assert acyclic_orientations(g) == tuple(Orientation.from_mask(g, mask) for mask, _ in scanned)
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_orientation_kernel_matches_the_mask_scan_on_every_small_graph(n):
+    for g in all_graphs(n):
+        _assert_kernel_matches_scan(g)
+
+
+def test_orientation_kernel_matches_the_mask_scan_on_seeded_graphs():
+    for g in seeded_graphs(60, seed=11):
+        _assert_kernel_matches_scan(g)
+
+
 def test_sinks_counting():
     (empty,) = acyclic_orientations(edgeless_graph(3))
     assert sinks(empty) == 3  # isolated vertices are sinks
@@ -211,6 +235,14 @@ def test_parse_json_graph_errors():
         parse_graph_text('{"n": 2, "edges": [[1, 2], [2, 1]]}')
     with pytest.raises(ValueError, match="permutation"):
         parse_graph_text('{"n": 2, "edges": [[1, 2]], "labels": [1, 1]}')
+    with pytest.raises(ValueError, match=r"'edges'\[1\]"):
+        parse_graph_text('{"n": 2, "edges": [[1, 2], [1]]}')
+    with pytest.raises(ValueError, match="'edges' must be a list"):
+        parse_graph_text('{"n": 2, "edges": {"1": 2}}')
+    with pytest.raises(ValueError, match="'labels'"):
+        parse_graph_text('{"n": 2, "edges": [[1, 2]], "labels": [2.0, 1]}')
+    with pytest.raises(ValueError, match="'labels'"):
+        parse_graph_text('{"n": 2, "edges": [[1, 2]], "labels": 5}')
 
 
 def test_parse_edge_list_with_arbitrary_names():
