@@ -62,7 +62,6 @@ from .symfunc import (
     SymmetricFunctionM,
     canonical_items,
     collapse_t,
-    elementary_m_expansion,
     gessel_schur_F,
     hook_coefficient_of_F,
     is_symmetric,

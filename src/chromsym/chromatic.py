@@ -321,16 +321,12 @@ def _orientation_compositions(graph: Graph) -> tuple:
     n = graph.n
     entries = []
     for o in acyclic_orientations(graph):
-        dirbits = 0
-        for e, arc in enumerate(o.arcs):
-            if arc == graph.edges[e]:
-                dirbits |= 1 << e
         omega = sink_minimal_increasing_labeling(o)
         comps: Counter = Counter()
         for word in dual_linear_extensions(o, omega):
             reflected = {n - i for i in descent_set(word)}
             comps[composition_from_descents(reflected, n)] += 1
-        entries.append((dirbits, tuple(sorted(comps.items()))))
+        entries.append((o.mask, tuple(sorted(comps.items()))))
     return tuple(entries)
 
 

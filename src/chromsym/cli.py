@@ -14,7 +14,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 
 from .chromatic import (
     chromatic_polynomial_value,
@@ -465,6 +464,8 @@ def cmd_sweep(args) -> int:
         masks = range(1 << (n * (n - 1) // 2))
         tasks = ((n, mask, graph_checks) for mask in masks)
         if args.jobs > 1:
+            from multiprocessing import Pool  # only parallel sweeps pay for the import
+
             with Pool(args.jobs) as pool:
                 for _, fails in pool.imap(_sweep_graph_worker, tasks, chunksize=64):
                     cases += 1

@@ -5,7 +5,9 @@ Vertices are always 1..n.  Edges are stored canonically as sorted pairs
 with no loops or duplicates.  Acyclic orientations come from one
 backtracking kernel, ``acyclic_orientation_masks``, whose cost grows with
 the number of acyclic orientations rather than with the 2^|E| direction
-vectors.
+vectors.  Stable partitions are counted by type with a subset DP over
+vertex sets, memoized per graph, so their cost follows the 2^n subsets
+and the number of types rather than the number of partitions.
 """
 
 from __future__ import annotations
@@ -126,9 +128,10 @@ class Labeling:
 
 class Orientation:
     """A direction for every edge of a graph, as (tail, head) pairs
-    aligned with the graph's canonical edge order."""
+    aligned with the graph's canonical edge order.  Bit e of ``mask`` is
+    set when edge e keeps its canonical (low -> high) direction."""
 
-    __slots__ = ("graph", "arcs", "_acyclic")
+    __slots__ = ("graph", "arcs", "mask", "_acyclic")
 
     def __init__(self, graph: Graph, arcs):
         edge_set = set(graph.edges)
@@ -145,15 +148,18 @@ class Orientation:
             raise ValueError("one direction per edge is required")
         self.graph = graph
         self.arcs = tuple(by_edge[e] for e in graph.edges)
+        self.mask = sum(1 << e for e, (u, v) in enumerate(self.arcs) if u < v)
         self._acyclic = None
 
     @classmethod
     def from_mask(cls, graph: Graph, mask: int) -> "Orientation":
-        """Bit e set means edge e keeps its canonical (low -> high) direction."""
-        arcs = []
-        for e, (u, v) in enumerate(graph.edges):
-            arcs.append((u, v) if mask >> e & 1 else (v, u))
-        return cls(graph, arcs)
+        """Bit e set means edge e keeps its canonical (low -> high) direction.
+
+        A mask names one direction per edge, so nothing is checked."""
+        o = object.__new__(cls)
+        o.graph, o.mask, o._acyclic = graph, mask & (1 << graph.m) - 1, None
+        o.arcs = tuple((u, v) if mask >> e & 1 else (v, u) for e, (u, v) in enumerate(graph.edges))
+        return o
 
     def out_masks(self) -> list[int]:
         out = [0] * self.graph.n
@@ -246,12 +252,10 @@ def acyclic_orientation_masks(graph: Graph):
 def acyclic_orientations(graph: Graph) -> tuple[Orientation, ...]:
     """All acyclic orientations in ascending mask order; the empty
     orientation for edgeless graphs."""
-    out = []
-    for mask, _ in acyclic_orientation_masks(graph):
-        o = Orientation.from_mask(graph, mask)
+    out = tuple(Orientation.from_mask(graph, mask) for mask, _ in acyclic_orientation_masks(graph))
+    for o in out:
         o._acyclic = True
-        out.append(o)
-    return tuple(out)
+    return out
 
 
 def sinks(o: Orientation) -> int:
@@ -314,37 +318,55 @@ def proper_colorings_bounded(graph: Graph, k: int):
 def stable_partitions_by_type(graph: Graph) -> dict[tuple[int, ...], int]:
     """Unordered partitions of V into stable blocks, counted by sorted
     block-size type."""
-    n = graph.n
-    adj = graph.adjacency_masks()
-    counts: dict[tuple[int, ...], int] = {}
-    block_masks: list[int] = []
-    block_sizes: list[int] = []
+    return dict(_stable_partition_counts(graph.key()))
 
-    def rec(v: int):
-        if v == n:
-            key = tuple(sorted(block_sizes, reverse=True))
-            counts[key] = counts.get(key, 0) + 1
-            return
-        bit = 1 << v
-        a = adj[v]
-        for i in range(len(block_masks)):
-            if block_masks[i] & a == 0:
-                block_masks[i] |= bit
-                block_sizes[i] += 1
-                rec(v + 1)
-                block_masks[i] &= ~bit
-                block_sizes[i] -= 1
-        block_masks.append(bit)
-        block_sizes.append(1)
-        rec(v + 1)
-        block_masks.pop()
-        block_sizes.pop()
 
-    if n:
-        rec(0)
-    else:
-        counts[()] = 1
-    return counts
+@lru_cache(maxsize=8)
+def _stable_partition_counts(key) -> tuple[tuple[tuple[int, ...], int], ...]:
+    # g(S), the stable partitions of the vertex set S by type, is the sum over
+    # stable T within S that hold the lowest vertex of S of g(S - T) with |T|
+    # added to each type.  A type is coded as sum over its parts k of
+    # (n + 1)^(k - 1), so adding a part is adding an integer.  Only the sets S
+    # reached from V are visited; each costs one pass over the subsets of the
+    # non-neighbours of its lowest vertex.
+    n = key[0]
+    adj = _adjacency_masks(key)
+    full = (1 << n) - 1
+    stable = bytearray(full + 1)  # stable[T]: no edge inside T
+    stable[0] = 1
+    for t in range(1, full + 1):
+        low = (t & -t).bit_length() - 1
+        rest = t & (t - 1)
+        stable[t] = stable[rest] and not adj[low] & rest
+    base = n + 1
+    memo: dict[int, dict[int, int]] = {0: {0: 1}}
+
+    def g(s: int) -> dict[int, int]:
+        got = memo.get(s)
+        if got is None:
+            lowbit = s & -s
+            free = s & ~adj[lowbit.bit_length() - 1] & ~lowbit
+            got = {}
+            rest = free
+            while True:  # every subset rest of free, free itself first
+                t = rest | lowbit
+                if stable[t]:
+                    part = base ** (t.bit_count() - 1)
+                    for code, c in g(s ^ t).items():
+                        got[code + part] = got.get(code + part, 0) + c
+                if not rest:
+                    break
+                rest = (rest - 1) & free
+            memo[s] = got
+        return got
+
+    counts = []
+    for code, c in g(full).items():
+        lam = []
+        for k in range(n, 0, -1):
+            lam += [k] * (code // base ** (k - 1) % base)
+        counts.append((tuple(lam), c))
+    return tuple(sorted(counts, reverse=True))
 
 
 def is_claw_free(graph: Graph) -> bool:

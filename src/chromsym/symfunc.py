@@ -8,8 +8,10 @@ mappings is equality of functions.
 
 Basis changes are exact:
 
-* m -> s and m -> e go through unitriangular Kostka systems solved in
-  the canonical (descending) partition order,
+* m -> s is a unitriangular Kostka system solved in the canonical
+  (descending) partition order; m -> e is solved from the Schur
+  coefficients, since e_mu = sum_lam K(lam, mu) s_lam' is unitriangular
+  too, in the ascending order,
 * M <-> F uses the refinement order on compositions, with the signed
   inversion checked by round-trip tests rather than trusted.
 """
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
 
@@ -120,17 +121,38 @@ class QuasisymmetricF(_QuasisymmetricBase):
 # symmetric basis changes
 
 
+def _kostka_solve(rhs, order, entry) -> dict[Partition, int]:
+    """x with rhs(lam) = x[lam] + sum of entry(mu, lam) * x[mu] over the mu
+    before lam in order, solved one lam at a time."""
+    out: dict[Partition, int] = {}
+    for lam in order:
+        acc = rhs(lam)
+        for mu, x in out.items():
+            if x:
+                acc -= entry(mu, lam) * x
+        out[lam] = acc
+    return {lam: x for lam, x in out.items() if x}
+
+
 def m_to_s(f: SymmetricFunctionM) -> dict[Partition, int]:
     """Schur coefficients of f, by the unitriangular Kostka solve."""
-    n = f.degree
-    out: dict[Partition, int] = {}
-    for lam in partitions_of(n):
-        acc = f.coefficient(lam)
-        for mu, c in out.items():
-            if c:
-                acc -= kostka(mu, lam) * c
-        out[lam] = acc
-    return {lam: c for lam, c in out.items() if c}
+    return _kostka_solve(f.coefficient, partitions_of(f.degree), kostka)
+
+
+def m_to_e(f: SymmetricFunctionM) -> dict[Partition, int]:
+    """Elementary coefficients of f, solved from its Schur coefficients.
+
+    Since e_mu = sum_lam K(lam, mu) s_lam', the Schur coefficients c of
+    f = sum_mu b_mu e_mu satisfy c_lam' = sum_mu K(lam, mu) b_mu.  K(lam, mu)
+    vanishes unless mu <= lam in dominance and K(lam, lam) = 1, so the system
+    is solved by scanning lam upward in the canonical order.
+    """
+    schur = m_to_s(f)
+    return _kostka_solve(
+        lambda lam: schur.get(conjugate(lam), 0),
+        reversed(partitions_of(f.degree)),
+        lambda mu, lam: kostka(lam, mu),
+    )
 
 
 def schur_m_expansion(schur_coeffs, degree: int) -> SymmetricFunctionM:
@@ -140,50 +162,6 @@ def schur_m_expansion(schur_coeffs, degree: int) -> SymmetricFunctionM:
         mu = check_partition(mu)
         for lam in partitions_of(degree):
             acc[lam] += c * kostka(mu, lam)
-    return SymmetricFunctionM(degree, acc)
-
-
-@lru_cache(maxsize=None)
-def _e_to_m_matrix(n: int) -> dict[Partition, dict[Partition, int]]:
-    """Coefficient of m_lam in e_mu, for all partitions of n."""
-    parts = partitions_of(n)
-    matrix: dict[Partition, dict[Partition, int]] = {}
-    for mu in parts:
-        row = {}
-        for lam in parts:
-            row[lam] = sum(kostka(nu, mu) * kostka(conjugate(nu), lam) for nu in parts)
-        matrix[mu] = row
-    return matrix
-
-
-def m_to_e(f: SymmetricFunctionM) -> dict[Partition, int]:
-    """Elementary coefficients of f.
-
-    The system r_lam = sum_mu [m_lam](e_mu) * b_mu is triangular with ones
-    on the lam = conjugate(mu) diagonal, so it is solved by scanning mu
-    upward in the canonical order.
-    """
-    n = f.degree
-    matrix = _e_to_m_matrix(n)
-    out: dict[Partition, int] = {}
-    for mu in reversed(partitions_of(n)):
-        pivot = conjugate(mu)
-        acc = f.coefficient(pivot)
-        for nu, b in out.items():
-            if b:
-                acc -= matrix[nu][pivot] * b
-        out[mu] = acc
-    return {mu: b for mu, b in out.items() if b}
-
-
-def elementary_m_expansion(e_coeffs, degree: int) -> SymmetricFunctionM:
-    """Re-expand an elementary coefficient vector into monomial coordinates."""
-    matrix = _e_to_m_matrix(degree)
-    acc: Counter = Counter()
-    for mu, b in dict(e_coeffs).items():
-        mu = check_partition(mu)
-        for lam, c in matrix[mu].items():
-            acc[lam] += b * c
     return SymmetricFunctionM(degree, acc)
 
 

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from random import Random
 
-from chromsym import Graph
+from chromsym import Graph, SymmetricFunctionM, conjugate, kostka, partitions_of
 
 
 def partitions_brute(n: int) -> set[tuple[int, ...]]:
@@ -196,11 +197,81 @@ def sink_counts_scan(graph: Graph) -> tuple[tuple[int, int], ...]:
     return sink_histogram(acyclic_orientations_scan(graph))
 
 
-def seeded_graphs(count: int, seed: int, max_edges: int = 13):
-    """count random labeled graphs on 6 to 8 vertices with at most
-    max_edges edges, so that the mask scan stays cheap."""
+def seeded_graphs(count: int, seed: int, max_edges: int = 13, sizes=(6, 7, 8)):
+    """count random labeled graphs whose vertex counts cycle through sizes,
+    with at most max_edges edges, so that the mask scan stays cheap."""
     rng = Random(seed)
     for i in range(count):
-        n = 6 + i % 3
+        n = sizes[i % len(sizes)]
         pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
         yield Graph(n, rng.sample(pairs, rng.randint(0, max_edges)))
+
+
+def stable_partitions_recursive(graph: Graph) -> dict[tuple[int, ...], int]:
+    """Stable partitions counted by sorted block-size type, visiting every
+    partition: each vertex in turn joins an open block it has no edge to,
+    or opens a new one."""
+    n = graph.n
+    adj = graph.adjacency_masks()
+    counts: dict[tuple[int, ...], int] = {}
+    block_masks: list[int] = []
+    block_sizes: list[int] = []
+
+    def rec(v: int):
+        if v == n:
+            key = tuple(sorted(block_sizes, reverse=True))
+            counts[key] = counts.get(key, 0) + 1
+            return
+        bit = 1 << v
+        a = adj[v]
+        for i in range(len(block_masks)):
+            if block_masks[i] & a == 0:
+                block_masks[i] |= bit
+                block_sizes[i] += 1
+                rec(v + 1)
+                block_masks[i] &= ~bit
+                block_sizes[i] -= 1
+        block_masks.append(bit)
+        block_sizes.append(1)
+        rec(v + 1)
+        block_masks.pop()
+        block_sizes.pop()
+
+    if n:
+        rec(0)
+    else:
+        counts[()] = 1
+    return counts
+
+
+@lru_cache(maxsize=None)
+def e_to_m_matrix(n: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
+    """Coefficient of m_lam in e_mu, for all partitions of n, from
+    e_mu = sum_nu K(nu, mu) s_nu' and s_nu = sum_lam K(nu, lam) m_lam."""
+    parts = partitions_of(n)
+    return {
+        mu: {lam: sum(kostka(nu, mu) * kostka(conjugate(nu), lam) for nu in parts) for lam in parts}
+        for mu in parts
+    }
+
+
+def elementary_m_expansion(e_coeffs, degree: int) -> SymmetricFunctionM:
+    """Re-expand an elementary coefficient vector into monomial coordinates."""
+    matrix = e_to_m_matrix(degree)
+    acc: Counter = Counter()
+    for mu, b in dict(e_coeffs).items():
+        for lam, c in matrix[tuple(mu)].items():
+            acc[lam] += b * c
+    return SymmetricFunctionM(degree, acc)
+
+
+def m_to_e_by_matrix(f: SymmetricFunctionM) -> dict[tuple[int, ...], int]:
+    """Elementary coefficients of f from e_to_m_matrix: the coefficient of
+    m_lam' in e_mu is 1 at lam = mu and 0 below mu, so the system is solved
+    by scanning mu upward in the canonical order."""
+    matrix = e_to_m_matrix(f.degree)
+    out: dict[tuple[int, ...], int] = {}
+    for mu in reversed(partitions_of(f.degree)):
+        pivot = conjugate(mu)
+        out[mu] = f.coefficient(pivot) - sum(matrix[nu][pivot] * b for nu, b in out.items())
+    return {mu: b for mu, b in out.items() if b}

@@ -299,3 +299,25 @@ def test_verify_finishes_on_k10(tmp_path, check):
     )
     assert run.returncode == 0
     assert run.stdout.decode().endswith("status: ok\n")
+
+
+@pytest.mark.parametrize(
+    "edges, orientations",
+    [([[v, v + 1] for v in range(1, 12)], 2**11), ([], 1)],
+    ids=["path12", "edgeless12"],
+)
+def test_expand_in_the_e_basis_finishes_at_twelve_vertices(tmp_path, edges, orientations):
+    # Bell(11) = 678,570 stable partitions of path_12 and Bell(12) = 4,213,597
+    # of the edgeless graph: listing them one at a time takes seconds.
+    path = tmp_path / "g12.json"
+    path.write_text(json.dumps({"n": 12, "edges": edges}))
+    run = subprocess.run(
+        [sys.executable, "-m", "chromsym", "expand", str(path), "--basis", "e", "--max-n", "12", "--json"],
+        capture_output=True,
+        timeout=60,
+    )
+    assert run.returncode == 0
+    payload = json.loads(run.stdout)
+    assert payload["status"] == "ok"
+    # The e-coefficients sum to the number of acyclic orientations (Stanley 1995).
+    assert sum(c for _, (c,) in payload["outputs"]["terms"]) == orientations

@@ -28,6 +28,7 @@ from oracles import (
     count_colorings_brute,
     interpolate_at,
     seeded_graphs,
+    stable_partitions_recursive,
 )
 
 
@@ -117,6 +118,28 @@ def test_stable_partitions_count_surjective_colorings(n):
             assert stable_j * factorial(j) == surjective
 
 
+@pytest.mark.parametrize("n", range(0, 6))
+def test_stable_partition_dp_matches_the_recursion_on_every_small_graph(n):
+    for g in all_graphs(n):
+        assert stable_partitions_by_type(g) == stable_partitions_recursive(g)
+
+
+def test_stable_partition_dp_matches_the_recursion_on_larger_graphs():
+    graphs = list(seeded_graphs(15, seed=13, sizes=(6, 7, 8, 9, 10)))
+    graphs += [edgeless_graph(9), path_graph(12)]
+    for g in graphs:
+        assert stable_partitions_by_type(g) == stable_partitions_recursive(g)
+
+
+def test_stable_partitions_are_a_fresh_dict_per_call():
+    g = path_graph(5)
+    first = stable_partitions_by_type(g)
+    expected = dict(first)
+    first[(5,)] = 7
+    first.pop((1, 1, 1, 1, 1))
+    assert stable_partitions_by_type(g) == expected
+
+
 def test_acyclic_orientation_counts():
     assert len(acyclic_orientations(complete_graph(2))) == 2
     assert len(acyclic_orientations(star_graph(3))) == 8
@@ -136,7 +159,12 @@ def test_acyclic_orientation_count_matches_chromatic_polynomial_at_minus_one(n):
 def _assert_kernel_matches_scan(g):
     scanned = acyclic_orientations_scan(g)
     assert list(acyclic_orientation_masks(g)) == scanned
-    assert acyclic_orientations(g) == tuple(Orientation.from_mask(g, mask) for mask, _ in scanned)
+    oriented = acyclic_orientations(g)
+    assert oriented == tuple(Orientation.from_mask(g, mask) for mask, _ in scanned)
+    for o, (mask, _) in zip(oriented, scanned):
+        # Built without validation, yet what the validating constructor builds.
+        checked = Orientation(g, o.arcs)
+        assert (o.arcs, o.mask) == (checked.arcs, checked.mask) == (checked.arcs, mask)
 
 
 @pytest.mark.parametrize("n", range(0, 6))

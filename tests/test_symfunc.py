@@ -11,7 +11,6 @@ from chromsym.symfunc import (
     SymmetricFunctionM,
     canonical_items,
     collapse_t,
-    elementary_m_expansion,
     gessel_schur_F,
     hook_coefficient_of_F,
     is_symmetric,
@@ -25,7 +24,14 @@ from chromsym.symfunc import (
     specialize_w_k,
 )
 from chromsym.tpoly import TPoly
-from oracles import fundamental_monomials, monomial_basis_monomials
+from chromsym.chromatic import csf_monomial
+from oracles import (
+    elementary_m_expansion,
+    fundamental_monomials,
+    m_to_e_by_matrix,
+    monomial_basis_monomials,
+    seeded_graphs,
+)
 
 # Chromatic monomial coordinates used as fixed inputs: the claw K_{1,3},
 # the edgeless 3-vertex graph, the 3-path, and the triangle.
@@ -63,6 +69,19 @@ def test_m_to_e_round_trip_on_elementary_rows(n):
     for mu in partitions_of(n):
         f = elementary_m_expansion({mu: 1}, n)
         assert m_to_e(f) == {mu: 1}
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_m_to_e_matches_the_matrix_solve_on_elementary_rows(n):
+    for mu in partitions_of(n):
+        f = elementary_m_expansion({mu: 1}, n)
+        assert m_to_e(f) == m_to_e_by_matrix(f) == {mu: 1}
+
+
+def test_m_to_e_matches_the_matrix_solve_on_seeded_graphs():
+    for g in seeded_graphs(10, seed=14, sizes=(6, 7, 8, 9, 10)):
+        f = csf_monomial(g)
+        assert m_to_e(f) == m_to_e_by_matrix(f)
 
 
 def test_m_to_e_on_chromatic_inputs():
