@@ -4,11 +4,11 @@ simple graphs, with hook coefficients verified along independent routes."""
 from .chromatic import (
     ESinkReport,
     SinkProfile,
+    chromatic_polynomial_by_colorings,
     chromatic_polynomial_value,
     cqf_fundamental_via_orientations,
     cqf_monomial,
     csf_monomial,
-    csf_monomial_by_colorings,
     csf_schur,
     dual_linear_extensions,
     hook_coefficient_via_orientations_t,
@@ -31,8 +31,6 @@ from .graphs import (
     load_graph,
     parse_graph_text,
     path_graph,
-    proper_colorings_bounded,
-    sinks,
     stable_partitions_by_type,
     star_graph,
 )

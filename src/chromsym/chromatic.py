@@ -2,8 +2,10 @@
 
 The same quantities are reachable along two independent routes:
 
-* colorings: monomial coordinates from stable partitions (or directly
-  from proper colorings), then exact basis changes;
+* colorings: monomial coordinates from stable partitions, then exact
+  basis changes; the quasisymmetric refinement and the chromatic
+  polynomial's enumeration side come from one recursion over proper
+  colorings, ``_coloring_profile``;
 * orientations: acyclic orientations weighted by sinks and descents,
   assembled into fundamental coordinates through linear extensions.
 
@@ -25,7 +27,6 @@ from .graphs import (
     Orientation,
     acyclic_orientation_masks,
     acyclic_orientations,
-    proper_colorings_bounded,
     stable_partitions_by_type,
 )
 from .partitions import composition_from_descents, multiplicities
@@ -72,25 +73,6 @@ def csf_monomial(graph: Graph) -> SymmetricFunctionM:
             ways *= factorial(mult)
         coeffs[lam] = ways
     return SymmetricFunctionM(graph.n, coeffs)
-
-
-def csf_monomial_by_colorings(graph: Graph) -> SymmetricFunctionM:
-    """Independent route: direct summation over proper colorings with
-    colors in 1..n, reading off monomial exponents."""
-    n = graph.n
-    acc: Counter = Counter()
-    if n == 0:
-        return SymmetricFunctionM(0, {(): 1})
-    for kappa in proper_colorings_bounded(graph, n):
-        counts = [0] * (n + 1)
-        for c in kappa:
-            counts[c] += 1
-        vec = counts[1:]
-        while vec and vec[-1] == 0:
-            vec.pop()
-        if all(vec[i] >= vec[i + 1] for i in range(len(vec) - 1)) and all(vec):
-            acc[tuple(vec)] += 1
-    return SymmetricFunctionM(n, acc)
 
 
 def csf_schur(graph: Graph) -> dict[tuple[int, ...], int]:
@@ -160,6 +142,16 @@ def chromatic_polynomial_value(graph: Graph, k: int) -> int:
     return specialize_w_k(csf_monomial(graph), k)
 
 
+def chromatic_polynomial_by_colorings(graph: Graph, k: int) -> int:
+    """Number of proper colorings with at most k colors, by enumeration:
+    a coloring onto the colors 1..j stands for the C(k, j) ways to choose
+    its j colors.  No stable partition is used."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    by_colors = Counter(len(comp) for comp, _ in _coloring_profile(graph))
+    return sum(count * comb(k, j) for j, count in by_colors.items())
+
+
 # ---------------------------------------------------------------------------
 # quasisymmetric refinement
 
@@ -181,16 +173,13 @@ def _check_labeling(graph: Graph, zeta) -> Labeling:
 
 
 @lru_cache(maxsize=4)
-def _coloring_profile(key) -> tuple[tuple[tuple[int, ...], int], ...]:
+def _coloring_profile(graph: Graph) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(class-size composition, edge-direction bits) per proper coloring
     whose colors form an initial segment 1..j."""
-    n, edges = key
+    n, edges = graph.n, graph.edges
     if n == 0:
         return (((), 0),)
-    adj = [0] * n
-    for u, v in edges:
-        adj[u - 1] |= 1 << (v - 1)
-        adj[v - 1] |= 1 << (u - 1)
+    adj = graph.adjacency_masks()
     colors = [0] * n
     out = []
 
@@ -232,7 +221,7 @@ def cqf_monomial(graph: Graph, zeta: Labeling | None = None) -> QuasisymmetricM:
     m = graph.m
     zbits = _zeta_bits(graph, zeta)
     acc: dict[tuple[int, ...], list[int]] = {}
-    for comp, kbits in _coloring_profile(graph.key()):
+    for comp, kbits in _coloring_profile(graph):
         asc = m - (kbits ^ zbits).bit_count()
         arr = acc.get(comp)
         if arr is None:

@@ -3,8 +3,7 @@ identity checks, and exhaustive small-graph sweeps.
 
 Exit codes: 0 all checks pass, 1 a mathematical comparison failed,
 2 input or usage error.  Output is deterministic: identical inputs and
-flags produce identical bytes (timing is tracked on the report object
-but never rendered).
+flags produce identical bytes.
 """
 
 from __future__ import annotations
@@ -12,10 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
+from contextlib import closing
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .chromatic import (
+    chromatic_polynomial_by_colorings,
     chromatic_polynomial_value,
     cqf_fundamental_via_orientations,
     cqf_monomial,
@@ -27,14 +28,7 @@ from .chromatic import (
     sink_minimal_increasing_labeling,
     verify_e_sink_identity,
 )
-from .graphs import (
-    Graph,
-    Labeling,
-    acyclic_orientations,
-    descents,
-    load_graph,
-    proper_colorings_bounded,
-)
+from .graphs import Graph, Labeling, acyclic_orientations, descents, load_graph
 from .partitions import hook_partition
 from .posets import all_posets, load_poset, verify_hook_proposition
 from .symfunc import (
@@ -52,23 +46,15 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 
-GRAPH_CHECKS = ("hook-t", "hook-1", "e-sink", "chrompoly")
-POSET_CHECKS = ("ptableaux",)
-
 
 @dataclass
 class RunReport:
-    """Outcome of one command.
-
-    ``timing`` is kept for programmatic use only; it is excluded from both
-    text and JSON rendering so that reruns are byte-identical.
-    """
+    """Outcome of one command."""
 
     command: str
     inputs: dict
     outputs: dict = field(default_factory=dict)
     status: str = "ok"
-    timing: float = 0.0
 
     def to_json(self) -> str:
         payload = {
@@ -132,15 +118,19 @@ def _resolve_labeling(args, loaded: Labeling | None, n: int) -> Labeling:
 # expand
 
 
-def cmd_expand(args) -> int:
-    started = time.perf_counter()
+def _load_bounded_graph(args):
     loaded = load_graph(args.graph)
-    graph = loaded.graph
-    if graph.n > args.max_n:
+    if loaded.graph.n > args.max_n:
         raise ValueError(
-            f"graph has {graph.n} vertices, above the limit {args.max_n}; "
+            f"graph has {loaded.graph.n} vertices, above the limit {args.max_n}; "
             "raise it with --max-n"
         )
+    return loaded
+
+
+def cmd_expand(args) -> int:
+    loaded = _load_bounded_graph(args)
+    graph = loaded.graph
     f = csf_monomial(graph)
     if args.basis == "m":
         terms = canonical_items(f)
@@ -154,7 +144,6 @@ def cmd_expand(args) -> int:
         command="expand",
         inputs=_graph_inputs(graph, names=loaded.names),
         outputs={"basis": args.basis, "terms": _terms_json(terms)},
-        timing=time.perf_counter() - started,
     )
     if args.json:
         sys.stdout.write(report.to_json() + "\n")
@@ -170,14 +159,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_cqf(args) -> int:
-    started = time.perf_counter()
-    loaded = load_graph(args.graph)
+    loaded = _load_bounded_graph(args)
     graph = loaded.graph
-    if graph.n > args.max_n:
-        raise ValueError(
-            f"graph has {graph.n} vertices, above the limit {args.max_n}; "
-            "raise it with --max-n"
-        )
     zeta = _resolve_labeling(args, loaded.labeling, graph.n)
     via_colorings = qsym_M_to_F(cqf_monomial(graph, zeta))
     via_orientations = cqf_fundamental_via_orientations(graph, zeta)
@@ -254,7 +237,6 @@ def cmd_cqf(args) -> int:
         inputs=_graph_inputs(graph, zeta, loaded.names),
         outputs=outputs,
         status=status,
-        timing=time.perf_counter() - started,
     )
     if args.json:
         sys.stdout.write(report.to_json() + "\n")
@@ -265,151 +247,116 @@ def cmd_cqf(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify
+# checks: verify renders their rows, sweep keeps the failing ones
 
 
-def _check_hook_1(graph: Graph) -> list[dict]:
-    schur = csf_schur(graph)
-    failures = []
-    for k in range(1, graph.n + 1):
-        lhs = schur.get(hook_partition(graph.n, k), 0)
-        rhs = hook_coefficient_via_sinks(graph, k)
-        if lhs != rhs:
-            failures.append(
-                {"edges": [list(e) for e in graph.edges], "k": k, "schur": lhs, "sinks": rhs}
-            )
-    return failures
+class Check(NamedTuple):
+    """A two-route identity.  ``rows(target, zeta)`` returns one
+    ``(k, *values)`` row per k; the row fails unless its values are all
+    equal.  ``values`` names them in failure records, and the verify table
+    shows the first two."""
+
+    rows: Callable
+    values: tuple[str, ...]
+    on_posets: bool = False
 
 
-def _check_hook_t(graph: Graph, zeta: Labeling | None = None) -> list[dict]:
+def _hook_t_rows(graph: Graph, zeta: Labeling | None) -> list[tuple]:
     direct = cqf_fundamental_via_orientations(graph, zeta)
     converted = qsym_M_to_F(cqf_monomial(graph, zeta))
-    failures = []
-    for k in range(1, graph.n + 1):
-        a = hook_coefficient_of_F(direct, k)
-        b = hook_coefficient_via_orientations_t(graph, zeta, k)
-        c = hook_coefficient_of_F(converted, k)
-        if not (a == b == c):
-            failures.append(
-                {
-                    "edges": [list(e) for e in graph.edges],
-                    "k": k,
-                    "f_expansion": list(a.coeffs),
-                    "orientation_sum": list(b.coeffs),
-                    "coloring_route": list(c.coeffs),
-                }
-            )
-    return failures
-
-
-def _check_e_sink(graph: Graph) -> list[dict]:
-    report = verify_e_sink_identity(graph)
     return [
-        {"edges": [list(e) for e in graph.edges], "k": k, "orientations": a, "e_sum": b}
-        for k, (a, b) in report.per_k.items()
-        if a != b
+        (
+            k,
+            hook_coefficient_of_F(direct, k),
+            hook_coefficient_via_orientations_t(graph, zeta, k),
+            hook_coefficient_of_F(converted, k),
+        )
+        for k in range(1, graph.n + 1)
     ]
 
 
-def _check_chrompoly(graph: Graph) -> list[dict]:
-    failures = []
-    for k in range(graph.n + 1):
-        lhs = chromatic_polynomial_value(graph, k)
-        rhs = sum(1 for _ in proper_colorings_bounded(graph, k)) if k else 0
-        if lhs != rhs:
-            failures.append(
-                {
-                    "edges": [list(e) for e in graph.edges],
-                    "k": k,
-                    "specialized": lhs,
-                    "enumerated": rhs,
-                }
-            )
-    return failures
-
-
-def _check_ptableaux(poset) -> list[dict]:
-    report = verify_hook_proposition(poset)
+def _hook_1_rows(graph: Graph, zeta) -> list[tuple]:
+    schur = csf_schur(graph)
     return [
-        {"poset": repr(poset), "k": k, "tableaux": a, "schur": b}
-        for k, (a, b) in report.per_k.items()
-        if a != b
+        (k, schur.get(hook_partition(graph.n, k), 0), hook_coefficient_via_sinks(graph, k))
+        for k in range(1, graph.n + 1)
     ]
 
 
-def _verify_table(args, check: str, target, file_labeling=None) -> tuple[list[tuple], list[dict]]:
-    """Per-k (label, lhs, rhs) rows plus failure records."""
-    rows: list[tuple] = []
-    if check == "hook-1":
-        schur = csf_schur(target)
-        for k in range(1, target.n + 1):
-            rows.append(
-                (
-                    k,
-                    schur.get(hook_partition(target.n, k), 0),
-                    hook_coefficient_via_sinks(target, k),
-                )
-            )
-        failures = _check_hook_1(target)
-    elif check == "hook-t":
-        zeta = _resolve_labeling(args, file_labeling, target.n)
-        direct = cqf_fundamental_via_orientations(target, zeta)
-        for k in range(1, target.n + 1):
-            rows.append(
-                (
-                    k,
-                    str(hook_coefficient_of_F(direct, k)),
-                    str(hook_coefficient_via_orientations_t(target, zeta, k)),
-                )
-            )
-        failures = _check_hook_t(target, zeta)
-    elif check == "e-sink":
-        report = verify_e_sink_identity(target)
-        rows = [(k, a, b) for k, (a, b) in sorted(report.per_k.items())]
-        failures = _check_e_sink(target)
-    elif check == "chrompoly":
-        for k in range(target.n + 1):
-            rhs = sum(1 for _ in proper_colorings_bounded(target, k)) if k else 0
-            rows.append((k, chromatic_polynomial_value(target, k), rhs))
-        failures = _check_chrompoly(target)
-    else:  # ptableaux
-        report = verify_hook_proposition(target)
-        rows = [(k, a, b) for k, (a, b) in sorted(report.per_k.items())]
-        failures = _check_ptableaux(target)
-    return rows, failures
+def _e_sink_rows(graph: Graph, zeta) -> list[tuple]:
+    return [(k, a, b) for k, (a, b) in sorted(verify_e_sink_identity(graph).per_k.items())]
+
+
+def _chrompoly_rows(graph: Graph, zeta) -> list[tuple]:
+    return [
+        (k, chromatic_polynomial_value(graph, k), chromatic_polynomial_by_colorings(graph, k))
+        for k in range(graph.n + 1)
+    ]
+
+
+def _ptableaux_rows(poset, zeta) -> list[tuple]:
+    return [(k, a, b) for k, (a, b) in sorted(verify_hook_proposition(poset).per_k.items())]
+
+
+CHECKS = {
+    "hook-t": Check(_hook_t_rows, ("f_expansion", "orientation_sum", "coloring_route")),
+    "hook-1": Check(_hook_1_rows, ("schur", "sinks")),
+    "e-sink": Check(_e_sink_rows, ("orientations", "e_sum")),
+    "chrompoly": Check(_chrompoly_rows, ("specialized", "enumerated")),
+    "ptableaux": Check(_ptableaux_rows, ("tableaux", "schur"), on_posets=True),
+}
+GRAPH_CHECKS = tuple(name for name, check in CHECKS.items() if not check.on_posets)
+POSET_CHECKS = tuple(name for name, check in CHECKS.items() if check.on_posets)
+
+
+def _row_fails(values) -> bool:
+    return any(v != values[0] for v in values[1:])
+
+
+def _failures(check: Check, target, rows) -> list[dict]:
+    """The failure record of every failing row."""
+    if check.on_posets:
+        subject: dict = {"poset": repr(target)}
+    else:
+        subject = {"edges": [list(e) for e in target.edges]}
+    return [
+        {**subject, "k": k, **{name: _plain(v) for name, v in zip(check.values, values)}}
+        for k, *values in rows
+        if _row_fails(values)
+    ]
+
+
+def _plain(value):
+    return list(value.coeffs) if isinstance(value, TPoly) else value
 
 
 def cmd_verify(args) -> int:
-    started = time.perf_counter()
-    file_labeling = None
-    if args.check in POSET_CHECKS:
+    check = CHECKS[args.check]
+    if check.on_posets:
         target = load_poset(args.input)
         inputs = {"poset": repr(target)}
+        zeta = None
     else:
         loaded = load_graph(args.input)
         target = loaded.graph
-        file_labeling = loaded.labeling
         inputs = _graph_inputs(target, names=loaded.names)
-    rows, failures = _verify_table(args, args.check, target, file_labeling)
+        zeta = _resolve_labeling(args, loaded.labeling, target.n)
+    rows = check.rows(target, zeta)
+    failures = _failures(check, target, rows)
     status = "ok" if not failures else "mismatch"
+    table = [[k, *(str(v) if isinstance(v, TPoly) else v for v in values[:2])] for k, *values in rows]
     report = RunReport(
         command="verify",
         inputs=inputs,
-        outputs={
-            "check": args.check,
-            "table": [list(r) for r in rows],
-            "failures": failures,
-        },
+        outputs={"check": args.check, "table": table, "failures": failures},
         status=status,
-        timing=time.perf_counter() - started,
     )
     if args.json:
         sys.stdout.write(report.to_json() + "\n")
     else:
-        lines = [f"# verify  check={args.check}"]
-        lines.append("  k  lhs  rhs")
-        for k, lhs, rhs in rows:
-            mark = "" if lhs == rhs else "  <- MISMATCH"
+        lines = [f"# verify  check={args.check}", "  k  lhs  rhs"]
+        for (k, lhs, rhs), (_, *values) in zip(table, rows):
+            mark = "  <- MISMATCH" if _row_fails(values) else ""
             lines.append(f"  {k}  {lhs}  {rhs}{mark}")
         lines.append(f"status: {status}")
         sys.stdout.write("\n".join(lines) + "\n")
@@ -420,27 +367,36 @@ def cmd_verify(args) -> int:
 # sweep
 
 
-_CHECK_FUNCTIONS = {
-    "hook-1": _check_hook_1,
-    "hook-t": _check_hook_t,
-    "e-sink": _check_e_sink,
-    "chrompoly": _check_chrompoly,
-}
+def _case_failures(target, checks) -> list[dict]:
+    return [f for name in checks for f in _failures(CHECKS[name], target, CHECKS[name].rows(target, None))]
 
 
-def _sweep_graph_worker(task) -> tuple[int, list[dict]]:
+def _sweep_graph_worker(task) -> list[dict]:
     n, mask, checks = task
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-    graph = Graph(n, edges)
-    failures: list[dict] = []
-    for check in checks:
-        failures.extend(_CHECK_FUNCTIONS[check](graph))
-    return mask, failures
+    return _case_failures(Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1]), checks)
+
+
+def _sweep_results(n: int, checks: tuple[str, ...], jobs: int):
+    """The failure records of each case in turn: every graph on n
+    vertices, then every poset on n elements."""
+    graph_checks = tuple(c for c in checks if c in GRAPH_CHECKS)
+    if graph_checks:
+        tasks = ((n, mask, graph_checks) for mask in range(1 << (n * (n - 1) // 2)))
+        if jobs > 1:
+            from multiprocessing import Pool  # only parallel sweeps pay for the import
+
+            with Pool(jobs) as pool:
+                yield from pool.imap(_sweep_graph_worker, tasks, chunksize=64)
+        else:
+            yield from map(_sweep_graph_worker, tasks)
+    poset_checks = tuple(c for c in checks if c in POSET_CHECKS)
+    if poset_checks:
+        for poset in all_posets(n):
+            yield _case_failures(poset, poset_checks)
 
 
 def cmd_sweep(args) -> int:
-    started = time.perf_counter()
     n = args.max_n
     if n > 7:
         raise ValueError("sweeps above 7 vertices are not supported")
@@ -448,76 +404,35 @@ def cmd_sweep(args) -> int:
         raise ValueError("sweeps need at least one vertex")
     checks = tuple(dict.fromkeys(args.checks.split(",")))
     for check in checks:
-        if check not in GRAPH_CHECKS + POSET_CHECKS:
-            raise ValueError(
-                f"unknown check {check!r}; choose from "
-                f"{', '.join(GRAPH_CHECKS + POSET_CHECKS)}"
-            )
+        if check not in CHECKS:
+            raise ValueError(f"unknown check {check!r}; choose from {', '.join(CHECKS)}")
 
-    graph_checks = tuple(c for c in checks if c in GRAPH_CHECKS)
-    poset_checks = tuple(c for c in checks if c in POSET_CHECKS)
     failures: list[dict] = []
     cases = 0
     aborted = False
-
-    if graph_checks:
-        masks = range(1 << (n * (n - 1) // 2))
-        tasks = ((n, mask, graph_checks) for mask in masks)
-        if args.jobs > 1:
-            from multiprocessing import Pool  # only parallel sweeps pay for the import
-
-            with Pool(args.jobs) as pool:
-                for _, fails in pool.imap(_sweep_graph_worker, tasks, chunksize=64):
-                    cases += 1
-                    if fails:
-                        failures.extend(fails)
-                        if not args.keep_going:
-                            aborted = True
-                            pool.terminate()
-                            break
-        else:
-            for task in tasks:
-                _, fails = _sweep_graph_worker(task)
-                cases += 1
-                if fails:
-                    failures.extend(fails)
-                    if not args.keep_going:
-                        aborted = True
-                        break
-
-    if poset_checks and not aborted:
-        for poset in all_posets(n):
+    # Closing the stream on an early stop leaves the pool's with-block,
+    # which terminates the workers.
+    with closing(_sweep_results(n, checks, args.jobs)) as results:
+        for fails in results:
             cases += 1
-            fails = _check_ptableaux(poset)
-            if fails:
-                failures.extend(fails)
-                if not args.keep_going:
-                    aborted = True
-                    break
+            failures.extend(fails)
+            if fails and not args.keep_going:
+                aborted = True
+                break
 
     status = "ok" if not failures else "mismatch"
     report = RunReport(
         command="sweep",
         inputs={"n": n, "checks": list(checks)},
-        outputs={
-            "cases": cases,
-            "failures": failures,
-            "aborted_early": aborted,
-        },
+        outputs={"cases": cases, "failures": failures, "aborted_early": aborted},
         status=status,
-        timing=time.perf_counter() - started,
     )
     if args.json:
         sys.stdout.write(report.to_json() + "\n")
     else:
-        lines = [f"# sweep  n={n}  checks={','.join(checks)}"]
-        lines.append(f"cases run: {cases}")
-        if failures:
-            lines.append(f"failures: {len(failures)}")
-            for f in failures[:10]:
-                lines.append(f"  {json.dumps(f, sort_keys=True)}")
-        else:
-            lines.append("failures: 0")
+        lines = [f"# sweep  n={n}  checks={','.join(checks)}", f"cases run: {cases}"]
+        lines.append(f"failures: {len(failures)}")
+        lines.extend(f"  {json.dumps(f, sort_keys=True)}" for f in failures[:10])
         lines.append(f"status: {status}")
         sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK if not failures else EXIT_MISMATCH
@@ -560,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a named two-route comparison")
     verify.add_argument("input", help="graph file, or poset file for ptableaux")
-    verify.add_argument("check", choices=GRAPH_CHECKS + POSET_CHECKS)
+    verify.add_argument("check", choices=tuple(CHECKS))
     verify.add_argument("--labeling", help="labels for hook-t, or 'identity'")
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=cmd_verify)
@@ -570,8 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--checks",
         default="hook-1",
-        help="comma-separated subset of "
-        + ",".join(GRAPH_CHECKS + POSET_CHECKS),
+        help="comma-separated subset of " + ",".join(CHECKS),
     )
     sweep.add_argument("--jobs", type=int, default=1)
     sweep.add_argument("--keep-going", action="store_true")

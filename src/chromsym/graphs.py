@@ -1,5 +1,5 @@
-"""Finite simple graphs on vertex set {1..n}, with labelings, proper
-colorings, stable partitions, and acyclic orientations.
+"""Finite simple graphs on vertex set {1..n}, with labelings, stable
+partitions, and acyclic orientations.
 
 Vertices are always 1..n.  Edges are stored canonically as sorted pairs
 with no loops or duplicates.  Acyclic orientations come from one
@@ -51,7 +51,11 @@ class Graph:
 
     def adjacency_masks(self) -> tuple[int, ...]:
         """Bitmask of neighbours per vertex, 0-indexed bits."""
-        return _adjacency_masks(self.key())
+        adj = [0] * self.n
+        for u, v in self.edges:
+            adj[u - 1] |= 1 << (v - 1)
+            adj[v - 1] |= 1 << (u - 1)
+        return tuple(adj)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         mask = self.adjacency_masks()[v - 1]
@@ -65,16 +69,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph({self.n}, {list(self.edges)!r})"
-
-
-@lru_cache(maxsize=None)
-def _adjacency_masks(key) -> tuple[int, ...]:
-    n, edges = key
-    adj = [0] * n
-    for u, v in edges:
-        adj[u - 1] |= 1 << (v - 1)
-        adj[v - 1] |= 1 << (u - 1)
-    return tuple(adj)
 
 
 def edgeless_graph(n: int) -> Graph:
@@ -258,10 +252,6 @@ def acyclic_orientations(graph: Graph) -> tuple[Orientation, ...]:
     return out
 
 
-def sinks(o: Orientation) -> int:
-    return o.sinks()
-
-
 def descents(o: Orientation, zeta: Labeling) -> int:
     """Arcs (u, v) whose direction runs against the labeling: label(u) > label(v)."""
     if zeta.n != o.graph.n:
@@ -289,48 +279,22 @@ def is_proper_coloring(graph: Graph, kappa) -> bool:
     return all(kappa[u - 1] != kappa[v - 1] for u, v in graph.edges)
 
 
-def proper_colorings_bounded(graph: Graph, k: int):
-    """Stream of proper colorings V -> {1..k}, as tuples indexed by vertex."""
-    if k < 1:
-        raise ValueError("at least one color is required")
-    n = graph.n
-    adj = graph.adjacency_masks()
-    colors = [0] * n
-
-    def rec(v: int):
-        if v == n:
-            yield tuple(colors)
-            return
-        forbidden = set()
-        mask = adj[v]
-        for u in range(v):
-            if mask >> u & 1:
-                forbidden.add(colors[u])
-        for c in range(1, k + 1):
-            if c not in forbidden:
-                colors[v] = c
-                yield from rec(v + 1)
-        colors[v] = 0
-
-    yield from rec(0)
-
-
 def stable_partitions_by_type(graph: Graph) -> dict[tuple[int, ...], int]:
     """Unordered partitions of V into stable blocks, counted by sorted
     block-size type."""
-    return dict(_stable_partition_counts(graph.key()))
+    return dict(_stable_partition_counts(graph))
 
 
 @lru_cache(maxsize=8)
-def _stable_partition_counts(key) -> tuple[tuple[tuple[int, ...], int], ...]:
+def _stable_partition_counts(graph: Graph) -> tuple[tuple[tuple[int, ...], int], ...]:
     # g(S), the stable partitions of the vertex set S by type, is the sum over
     # stable T within S that hold the lowest vertex of S of g(S - T) with |T|
     # added to each type.  A type is coded as sum over its parts k of
     # (n + 1)^(k - 1), so adding a part is adding an integer.  Only the sets S
     # reached from V are visited; each costs one pass over the subsets of the
     # non-neighbours of its lowest vertex.
-    n = key[0]
-    adj = _adjacency_masks(key)
+    n = graph.n
+    adj = graph.adjacency_masks()
     full = (1 << n) - 1
     stable = bytearray(full + 1)  # stable[T]: no edge inside T
     stable[0] = 1

@@ -41,7 +41,7 @@ def check_composition(parts) -> Composition:
     return alpha
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, each once, in canonical (descending) order."""
     if n < 0:
@@ -58,7 +58,7 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(rec(n, n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def compositions_of(n: int) -> tuple[Composition, ...]:
     """All compositions of n in canonical (descending) order."""
     if n < 0:

@@ -3,9 +3,9 @@
 A poset on {1..n} is stored as strict-order bitmasks.  Hook-shape
 tableaux are bijective fillings whose bottom row strictly increases in
 the poset order at consecutive cells and whose column never strictly
-increases going up; the column rule is kept switchable because the two
-mirror readings are only told apart by the counting identity itself
-(the exhaustive small-poset suite pins the default).
+increases going up.  The mirror reading of the column rule is told apart
+only by the counting identity itself; the test suite keeps it as an
+oracle and shows that it fails.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ from itertools import combinations, product
 from .chromatic import csf_schur
 from .graphs import Graph, _check_int_pairs, _is_int
 from .partitions import hook_partition
-
-COLUMN_RULES = ("upper-not-less", "lower-not-less")
-DEFAULT_COLUMN_RULE = "upper-not-less"
 
 
 class Poset:
@@ -141,17 +138,7 @@ def incomparability_graph(poset: Poset) -> Graph:
     return Graph(poset.n, edges)
 
 
-def _column_step_allowed(poset: Poset, lower: int, upper: int, rule: str) -> bool:
-    if rule == "upper-not-less":
-        return not poset.less(upper, lower)
-    if rule == "lower-not-less":
-        return not poset.less(lower, upper)
-    raise ValueError(f"unknown column rule {rule!r}")
-
-
-def count_p_tableaux_hook(
-    poset: Poset, k: int, column_rule: str = DEFAULT_COLUMN_RULE
-) -> int:
+def count_p_tableaux_hook(poset: Poset, k: int) -> int:
     """Bijective hook-shape fillings: bottom row a chain read left to
     right, column above its first cell never increasing upward."""
     n = poset.n
@@ -163,7 +150,7 @@ def count_p_tableaux_hook(
             return 1
         total = 0
         for x in remaining:
-            if _column_step_allowed(poset, lower, x, column_rule):
+            if not poset.less(x, lower):
                 total += legs(x, remaining - {x})
         return total
 
@@ -203,16 +190,14 @@ class HookReport:
         return all(a == b for a, b in self.per_k.values())
 
 
-def verify_hook_proposition(
-    poset: Poset, column_rule: str = DEFAULT_COLUMN_RULE
-) -> HookReport:
+def verify_hook_proposition(poset: Poset) -> HookReport:
     """Compare hook tableau counts with the incomparability graph's
     Schur hook coefficients, for every arm length."""
     n = poset.n
     schur = csf_schur(incomparability_graph(poset))
     report = HookReport()
     for k in range(1, n + 1):
-        count = count_p_tableaux_hook(poset, k, column_rule)
+        count = count_p_tableaux_hook(poset, k)
         coeff = schur.get(hook_partition(n, k), 0)
         report.per_k[k] = (count, coeff)
     return report

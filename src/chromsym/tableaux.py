@@ -87,7 +87,7 @@ def _strip_removals(shape: tuple[int, ...], size: int):
         yield tuple(p for p in nu if p)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 15)
 def _chain_count(shape: tuple[int, ...], weight: tuple[int, ...]) -> int:
     if not weight:
         return 1 if not shape else 0

@@ -24,10 +24,6 @@ class TPoly:
         self.coeffs = _normalize([int(c) for c in coeffs])
 
     @classmethod
-    def constant(cls, c: int) -> "TPoly":
-        return cls((c,))
-
-    @classmethod
     def t_power(cls, k: int, coeff: int = 1) -> "TPoly":
         if k < 0:
             raise ValueError("powers of t must be nonnegative")

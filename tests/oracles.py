@@ -122,6 +122,65 @@ def count_colorings_brute(graph: Graph, k: int) -> int:
     return rec(1)
 
 
+def proper_colorings_bounded(graph: Graph, k: int):
+    """Stream of proper colorings V -> {1..k}, as tuples indexed by vertex."""
+    if k < 1:
+        raise ValueError("at least one color is required")
+    n = graph.n
+    adj = graph.adjacency_masks()
+    colors = [0] * n
+
+    def rec(v: int):
+        if v == n:
+            yield tuple(colors)
+            return
+        forbidden = set()
+        mask = adj[v]
+        for u in range(v):
+            if mask >> u & 1:
+                forbidden.add(colors[u])
+        for c in range(1, k + 1):
+            if c not in forbidden:
+                colors[v] = c
+                yield from rec(v + 1)
+        colors[v] = 0
+
+    yield from rec(0)
+
+
+def csf_monomial_by_colorings(graph: Graph) -> SymmetricFunctionM:
+    """Monomial coordinates by direct summation over proper colorings with
+    colors in 1..n, reading off monomial exponents."""
+    n = graph.n
+    acc: Counter = Counter()
+    if n == 0:
+        return SymmetricFunctionM(0, {(): 1})
+    for kappa in proper_colorings_bounded(graph, n):
+        counts = [0] * (n + 1)
+        for c in kappa:
+            counts[c] += 1
+        vec = counts[1:]
+        while vec and vec[-1] == 0:
+            vec.pop()
+        if all(vec[i] >= vec[i + 1] for i in range(len(vec) - 1)) and all(vec):
+            acc[tuple(vec)] += 1
+    return SymmetricFunctionM(n, acc)
+
+
+def count_p_tableaux_hook_brute(poset, k: int, column_ok) -> int:
+    """Hook fillings by permutation: the bottom row w[:k] must be a chain
+    read left to right, and column_ok(lower, upper) must hold at every
+    step up the column w[k:] stacked above the row's first cell."""
+    total = 0
+    for w in permutations(range(1, poset.n + 1)):
+        row, column = w[:k], (w[0],) + w[k:]
+        if all(poset.less(a, b) for a, b in zip(row, row[1:])) and all(
+            column_ok(lower, upper) for lower, upper in zip(column, column[1:])
+        ):
+            total += 1
+    return total
+
+
 def interpolate_at(points: list[tuple[int, int]], x: int) -> Fraction:
     """Exact Lagrange interpolation through integer points."""
     total = Fraction(0)

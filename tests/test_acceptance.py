@@ -33,7 +33,6 @@ from chromsym.graphs import (
     acyclic_orientations,
     is_claw_free,
     path_graph,
-    proper_colorings_bounded,
     star_graph,
     edgeless_graph,
 )
@@ -53,7 +52,7 @@ from chromsym.symfunc import (
 )
 from chromsym.tableaux import descent_set, kostka
 from chromsym.tpoly import TPoly
-from oracles import all_graphs, fundamental_monomials, monomial_basis_monomials
+from oracles import all_graphs, fundamental_monomials, monomial_basis_monomials, proper_colorings_bounded
 
 CLAW_JSON = '{"n": 4, "edges": [[1, 2], [1, 3], [1, 4]]}'
 

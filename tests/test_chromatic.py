@@ -4,11 +4,11 @@ from math import comb
 import pytest
 
 from chromsym.chromatic import (
+    chromatic_polynomial_by_colorings,
     chromatic_polynomial_value,
     cqf_fundamental_via_orientations,
     cqf_monomial,
     csf_monomial,
-    csf_monomial_by_colorings,
     csf_schur,
     dual_linear_extensions,
     hook_coefficient_via_orientations_t,
@@ -43,6 +43,7 @@ from oracles import (
     acyclic_orientations_scan,
     all_graphs,
     count_colorings_brute,
+    csf_monomial_by_colorings,
     seeded_graphs,
     sink_counts_scan,
     sink_histogram,
@@ -61,6 +62,14 @@ def test_csf_monomial_golden_values():
 def test_csf_monomial_agrees_with_direct_coloring_sum(n):
     for g in all_graphs(n):
         assert csf_monomial(g) == csf_monomial_by_colorings(g)
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_coloring_count_matches_brute_force(n):
+    # n = 0 too: the empty graph has exactly one coloring, with any k.
+    for g in all_graphs(n):
+        for k in range(n + 2):
+            assert chromatic_polynomial_by_colorings(g, k) == count_colorings_brute(g, k)
 
 
 def test_csf_schur_golden_values():

@@ -1,11 +1,14 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 
 import pytest
 
+from chromsym import cli
 from chromsym.cli import main
+from chromsym.partitions import hook_partition
 
 CLAW_JSON = '{"n": 4, "edges": [[1, 2], [1, 3], [1, 4]]}'
 P3_EDGES = "1 2\n2 3\n"
@@ -235,16 +238,113 @@ def test_verify_hook_t_uses_labels_from_the_file(capsys, tmp_path):
 
 
 def test_mathematical_mismatch_exits_1(capsys, claw_file, monkeypatch):
-    # force a fake counterexample through the check plumbing
-    import chromsym.cli as cli_module
-
-    fake = [{"edges": [[1, 2]], "k": 1, "schur": 0, "sinks": 1}]
-    monkeypatch.setattr(cli_module, "_check_hook_1", lambda graph: fake)
+    # force a fake counterexample through the check registry
+    rows = [(1, 0, 1), (2, 3, 3)]
+    monkeypatch.setitem(cli.CHECKS, "hook-1", cli.CHECKS["hook-1"]._replace(rows=lambda graph, zeta: rows))
     code, out, _ = run_cli(capsys, "verify", claw_file, "hook-1", "--json")
     assert code == 1
     payload = json.loads(out)
     assert payload["status"] == "mismatch"
-    assert payload["outputs"]["failures"] == fake
+    assert payload["outputs"]["table"] == [[1, 0, 1], [2, 3, 3]]
+    assert payload["outputs"]["failures"] == [
+        {"edges": [[1, 2], [1, 3], [1, 4]], "k": 1, "schur": 0, "sinks": 1}
+    ]
+
+
+def test_verify_chrompoly_counts_one_coloring_of_the_empty_graph(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"n": 0, "edges": []}')
+    code, out, _ = run_cli(capsys, "verify", str(path), "chrompoly")
+    assert code == 0
+    assert out.splitlines()[2:] == ["  0  1  1", "status: ok"]
+
+
+def test_verify_hook_t_marks_a_row_where_only_the_coloring_route_fails(capsys, claw_file, monkeypatch):
+    # The table shows the F-expansion and orientation-sum columns; the
+    # coloring route is compared too, and a row failing there is marked.
+    real = cli.qsym_M_to_F
+
+    def drop_hook_2(f):
+        g = real(f)
+        g.coeffs.pop(hook_partition(4, 2), None)
+        return g
+
+    monkeypatch.setattr(cli, "qsym_M_to_F", drop_hook_2)
+    code, out, _ = run_cli(capsys, "verify", claw_file, "hook-t")
+    assert code == 1
+    rows = out.splitlines()[2:-1]
+    assert [row.endswith("<- MISMATCH") for row in rows] == [False, True, False, False]
+    assert out.endswith("status: mismatch\n")
+    code, out, _ = run_cli(capsys, "verify", claw_file, "hook-t", "--json")
+    failures = json.loads(out)["outputs"]["failures"]
+    assert [f["k"] for f in failures] == [2]
+    assert failures[0]["f_expansion"] == failures[0]["orientation_sum"] != failures[0]["coloring_route"]
+
+
+RECORD_KEYS = {
+    "hook-t": {"edges", "k", "f_expansion", "orientation_sum", "coloring_route"},
+    "hook-1": {"edges", "k", "schur", "sinks"},
+    "e-sink": {"edges", "k", "orientations", "e_sum"},
+    "chrompoly": {"edges", "k", "specialized", "enumerated"},
+    "ptableaux": {"poset", "k", "tableaux", "schur"},
+}
+
+
+def _fail_on_nonempty_targets(monkeypatch, check):
+    # one failing row on every target with an edge (a relation for posets)
+    def rows(target, zeta):
+        size = target.m if hasattr(target, "edges") else sum(map(int.bit_count, target.above))
+        return [(1, *range(len(cli.CHECKS[check].values)))] if size else [(1, 0, 0)]
+
+    monkeypatch.setitem(cli.CHECKS, check, cli.CHECKS[check]._replace(rows=rows))
+
+
+@pytest.mark.parametrize("check", sorted(RECORD_KEYS))
+def test_sweep_mismatch_stops_at_the_first_failing_case(capsys, monkeypatch, check):
+    _fail_on_nonempty_targets(monkeypatch, check)
+    code, out, _ = run_cli(capsys, "sweep", "--max-n", "3", "--checks", check, "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "mismatch"
+    outputs = payload["outputs"]
+    # the first case (no edges, or the antichain) passes; the second fails
+    assert outputs["cases"] == 2
+    assert outputs["aborted_early"] is True
+    assert len(outputs["failures"]) == 1
+    assert set(outputs["failures"][0]) == RECORD_KEYS[check]
+    assert outputs["failures"][0]["k"] == 1
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="workers must inherit the patched registry"
+)
+def test_parallel_sweep_stops_at_the_first_failing_case(capsys, monkeypatch):
+    # results arrive in case order, so the second case is the first failure
+    _fail_on_nonempty_targets(monkeypatch, "hook-1")
+    code, out, _ = run_cli(capsys, "sweep", "--max-n", "4", "--jobs", "2", "--json")
+    assert code == 1
+    outputs = json.loads(out)["outputs"]
+    assert (outputs["cases"], outputs["aborted_early"], len(outputs["failures"])) == (2, True, 1)
+
+
+def test_sweep_keep_going_runs_every_case(capsys, monkeypatch):
+    _fail_on_nonempty_targets(monkeypatch, "hook-1")
+    _fail_on_nonempty_targets(monkeypatch, "ptableaux")
+    argv = ["sweep", "--max-n", "3", "--checks", "hook-1,ptableaux", "--json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    outputs = json.loads(out)["outputs"]
+    assert (outputs["cases"], outputs["aborted_early"]) == (2, True)
+    code, out, _ = run_cli(capsys, *argv, "--keep-going")
+    assert code == 1
+    outputs = json.loads(out)["outputs"]
+    # 8 graphs on 3 vertices, then 19 posets on 3 elements; 7 and 18 fail
+    assert (outputs["cases"], outputs["aborted_early"]) == (27, False)
+    assert len(outputs["failures"]) == 7 + 18
+    code, out, _ = run_cli(capsys, *argv[:-1], "--keep-going")
+    assert code == 1
+    assert out.splitlines()[1:3] == ["cases run: 27", "failures: 25"]
+    assert len(out.splitlines()) == 3 + 10 + 1
 
 
 def test_cli_output_is_byte_deterministic(tmp_path):

@@ -17,8 +17,6 @@ from chromsym.graphs import (
     is_proper_coloring,
     parse_graph_text,
     path_graph,
-    proper_colorings_bounded,
-    sinks,
     stable_partitions_by_type,
     star_graph,
 )
@@ -27,6 +25,7 @@ from oracles import (
     all_graphs,
     count_colorings_brute,
     interpolate_at,
+    proper_colorings_bounded,
     seeded_graphs,
     stable_partitions_recursive,
 )
@@ -180,18 +179,18 @@ def test_orientation_kernel_matches_the_mask_scan_on_seeded_graphs():
 
 def test_sinks_counting():
     (empty,) = acyclic_orientations(edgeless_graph(3))
-    assert sinks(empty) == 3  # isolated vertices are sinks
+    assert empty.sinks() == 3  # isolated vertices are sinks
     p3 = path_graph(3)
-    assert sinks(Orientation(p3, [(1, 2), (2, 3)])) == 1
+    assert Orientation(p3, [(1, 2), (2, 3)]).sinks() == 1
     claw = star_graph(3)
-    assert sinks(Orientation(claw, [(1, 2), (1, 3), (1, 4)])) == 3
+    assert Orientation(claw, [(1, 2), (1, 3), (1, 4)]).sinks() == 3
 
 
 def test_every_acyclic_orientation_has_a_sink():
     for n in range(1, 5):
         for g in all_graphs(n):
             for o in acyclic_orientations(g):
-                assert sinks(o) >= 1
+                assert o.sinks() >= 1
 
 
 def test_descents_examples():
@@ -294,3 +293,21 @@ def test_parse_edge_list_diagnostics_carry_line_numbers():
 def test_parse_edge_list_ignores_comments_and_blanks():
     loaded = parse_graph_text("# a path\n1 2\n\n2 3  # tail\n")
     assert loaded.graph == path_graph(3)
+
+
+def test_every_cache_in_the_library_is_bounded():
+    import importlib
+    import pkgutil
+
+    import chromsym
+
+    caches = []
+    for info in pkgutil.iter_modules(chromsym.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"chromsym.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
+                caches.append((f"{info.name}.{name}", value.cache_parameters()["maxsize"]))
+    assert len(caches) >= 8
+    assert [name for name, maxsize in caches if maxsize is None] == []

@@ -12,6 +12,8 @@ from chromsym.posets import (
     verify_hook_proposition,
 )
 
+from oracles import count_p_tableaux_hook_brute
+
 CHAIN3 = Poset.from_covers(3, [[1, 2], [2, 3]])
 ANTICHAIN3 = Poset(3, (0, 0, 0))
 # A 3-chain plus one element incomparable to everything: its
@@ -81,13 +83,25 @@ def test_tableau_counts_for_chain_plus_free_element():
     assert counts == [8, 5, 1, 0]
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_tableau_counts_match_the_permutation_oracle(n):
+    for poset in all_posets(n):
+        def column_ok(lower, upper):
+            return not poset.less(upper, lower)
+
+        for k in range(1, n + 1):
+            assert count_p_tableaux_hook(poset, k) == count_p_tableaux_hook_brute(poset, k, column_ok)
+
+
 def test_mirrored_column_rule_is_ruled_out_by_the_identity():
     # the mirrored reading undercounts shape (2,1,1) on the claw poset
-    assert count_p_tableaux_hook(CHAIN_PLUS_FREE, 2, "lower-not-less") == 4
-    report = verify_hook_proposition(CHAIN_PLUS_FREE, "lower-not-less")
-    assert not report.ok
-    with pytest.raises(ValueError):
-        count_p_tableaux_hook(CHAIN3, 1, "sideways")
+    def mirrored(lower, upper):
+        return not CHAIN_PLUS_FREE.less(lower, upper)
+
+    counts = {k: count_p_tableaux_hook_brute(CHAIN_PLUS_FREE, k, mirrored) for k in range(1, 5)}
+    assert counts[2] == 4
+    schur = {k: coeff for k, (_, coeff) in verify_hook_proposition(CHAIN_PLUS_FREE).per_k.items()}
+    assert counts != schur
 
 
 def test_top_arm_counts_chains_covering_everything():
