@@ -5,9 +5,15 @@ The same quantities are reachable along two independent routes:
 * colorings: monomial coordinates from stable partitions, then exact
   basis changes; the quasisymmetric refinement and the chromatic
   polynomial's enumeration side come from one recursion over proper
-  colorings, ``_coloring_profile``;
+  colorings, ``_coloring_profile``.  It drops a branch as soon as the
+  vertices left cannot use every color up to the highest one in play, so
+  its work follows the colorings it keeps, and it stores one count per
+  distinct (composition, edge directions) pair;
 * orientations: acyclic orientations weighted by sinks and descents,
-  assembled into fundamental coordinates through linear extensions.
+  assembled into fundamental coordinates through linear extensions.  One
+  bitmask recursion, ``_linear_extensions``, lists the extensions of an
+  orientation with their reflected descent sets, straight from the
+  orientation kernel's out-neighbour masks.
 
 Hook coefficients computed both ways must agree, which is what the
 ``verify``/``sweep`` commands and the test suite exercise exhaustively
@@ -16,7 +22,6 @@ at small vertex counts.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, factorial
@@ -26,10 +31,10 @@ from .graphs import (
     Labeling,
     Orientation,
     acyclic_orientation_masks,
-    acyclic_orientations,
+    acyclic_orientations,  # noqa: F401  (perfbench/shim.py wraps this binding)
     stable_partitions_by_type,
 )
-from .partitions import composition_from_descents, multiplicities
+from .partitions import _compositions_by_mask, multiplicities
 from .symfunc import (
     QuasisymmetricF,
     QuasisymmetricM,
@@ -38,7 +43,6 @@ from .symfunc import (
     m_to_s,
     specialize_w_k,
 )
-from .tableaux import descent_set
 from .tpoly import TPoly
 
 
@@ -148,8 +152,7 @@ def chromatic_polynomial_by_colorings(graph: Graph, k: int) -> int:
     its j colors.  No stable partition is used."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    by_colors = Counter(len(comp) for comp, _ in _coloring_profile(graph))
-    return sum(count * comb(k, j) for j, count in by_colors.items())
+    return sum(count * comb(k, j) for j, count in enumerate(_colorings_by_size(graph)))
 
 
 # ---------------------------------------------------------------------------
@@ -173,44 +176,68 @@ def _check_labeling(graph: Graph, zeta) -> Labeling:
 
 
 @lru_cache(maxsize=4)
-def _coloring_profile(graph: Graph) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """(class-size composition, edge-direction bits) per proper coloring
-    whose colors form an initial segment 1..j."""
-    n, edges = graph.n, graph.edges
+def _coloring_profile(graph: Graph) -> tuple[tuple[tuple[tuple[int, ...], int], int], ...]:
+    """((class-size composition, edge-direction bits), colorings) over the
+    proper colorings whose colors form an initial segment 1..j, one entry
+    per distinct pair.  Bit e of the direction bits is set when edge e
+    runs from the lower color to the higher one along its canonical
+    (low -> high vertex) direction.
+
+    Vertices are colored in index order.  With colors 1..top in play and
+    gaps of them still unused, a branch lives only while the vertices left
+    can fill every gap, so a used color at or below top is skipped once
+    they cannot, and no color above top + 1 + (vertices after this one) -
+    gaps is tried.
+    """
+    n = graph.n
     if n == 0:
-        return (((), 0),)
-    adj = graph.adjacency_masks()
+        return ((((), 0), 1),)
+    earlier: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for e, (a, b) in enumerate(graph.edges):
+        earlier[b - 1].append((a - 1, 1 << e))  # (lower neighbour, edge bit)
     colors = [0] * n
-    out = []
+    sizes = [0] * (n + 1)  # sizes[c]: vertices colored c so far
+    acc: dict[tuple[tuple[int, ...], int], int] = {}
 
-    def rec(v: int, used_mask: int):
-        if v == n:
-            j = used_mask.bit_length() - 1
-            if used_mask != ((1 << j) - 1) << 1:
-                return
-            counts = [0] * (j + 1)
-            for c in colors:
-                counts[c] += 1
-            kbits = 0
-            for e, (a, b) in enumerate(edges):
-                if colors[a - 1] < colors[b - 1]:
-                    kbits |= 1 << e
-            out.append((tuple(counts[1:]), kbits))
-            return
-        forbidden = 0
-        mask = adj[v]
-        for u in range(v):
-            if mask >> u & 1:
-                forbidden |= 1 << colors[u]
-        for c in range(1, n + 1):
-            if forbidden >> c & 1:
-                continue
-            colors[v] = c
-            rec(v + 1, used_mask | 1 << c)
-        colors[v] = 0
+    def rec(v: int, top: int, gaps: int, bits: int):
+        rest = n - v - 1
+        for c in range(1, top + 2 + rest - gaps):
+            if c > top:
+                new_top, new_gaps = c, gaps + c - top - 1
+            elif sizes[c]:
+                if gaps > rest:
+                    continue
+                new_top, new_gaps = top, gaps
+            else:
+                new_top, new_gaps = top, gaps - 1
+            add = 0
+            for u, ebit in earlier[v]:
+                cu = colors[u]
+                if cu == c:
+                    break
+                if cu < c:
+                    add |= ebit
+            else:
+                sizes[c] += 1
+                if rest:
+                    colors[v] = c
+                    rec(v + 1, new_top, new_gaps, bits | add)
+                else:  # v is the last vertex and no gap is left
+                    key = (tuple(sizes[1 : new_top + 1]), bits | add)
+                    acc[key] = acc.get(key, 0) + 1
+                sizes[c] -= 1
 
-    rec(0, 0)
-    return tuple(out)
+    rec(0, 0, 0, 0)
+    return tuple(acc.items())
+
+
+@lru_cache(maxsize=8)
+def _colorings_by_size(graph: Graph) -> tuple[int, ...]:
+    """Entry j counts the proper colorings onto the colors 1..j."""
+    counts = [0] * (graph.n + 1)
+    for (comp, _), count in _coloring_profile(graph):
+        counts[len(comp)] += count
+    return tuple(counts)
 
 
 def cqf_monomial(graph: Graph, zeta: Labeling | None = None) -> QuasisymmetricM:
@@ -221,13 +248,72 @@ def cqf_monomial(graph: Graph, zeta: Labeling | None = None) -> QuasisymmetricM:
     m = graph.m
     zbits = _zeta_bits(graph, zeta)
     acc: dict[tuple[int, ...], list[int]] = {}
-    for comp, kbits in _coloring_profile(graph):
+    for (comp, kbits), count in _coloring_profile(graph):
         asc = m - (kbits ^ zbits).bit_count()
         arr = acc.get(comp)
         if arr is None:
             arr = acc[comp] = [0] * (m + 1)
-        arr[asc] += 1
-    return QuasisymmetricM(graph.n, {c: TPoly(a) for c, a in acc.items()})
+        arr[asc] += count
+    return QuasisymmetricM._trusted(graph.n, {c: TPoly(a) for c, a in acc.items()})
+
+
+def _canonical_labels(n: int, out) -> list[int]:
+    """Labels of the sink-minimal increasing labeling of the acyclic
+    orientation whose out-neighbour masks are out."""
+    labels = [0] * n
+    labeled = 0
+    next_label = 1
+    for v in range(n):
+        if out[v] == 0:
+            labels[v] = next_label
+            next_label += 1
+            labeled |= 1 << v
+    while next_label <= n:
+        v = 0
+        while labeled >> v & 1 or out[v] & ~labeled:
+            v += 1
+        labels[v] = next_label
+        next_label += 1
+        labeled |= 1 << v
+    return labels
+
+
+def _linear_extensions(n: int, out, labels) -> list[tuple[tuple[int, ...], int]]:
+    """(word, reflected descent bits) for every linear extension of the
+    acyclic orientation whose out-neighbour masks are out: word reads
+    through labels an order of the vertices with every tail before its
+    heads, and bit n - i - 1 is set when position i is a descent of word,
+    so the bits hold the reflected descent set {n - i : i in Des}."""
+    if n == 0:
+        return [((), 0)]
+    prereq = [0] * n  # prereq[v]: tails of the arcs into v
+    for u in range(n):
+        heads = out[u]
+        while heads:
+            low = heads & -heads
+            prereq[low.bit_length() - 1] |= 1 << u
+            heads ^= low
+    full = (1 << n) - 1
+    found: list[tuple[tuple[int, ...], int]] = []
+    word: list[int] = []
+
+    def rec(placed: int, i: int, prev: int, bits: int):
+        # i vertices are placed, the last of them labeled prev (0 for none)
+        if i == n - 1:  # the one vertex left is free to go last
+            label = labels[(full ^ placed).bit_length() - 1]
+            found.append(((*word, label), bits | 1 if prev > label else bits))
+            return
+        shift = n - i - 1
+        for v in range(n):
+            if placed >> v & 1 or prereq[v] & ~placed:
+                continue
+            label = labels[v]
+            word.append(label)
+            rec(placed | 1 << v, i + 1, label, bits | 1 << shift if prev > label else bits)
+            word.pop()
+
+    rec(0, 0, 0, 0)
+    return found
 
 
 def sink_minimal_increasing_labeling(o: Orientation) -> Labeling:
@@ -239,27 +325,7 @@ def sink_minimal_increasing_labeling(o: Orientation) -> Labeling:
     """
     if not o.is_acyclic():
         raise ValueError("orientation has a directed cycle")
-    n = o.graph.n
-    out = o.out_masks()
-    labels = [0] * n
-    labeled = 0
-    next_label = 1
-    for v in range(n):
-        if out[v] == 0:
-            labels[v] = next_label
-            next_label += 1
-            labeled |= 1 << v
-    while next_label <= n:
-        for v in range(n):
-            if labeled >> v & 1:
-                continue
-            if out[v] & ~labeled:
-                continue
-            labels[v] = next_label
-            next_label += 1
-            labeled |= 1 << v
-            break
-    return Labeling(labels)
+    return Labeling(_canonical_labels(o.graph.n, o.out_masks()))
 
 
 def dual_linear_extensions(o: Orientation, omega: Labeling) -> tuple[tuple[int, ...], ...]:
@@ -269,27 +335,7 @@ def dual_linear_extensions(o: Orientation, omega: Labeling) -> tuple[tuple[int, 
         raise ValueError("orientation has a directed cycle")
     if omega.n != o.graph.n:
         raise ValueError("labeling does not match the orientation's graph")
-    n = o.graph.n
-    prereq = [0] * n
-    for u, v in o.arcs:
-        prereq[v - 1] |= 1 << (u - 1)
-    words: list[tuple[int, ...]] = []
-    seq: list[int] = []
-
-    def rec(placed: int):
-        if len(seq) == n:
-            words.append(tuple(omega.label(v) for v in seq))
-            return
-        for v in range(n):
-            bit = 1 << v
-            if placed & bit or prereq[v] & ~placed:
-                continue
-            seq.append(v + 1)
-            rec(placed | bit)
-            seq.pop()
-
-    rec(0)
-    return tuple(sorted(words))
+    return tuple(sorted(word for word, _ in _linear_extensions(o.graph.n, o.out_masks(), omega.labels)))
 
 
 @lru_cache(maxsize=4)
@@ -305,17 +351,17 @@ def _orientation_compositions(graph: Graph) -> tuple:
 
     The composition counts record, for each linear extension of the
     orientation under its canonical labeling, the composition of the
-    reflected descent set {i : n - i in Des}.
+    reflected descent set {i : n - i in Des}.  Labels and extensions are
+    read off the kernel's out-neighbour masks; no ``Orientation`` is built.
     """
     n = graph.n
+    table = _compositions_by_mask(n)
     entries = []
-    for o in acyclic_orientations(graph):
-        omega = sink_minimal_increasing_labeling(o)
-        comps: Counter = Counter()
-        for word in dual_linear_extensions(o, omega):
-            reflected = {n - i for i in descent_set(word)}
-            comps[composition_from_descents(reflected, n)] += 1
-        entries.append((o.mask, tuple(sorted(comps.items()))))
+    for mask, out in acyclic_orientation_masks(graph):
+        counts: dict[int, int] = {}
+        for _, bits in _linear_extensions(n, out, _canonical_labels(n, out)):
+            counts[bits] = counts.get(bits, 0) + 1
+        entries.append((mask, tuple((table[bits], c) for bits, c in counts.items())))
     return tuple(entries)
 
 
@@ -336,7 +382,7 @@ def cqf_fundamental_via_orientations(
             if arr is None:
                 arr = acc[comp] = [0] * (m + 1)
             arr[des] += count
-    return QuasisymmetricF(graph.n, {c: TPoly(a) for c, a in acc.items()})
+    return QuasisymmetricF._trusted(graph.n, {c: TPoly(a) for c, a in acc.items()})
 
 
 def hook_coefficient_via_orientations_t(

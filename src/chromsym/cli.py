@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -379,14 +380,16 @@ def _sweep_graph_worker(task) -> list[dict]:
 
 def _sweep_results(n: int, checks: tuple[str, ...], jobs: int):
     """The failure records of each case in turn: every graph on n
-    vertices, then every poset on n elements."""
+    vertices, then every poset on n elements.  Graphs go to at most
+    min(jobs, CPUs) worker processes."""
     graph_checks = tuple(c for c in checks if c in GRAPH_CHECKS)
     if graph_checks:
         tasks = ((n, mask, graph_checks) for mask in range(1 << (n * (n - 1) // 2)))
-        if jobs > 1:
+        workers = min(jobs, os.cpu_count() or 1)
+        if workers > 1:
             from multiprocessing import Pool  # only parallel sweeps pay for the import
 
-            with Pool(jobs) as pool:
+            with Pool(workers) as pool:
                 yield from pool.imap(_sweep_graph_worker, tasks, chunksize=64)
         else:
             yield from map(_sweep_graph_worker, tasks)
@@ -402,6 +405,8 @@ def cmd_sweep(args) -> int:
         raise ValueError("sweeps above 7 vertices are not supported")
     if n < 1:
         raise ValueError("sweeps need at least one vertex")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     checks = tuple(dict.fromkeys(args.checks.split(",")))
     for check in checks:
         if check not in CHECKS:

@@ -119,6 +119,26 @@ def composition_from_descents(descents, n: int) -> Composition:
     return tuple(parts)
 
 
+@lru_cache(maxsize=16)
+def _compositions_by_mask(n: int) -> tuple[Composition, ...]:
+    """Entry S is the composition of n whose descent set is {i : bit i - 1
+    of S is set}, for every S below 2^(n-1); n = 0 gives ((),)."""
+    return tuple(
+        composition_from_descents([i for i in range(1, n) if mask >> (i - 1) & 1], n)
+        for mask in range(1 << max(n - 1, 0))
+    )
+
+
+def _descent_mask(alpha: Composition) -> int:
+    """The descent set of a valid composition as a mask, bit i - 1 for
+    descent i; the inverse of ``_compositions_by_mask``."""
+    mask = acc = 0
+    for part in alpha[:-1]:
+        acc += part
+        mask |= 1 << (acc - 1)
+    return mask
+
+
 def descents_from_composition(alpha) -> tuple[int, ...]:
     """Proper partial sums of a composition, as a sorted descent set."""
     alpha = check_composition(alpha)

@@ -6,6 +6,11 @@ the poset order at consecutive cells and whose column never strictly
 increases going up.  The mirror reading of the column rule is told apart
 only by the counting identity itself; the test suite keeps it as an
 oracle and shows that it fails.
+
+The fillings of every arm length are counted in one walk over the chains
+of the poset, with the column fillings above each chain's bottom cell
+memoized on that cell and the set of elements left, so the cost follows
+the chains and those pairs rather than the n! orders of the elements.
 """
 
 from __future__ import annotations
@@ -144,38 +149,59 @@ def count_p_tableaux_hook(poset: Poset, k: int) -> int:
     n = poset.n
     if not 1 <= k <= n:
         raise ValueError(f"hook arm length must be in 1..{n}, got {k}")
+    return _hook_tableau_counts(poset)[k]
 
-    def legs(lower: int, remaining: frozenset) -> int:
+
+def _hook_tableau_counts(poset: Poset) -> list[int]:
+    """Entry k counts the hook fillings of arm length k, for k in 0..n.
+
+    One walk visits every chain once, from its bottom cell upward, and
+    adds the column fillings above that cell to the count of the chain's
+    length.  Those depend only on the bottom cell and the elements left,
+    so they are memoized on that pair.
+    """
+    n = poset.n
+    above = poset.above
+    below = [0] * n  # below[x]: the elements strictly less than x
+    for i in range(n):
+        rest = above[i]
+        while rest:
+            low = rest & -rest
+            below[low.bit_length() - 1] |= 1 << i
+            rest ^= low
+    memo: dict[int, int] = {}
+
+    def legs(lower: int, remaining: int) -> int:
+        # Orderings of remaining stacked above lower, none of them placed
+        # directly on an element it is less than.
         if not remaining:
             return 1
-        total = 0
-        for x in remaining:
-            if not poset.less(x, lower):
-                total += legs(x, remaining - {x})
-        return total
+        key = remaining * n + lower
+        got = memo.get(key)
+        if got is None:
+            got = 0
+            allowed = remaining & ~below[lower]
+            while allowed:
+                low = allowed & -allowed
+                got += legs(low.bit_length() - 1, remaining ^ low)
+                allowed ^= low
+            memo[key] = got
+        return got
 
-    total = 0
-    row: list[int] = []
-    used: set[int] = set()
+    full = (1 << n) - 1
+    counts = [0] * (n + 1)
 
-    def rows():
-        nonlocal total
-        if len(row) == k:
-            total += legs(row[0], frozenset(range(1, n + 1)) - used)
-            return
-        for x in range(1, n + 1):
-            if x in used:
-                continue
-            if row and not poset.less(row[-1], x):
-                continue
-            row.append(x)
-            used.add(x)
-            rows()
-            row.pop()
-            used.remove(x)
+    def chains(bottom: int, top: int, used: int, length: int):
+        counts[length] += legs(bottom, full ^ used)
+        ups = above[top]
+        while ups:
+            low = ups & -ups
+            chains(bottom, low.bit_length() - 1, used | low, length + 1)
+            ups ^= low
 
-    rows()
-    return total
+    for bottom in range(n):
+        chains(bottom, bottom, 1 << bottom, 1)
+    return counts
 
 
 @dataclass
@@ -195,11 +221,10 @@ def verify_hook_proposition(poset: Poset) -> HookReport:
     Schur hook coefficients, for every arm length."""
     n = poset.n
     schur = csf_schur(incomparability_graph(poset))
+    counts = _hook_tableau_counts(poset)
     report = HookReport()
     for k in range(1, n + 1):
-        count = count_p_tableaux_hook(poset, k)
-        coeff = schur.get(hook_partition(n, k), 0)
-        report.per_k[k] = (count, coeff)
+        report.per_k[k] = (counts[k], schur.get(hook_partition(n, k), 0))
     return report
 
 

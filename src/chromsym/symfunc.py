@@ -12,25 +12,28 @@ Basis changes are exact:
   (descending) partition order; m -> e is solved from the Schur
   coefficients, since e_mu = sum_lam K(lam, mu) s_lam' is unitriangular
   too, in the ascending order,
-* M <-> F uses the refinement order on compositions, with the signed
-  inversion checked by round-trip tests rather than trusted.
+* M <-> F maps each composition to its descent set, a mask over
+  {1..n-1}, and runs a Moebius (M -> F) or zeta (F -> M) transform over
+  the 2^(n-1) masks on plain integer lists, one power of t at a time;
+  the tests hold it to the signed refinement-order inversion.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import permutations
 from math import factorial
 
 from .partitions import (
     Composition,
     Partition,
+    _compositions_by_mask,
+    _descent_mask,
     check_composition,
     check_partition,
     composition_from_descents,
     conjugate,
-    descents_from_composition,
     multiplicities,
     partition_of,
     partitions_of,
@@ -91,6 +94,15 @@ class _QuasisymmetricBase:
                 cleaned[alpha] = poly
         self.degree = degree
         self.coeffs = cleaned
+
+    @classmethod
+    def _trusted(cls, degree: int, coeffs: dict[Composition, TPoly]):
+        """A value whose keys are compositions of degree and whose
+        coefficients are nonzero TPoly, as the kernels build them; nothing
+        is checked or copied."""
+        f = object.__new__(cls)
+        f.degree, f.coeffs = degree, coeffs
+        return f
 
     def coefficient(self, alpha) -> TPoly:
         return self.coeffs.get(tuple(alpha), TPoly())
@@ -169,33 +181,43 @@ def schur_m_expansion(schur_coeffs, degree: int) -> SymmetricFunctionM:
 # quasisymmetric basis changes
 
 
-def qsym_M_to_F(f: QuasisymmetricM) -> QuasisymmetricF:
-    """Fundamental coordinates of f, by signed refinement inversion."""
+def _subset_transform(f, sign: int) -> dict[Composition, TPoly]:
+    """Coefficients c of f over the descent-set masks S, replaced by
+    sum over T within S of sign^|S - T| c_T, one t-power at a time."""
     n = f.degree
+    table = _compositions_by_mask(n)
+    size = len(table)
+    width = max((len(p.coeffs) for p in f.coeffs.values()), default=0)
+    rows = [[0] * size for _ in range(width)]  # rows[d][S]: coefficient of t^d
+    for alpha, poly in f.coeffs.items():
+        s = _descent_mask(alpha)
+        for d, c in enumerate(poly.coeffs):
+            rows[d][s] = c
+    for row in rows:
+        bit = 1
+        while bit < size:
+            for start in range(bit, size, bit << 1):  # the S holding bit
+                for s in range(start, start + bit):
+                    row[s] += sign * row[s - bit]
+            bit <<= 1
     out: dict[Composition, TPoly] = {}
-    for beta, poly in f.coeffs.items():
-        base = set(descents_from_composition(beta))
-        others = [i for i in range(1, n) if i not in base]
-        for r in range(len(others) + 1):
-            sign = 1 if r % 2 == 0 else -1
-            for extra in combinations(others, r):
-                alpha = composition_from_descents(base.union(extra), n)
-                out[alpha] = out.get(alpha, TPoly()) + sign * poly
-    return QuasisymmetricF(n, out)
+    for s, column in enumerate(zip(*rows)):
+        if any(column):
+            out[table[s]] = TPoly(column)
+    return out
+
+
+def qsym_M_to_F(f: QuasisymmetricM) -> QuasisymmetricF:
+    """Fundamental coordinates of f.  Over descent sets, M_T is the sum
+    over S containing T of (-1)^|S - T| F_S, so the coordinates are the
+    Moebius transform of f's over the subsets of {1..n-1}."""
+    return QuasisymmetricF._trusted(f.degree, _subset_transform(f, -1))
 
 
 def qsym_F_to_M(f: QuasisymmetricF) -> QuasisymmetricM:
-    """Monomial coordinates of f: each F spreads over its refinements."""
-    n = f.degree
-    out: dict[Composition, TPoly] = {}
-    for alpha, poly in f.coeffs.items():
-        base = set(descents_from_composition(alpha))
-        others = [i for i in range(1, n) if i not in base]
-        for r in range(len(others) + 1):
-            for extra in combinations(others, r):
-                beta = composition_from_descents(base.union(extra), n)
-                out[beta] = out.get(beta, TPoly()) + poly
-    return QuasisymmetricM(n, out)
+    """Monomial coordinates of f: F_S spreads over M_T for every T
+    containing S, the zeta transform over the subsets of {1..n-1}."""
+    return QuasisymmetricM._trusted(f.degree, _subset_transform(f, 1))
 
 
 def is_symmetric(f: QuasisymmetricM) -> bool:

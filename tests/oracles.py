@@ -10,10 +10,22 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from random import Random
 
-from chromsym import Graph, SymmetricFunctionM, conjugate, kostka, partitions_of
+from chromsym import (
+    Graph,
+    QuasisymmetricF,
+    SymmetricFunctionM,
+    TPoly,
+    acyclic_orientations,
+    composition_from_descents,
+    conjugate,
+    descent_set,
+    descents_from_composition,
+    kostka,
+    partitions_of,
+)
 
 
 def partitions_brute(n: int) -> set[tuple[int, ...]]:
@@ -165,6 +177,120 @@ def csf_monomial_by_colorings(graph: Graph) -> SymmetricFunctionM:
         if all(vec[i] >= vec[i + 1] for i in range(len(vec) - 1)) and all(vec):
             acc[tuple(vec)] += 1
     return SymmetricFunctionM(n, acc)
+
+
+def coloring_profile_unpruned(graph: Graph) -> list[tuple[tuple[int, ...], int]]:
+    """(class-size composition, edge-direction bits) per proper coloring
+    whose colors form an initial segment 1..j, found by trying every color
+    1..n at every vertex and keeping the colorings with no gap.  Bit e is
+    set when edge e runs from the lower color to the higher one."""
+    n, edges = graph.n, graph.edges
+    if n == 0:
+        return [((), 0)]
+    adj = graph.adjacency_masks()
+    colors = [0] * n
+    out = []
+
+    def rec(v: int, used_mask: int):
+        if v == n:
+            j = used_mask.bit_length() - 1
+            if used_mask != ((1 << j) - 1) << 1:
+                return
+            counts = [0] * (j + 1)
+            for c in colors:
+                counts[c] += 1
+            kbits = 0
+            for e, (a, b) in enumerate(edges):
+                if colors[a - 1] < colors[b - 1]:
+                    kbits |= 1 << e
+            out.append((tuple(counts[1:]), kbits))
+            return
+        forbidden = 0
+        mask = adj[v]
+        for u in range(v):
+            if mask >> u & 1:
+                forbidden |= 1 << colors[u]
+        for c in range(1, n + 1):
+            if forbidden >> c & 1:
+                continue
+            colors[v] = c
+            rec(v + 1, used_mask | 1 << c)
+        colors[v] = 0
+
+    rec(0, 0)
+    return out
+
+
+def qsym_M_to_F_by_refinement(f) -> QuasisymmetricF:
+    """Fundamental coordinates of f, by signed refinement inversion: M_beta
+    spreads over every alpha refining beta with sign (-1)^(added descents)."""
+    n = f.degree
+    out: dict[tuple[int, ...], TPoly] = {}
+    for beta, poly in f.coeffs.items():
+        base = set(descents_from_composition(beta))
+        others = [i for i in range(1, n) if i not in base]
+        for r in range(len(others) + 1):
+            sign = 1 if r % 2 == 0 else -1
+            for extra in combinations(others, r):
+                alpha = composition_from_descents(base.union(extra), n)
+                out[alpha] = out.get(alpha, TPoly()) + sign * poly
+    return QuasisymmetricF(n, out)
+
+
+def _sink_minimal_labels(o) -> tuple[int, ...]:
+    """Sinks take 1..s by vertex index; then the smallest vertex whose
+    out-neighbours are all labeled takes the next label."""
+    n = o.graph.n
+    out = o.out_masks()
+    labels = [0] * n
+    for v in range(n):
+        if out[v] == 0:
+            labels[v] = max(labels) + 1
+    while 0 in labels:
+        done = {v for v in range(n) if labels[v]}
+        v = min(v for v in range(n) if not labels[v] and all(w in done for w in range(n) if out[v] >> w & 1))
+        labels[v] = max(labels) + 1
+    return tuple(labels)
+
+
+def _extension_words(o, labels) -> list[tuple[int, ...]]:
+    """Every vertex order with each arc's tail before its head, read
+    through labels, by placing one vertex whose tails are all placed at a
+    time."""
+    n = o.graph.n
+    tails: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+    for u, v in o.arcs:
+        tails[v].add(u)
+    words = []
+    order: list[int] = []
+
+    def rec():
+        if len(order) == n:
+            words.append(tuple(labels[v - 1] for v in order))
+            return
+        for v in range(1, n + 1):
+            if v not in order and tails[v] <= set(order):
+                order.append(v)
+                rec()
+                order.pop()
+
+    rec()
+    return words
+
+
+def orientation_compositions_by_words(graph: Graph) -> tuple:
+    """(direction bits, sorted composition counts) per acyclic orientation:
+    each linear extension under the sink-minimal labeling contributes the
+    composition of its reflected descent set {n - i : i in Des}."""
+    n = graph.n
+    entries = []
+    for o in acyclic_orientations(graph):
+        labels = _sink_minimal_labels(o)
+        comps: Counter = Counter()
+        for word in _extension_words(o, labels):
+            comps[composition_from_descents({n - i for i in descent_set(word)}, n)] += 1
+        entries.append((o.mask, tuple(sorted(comps.items()))))
+    return tuple(entries)
 
 
 def count_p_tableaux_hook_brute(poset, k: int, column_ok) -> int:

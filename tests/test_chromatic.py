@@ -1,9 +1,12 @@
+from collections import Counter
 from itertools import permutations
 from math import comb
 
 import pytest
 
 from chromsym.chromatic import (
+    _coloring_profile,
+    _orientation_compositions,
     chromatic_polynomial_by_colorings,
     chromatic_polynomial_value,
     cqf_fundamental_via_orientations,
@@ -42,8 +45,10 @@ from chromsym.tpoly import TPoly
 from oracles import (
     acyclic_orientations_scan,
     all_graphs,
+    coloring_profile_unpruned,
     count_colorings_brute,
     csf_monomial_by_colorings,
+    orientation_compositions_by_words,
     seeded_graphs,
     sink_counts_scan,
     sink_histogram,
@@ -70,6 +75,40 @@ def test_coloring_count_matches_brute_force(n):
     for g in all_graphs(n):
         for k in range(n + 2):
             assert chromatic_polynomial_by_colorings(g, k) == count_colorings_brute(g, k)
+
+
+def _assert_coloring_profile_matches_the_oracle(g):
+    profile = _coloring_profile(g)
+    assert len(dict(profile)) == len(profile)  # one entry per distinct pair
+    assert dict(profile) == Counter(coloring_profile_unpruned(g))
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_coloring_profile_matches_the_unpruned_recursion(n):
+    for g in all_graphs(n):
+        _assert_coloring_profile_matches_the_oracle(g)
+
+
+def test_coloring_profile_matches_the_unpruned_recursion_on_seeded_graphs_and_k7():
+    # one graph each on 6, 7 and 8 vertices: the oracle visits up to n^n colorings
+    for g in [*seeded_graphs(3, seed=21), complete_graph(7)]:
+        _assert_coloring_profile_matches_the_oracle(g)
+
+
+def _assert_orientation_compositions_match_the_oracle(g):
+    got = tuple((mask, tuple(sorted(counts))) for mask, counts in _orientation_compositions(g))
+    assert got == orientation_compositions_by_words(g)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_orientation_compositions_match_the_word_oracle(n):
+    for g in all_graphs(n):
+        _assert_orientation_compositions_match_the_oracle(g)
+
+
+def test_orientation_compositions_match_the_word_oracle_on_seeded_graphs_and_k7():
+    for g in [*seeded_graphs(6, seed=21), complete_graph(7)]:
+        _assert_orientation_compositions_match_the_oracle(g)
 
 
 def test_csf_schur_golden_values():

@@ -221,6 +221,43 @@ def test_sweep_with_jobs(capsys):
     assert "cases run: 8" in out
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_1(capsys, jobs):
+    code, out, err = run_cli(capsys, "sweep", "--max-n", "3", "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert "--jobs" in err
+
+
+def test_sweep_starts_at_most_one_worker_per_cpu(capsys, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Records the worker count it is asked for and runs the tasks in
+        this process, so no worker starts."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    argv = ["sweep", "--max-n", "3", "--checks", "hook-1,chrompoly", "--json"]
+    _, expected, _ = run_cli(capsys, *argv)
+    for cpus, jobs, started in ((2, "64", [2]), (2, "2", [2]), (2, "1", []), (1, "8", []), (None, "8", [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        code, out, _ = run_cli(capsys, *argv, "--jobs", jobs)
+        assert (code, out, sizes) == (0, expected, started)
+
+
 def test_sweep_rejects_bad_input(capsys):
     code, _, err = run_cli(capsys, "sweep", "--max-n", "8")
     assert code == 2

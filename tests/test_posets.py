@@ -83,7 +83,7 @@ def test_tableau_counts_for_chain_plus_free_element():
     assert counts == [8, 5, 1, 0]
 
 
-@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("n", range(1, 6))
 def test_tableau_counts_match_the_permutation_oracle(n):
     for poset in all_posets(n):
         def column_ok(lower, upper):

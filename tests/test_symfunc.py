@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,12 +25,15 @@ from chromsym.symfunc import (
     specialize_w_k,
 )
 from chromsym.tpoly import TPoly
-from chromsym.chromatic import csf_monomial
+from chromsym.chromatic import cqf_fundamental_via_orientations, cqf_monomial, csf_monomial
+from chromsym.graphs import Labeling, complete_graph
 from oracles import (
+    all_graphs,
     elementary_m_expansion,
     fundamental_monomials,
     m_to_e_by_matrix,
     monomial_basis_monomials,
+    qsym_M_to_F_by_refinement,
     seeded_graphs,
 )
 
@@ -122,6 +126,44 @@ def qsym_m_strategy(draw):
 @given(qsym_m_strategy())
 def test_qsym_round_trip(f):
     assert qsym_F_to_M(qsym_M_to_F(f)) == f
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_qsym_conversions_on_random_coefficients(n):
+    # zero and negative coefficients included, both within a polynomial
+    # and as a whole polynomial
+    rng = Random(n)
+    comps = compositions_of(n)
+    for _ in range(6):
+        picked = rng.sample(comps, rng.randint(0, len(comps)))
+        coeffs = {a: TPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 4))]) for a in picked}
+        f = QuasisymmetricM(n, coeffs)
+        converted = qsym_M_to_F(f)
+        assert converted == qsym_M_to_F_by_refinement(f)
+        assert qsym_F_to_M(converted) == f
+        g = QuasisymmetricF(n, coeffs)
+        assert qsym_M_to_F(qsym_F_to_M(g)) == g
+
+
+def _assert_kernel_values_are_valid_and_M_to_F_matches_the_oracle(g, zeta=None):
+    m_value = cqf_monomial(g, zeta)
+    converted = qsym_M_to_F(m_value)
+    assert converted == qsym_M_to_F_by_refinement(m_value)
+    # values built without checks pass the public constructor unchanged
+    for value in (m_value, converted, cqf_fundamental_via_orientations(g, zeta)):
+        assert type(value)(value.degree, value.coeffs) == value
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_M_to_F_matches_the_refinement_oracle_on_every_small_graph(n):
+    for g in all_graphs(n):
+        _assert_kernel_values_are_valid_and_M_to_F_matches_the_oracle(g)
+        _assert_kernel_values_are_valid_and_M_to_F_matches_the_oracle(g, Labeling(range(n, 0, -1)))
+
+
+def test_M_to_F_matches_the_refinement_oracle_on_seeded_graphs_and_k7():
+    for g in [*seeded_graphs(6, seed=21), complete_graph(7)]:
+        _assert_kernel_values_are_valid_and_M_to_F_matches_the_oracle(g)
 
 
 def test_qsym_conversion_against_monomial_expansion():
