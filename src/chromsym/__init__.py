@@ -12,6 +12,7 @@ from .chromatic import (
     csf_schur,
     dual_linear_extensions,
     hook_coefficient_via_orientations_t,
+    hook_coefficients_via_orientations_t,
     hook_coefficient_via_sinks,
     sink_minimal_increasing_labeling,
     sink_profile,

@@ -22,7 +22,6 @@ at small vertex counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, factorial
 
@@ -46,11 +45,30 @@ from .symfunc import (
 from .tpoly import TPoly
 
 
-@dataclass(frozen=True)
 class SinkProfile:
-    """Histogram of acyclic orientations by number of sinks."""
+    """Histogram of acyclic orientations by number of sinks; immutable."""
 
-    counts: tuple[tuple[int, int], ...]  # (sinks, orientations), sinks ascending
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "counts", counts)  # (sinks, orientations), sinks ascending
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.counts == other.counts
+
+    def __hash__(self):
+        return hash((self.counts,))
+
+    def __repr__(self):
+        return f"SinkProfile(counts={self.counts!r})"
 
     def __getitem__(self, j: int) -> int:
         for sinks_, count in self.counts:
@@ -254,7 +272,18 @@ def cqf_monomial(graph: Graph, zeta: Labeling | None = None) -> QuasisymmetricM:
         if arr is None:
             arr = acc[comp] = [0] * (m + 1)
         arr[asc] += count
-    return QuasisymmetricM._trusted(graph.n, {c: TPoly(a) for c, a in acc.items()})
+    return QuasisymmetricM._trusted(graph.n, _trusted_polys(acc))
+
+
+def _trusted_polys(acc: dict[tuple[int, ...], list[int]]) -> dict[tuple[int, ...], TPoly]:
+    """acc with each coefficient list, which holds a positive entry, cut
+    after its last nonzero entry and made a TPoly without checks."""
+    out = {}
+    for comp, arr in acc.items():
+        while not arr[-1]:
+            arr.pop()
+        out[comp] = TPoly._trusted(tuple(arr))
+    return out
 
 
 def _canonical_labels(n: int, out) -> list[int]:
@@ -382,7 +411,32 @@ def cqf_fundamental_via_orientations(
             if arr is None:
                 arr = acc[comp] = [0] * (m + 1)
             arr[des] += count
-    return QuasisymmetricF._trusted(graph.n, {c: TPoly(a) for c, a in acc.items()})
+    return QuasisymmetricF._trusted(graph.n, _trusted_polys(acc))
+
+
+def hook_coefficients_via_orientations_t(graph: Graph, zeta: Labeling | None) -> tuple[TPoly, ...]:
+    """Entry k - 1 is the binomial-weighted descent generating polynomial
+    over acyclic orientations, sum of C(sinks-1, k-1) t^(descents), for k in
+    1..n.  One pass bins the orientations by (sinks, descents); each bin
+    then serves every k."""
+    zeta = _check_labeling(graph, zeta)
+    zbits = _zeta_bits(graph, zeta)
+    n, m = graph.n, graph.m
+    bins = [[0] * (m + 1) for _ in range(n + 1)]  # bins[sinks][descents]
+    for dirbits, sinks_ in _orientation_sinks(graph):
+        bins[sinks_][(dirbits ^ zbits).bit_count()] += 1
+    polys = []
+    for k in range(1, n + 1):
+        arr = [0] * (m + 1)
+        for s in range(k, n + 1):
+            w = comb(s - 1, k - 1)
+            for d, count in enumerate(bins[s]):
+                if count:
+                    arr[d] += w * count
+        while arr and not arr[-1]:
+            arr.pop()
+        polys.append(TPoly._trusted(tuple(arr)))
+    return tuple(polys)
 
 
 def hook_coefficient_via_orientations_t(
@@ -392,26 +446,37 @@ def hook_coefficient_via_orientations_t(
     orientations: sum of C(sinks-1, k-1) t^(descents)."""
     if not 1 <= k <= graph.n:
         raise ValueError(f"hook arm length must be in 1..{graph.n}, got {k}")
-    zeta = _check_labeling(graph, zeta)
-    zbits = _zeta_bits(graph, zeta)
-    arr = [0] * (graph.m + 1)
-    for dirbits, sinks_ in _orientation_sinks(graph):
-        w = comb(sinks_ - 1, k - 1)
-        if w:
-            arr[(dirbits ^ zbits).bit_count()] += w
-    return TPoly(arr)
+    return hook_coefficients_via_orientations_t(graph, zeta)[k - 1]
 
 
-@dataclass
-class ESinkReport:
-    """Per-sink-count comparison of orientation counts against sums of
-    elementary coefficients over partitions of that length."""
+class _PerKReport:
+    """k -> (value, value) pairs that pass when every pair is equal."""
 
-    per_k: dict[int, tuple[int, int]] = field(default_factory=dict)
+    __slots__ = ("per_k",)
+
+    def __init__(self, per_k: dict[int, tuple[int, int]] | None = None):
+        self.per_k = {} if per_k is None else per_k
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.per_k == other.per_k
+
+    __hash__ = None  # mutable
+
+    def __repr__(self):
+        return f"{type(self).__name__}(per_k={self.per_k!r})"
 
     @property
     def ok(self) -> bool:
         return all(a == b for a, b in self.per_k.values())
+
+
+class ESinkReport(_PerKReport):
+    """Per-sink-count comparison of orientation counts against sums of
+    elementary coefficients over partitions of that length."""
+
+    __slots__ = ()
 
 
 def verify_e_sink_identity(graph: Graph) -> ESinkReport:

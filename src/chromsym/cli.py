@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from contextlib import closing
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .chromatic import (
@@ -24,7 +23,7 @@ from .chromatic import (
     csf_monomial,
     csf_schur,
     dual_linear_extensions,
-    hook_coefficient_via_orientations_t,
+    hook_coefficients_via_orientations_t,
     hook_coefficient_via_sinks,
     sink_minimal_increasing_labeling,
     verify_e_sink_identity,
@@ -41,6 +40,7 @@ from .symfunc import (
     m_to_s,
     qsym_M_to_F,
 )
+from .tableaux import kostka
 from .tpoly import TPoly
 
 EXIT_OK = 0
@@ -48,14 +48,32 @@ EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 
 
-@dataclass
 class RunReport:
     """Outcome of one command."""
 
-    command: str
-    inputs: dict
-    outputs: dict = field(default_factory=dict)
-    status: str = "ok"
+    __slots__ = ("command", "inputs", "outputs", "status")
+
+    def __init__(self, command: str, inputs: dict, outputs: dict | None = None, status: str = "ok"):
+        self.command = command
+        self.inputs = inputs
+        self.outputs = {} if outputs is None else outputs
+        self.status = status
+
+    def _fields(self) -> tuple:
+        return (self.command, self.inputs, self.outputs, self.status)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # mutable
+
+    def __repr__(self):
+        return (
+            f"RunReport(command={self.command!r}, inputs={self.inputs!r}, "
+            f"outputs={self.outputs!r}, status={self.status!r})"
+        )
 
     def to_json(self) -> str:
         payload = {
@@ -265,11 +283,12 @@ class Check(NamedTuple):
 def _hook_t_rows(graph: Graph, zeta: Labeling | None) -> list[tuple]:
     direct = cqf_fundamental_via_orientations(graph, zeta)
     converted = qsym_M_to_F(cqf_monomial(graph, zeta))
+    sums = hook_coefficients_via_orientations_t(graph, zeta)
     return [
         (
             k,
             hook_coefficient_of_F(direct, k),
-            hook_coefficient_via_orientations_t(graph, zeta, k),
+            sums[k - 1],
             hook_coefficient_of_F(converted, k),
         )
         for k in range(1, graph.n + 1)
@@ -278,10 +297,17 @@ def _hook_t_rows(graph: Graph, zeta: Labeling | None) -> list[tuple]:
 
 def _hook_1_rows(graph: Graph, zeta) -> list[tuple]:
     schur = csf_schur(graph)
-    return [
-        (k, schur.get(hook_partition(graph.n, k), 0), hook_coefficient_via_sinks(graph, k))
-        for k in range(1, graph.n + 1)
-    ]
+    monomial = csf_monomial(graph)
+    rows = []
+    for k in range(1, graph.n + 1):
+        hook = hook_partition(graph.n, k)
+        # The m_hook coordinate of X_G = sum c_lam s_lam is the sum of
+        # c_lam K(lam, hook) over lam with lam_1 >= k, and K(hook, hook) = 1,
+        # so the third value reads c_hook back through Kostka numbers.
+        others = sum(c * kostka(lam, hook) for lam, c in schur.items() if lam[0] >= k and lam != hook)
+        by_kostka = monomial.coefficient(hook) - others
+        rows.append((k, schur.get(hook, 0), hook_coefficient_via_sinks(graph, k), by_kostka))
+    return rows
 
 
 def _e_sink_rows(graph: Graph, zeta) -> list[tuple]:
@@ -301,7 +327,7 @@ def _ptableaux_rows(poset, zeta) -> list[tuple]:
 
 CHECKS = {
     "hook-t": Check(_hook_t_rows, ("f_expansion", "orientation_sum", "coloring_route")),
-    "hook-1": Check(_hook_1_rows, ("schur", "sinks")),
+    "hook-1": Check(_hook_1_rows, ("schur", "sinks", "kostka")),
     "e-sink": Check(_e_sink_rows, ("orientations", "e_sum")),
     "chrompoly": Check(_chrompoly_rows, ("specialized", "enumerated")),
     "ptableaux": Check(_ptableaux_rows, ("tableaux", "schur"), on_posets=True),

@@ -371,13 +371,25 @@ def parse_graph_text(text: str, source: str = "<input>") -> GraphInput:
     return _parse_graph_edges(text, source)
 
 
-def _parse_graph_json(text: str, source: str) -> GraphInput:
+def _load_json_object(text: str, source: str, fields: tuple[str, ...]) -> dict:
+    """The JSON object in text, holding 'n' and no field outside fields."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{source}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{source}: invalid JSON: nested too deeply") from None
     if not isinstance(data, dict) or "n" not in data:
-        raise ValueError(f"{source}: expected an object with fields 'n' and 'edges'")
+        raise ValueError(f"{source}: expected an object with fields '{fields[0]}' and '{fields[1]}'")
+    unknown = [key for key in data if key not in fields]
+    if unknown:
+        known = ", ".join(f"'{name}'" for name in fields)
+        raise ValueError(f"{source}: unknown field {json.dumps(unknown[0])}; expected fields {known}")
+    return data
+
+
+def _parse_graph_json(text: str, source: str) -> GraphInput:
+    data = _load_json_object(text, source, ("n", "edges", "labels"))
     n = data["n"]
     if not _is_int(n) or n < 0:
         raise ValueError(f"{source}: 'n' must be a nonnegative integer, got {json.dumps(n)}")
@@ -430,7 +442,7 @@ def _parse_graph_edges(text: str, source: str) -> GraphInput:
             raise ValueError(f"{source}:{lineno}: loop at vertex {u!r} is not allowed")
         raw_edges.append((lineno, u, v))
         names.update((u, v))
-    if all(name.lstrip("-").isdigit() for name in names):
+    if all(_is_numeral(name) for name in names):
         # Names such as 1 and 01 have equal values; the name breaks the tie,
         # so the numbering never follows set order.
         ordered = sorted(names, key=lambda name: (int(name), name))
@@ -448,6 +460,12 @@ def _parse_graph_edges(text: str, source: str) -> GraphInput:
         seen.add((a, b))
         edges.append((a, b))
     return GraphInput(Graph(len(ordered), edges), None, tuple(ordered))
+
+
+def _is_numeral(name: str) -> bool:
+    """True for names such as 7, -3 and 007 that int() reads as written."""
+    digits = name[1:] if name.startswith("-") else name
+    return digits.isascii() and digits.isdigit()
 
 
 def load_graph(path) -> GraphInput:

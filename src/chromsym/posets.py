@@ -16,11 +16,10 @@ the chains and those pairs rather than the n! orders of the elements.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .chromatic import csf_schur
-from .graphs import Graph, _check_int_pairs, _is_int
+from .chromatic import _PerKReport, csf_schur
+from .graphs import Graph, _check_int_pairs, _is_int, _load_json_object
 from .partitions import hook_partition
 
 
@@ -204,16 +203,11 @@ def _hook_tableau_counts(poset: Poset) -> list[int]:
     return counts
 
 
-@dataclass
-class HookReport:
+class HookReport(_PerKReport):
     """Per-arm-length comparison of hook tableau counts against the
     Schur hook coefficients of the incomparability graph."""
 
-    per_k: dict[int, tuple[int, int]] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return all(a == b for a, b in self.per_k.values())
+    __slots__ = ()
 
 
 def verify_hook_proposition(poset: Poset) -> HookReport:
@@ -234,12 +228,7 @@ def verify_hook_proposition(poset: Poset) -> HookReport:
 
 def parse_poset_text(text: str, source: str = "<input>") -> Poset:
     """Parse a poset file: JSON object with fields n and covers."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{source}: invalid JSON: {exc}") from None
-    if not isinstance(data, dict) or "n" not in data:
-        raise ValueError(f"{source}: expected an object with fields 'n' and 'covers'")
+    data = _load_json_object(text, source, ("n", "covers"))
     n = data["n"]
     if not _is_int(n) or n < 0:
         raise ValueError(f"{source}: 'n' must be a nonnegative integer, got {json.dumps(n)}")

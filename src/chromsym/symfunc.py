@@ -8,10 +8,12 @@ mappings is equality of functions.
 
 Basis changes are exact:
 
-* m -> s is a unitriangular Kostka system solved in the canonical
-  (descending) partition order; m -> e is solved from the Schur
-  coefficients, since e_mu = sum_lam K(lam, mu) s_lam' is unitriangular
-  too, in the ascending order,
+* m -> s and m -> e read one table per degree, the h-expansion of every
+  Schur function from the first-column expansion of the Jacobi-Trudi
+  determinant; no Kostka number is computed.  Since m and h are dual,
+  the Schur coefficients are dot products of that table with the
+  m-coefficients, and since s_lam = det[e_(lam'_i - i + j)] too, the
+  e-coefficients are read from the same table at the conjugate shapes,
 * M <-> F maps each composition to its descent set, a mask over
   {1..n-1}, and runs a Moebius (M -> F) or zeta (F -> M) transform over
   the 2^(n-1) masks on plain integer lists, one power of t at a time;
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
@@ -133,38 +136,92 @@ class QuasisymmetricF(_QuasisymmetricBase):
 # symmetric basis changes
 
 
-def _kostka_solve(rhs, order, entry) -> dict[Partition, int]:
-    """x with rhs(lam) = x[lam] + sum of entry(mu, lam) * x[mu] over the mu
-    before lam in order, solved one lam at a time."""
-    out: dict[Partition, int] = {}
-    for lam in order:
-        acc = rhs(lam)
-        for mu, x in out.items():
-            if x:
-                acc -= entry(mu, lam) * x
-        out[lam] = acc
-    return {lam: x for lam, x in out.items() if x}
+@lru_cache(maxsize=8)
+def _schur_h_table(n: int) -> dict[Partition, tuple[tuple[Partition, int], ...]]:
+    """lam -> the nonzero (nu, a) with s_lam = sum of a * h_nu, for every
+    partition lam of n in canonical order: the h-expansion of s_lam.
+
+    The rows come from the Jacobi-Trudi determinant s_lam = det[h_(lam_i - i
+    + j)], expanded along its first column:
+        s_lam = sum_i (-1)^(i - 1) h_(lam_i - i + 1) s_mu(i),
+        mu(i) = (lam_1 + 1, ..., lam_(i-1) + 1, lam_(i+1), ...),
+    with h_0 = 1 and h_r = 0 for r < 0 (Macdonald I.(3.4); the signed
+    terms are the special rim hook tabloids of Egecioglu and Remmel, 1990).
+    Each mu(i) is a partition of smaller weight, and its expansion is
+    memoized.  A product h_nu is coded as the sum over the parts k of nu of
+    (n + 1)^(k - 1), so multiplying by h_r is adding (n + 1)^(r - 1).
+    """
+    base = n + 1
+    memo: dict[Partition, dict[int, int]] = {(): {0: 1}}
+
+    def expand(lam: Partition) -> dict[int, int]:
+        got = memo.get(lam)
+        if got is None:
+            got = {}
+            for i, part in enumerate(lam):
+                r = part - i  # the first-column entry is h_r
+                if r < 0:
+                    break  # part - i only falls as i grows
+                mu = tuple(p + 1 for p in lam[:i]) + lam[i + 1 :]
+                shift = base ** (r - 1) if r else 0
+                sign = -1 if i & 1 else 1
+                for code, c in expand(mu).items():
+                    got[code + shift] = got.get(code + shift, 0) + sign * c
+            got = {code: c for code, c in got.items() if c}
+            memo[lam] = got
+        return got
+
+    decoded: dict[int, Partition] = {}
+    table = {}
+    for lam in partitions_of(n):
+        row = []
+        for code, c in expand(lam).items():
+            nu = decoded.get(code)
+            if nu is None:
+                parts: list[int] = []
+                for k in range(n, 0, -1):
+                    parts += [k] * (code // base ** (k - 1) % base)
+                nu = decoded[code] = tuple(parts)
+            row.append((nu, c))
+        table[lam] = tuple(row)
+    return table
 
 
 def m_to_s(f: SymmetricFunctionM) -> dict[Partition, int]:
-    """Schur coefficients of f, by the unitriangular Kostka solve."""
-    return _kostka_solve(f.coefficient, partitions_of(f.degree), kostka)
+    """Schur coefficients of f, in canonical order.
+
+    Since <m_mu, h_nu> = [mu = nu], the coefficient of s_lam is
+    <f, s_lam> = sum_nu a(lam, nu) b_nu, with s_lam = sum_nu a(lam, nu) h_nu
+    the Jacobi-Trudi table and b the m-coefficients of f.
+    """
+    b = f.coeffs
+    out: dict[Partition, int] = {}
+    for lam, row in _schur_h_table(f.degree).items():
+        c = 0
+        for nu, a in row:
+            x = b.get(nu)
+            if x:
+                c += a * x
+        if c:
+            out[lam] = c
+    return out
 
 
 def m_to_e(f: SymmetricFunctionM) -> dict[Partition, int]:
-    """Elementary coefficients of f, solved from its Schur coefficients.
+    """Elementary coefficients of f, in ascending canonical order.
 
-    Since e_mu = sum_lam K(lam, mu) s_lam', the Schur coefficients c of
-    f = sum_mu b_mu e_mu satisfy c_lam' = sum_mu K(lam, mu) b_mu.  K(lam, mu)
-    vanishes unless mu <= lam in dominance and K(lam, lam) = 1, so the system
-    is solved by scanning lam upward in the canonical order.
+    Applying the involution omega to Jacobi-Trudi gives s_lam = det[e_(lam'_i
+    - i + j)], so s_lam = sum_nu a(lam', nu) e_nu with the same table, and
+    f = sum_lam c_lam s_lam has the e-coefficients
+    d_nu = sum_lam c_lam a(lam', nu).
     """
-    schur = m_to_s(f)
-    return _kostka_solve(
-        lambda lam: schur.get(conjugate(lam), 0),
-        reversed(partitions_of(f.degree)),
-        lambda mu, lam: kostka(lam, mu),
-    )
+    n = f.degree
+    table = _schur_h_table(n)
+    acc: dict[Partition, int] = {}
+    for lam, c in m_to_s(f).items():
+        for nu, a in table[conjugate(lam)]:
+            acc[nu] = acc.get(nu, 0) + c * a
+    return {nu: acc[nu] for nu in reversed(partitions_of(n)) if acc.get(nu)}
 
 
 def schur_m_expansion(schur_coeffs, degree: int) -> SymmetricFunctionM:
@@ -202,8 +259,11 @@ def _subset_transform(f, sign: int) -> dict[Composition, TPoly]:
             bit <<= 1
     out: dict[Composition, TPoly] = {}
     for s, column in enumerate(zip(*rows)):
-        if any(column):
-            out[table[s]] = TPoly(column)
+        top = len(column)
+        while top and not column[top - 1]:
+            top -= 1
+        if top:
+            out[table[s]] = TPoly._trusted(column[:top])
     return out
 
 

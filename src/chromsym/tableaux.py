@@ -8,29 +8,45 @@ chains in which every step adds a horizontal strip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .partitions import check_partition
 
 
-@dataclass(frozen=True)
 class Tableau:
-    """A semi-standard filling, rows bottom-up, entries positive."""
+    """A semi-standard filling, rows bottom-up, entries positive; immutable."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        shape = tuple(len(r) for r in self.rows)
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        shape = tuple(len(r) for r in rows)
         check_partition(shape)
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(rows):
             for j, entry in enumerate(row):
                 if entry < 1:
                     raise ValueError(f"tableau entries must be positive, got {entry}")
                 if j and row[j - 1] > entry:
                     raise ValueError(f"row {i + 1} is not weakly increasing: {row}")
-                if i and j < len(self.rows[i - 1]) and self.rows[i - 1][j] >= entry:
+                if i and j < len(rows[i - 1]) and rows[i - 1][j] >= entry:
                     raise ValueError(f"column {j + 1} is not strictly increasing upward")
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.rows,))
+
+    def __repr__(self):
+        return f"Tableau(rows={self.rows!r})"
 
     @property
     def shape(self) -> tuple[int, ...]:

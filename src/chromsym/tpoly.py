@@ -24,6 +24,14 @@ class TPoly:
         self.coeffs = _normalize([int(c) for c in coeffs])
 
     @classmethod
+    def _trusted(cls, coeffs: tuple[int, ...]) -> "TPoly":
+        """A value from a tuple of ints with no trailing zero, as the kernels
+        build it; nothing is checked or copied."""
+        p = object.__new__(cls)
+        p.coeffs = coeffs
+        return p
+
+    @classmethod
     def t_power(cls, k: int, coeff: int = 1) -> "TPoly":
         if k < 0:
             raise ValueError("powers of t must be nonnegative")

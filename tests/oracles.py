@@ -460,3 +460,36 @@ def m_to_e_by_matrix(f: SymmetricFunctionM) -> dict[tuple[int, ...], int]:
         pivot = conjugate(mu)
         out[mu] = f.coefficient(pivot) - sum(matrix[nu][pivot] * b for nu, b in out.items())
     return {mu: b for mu, b in out.items() if b}
+
+
+def _kostka_solve(rhs, order, entry) -> dict[tuple[int, ...], int]:
+    """x with rhs(lam) = x[lam] + sum of entry(mu, lam) * x[mu] over the mu
+    before lam in order, solved one lam at a time."""
+    out: dict[tuple[int, ...], int] = {}
+    for lam in order:
+        acc = rhs(lam)
+        for mu, x in out.items():
+            if x:
+                acc -= entry(mu, lam) * x
+        out[lam] = acc
+    return {lam: x for lam, x in out.items() if x}
+
+
+def m_to_s_by_kostka(f: SymmetricFunctionM) -> dict[tuple[int, ...], int]:
+    """Schur coefficients of f, in canonical order, by the unitriangular
+    Kostka solve: b_lam = sum over mu of K(mu, lam) c_mu, with K(lam, lam) = 1
+    and K(mu, lam) = 0 unless lam <= mu in dominance."""
+    return _kostka_solve(f.coefficient, partitions_of(f.degree), kostka)
+
+
+def m_to_e_by_kostka(f: SymmetricFunctionM) -> dict[tuple[int, ...], int]:
+    """Elementary coefficients of f, in ascending canonical order, solved
+    from its Schur coefficients: since e_mu = sum_lam K(lam, mu) s_lam', the
+    Schur coefficients c of f = sum_mu b_mu e_mu satisfy
+    c_lam' = sum_mu K(lam, mu) b_mu, unitriangular when lam scans upward."""
+    schur = m_to_s_by_kostka(f)
+    return _kostka_solve(
+        lambda lam: schur.get(conjugate(lam), 0),
+        reversed(partitions_of(f.degree)),
+        lambda mu, lam: kostka(lam, mu),
+    )

@@ -5,6 +5,8 @@ from math import comb
 import pytest
 
 from chromsym.chromatic import (
+    ESinkReport,
+    SinkProfile,
     _coloring_profile,
     _orientation_compositions,
     chromatic_polynomial_by_colorings,
@@ -15,6 +17,7 @@ from chromsym.chromatic import (
     csf_schur,
     dual_linear_extensions,
     hook_coefficient_via_orientations_t,
+    hook_coefficients_via_orientations_t,
     hook_coefficient_via_sinks,
     sink_minimal_increasing_labeling,
     sink_profile,
@@ -27,6 +30,7 @@ from chromsym.graphs import (
     acyclic_orientation_masks,
     acyclic_orientations,
     complete_graph,
+    descents,
     edgeless_graph,
     path_graph,
     star_graph,
@@ -362,6 +366,52 @@ def test_hook_coefficient_via_orientations_t_examples():
         hook_coefficient_via_orientations_t(k2, None, 3)
 
 
+@pytest.mark.parametrize("n", range(0, 6))
+def test_hook_t_single_pass_matches_a_sum_per_arm_length(n):
+    for g in all_graphs(n):
+        for zeta in (None, Labeling(range(n, 0, -1))):
+            labels = zeta or Labeling.identity(n)
+            oriented = [(o.sinks(), descents(o, labels)) for o in acyclic_orientations(g)]
+            expected = []
+            for k in range(1, n + 1):
+                arr = [0] * (g.m + 1)
+                for sinks, des in oriented:
+                    arr[des] += comb(sinks - 1, k - 1)
+                expected.append(TPoly(arr))
+            polys = hook_coefficients_via_orientations_t(g, zeta)
+            assert polys == tuple(expected)
+            assert [hook_coefficient_via_orientations_t(g, zeta, k) for k in range(1, n + 1)] == expected
+
+
+def test_sink_profile_is_an_immutable_value():
+    profile = sink_profile(path_graph(3))
+    assert profile == SinkProfile(((1, 3), (2, 1)))
+    assert profile.counts == ((1, 3), (2, 1))
+    assert hash(profile) == hash(SinkProfile(((1, 3), (2, 1))))
+    assert profile != SinkProfile(((1, 4),))
+    assert profile != ((1, 3), (2, 1))
+    assert repr(profile) == "SinkProfile(counts=((1, 3), (2, 1)))"
+    assert (profile[1], profile[2], profile[3], profile.total) == (3, 1, 0, 4)
+    for attempt in (lambda: setattr(profile, "counts", ()), lambda: delattr(profile, "counts")):
+        with pytest.raises(AttributeError):
+            attempt()
+    with pytest.raises(AttributeError):
+        profile.extra = 1
+
+
+def test_e_sink_report_is_a_mutable_record():
+    report = ESinkReport()
+    assert report.per_k == {} and report.ok
+    assert ESinkReport().per_k is not ESinkReport().per_k
+    report.per_k[1] = (2, 3)
+    assert not report.ok
+    assert report == ESinkReport({1: (2, 3)})
+    assert report != ESinkReport()
+    assert repr(report) == "ESinkReport(per_k={1: (2, 3)})"
+    with pytest.raises(TypeError):
+        hash(report)
+
+
 @pytest.mark.parametrize("n", range(1, 5))
 def test_hook_routes_agree_with_identity_labeling(n):
     for g in all_graphs(n):
@@ -399,7 +449,7 @@ def test_schur_hooks_match_sink_formula_small(n):
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_schur_hook_equals_fundamental_hook_at_t_1(n):
-    # Schur coefficients via stable partitions and Kostka solves; the
+    # Schur coefficients via stable partitions and the Jacobi-Trudi table; the
     # fundamental coefficient via colorings and refinement inversion.
     for g in all_graphs(n):
         schur = csf_schur(g)

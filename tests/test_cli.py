@@ -318,9 +318,33 @@ def test_verify_hook_t_marks_a_row_where_only_the_coloring_route_fails(capsys, c
     assert failures[0]["f_expansion"] == failures[0]["orientation_sum"] != failures[0]["coloring_route"]
 
 
+def test_verify_hook_1_reads_the_hooks_back_through_kostka_numbers(capsys, claw_file, monkeypatch):
+    # A wrong non-hook Schur coefficient leaves the two shown columns equal;
+    # the Kostka value of each hook it dominates (k <= 2 for (2, 2)) moves.
+    real = cli.csf_schur
+
+    def bump_22(graph):
+        schur = dict(real(graph))
+        schur[(2, 2)] = schur.get((2, 2), 0) + 1
+        return schur
+
+    code, out, _ = run_cli(capsys, "verify", claw_file, "hook-1", "--json")
+    assert code == 0
+    table = json.loads(out)["outputs"]["table"]
+    monkeypatch.setattr(cli, "csf_schur", bump_22)
+    code, out, _ = run_cli(capsys, "verify", claw_file, "hook-1", "--json")
+    assert code == 1
+    outputs = json.loads(out)["outputs"]
+    assert outputs["table"] == table
+    assert [f["k"] for f in outputs["failures"]] == [1, 2]
+    # off by K((2, 2), (1, 1, 1, 1)) = 2 and K((2, 2), (2, 1, 1)) = 1
+    assert [f["schur"] - f["kostka"] for f in outputs["failures"]] == [2, 1]
+    assert all(f["schur"] == f["sinks"] for f in outputs["failures"])
+
+
 RECORD_KEYS = {
     "hook-t": {"edges", "k", "f_expansion", "orientation_sum", "coloring_route"},
-    "hook-1": {"edges", "k", "schur", "sinks"},
+    "hook-1": {"edges", "k", "schur", "sinks", "kostka"},
     "e-sink": {"edges", "k", "orientations", "e_sum"},
     "chrompoly": {"edges", "k", "specialized", "enumerated"},
     "ptableaux": {"poset", "k", "tableaux", "schur"},
@@ -458,3 +482,42 @@ def test_expand_in_the_e_basis_finishes_at_twelve_vertices(tmp_path, edges, orie
     assert payload["status"] == "ok"
     # The e-coefficients sum to the number of acyclic orientations (Stanley 1995).
     assert sum(c for _, (c,) in payload["outputs"]["terms"]) == orientations
+
+
+def test_verify_ptableaux_rejects_a_graph_file(capsys, claw_file):
+    # Read as a poset, the claw's file was an antichain and gave status ok.
+    code, out, err = run_cli(capsys, "verify", claw_file, "ptableaux")
+    assert code == 2
+    assert out == ""
+    assert 'unknown field "edges"' in err
+
+
+@pytest.mark.parametrize("verb, extra", [("expand", []), ("verify", ["ptableaux"])])
+def test_deeply_nested_json_exits_2(tmp_path, verb, extra):
+    # json.loads raises RecursionError on 100,000 nested lists.
+    path = tmp_path / "deep.json"
+    path.write_text('{"n": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    run = subprocess.run(
+        [sys.executable, "-m", "chromsym", verb, str(path), *extra],
+        capture_output=True,
+        timeout=60,
+    )
+    assert run.returncode == 2
+    assert run.stdout == b""
+    assert run.stderr.decode() == f"error: {path}: invalid JSON: nested too deeply\n"
+
+
+def test_importing_the_cli_leaves_out_heavy_modules():
+    # dataclasses pulls in inspect, ast and dis; only a parallel sweep
+    # needs multiprocessing.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, chromsym.cli; print(' '.join(sorted(sys.modules)))"],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    loaded = set(run.stdout.decode().split())
+    assert "chromsym.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "multiprocessing"})

@@ -272,6 +272,30 @@ def test_parse_json_graph_errors():
         parse_graph_text('{"n": 2, "edges": [[1, 2]], "labels": 5}')
 
 
+def test_parse_json_graph_rejects_unknown_fields():
+    # A poset file read as a graph was an edgeless graph.
+    with pytest.raises(ValueError, match=r'p.json: unknown field "covers"'):
+        parse_graph_text('{"n": 3, "covers": [[1, 2], [2, 1]]}', source="p.json")
+    with pytest.raises(ValueError, match='unknown field "edge"'):
+        parse_graph_text('{"n": 2, "edge": [[1, 2]]}')
+    assert parse_graph_text('{"n": 2}').graph == Graph(2)
+    assert parse_graph_text('{"n": 2, "edges": [[1, 2]], "labels": null}').labeling is None
+
+
+def test_parse_json_graph_rejects_deep_nesting():
+    # json.loads raises RecursionError on this.
+    text = '{"n": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    with pytest.raises(ValueError, match="g.json: invalid JSON: nested too deeply"):
+        parse_graph_text(text, source="g.json")
+
+
+def test_edge_list_names_that_int_cannot_read_sort_as_text():
+    # Superscript two passes str.isdigit but not int(); --5 strips to 5.
+    loaded = parse_graph_text("\u00b2 1\n--5 1\n")
+    assert loaded.names == ("--5", "1", "\u00b2")
+    assert parse_graph_text("-3 007\n7 -3\n").names == ("-3", "007", "7")
+
+
 def test_parse_edge_list_with_arbitrary_names():
     loaded = parse_graph_text("a c\nb c\n", source="g.txt")
     assert loaded.graph == Graph(3, [(1, 3), (2, 3)])

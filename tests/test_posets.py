@@ -4,6 +4,7 @@ import pytest
 
 from chromsym.graphs import Graph, complete_graph, edgeless_graph, is_claw_free
 from chromsym.posets import (
+    HookReport,
     Poset,
     all_posets,
     count_p_tableaux_hook,
@@ -148,3 +149,29 @@ def test_parse_poset_text():
         parse_poset_text('{"n": 2, "covers": [[1, 2], [2, 1]]}', source="p.json")
     with pytest.raises(ValueError, match="'n'"):
         parse_poset_text('{"covers": []}')
+
+
+def test_parse_poset_text_rejects_a_graph_file():
+    # A graph file has no covers; read as a poset it was an antichain.
+    with pytest.raises(ValueError, match=r'g.json: unknown field "edges"'):
+        parse_poset_text('{"n": 3, "edges": [[1, 2]]}', source="g.json")
+    with pytest.raises(ValueError, match='unknown field "labels"'):
+        parse_poset_text('{"n": 2, "covers": [], "labels": [1, 2]}')
+
+
+def test_parse_poset_text_rejects_deep_nesting():
+    # json.loads raises RecursionError on this.
+    with pytest.raises(ValueError, match="p.json: invalid JSON: nested too deeply"):
+        parse_poset_text("[" * 100_000 + "]" * 100_000, source="p.json")
+
+
+def test_hook_report_is_a_mutable_record():
+    report = verify_hook_proposition(CHAIN3)
+    assert report == HookReport({1: (1, 1), 2: (2, 2), 3: (1, 1)})
+    assert report.ok
+    assert HookReport().per_k == {} and HookReport().per_k is not HookReport().per_k
+    report.per_k[1] = (1, 2)
+    assert not report.ok
+    assert repr(HookReport({1: (1, 1)})) == "HookReport(per_k={1: (1, 1)})"
+    with pytest.raises(TypeError):
+        hash(report)

@@ -25,13 +25,21 @@ from chromsym.symfunc import (
     specialize_w_k,
 )
 from chromsym.tpoly import TPoly
-from chromsym.chromatic import cqf_fundamental_via_orientations, cqf_monomial, csf_monomial
-from chromsym.graphs import Labeling, complete_graph
+from chromsym.chromatic import (
+    cqf_fundamental_via_orientations,
+    cqf_monomial,
+    csf_monomial,
+    hook_coefficients_via_orientations_t,
+)
+from chromsym.graphs import Graph, Labeling, complete_graph, edgeless_graph, path_graph
+from chromsym.symfunc import _schur_h_table
 from oracles import (
     all_graphs,
     elementary_m_expansion,
     fundamental_monomials,
+    m_to_e_by_kostka,
     m_to_e_by_matrix,
+    m_to_s_by_kostka,
     monomial_basis_monomials,
     qsym_M_to_F_by_refinement,
     seeded_graphs,
@@ -61,7 +69,7 @@ def test_m_to_s_on_claw_and_edgeless():
     assert m_to_s(EDGELESS3_M) == {(3,): 1, (2, 1): 2, (1, 1, 1): 1}
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(0, 11))
 def test_m_to_s_round_trip_on_schur_rows(n):
     for lam in partitions_of(n):
         f = schur_m_expansion({lam: 1}, n)
@@ -86,6 +94,38 @@ def test_m_to_e_matches_the_matrix_solve_on_seeded_graphs():
     for g in seeded_graphs(10, seed=14, sizes=(6, 7, 8, 9, 10)):
         f = csf_monomial(g)
         assert m_to_e(f) == m_to_e_by_matrix(f)
+
+
+def test_jacobi_trudi_table_examples():
+    # s_(1,1) = h_1^2 - h_2, s_(2,1) = h_2 h_1 - h_3, s_(1,1,1) = det of
+    # the 3x3 Jacobi-Trudi matrix of the column shape.
+    table = _schur_h_table(3)
+    assert list(table) == list(partitions_of(3))
+    assert dict(table[(3,)]) == {(3,): 1}
+    assert dict(table[(2, 1)]) == {(2, 1): 1, (3,): -1}
+    assert dict(table[(1, 1, 1)]) == {(1, 1, 1): 1, (2, 1): -2, (3,): 1}
+    assert dict(_schur_h_table(2)[(1, 1)]) == {(1, 1): 1, (2,): -1}
+    assert _schur_h_table(0) == {(): (((), 1),)}
+
+
+def _assert_matches_the_kostka_solve(f):
+    # Equal as dicts and in key order: m_to_s descending, m_to_e ascending.
+    for new, old in ((m_to_s(f), m_to_s_by_kostka(f)), (m_to_e(f), m_to_e_by_kostka(f))):
+        assert new == old
+        assert list(new) == list(old)
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_conversions_match_the_kostka_solve_on_every_small_graph(n):
+    for g in all_graphs(n):
+        _assert_matches_the_kostka_solve(csf_monomial(g))
+
+
+def test_conversions_match_the_kostka_solve_on_seeded_and_twelve_vertex_graphs():
+    cycle10 = Graph(10, [(v, v % 10 + 1) for v in range(1, 11)])
+    graphs = [*seeded_graphs(10, seed=23, sizes=(6, 7, 8, 9, 10)), path_graph(12), edgeless_graph(12), cycle10]
+    for g in graphs:
+        _assert_matches_the_kostka_solve(csf_monomial(g))
 
 
 def test_m_to_e_on_chromatic_inputs():
@@ -149,9 +189,15 @@ def _assert_kernel_values_are_valid_and_M_to_F_matches_the_oracle(g, zeta=None):
     m_value = cqf_monomial(g, zeta)
     converted = qsym_M_to_F(m_value)
     assert converted == qsym_M_to_F_by_refinement(m_value)
-    # values built without checks pass the public constructor unchanged
-    for value in (m_value, converted, cqf_fundamental_via_orientations(g, zeta)):
+    # values built without checks pass the public constructors unchanged
+    polys = list(hook_coefficients_via_orientations_t(g, zeta))
+    for value in (m_value, converted, qsym_F_to_M(converted), cqf_fundamental_via_orientations(g, zeta)):
         assert type(value)(value.degree, value.coeffs) == value
+        polys.extend(value.coeffs.values())
+    for poly in polys:
+        assert type(poly.coeffs) is tuple and all(type(c) is int for c in poly.coeffs)
+        assert poly == TPoly(poly.coeffs)
+        assert poly.coeffs == TPoly(poly.coeffs).coeffs
 
 
 @pytest.mark.parametrize("n", range(6))

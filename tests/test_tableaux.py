@@ -60,6 +60,22 @@ def test_reading_word_rejects_non_standard():
         reading_word(Tableau(((1, 1, 2),)))
 
 
+def test_tableau_is_an_immutable_value():
+    t = Tableau(((1, 2), (3,)))
+    assert t == Tableau(((1, 2), (3,)))
+    assert hash(t) == hash(Tableau(((1, 2), (3,))))
+    assert t != Tableau(((1, 3), (2,)))
+    assert t != ((1, 2), (3,))
+    assert len({t, Tableau(((1, 2), (3,)))}) == 1
+    assert repr(t) == "Tableau(rows=((1, 2), (3,)))"
+    assert (t.shape, t.size, t.is_standard()) == ((2, 1), 3, True)
+    for attempt in (lambda: setattr(t, "rows", ()), lambda: delattr(t, "rows")):
+        with pytest.raises(AttributeError):
+            attempt()
+    with pytest.raises(AttributeError):
+        t.extra = 1
+
+
 def test_kostka_examples():
     assert kostka((2, 1), (1, 1, 1)) == 2
     assert kostka((3, 2), (1, 1, 1, 1, 1)) == 5
