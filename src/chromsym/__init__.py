@@ -2,7 +2,6 @@
 simple graphs, with hook coefficients verified along independent routes."""
 
 from .chromatic import (
-    ESinkReport,
     SinkProfile,
     chromatic_polynomial_by_colorings,
     chromatic_polynomial_value,
@@ -46,7 +45,6 @@ from .partitions import (
     partitions_of,
 )
 from .posets import (
-    HookReport,
     Poset,
     all_posets,
     count_p_tableaux_hook,

@@ -272,18 +272,7 @@ def cqf_monomial(graph: Graph, zeta: Labeling | None = None) -> QuasisymmetricM:
         if arr is None:
             arr = acc[comp] = [0] * (m + 1)
         arr[asc] += count
-    return QuasisymmetricM._trusted(graph.n, _trusted_polys(acc))
-
-
-def _trusted_polys(acc: dict[tuple[int, ...], list[int]]) -> dict[tuple[int, ...], TPoly]:
-    """acc with each coefficient list, which holds a positive entry, cut
-    after its last nonzero entry and made a TPoly without checks."""
-    out = {}
-    for comp, arr in acc.items():
-        while not arr[-1]:
-            arr.pop()
-        out[comp] = TPoly._trusted(tuple(arr))
-    return out
+    return QuasisymmetricM._trusted(graph.n, {comp: TPoly._trusted(arr) for comp, arr in acc.items()})
 
 
 def _canonical_labels(n: int, out) -> list[int]:
@@ -411,7 +400,7 @@ def cqf_fundamental_via_orientations(
             if arr is None:
                 arr = acc[comp] = [0] * (m + 1)
             arr[des] += count
-    return QuasisymmetricF._trusted(graph.n, _trusted_polys(acc))
+    return QuasisymmetricF._trusted(graph.n, {comp: TPoly._trusted(arr) for comp, arr in acc.items()})
 
 
 def hook_coefficients_via_orientations_t(graph: Graph, zeta: Labeling | None) -> tuple[TPoly, ...]:
@@ -433,9 +422,7 @@ def hook_coefficients_via_orientations_t(graph: Graph, zeta: Labeling | None) ->
             for d, count in enumerate(bins[s]):
                 if count:
                     arr[d] += w * count
-        while arr and not arr[-1]:
-            arr.pop()
-        polys.append(TPoly._trusted(tuple(arr)))
+        polys.append(TPoly._trusted(arr))
     return tuple(polys)
 
 
@@ -449,46 +436,13 @@ def hook_coefficient_via_orientations_t(
     return hook_coefficients_via_orientations_t(graph, zeta)[k - 1]
 
 
-class _PerKReport:
-    """k -> (value, value) pairs that pass when every pair is equal."""
-
-    __slots__ = ("per_k",)
-
-    def __init__(self, per_k: dict[int, tuple[int, int]] | None = None):
-        self.per_k = {} if per_k is None else per_k
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.per_k == other.per_k
-
-    __hash__ = None  # mutable
-
-    def __repr__(self):
-        return f"{type(self).__name__}(per_k={self.per_k!r})"
-
-    @property
-    def ok(self) -> bool:
-        return all(a == b for a, b in self.per_k.values())
-
-
-class ESinkReport(_PerKReport):
-    """Per-sink-count comparison of orientation counts against sums of
-    elementary coefficients over partitions of that length."""
-
-    __slots__ = ()
-
-
-def verify_e_sink_identity(graph: Graph) -> ESinkReport:
-    """Compare a_k (acyclic orientations with k sinks) with the sum of
-    e-coefficients b_lam over partitions lam of length k."""
+def verify_e_sink_identity(graph: Graph) -> list[tuple[int, int, int]]:
+    """Rows (k, a_k, sum of the e-coefficients b_lam over partitions lam of
+    length k) for k in 1..n, with a_k the acyclic orientations with k sinks;
+    the identity holds when both values of every row are equal."""
     n = graph.n
     profile = sink_profile(graph)
-    b = m_to_e(csf_monomial(graph))
     by_length = [0] * (n + 1)
-    for lam, coeff in b.items():
+    for lam, coeff in m_to_e(csf_monomial(graph)).items():
         by_length[len(lam)] += coeff
-    report = ESinkReport()
-    for k in range(1, n + 1):
-        report.per_k[k] = (profile[k], by_length[k])
-    return report
+    return [(k, profile[k], by_length[k]) for k in range(1, n + 1)]

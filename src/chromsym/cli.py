@@ -32,6 +32,7 @@ from .graphs import Graph, Labeling, acyclic_orientations, descents, load_graph
 from .partitions import hook_partition
 from .posets import all_posets, load_poset, verify_hook_proposition
 from .symfunc import (
+    _terms_json,
     canonical_items,
     collapse_t,
     hook_coefficient_of_F,
@@ -48,43 +49,6 @@ EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 
 
-class RunReport:
-    """Outcome of one command."""
-
-    __slots__ = ("command", "inputs", "outputs", "status")
-
-    def __init__(self, command: str, inputs: dict, outputs: dict | None = None, status: str = "ok"):
-        self.command = command
-        self.inputs = inputs
-        self.outputs = {} if outputs is None else outputs
-        self.status = status
-
-    def _fields(self) -> tuple:
-        return (self.command, self.inputs, self.outputs, self.status)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None  # mutable
-
-    def __repr__(self):
-        return (
-            f"RunReport(command={self.command!r}, inputs={self.inputs!r}, "
-            f"outputs={self.outputs!r}, status={self.status!r})"
-        )
-
-    def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "status": self.status,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-
 def _fail(message: str) -> int:
     sys.stderr.write(f"error: {message}\n")
     return EXIT_INPUT
@@ -94,23 +58,22 @@ def _key_str(key) -> str:
     return "(" + ",".join(str(p) for p in key) + ")"
 
 
-def _coeff_str(c) -> str:
-    return str(c) if isinstance(c, int) else str(TPoly(c.coeffs))
-
-
 def _emit_table(lines: list[str], items) -> None:
-    rows = [(_key_str(key), _coeff_str(c)) for key, c in items]
+    rows = [(_key_str(key), str(c)) for key, c in items]
     width = max((len(k) for k, _ in rows), default=0)
     for k, c in rows:
         lines.append(f"  {k.ljust(width)}  {c}")
 
 
-def _terms_json(items) -> list:
-    out = []
-    for key, c in items:
-        coeffs = [c] if isinstance(c, int) else list(c.coeffs)
-        out.append([list(key), coeffs])
-    return out
+def _finish(args, command: str, inputs: dict, outputs: dict, status: str, lines: list[str]) -> int:
+    """Write the run to stdout, as JSON with --json and as lines otherwise,
+    and return the exit code of its status."""
+    if args.json:
+        payload = {"command": command, "inputs": inputs, "outputs": outputs, "status": status}
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    else:
+        sys.stdout.write("\n".join(lines) + "\n")
+    return EXIT_OK if status == "ok" else EXIT_MISMATCH
 
 
 def _graph_inputs(graph: Graph, zeta: Labeling | None = None, names=None) -> dict:
@@ -153,24 +116,13 @@ def cmd_expand(args) -> int:
     f = csf_monomial(graph)
     if args.basis == "m":
         terms = canonical_items(f)
-    elif args.basis == "s":
-        coeffs = m_to_s(f)
-        terms = [(lam, coeffs[lam]) for lam in sorted(coeffs, reverse=True)]
     else:
-        coeffs = m_to_e(f)
+        coeffs = (m_to_s if args.basis == "s" else m_to_e)(f)
         terms = [(lam, coeffs[lam]) for lam in sorted(coeffs, reverse=True)]
-    report = RunReport(
-        command="expand",
-        inputs=_graph_inputs(graph, names=loaded.names),
-        outputs={"basis": args.basis, "terms": _terms_json(terms)},
-    )
-    if args.json:
-        sys.stdout.write(report.to_json() + "\n")
-    else:
-        lines = [f"# expand  basis={args.basis}  n={graph.n}  edges={len(graph.edges)}"]
-        _emit_table(lines, terms)
-        sys.stdout.write("\n".join(lines) + "\n")
-    return EXIT_OK
+    lines = [f"# expand  basis={args.basis}  n={graph.n}  edges={len(graph.edges)}"]
+    _emit_table(lines, terms)
+    outputs = {"basis": args.basis, "terms": _terms_json(terms)}
+    return _finish(args, "expand", _graph_inputs(graph, names=loaded.names), outputs, "ok", lines)
 
 
 # ---------------------------------------------------------------------------
@@ -250,19 +202,8 @@ def cmd_cqf(args) -> int:
                 }
             )
         outputs["orientations"] = extensions_json
-
-    report = RunReport(
-        command="cqf",
-        inputs=_graph_inputs(graph, zeta, loaded.names),
-        outputs=outputs,
-        status=status,
-    )
-    if args.json:
-        sys.stdout.write(report.to_json() + "\n")
-    else:
-        lines.append(f"status: {status}")
-        sys.stdout.write("\n".join(lines) + "\n")
-    return EXIT_OK if not diffs else EXIT_MISMATCH
+    lines.append(f"status: {status}")
+    return _finish(args, "cqf", _graph_inputs(graph, zeta, loaded.names), outputs, status, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +252,7 @@ def _hook_1_rows(graph: Graph, zeta) -> list[tuple]:
 
 
 def _e_sink_rows(graph: Graph, zeta) -> list[tuple]:
-    return [(k, a, b) for k, (a, b) in sorted(verify_e_sink_identity(graph).per_k.items())]
+    return verify_e_sink_identity(graph)
 
 
 def _chrompoly_rows(graph: Graph, zeta) -> list[tuple]:
@@ -322,7 +263,7 @@ def _chrompoly_rows(graph: Graph, zeta) -> list[tuple]:
 
 
 def _ptableaux_rows(poset, zeta) -> list[tuple]:
-    return [(k, a, b) for k, (a, b) in sorted(verify_hook_proposition(poset).per_k.items())]
+    return verify_hook_proposition(poset)
 
 
 CHECKS = {
@@ -342,14 +283,16 @@ def _row_fails(values) -> bool:
 
 def _failures(check: Check, target, rows) -> list[dict]:
     """The failure record of every failing row."""
+    failing = [row for row in rows if _row_fails(row[1:])]
+    if not failing:
+        return []
     if check.on_posets:
         subject: dict = {"poset": repr(target)}
     else:
         subject = {"edges": [list(e) for e in target.edges]}
     return [
         {**subject, "k": k, **{name: _plain(v) for name, v in zip(check.values, values)}}
-        for k, *values in rows
-        if _row_fails(values)
+        for k, *values in failing
     ]
 
 
@@ -372,22 +315,13 @@ def cmd_verify(args) -> int:
     failures = _failures(check, target, rows)
     status = "ok" if not failures else "mismatch"
     table = [[k, *(str(v) if isinstance(v, TPoly) else v for v in values[:2])] for k, *values in rows]
-    report = RunReport(
-        command="verify",
-        inputs=inputs,
-        outputs={"check": args.check, "table": table, "failures": failures},
-        status=status,
-    )
-    if args.json:
-        sys.stdout.write(report.to_json() + "\n")
-    else:
-        lines = [f"# verify  check={args.check}", "  k  lhs  rhs"]
-        for (k, lhs, rhs), (_, *values) in zip(table, rows):
-            mark = "  <- MISMATCH" if _row_fails(values) else ""
-            lines.append(f"  {k}  {lhs}  {rhs}{mark}")
-        lines.append(f"status: {status}")
-        sys.stdout.write("\n".join(lines) + "\n")
-    return EXIT_OK if not failures else EXIT_MISMATCH
+    lines = [f"# verify  check={args.check}", "  k  lhs  rhs"]
+    for (k, lhs, rhs), (_, *values) in zip(table, rows):
+        mark = "  <- MISMATCH" if _row_fails(values) else ""
+        lines.append(f"  {k}  {lhs}  {rhs}{mark}")
+    lines.append(f"status: {status}")
+    outputs = {"check": args.check, "table": table, "failures": failures}
+    return _finish(args, "verify", inputs, outputs, status, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -452,21 +386,12 @@ def cmd_sweep(args) -> int:
                 break
 
     status = "ok" if not failures else "mismatch"
-    report = RunReport(
-        command="sweep",
-        inputs={"n": n, "checks": list(checks)},
-        outputs={"cases": cases, "failures": failures, "aborted_early": aborted},
-        status=status,
-    )
-    if args.json:
-        sys.stdout.write(report.to_json() + "\n")
-    else:
-        lines = [f"# sweep  n={n}  checks={','.join(checks)}", f"cases run: {cases}"]
-        lines.append(f"failures: {len(failures)}")
-        lines.extend(f"  {json.dumps(f, sort_keys=True)}" for f in failures[:10])
-        lines.append(f"status: {status}")
-        sys.stdout.write("\n".join(lines) + "\n")
-    return EXIT_OK if not failures else EXIT_MISMATCH
+    lines = [f"# sweep  n={n}  checks={','.join(checks)}", f"cases run: {cases}"]
+    lines.append(f"failures: {len(failures)}")
+    lines.extend(f"  {json.dumps(f, sort_keys=True)}" for f in failures[:10])
+    lines.append(f"status: {status}")
+    outputs = {"cases": cases, "failures": failures, "aborted_early": aborted}
+    return _finish(args, "sweep", {"n": n, "checks": list(checks)}, outputs, status, lines)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ import json
 from functools import lru_cache
 from itertools import combinations
 
+from .partitions import _decode_type
+
 
 class Graph:
     """A simple graph with vertices 1..n and a canonical edge tuple."""
@@ -324,13 +326,7 @@ def _stable_partition_counts(graph: Graph) -> tuple[tuple[tuple[int, ...], int],
             memo[s] = got
         return got
 
-    counts = []
-    for code, c in g(full).items():
-        lam = []
-        for k in range(n, 0, -1):
-            lam += [k] * (code // base ** (k - 1) % base)
-        counts.append((tuple(lam), c))
-    return tuple(sorted(counts, reverse=True))
+    return tuple(sorted(((_decode_type(code, n), c) for code, c in g(full).items()), reverse=True))
 
 
 def is_claw_free(graph: Graph) -> bool:

@@ -155,6 +155,16 @@ def partition_of(alpha) -> Partition:
     return tuple(sorted(check_composition(alpha), reverse=True))
 
 
+def _decode_type(code: int, n: int) -> Partition:
+    """The partition of weight at most n coded as the sum over its parts k
+    of (n + 1)^(k - 1), so that adding a part is adding an integer."""
+    base = n + 1
+    parts: list[int] = []
+    for k in range(n, 0, -1):
+        parts += [k] * (code // base ** (k - 1) % base)
+    return tuple(parts)
+
+
 def multiplicities(lam) -> dict[int, int]:
     """Part multiplicities of a partition, part -> count."""
     out: dict[int, int] = {}

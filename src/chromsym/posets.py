@@ -16,9 +16,8 @@ the chains and those pairs rather than the n! orders of the elements.
 from __future__ import annotations
 
 import json
-from itertools import combinations, product
 
-from .chromatic import _PerKReport, csf_schur
+from .chromatic import csf_schur
 from .graphs import Graph, _check_int_pairs, _is_int, _load_json_object
 from .partitions import hook_partition
 
@@ -35,7 +34,7 @@ class Poset:
             raise ValueError("above must give one bitmask per element")
         full = (1 << n) - 1
         for i, mask in enumerate(above):
-            if mask & ~full:
+            if not 0 <= mask <= full:
                 raise ValueError(f"bitmask for element {i + 1} is out of range")
             if mask >> i & 1:
                 raise ValueError(f"element {i + 1} compares above itself")
@@ -104,31 +103,54 @@ class Poset:
 
 
 def all_posets(n: int):
-    """Every partial order on {1..n}, by direction assignment per pair."""
+    """Every partial order on {1..n}, each once, the antichain first."""
+    for above in _poset_masks(n):
+        yield Poset(n, above)
+
+
+def _closed_sets(m: int, up) -> list[int]:
+    """The subsets S of {0..m-1} with up[i] within S for every i in S, in
+    increasing order: the up-sets when up holds the strict upper sets, the
+    down-sets when it holds the strict lower ones."""
+    reach = [0] * (1 << m)  # reach[S]: the union of up[i] over i in S
+    closed = [0]
+    for s in range(1, 1 << m):
+        low = s & -s
+        reach[s] = reach[s ^ low] | up[low.bit_length() - 1]
+        if not reach[s] & ~s:
+            closed.append(s)
+    return closed
+
+
+def _poset_masks(n: int):
+    """The above-masks of every partial order on {0..n-1}.  Each order on
+    n - 1 elements is extended by a top index, placed above a down-set D
+    and below an up-set U whose elements all lie above every element of D;
+    every order on n elements restricts to exactly one such triple."""
     if n == 0:
-        yield Poset(0, ())
+        yield ()
         return
-    pairs = list(combinations(range(n), 2))
-    for assignment in product((0, 1, 2), repeat=len(pairs)):
-        above = [0] * n
-        for (i, j), state in zip(pairs, assignment):
-            if state == 1:
-                above[i] |= 1 << j
-            elif state == 2:
-                above[j] |= 1 << i
-        ok = True
-        for i in range(n):
+    m, new = n - 1, 1 << (n - 1)
+    for above in _poset_masks(m):
+        below = [0] * m
+        for i in range(m):
             rest = above[i]
             while rest:
-                j = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if above[j] & ~above[i]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield Poset(n, above)
+                low = rest & -rest
+                below[low.bit_length() - 1] |= 1 << i
+                rest ^= low
+        ups = _closed_sets(m, above)
+        for down in _closed_sets(m, below):
+            bound = new - 1  # the common upper bounds of down
+            grown = list(above)
+            for i in range(m):
+                if down >> i & 1:
+                    bound &= above[i]
+                    grown[i] |= new
+            grown = tuple(grown)
+            for up in ups:
+                if not up & ~bound:
+                    yield grown + (up,)
 
 
 def incomparability_graph(poset: Poset) -> Graph:
@@ -203,23 +225,14 @@ def _hook_tableau_counts(poset: Poset) -> list[int]:
     return counts
 
 
-class HookReport(_PerKReport):
-    """Per-arm-length comparison of hook tableau counts against the
-    Schur hook coefficients of the incomparability graph."""
-
-    __slots__ = ()
-
-
-def verify_hook_proposition(poset: Poset) -> HookReport:
-    """Compare hook tableau counts with the incomparability graph's
-    Schur hook coefficients, for every arm length."""
+def verify_hook_proposition(poset: Poset) -> list[tuple[int, int, int]]:
+    """Rows (k, hook tableaux of arm length k, Schur coefficient of the
+    hook (k, 1, ..., 1) in the incomparability graph) for k in 1..n; the
+    proposition holds when both values of every row are equal."""
     n = poset.n
     schur = csf_schur(incomparability_graph(poset))
     counts = _hook_tableau_counts(poset)
-    report = HookReport()
-    for k in range(1, n + 1):
-        report.per_k[k] = (counts[k], schur.get(hook_partition(n, k), 0))
-    return report
+    return [(k, counts[k], schur.get(hook_partition(n, k), 0)) for k in range(1, n + 1)]
 
 
 # ---------------------------------------------------------------------------

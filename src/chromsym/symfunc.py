@@ -32,6 +32,7 @@ from .partitions import (
     Composition,
     Partition,
     _compositions_by_mask,
+    _decode_type,
     _descent_mask,
     check_composition,
     check_partition,
@@ -178,10 +179,7 @@ def _schur_h_table(n: int) -> dict[Partition, tuple[tuple[Partition, int], ...]]
         for code, c in expand(lam).items():
             nu = decoded.get(code)
             if nu is None:
-                parts: list[int] = []
-                for k in range(n, 0, -1):
-                    parts += [k] * (code // base ** (k - 1) % base)
-                nu = decoded[code] = tuple(parts)
+                nu = decoded[code] = _decode_type(code, n)
             row.append((nu, c))
         table[lam] = tuple(row)
     return table
@@ -259,11 +257,9 @@ def _subset_transform(f, sign: int) -> dict[Composition, TPoly]:
             bit <<= 1
     out: dict[Composition, TPoly] = {}
     for s, column in enumerate(zip(*rows)):
-        top = len(column)
-        while top and not column[top - 1]:
-            top -= 1
-        if top:
-            out[table[s]] = TPoly._trusted(column[:top])
+        poly = TPoly._trusted(column)
+        if poly:
+            out[table[s]] = poly
     return out
 
 
@@ -360,10 +356,11 @@ def canonical_items(f) -> list:
     return [(a, f.coeffs[a]) for a in sorted(f.coeffs, reverse=True)]
 
 
+def _terms_json(items) -> list:
+    """(key, coefficient) pairs as [parts, poly-coefficients] lists."""
+    return [[list(key), [c] if isinstance(c, int) else list(c.coeffs)] for key, c in items]
+
+
 def serialize(f) -> str:
     """Canonical text form: JSON list of [parts, poly-coefficients] pairs."""
-    pairs = []
-    for key, c in canonical_items(f):
-        coeffs = [c] if isinstance(c, int) else list(c.coeffs)
-        pairs.append([list(key), coeffs])
-    return json.dumps(pairs, separators=(",", ":"))
+    return json.dumps(_terms_json(canonical_items(f)), separators=(",", ":"))

@@ -24,11 +24,11 @@ class TPoly:
         self.coeffs = _normalize([int(c) for c in coeffs])
 
     @classmethod
-    def _trusted(cls, coeffs: tuple[int, ...]) -> "TPoly":
-        """A value from a tuple of ints with no trailing zero, as the kernels
-        build it; nothing is checked or copied."""
+    def _trusted(cls, coeffs) -> "TPoly":
+        """A value from a list or tuple of ints, as the kernels build it:
+        trailing zeros are cut, and nothing is checked or converted."""
         p = object.__new__(cls)
-        p.coeffs = coeffs
+        p.coeffs = _normalize(coeffs)
         return p
 
     @classmethod

@@ -10,11 +10,12 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from random import Random
 
 from chromsym import (
     Graph,
+    Poset,
     QuasisymmetricF,
     SymmetricFunctionM,
     TPoly,
@@ -324,6 +325,24 @@ def all_graphs(n: int):
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     for mask in range(1 << len(pairs)):
         yield Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+
+
+def all_posets_scan(n: int):
+    """Every partial order on {1..n}: each of the 3^C(n,2) ways to direct
+    or leave out the pairs, kept when it is transitive."""
+    pairs = list(combinations(range(n), 2))
+    for assignment in product((0, 1, 2), repeat=len(pairs)):
+        above = [0] * n
+        for (i, j), state in zip(pairs, assignment):
+            if state == 1:
+                above[i] |= 1 << j
+            elif state == 2:
+                above[j] |= 1 << i
+        try:
+            poset = Poset(n, above)
+        except ValueError:
+            continue
+        yield poset
 
 
 def _peels_away(out: list[int]) -> bool:

@@ -5,7 +5,6 @@ from math import comb
 import pytest
 
 from chromsym.chromatic import (
-    ESinkReport,
     SinkProfile,
     _coloring_profile,
     _orientation_compositions,
@@ -399,19 +398,6 @@ def test_sink_profile_is_an_immutable_value():
         profile.extra = 1
 
 
-def test_e_sink_report_is_a_mutable_record():
-    report = ESinkReport()
-    assert report.per_k == {} and report.ok
-    assert ESinkReport().per_k is not ESinkReport().per_k
-    report.per_k[1] = (2, 3)
-    assert not report.ok
-    assert report == ESinkReport({1: (2, 3)})
-    assert report != ESinkReport()
-    assert repr(report) == "ESinkReport(per_k={1: (2, 3)})"
-    with pytest.raises(TypeError):
-        hash(report)
-
-
 @pytest.mark.parametrize("n", range(1, 5))
 def test_hook_routes_agree_with_identity_labeling(n):
     for g in all_graphs(n):
@@ -431,12 +417,10 @@ def test_labeling_independence_at_t_equal_1(n):
 
 
 def test_verify_e_sink_identity_examples():
-    report = verify_e_sink_identity(path_graph(3))
-    assert report.per_k == {1: (3, 3), 2: (1, 1), 3: (0, 0)}
-    assert report.ok
-    report = verify_e_sink_identity(edgeless_graph(3))
-    assert report.per_k[3] == (1, 1)
-    assert report.ok
+    assert verify_e_sink_identity(path_graph(3)) == [(1, 3, 3), (2, 1, 1), (3, 0, 0)]
+    rows = verify_e_sink_identity(edgeless_graph(3))
+    assert rows[2] == (3, 1, 1)
+    assert all(a == b for _, a, b in rows)
 
 
 @pytest.mark.parametrize("n", range(1, 5))

@@ -9,6 +9,7 @@ import pytest
 from chromsym import cli
 from chromsym.cli import main
 from chromsym.partitions import hook_partition
+from chromsym.posets import Poset
 
 CLAW_JSON = '{"n": 4, "edges": [[1, 2], [1, 3], [1, 4]]}'
 P3_EDGES = "1 2\n2 3\n"
@@ -213,6 +214,16 @@ def test_sweep_ptableaux(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--max-n", "3", "--checks", "ptableaux")
     assert code == 0
     assert "cases run: 19" in out
+
+
+def test_passing_sweep_builds_no_failure_subject(capsys, monkeypatch):
+    # The poset's repr only goes into failure records.
+    built = []
+    monkeypatch.setattr(Poset, "__repr__", lambda p: built.append(p) or "")
+    code, out, _ = run_cli(capsys, "sweep", "--max-n", "4", "--checks", "ptableaux", "--json")
+    assert code == 0
+    assert json.loads(out)["outputs"]["cases"] == 219
+    assert built == []
 
 
 def test_sweep_with_jobs(capsys):

@@ -1,10 +1,11 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
 from chromsym.graphs import Graph, complete_graph, edgeless_graph, is_claw_free
 from chromsym.posets import (
-    HookReport,
     Poset,
     all_posets,
     count_p_tableaux_hook,
@@ -13,7 +14,7 @@ from chromsym.posets import (
     verify_hook_proposition,
 )
 
-from oracles import count_p_tableaux_hook_brute
+from oracles import all_posets_scan, count_p_tableaux_hook_brute
 
 CHAIN3 = Poset.from_covers(3, [[1, 2], [2, 3]])
 ANTICHAIN3 = Poset(3, (0, 0, 0))
@@ -101,7 +102,7 @@ def test_mirrored_column_rule_is_ruled_out_by_the_identity():
 
     counts = {k: count_p_tableaux_hook_brute(CHAIN_PLUS_FREE, k, mirrored) for k in range(1, 5)}
     assert counts[2] == 4
-    schur = {k: coeff for k, (_, coeff) in verify_hook_proposition(CHAIN_PLUS_FREE).per_k.items()}
+    schur = {k: coeff for k, _, coeff in verify_hook_proposition(CHAIN_PLUS_FREE)}
     assert counts != schur
 
 
@@ -112,13 +113,11 @@ def test_top_arm_counts_chains_covering_everything():
 
 
 def test_verify_hook_proposition_examples():
-    report = verify_hook_proposition(CHAIN3)
-    assert report.ok
-    assert report.per_k == {1: (1, 1), 2: (2, 2), 3: (1, 1)}
-    report = verify_hook_proposition(ANTICHAIN3)
-    assert report.ok
-    assert report.per_k[1] == (6, 6)
-    assert verify_hook_proposition(CHAIN_PLUS_FREE).ok
+    assert verify_hook_proposition(CHAIN3) == [(1, 1, 1), (2, 2, 2), (3, 1, 1)]
+    rows = verify_hook_proposition(ANTICHAIN3)
+    assert rows[0] == (1, 6, 6)
+    assert all(a == b for _, a, b in rows)
+    assert all(a == b for _, a, b in verify_hook_proposition(CHAIN_PLUS_FREE))
 
 
 def test_all_posets_counts():
@@ -131,7 +130,7 @@ def test_all_posets_counts():
 @pytest.mark.parametrize("n", range(1, 5))
 def test_hook_proposition_holds_for_every_small_poset(n):
     for poset in all_posets(n):
-        assert verify_hook_proposition(poset).ok
+        assert all(a == b for _, a, b in verify_hook_proposition(poset))
 
 
 def test_some_small_posets_have_clawed_incomparability_graphs():
@@ -165,13 +164,26 @@ def test_parse_poset_text_rejects_deep_nesting():
         parse_poset_text("[" * 100_000 + "]" * 100_000, source="p.json")
 
 
-def test_hook_report_is_a_mutable_record():
-    report = verify_hook_proposition(CHAIN3)
-    assert report == HookReport({1: (1, 1), 2: (2, 2), 3: (1, 1)})
-    assert report.ok
-    assert HookReport().per_k == {} and HookReport().per_k is not HookReport().per_k
-    report.per_k[1] = (1, 2)
-    assert not report.ok
-    assert repr(HookReport({1: (1, 1)})) == "HookReport(per_k={1: (1, 1)})"
-    with pytest.raises(TypeError):
-        hash(report)
+@pytest.mark.parametrize("n", range(6))
+def test_all_posets_matches_the_direction_scan(n):
+    posets = list(all_posets(n))
+    assert len(posets) == len(set(posets))
+    assert set(posets) == set(all_posets_scan(n))
+    assert posets[0] == Poset(n, (0,) * n)  # the antichain comes first
+
+
+def test_all_posets_on_six_elements():
+    assert sum(1 for _ in all_posets(6)) == 130_023
+
+
+@pytest.mark.parametrize("above", [[4, 0], [-1], [0, 1 << 5]])
+def test_out_of_range_masks_are_rejected(above):
+    with pytest.raises(ValueError, match="out of range"):
+        Poset(len(above), above)
+
+
+def test_a_large_antichain_parses_in_linear_time():
+    # The range check of a mask must not build an n-bit integer per element.
+    code = 'from chromsym.posets import parse_poset_text; assert parse_poset_text(\'{"n": 1000000}\').n == 1000000'
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=30)
+    assert run.returncode == 0, run.stderr.decode()
