@@ -29,11 +29,12 @@ from .graphs import (
     Graph,
     Labeling,
     Orientation,
+    _transpose,
     acyclic_orientation_masks,
     acyclic_orientations,  # noqa: F401  (perfbench/shim.py wraps this binding)
     stable_partitions_by_type,
 )
-from .partitions import _compositions_by_mask, multiplicities
+from .partitions import _compositions_by_mask, hook_partition, multiplicities
 from .symfunc import (
     QuasisymmetricF,
     QuasisymmetricM,
@@ -94,7 +95,7 @@ def csf_monomial(graph: Graph) -> SymmetricFunctionM:
         for mult in multiplicities(lam).values():
             ways *= factorial(mult)
         coeffs[lam] = ways
-    return SymmetricFunctionM(graph.n, coeffs)
+    return SymmetricFunctionM._trusted(graph.n, coeffs)
 
 
 def csf_schur(graph: Graph) -> dict[tuple[int, ...], int]:
@@ -152,15 +153,12 @@ def sink_profile(graph: Graph) -> SinkProfile:
 
 def hook_coefficient_via_sinks(graph: Graph, k: int) -> int:
     """Binomial-weighted sink enumeration for the hook coefficient."""
-    if not 1 <= k <= graph.n:
-        raise ValueError(f"hook arm length must be in 1..{graph.n}, got {k}")
+    hook_partition(graph.n, k)  # rejects k outside 1..n
     return sum(comb(j - 1, k - 1) * a for j, a in _sink_counts(graph))
 
 
 def chromatic_polynomial_value(graph: Graph, k: int) -> int:
     """Number of proper colorings with at most k colors, by specialization."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
     return specialize_w_k(csf_monomial(graph), k)
 
 
@@ -304,13 +302,7 @@ def _linear_extensions(n: int, out, labels) -> list[tuple[tuple[int, ...], int]]
     so the bits hold the reflected descent set {n - i : i in Des}."""
     if n == 0:
         return [((), 0)]
-    prereq = [0] * n  # prereq[v]: tails of the arcs into v
-    for u in range(n):
-        heads = out[u]
-        while heads:
-            low = heads & -heads
-            prereq[low.bit_length() - 1] |= 1 << u
-            heads ^= low
+    prereq = _transpose(out)  # prereq[v]: tails of the arcs into v
     full = (1 << n) - 1
     found: list[tuple[tuple[int, ...], int]] = []
     word: list[int] = []
@@ -357,15 +349,8 @@ def dual_linear_extensions(o: Orientation, omega: Labeling) -> tuple[tuple[int, 
 
 
 @lru_cache(maxsize=4)
-def _orientation_sinks(graph: Graph) -> tuple[tuple[int, int], ...]:
-    """(direction bits, sinks) per acyclic orientation, read off the
-    kernel's masks; no linear extensions are listed."""
-    return tuple((mask, out.count(0)) for mask, out in acyclic_orientation_masks(graph))
-
-
-@lru_cache(maxsize=4)
 def _orientation_compositions(graph: Graph) -> tuple:
-    """(direction bits, composition counts) per acyclic orientation.
+    """(direction bits, sinks, composition counts) per acyclic orientation.
 
     The composition counts record, for each linear extension of the
     orientation under its canonical labeling, the composition of the
@@ -379,7 +364,7 @@ def _orientation_compositions(graph: Graph) -> tuple:
         counts: dict[int, int] = {}
         for _, bits in _linear_extensions(n, out, _canonical_labels(n, out)):
             counts[bits] = counts.get(bits, 0) + 1
-        entries.append((mask, tuple((table[bits], c) for bits, c in counts.items())))
+        entries.append((mask, out.count(0), tuple((table[bits], c) for bits, c in counts.items())))
     return tuple(entries)
 
 
@@ -393,7 +378,7 @@ def cqf_fundamental_via_orientations(
     m = graph.m
     zbits = _zeta_bits(graph, zeta)
     acc: dict[tuple[int, ...], list[int]] = {}
-    for dirbits, comp_counts in _orientation_compositions(graph):
+    for dirbits, _, comp_counts in _orientation_compositions(graph):
         des = (dirbits ^ zbits).bit_count()
         for comp, count in comp_counts:
             arr = acc.get(comp)
@@ -406,13 +391,14 @@ def cqf_fundamental_via_orientations(
 def hook_coefficients_via_orientations_t(graph: Graph, zeta: Labeling | None) -> tuple[TPoly, ...]:
     """Entry k - 1 is the binomial-weighted descent generating polynomial
     over acyclic orientations, sum of C(sinks-1, k-1) t^(descents), for k in
-    1..n.  One pass bins the orientations by (sinks, descents); each bin
-    then serves every k."""
+    1..n.  One pass over the orientation walk that
+    ``cqf_fundamental_via_orientations`` also reads bins the orientations
+    by (sinks, descents); each bin then serves every k."""
     zeta = _check_labeling(graph, zeta)
     zbits = _zeta_bits(graph, zeta)
     n, m = graph.n, graph.m
     bins = [[0] * (m + 1) for _ in range(n + 1)]  # bins[sinks][descents]
-    for dirbits, sinks_ in _orientation_sinks(graph):
+    for dirbits, sinks_, _ in _orientation_compositions(graph):
         bins[sinks_][(dirbits ^ zbits).bit_count()] += 1
     polys = []
     for k in range(1, n + 1):
@@ -431,8 +417,7 @@ def hook_coefficient_via_orientations_t(
 ) -> TPoly:
     """Binomial-weighted descent generating polynomial over acyclic
     orientations: sum of C(sinks-1, k-1) t^(descents)."""
-    if not 1 <= k <= graph.n:
-        raise ValueError(f"hook arm length must be in 1..{graph.n}, got {k}")
+    hook_partition(graph.n, k)  # rejects k outside 1..n
     return hook_coefficients_via_orientations_t(graph, zeta)[k - 1]
 
 

@@ -7,7 +7,9 @@ backtracking kernel, ``acyclic_orientation_masks``, whose cost grows with
 the number of acyclic orientations rather than with the 2^|E| direction
 vectors.  Stable partitions are counted by type with a subset DP over
 vertex sets, memoized per graph, so their cost follows the 2^n subsets
-and the number of types rather than the number of partitions.
+and the number of types rather than the number of partitions.  A
+relation held as bitmasks is reversed by ``_transpose`` and closed by
+``_closure``, the one kernel for each that orientations and posets share.
 """
 
 from __future__ import annotations
@@ -165,7 +167,7 @@ class Orientation:
 
     def is_acyclic(self) -> bool:
         if self._acyclic is None:
-            self._acyclic = _peels_to_empty(self.graph.n, self.out_masks())
+            self._acyclic = _closure(self.out_masks()) is not None
         return self._acyclic
 
     def sinks(self) -> int:
@@ -191,18 +193,46 @@ class Orientation:
         return f"Orientation({body})"
 
 
-def _peels_to_empty(n: int, out_masks) -> bool:
-    """Repeatedly delete vertices with no live out-arc; True iff all go."""
-    alive = (1 << n) - 1
-    while alive:
-        removable = 0
-        for v in range(n):
-            if alive >> v & 1 and out_masks[v] & alive == 0:
-                removable |= 1 << v
-        if not removable:
-            return False
-        alive &= ~removable
-    return True
+def _transpose(masks) -> list[int]:
+    """The reversed relation: bit i of entry j is set when bit j of
+    masks[i] is."""
+    out = [0] * len(masks)
+    for i, mask in enumerate(masks):
+        while mask:
+            low = mask & -mask
+            out[low.bit_length() - 1] |= 1 << i
+            mask ^= low
+    return out
+
+
+def _closure(masks) -> list[int] | None:
+    """The transitive closure of the relation masks (bit j of masks[i]
+    relates i to j), or None when it has a cycle.
+
+    Each element is closed once all the elements it relates to are, so
+    the elements are taken in a sinks-first (Kahn) order and every
+    relation costs one OR."""
+    n = len(masks)
+    into = _transpose(masks)
+    waiting = [mask.bit_count() for mask in masks]  # elements related to, not yet closed
+    order = [i for i in range(n) if not waiting[i]]
+    closed = list(masks)
+    for i in order:  # order grows while it is read
+        reach = rest = masks[i]
+        while rest:
+            low = rest & -rest
+            reach |= closed[low.bit_length() - 1]
+            rest ^= low
+        closed[i] = reach
+        rest = into[i]
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            waiting[j] -= 1
+            if not waiting[j]:
+                order.append(j)
+            rest ^= low
+    return closed if len(order) == n else None
 
 
 def acyclic_orientation_masks(graph: Graph):

@@ -58,21 +58,11 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(rec(n, n))
 
 
-@lru_cache(maxsize=16)
 def compositions_of(n: int) -> tuple[Composition, ...]:
     """All compositions of n in canonical (descending) order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-
-    def rec(rem: int):
-        if rem == 0:
-            yield ()
-            return
-        for first in range(rem, 0, -1):
-            for rest in rec(rem - first):
-                yield (first,) + rest
-
-    return tuple(rec(n))
+    return tuple(sorted(_compositions_by_mask(n), reverse=True))
 
 
 def hook_partition(n: int, k: int) -> Partition:

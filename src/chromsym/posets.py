@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 
 from .chromatic import csf_schur
-from .graphs import Graph, _check_int_pairs, _is_int, _load_json_object
+from .graphs import Graph, _check_int_pairs, _closure, _is_int, _load_json_object, _transpose
 from .partitions import hook_partition
 
 
@@ -38,15 +38,11 @@ class Poset:
                 raise ValueError(f"bitmask for element {i + 1} is out of range")
             if mask >> i & 1:
                 raise ValueError(f"element {i + 1} compares above itself")
-        for i in range(n):
-            rest = above[i]
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if above[j] >> i & 1:
-                    raise ValueError(f"elements {i + 1} and {j + 1} compare both ways")
-                if above[j] & ~above[i]:
-                    raise ValueError("relation is not transitively closed")
+        closed = _closure(above)
+        if closed is None:
+            raise ValueError("relation has a cycle: some elements compare both ways")
+        if tuple(closed) != above:
+            raise ValueError("relation is not transitively closed")
         self.n = n
         self.above = above
 
@@ -61,23 +57,9 @@ class Poset:
             if a == b:
                 raise ValueError(f"cover ({a},{b}) relates an element to itself")
             direct[a - 1] |= 1 << (b - 1)
-        above = list(direct)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                acc = above[i]
-                rest = above[i]
-                while rest:
-                    j = (rest & -rest).bit_length() - 1
-                    rest &= rest - 1
-                    acc |= above[j]
-                if acc != above[i]:
-                    above[i] = acc
-                    changed = True
-        for i in range(n):
-            if above[i] >> i & 1:
-                raise ValueError(f"cover relations contain a cycle through element {i + 1}")
+        above = _closure(direct)
+        if above is None:
+            raise ValueError("cover relations contain a cycle")
         return cls(n, above)
 
     def less(self, a: int, b: int) -> bool:
@@ -132,15 +114,8 @@ def _poset_masks(n: int):
         return
     m, new = n - 1, 1 << (n - 1)
     for above in _poset_masks(m):
-        below = [0] * m
-        for i in range(m):
-            rest = above[i]
-            while rest:
-                low = rest & -rest
-                below[low.bit_length() - 1] |= 1 << i
-                rest ^= low
         ups = _closed_sets(m, above)
-        for down in _closed_sets(m, below):
+        for down in _closed_sets(m, _transpose(above)):
             bound = new - 1  # the common upper bounds of down
             grown = list(above)
             for i in range(m):
@@ -167,9 +142,7 @@ def incomparability_graph(poset: Poset) -> Graph:
 def count_p_tableaux_hook(poset: Poset, k: int) -> int:
     """Bijective hook-shape fillings: bottom row a chain read left to
     right, column above its first cell never increasing upward."""
-    n = poset.n
-    if not 1 <= k <= n:
-        raise ValueError(f"hook arm length must be in 1..{n}, got {k}")
+    hook_partition(poset.n, k)  # rejects k outside 1..n
     return _hook_tableau_counts(poset)[k]
 
 
@@ -183,13 +156,7 @@ def _hook_tableau_counts(poset: Poset) -> list[int]:
     """
     n = poset.n
     above = poset.above
-    below = [0] * n  # below[x]: the elements strictly less than x
-    for i in range(n):
-        rest = above[i]
-        while rest:
-            low = rest & -rest
-            below[low.bit_length() - 1] |= 1 << i
-            rest ^= low
+    below = _transpose(above)  # below[x]: the elements strictly less than x
     memo: dict[int, int] = {}
 
     def legs(lower: int, remaining: int) -> int:

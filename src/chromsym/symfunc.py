@@ -38,6 +38,7 @@ from .partitions import (
     check_partition,
     composition_from_descents,
     conjugate,
+    hook_partition,
     multiplicities,
     partition_of,
     partitions_of,
@@ -50,66 +51,23 @@ def _as_poly(value) -> TPoly:
     return value if isinstance(value, TPoly) else TPoly((int(value),))
 
 
-class SymmetricFunctionM:
-    """A homogeneous symmetric function in monomial coordinates."""
+class _CoefficientMap:
+    """A homogeneous value of one degree as a mapping from keys to nonzero
+    coefficients; values are equal when class, degree and mapping are."""
 
     __slots__ = ("degree", "coeffs")
-
-    def __init__(self, degree: int, coeffs):
-        cleaned: dict[Partition, int] = {}
-        for lam, c in dict(coeffs).items():
-            lam = check_partition(lam)
-            if sum(lam) != degree:
-                raise ValueError(f"key {lam} is not a partition of {degree}")
-            c = int(c)
-            if c:
-                cleaned[lam] = c
-        self.degree = degree
-        self.coeffs = cleaned
-
-    def coefficient(self, lam) -> int:
-        return self.coeffs.get(tuple(lam), 0)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymmetricFunctionM)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.degree, frozenset(self.coeffs.items())))
-
-    def __repr__(self):
-        return f"SymmetricFunctionM({self.degree}, {self.coeffs!r})"
-
-
-class _QuasisymmetricBase:
-    __slots__ = ("degree", "coeffs")
-
-    def __init__(self, degree: int, coeffs):
-        cleaned: dict[Composition, TPoly] = {}
-        for alpha, c in dict(coeffs).items():
-            alpha = check_composition(alpha)
-            if sum(alpha) != degree:
-                raise ValueError(f"key {alpha} is not a composition of {degree}")
-            poly = _as_poly(c)
-            if poly:
-                cleaned[alpha] = poly
-        self.degree = degree
-        self.coeffs = cleaned
 
     @classmethod
-    def _trusted(cls, degree: int, coeffs: dict[Composition, TPoly]):
-        """A value whose keys are compositions of degree and whose
-        coefficients are nonzero TPoly, as the kernels build them; nothing
-        is checked or copied."""
+    def _trusted(cls, degree: int, coeffs: dict):
+        """A value whose keys are valid keys of weight degree and whose
+        coefficients are nonzero, as the kernels build them; nothing is
+        checked or copied."""
         f = object.__new__(cls)
         f.degree, f.coeffs = degree, coeffs
         return f
 
-    def coefficient(self, alpha) -> TPoly:
-        return self.coeffs.get(tuple(alpha), TPoly())
+    def coefficient(self, key):
+        return self.coeffs.get(tuple(key), self._zero)
 
     def __eq__(self, other):
         return (
@@ -123,6 +81,41 @@ class _QuasisymmetricBase:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.degree}, {self.coeffs!r})"
+
+
+class SymmetricFunctionM(_CoefficientMap):
+    """A homogeneous symmetric function in monomial coordinates."""
+
+    __slots__ = ()
+    _zero = 0
+
+    def __init__(self, degree: int, coeffs):
+        cleaned: dict[Partition, int] = {}
+        for lam, c in dict(coeffs).items():
+            lam = check_partition(lam)
+            if sum(lam) != degree:
+                raise ValueError(f"key {lam} is not a partition of {degree}")
+            c = int(c)
+            if c:
+                cleaned[lam] = c
+        self.degree = degree
+        self.coeffs = cleaned
+
+
+class _QuasisymmetricBase(_CoefficientMap):
+    _zero = TPoly()
+
+    def __init__(self, degree: int, coeffs):
+        cleaned: dict[Composition, TPoly] = {}
+        for alpha, c in dict(coeffs).items():
+            alpha = check_composition(alpha)
+            if sum(alpha) != degree:
+                raise ValueError(f"key {alpha} is not a composition of {degree}")
+            poly = _as_poly(c)
+            if poly:
+                cleaned[alpha] = poly
+        self.degree = degree
+        self.coeffs = cleaned
 
 
 class QuasisymmetricM(_QuasisymmetricBase):
@@ -325,10 +318,7 @@ def specialize_w_k(f: SymmetricFunctionM, k: int) -> int:
 
 def hook_coefficient_of_F(f, k: int) -> TPoly:
     """Coefficient at the hook composition (k, 1, ..., 1)."""
-    n = f.degree
-    if not 1 <= k <= n:
-        raise ValueError(f"hook arm length must be in 1..{n}, got {k}")
-    return f.coefficient((k,) + (1,) * (n - k))
+    return f.coefficient(hook_partition(f.degree, k))
 
 
 def gessel_schur_F(lam) -> QuasisymmetricF:
@@ -351,9 +341,7 @@ def gessel_schur_F(lam) -> QuasisymmetricF:
 
 def canonical_items(f) -> list:
     """(key, coefficient) pairs in canonical descending key order."""
-    if isinstance(f, SymmetricFunctionM):
-        return [(lam, f.coeffs[lam]) for lam in sorted(f.coeffs, reverse=True)]
-    return [(a, f.coeffs[a]) for a in sorted(f.coeffs, reverse=True)]
+    return [(key, f.coeffs[key]) for key in sorted(f.coeffs, reverse=True)]
 
 
 def _terms_json(items) -> list:

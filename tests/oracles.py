@@ -359,6 +359,39 @@ def _peels_away(out: list[int]) -> bool:
     return True
 
 
+def closure_warshall(masks) -> list[int] | None:
+    """The transitive closure of the relation masks (bit j of masks[i]
+    relates i to j) by Warshall's algorithm, or None when it relates some
+    element to itself, that is, when the relation has a cycle."""
+    n = len(masks)
+    reach = list(masks)
+    for k in range(n):
+        for i in range(n):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    if any(reach[i] >> i & 1 for i in range(n)):
+        return None
+    return reach
+
+
+def seeded_relations(count: int, seed: int, sizes=range(8, 13)):
+    """count random relations as lists of masks, each on a number of
+    elements drawn from sizes and with its own density.  The even-numbered
+    ones relate only lower to higher indices, so they are acyclic; the
+    others may relate any pair, an element to itself included, and are
+    mostly cyclic."""
+    rng = Random(seed)
+    for i in range(count):
+        n = rng.choice(sizes)
+        density = rng.uniform(0.02, 0.3)
+        masks = [0] * n
+        for a in range(n):
+            for b in range(a + 1 if i % 2 == 0 else 0, n):
+                if rng.random() < density:
+                    masks[a] |= 1 << b
+        yield masks
+
+
 def _arc_masks(n: int, edges, bits: int) -> list[int]:
     """Out-neighbour masks of the edges oriented by bits (bit i set: edge i
     points from its lower to its higher vertex)."""

@@ -99,8 +99,10 @@ def test_coloring_profile_matches_the_unpruned_recursion_on_seeded_graphs_and_k7
 
 
 def _assert_orientation_compositions_match_the_oracle(g):
-    got = tuple((mask, tuple(sorted(counts))) for mask, counts in _orientation_compositions(g))
+    entries = _orientation_compositions(g)
+    got = tuple((mask, tuple(sorted(counts))) for mask, _, counts in entries)
     assert got == orientation_compositions_by_words(g)
+    assert [sinks for _, sinks, _ in entries] == [o.sinks() for o in acyclic_orientations(g)]
 
 
 @pytest.mark.parametrize("n", range(6))

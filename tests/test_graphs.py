@@ -7,6 +7,8 @@ from chromsym.graphs import (
     Graph,
     Labeling,
     Orientation,
+    _closure,
+    _transpose,
     acyclic_orientation_masks,
     acyclic_orientations,
     ascents,
@@ -23,12 +25,20 @@ from chromsym.graphs import (
 from oracles import (
     acyclic_orientations_scan,
     all_graphs,
+    closure_warshall,
     count_colorings_brute,
     interpolate_at,
     proper_colorings_bounded,
     seeded_graphs,
+    seeded_relations,
     stable_partitions_recursive,
 )
+
+
+def all_relations(n: int):
+    """Every relation on n elements, self-relations included, as masks."""
+    for code in range(1 << n * n):
+        yield [code >> (n * i) & (1 << n) - 1 for i in range(n)]
 
 
 def test_graph_normalisation_and_validation():
@@ -68,6 +78,30 @@ def test_triangle_cycle_is_detected():
     cycle = Orientation(g, [(1, 2), (2, 3), (3, 1)])
     assert not cycle.is_acyclic()
     assert Orientation(g, [(1, 2), (2, 3), (1, 3)]).is_acyclic()
+
+
+def test_transpose_reverses_every_pair_and_is_an_involution():
+    relations = [m for n in range(4) for m in all_relations(n)] + list(seeded_relations(40, seed=5))
+    for masks in relations:
+        n = len(masks)
+        flipped = _transpose(masks)
+        assert [[flipped[j] >> i & 1 for j in range(n)] for i in range(n)] == [
+            [masks[i] >> j & 1 for j in range(n)] for i in range(n)
+        ]
+        assert _transpose(flipped) == masks
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_closure_matches_warshall_on_every_small_relation(n):
+    for masks in all_relations(n):
+        assert _closure(masks) == closure_warshall(masks)
+
+
+def test_closure_matches_warshall_on_seeded_relations():
+    relations = list(seeded_relations(200, seed=11))
+    results = [_closure(masks) for masks in relations]
+    assert results == [closure_warshall(masks) for masks in relations]
+    assert None in results and any(r is not None and r != m for r, m in zip(results, relations))
 
 
 def test_proper_colorings_of_the_3_path():

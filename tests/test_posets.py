@@ -45,6 +45,8 @@ def test_constructor_validates_order_axioms():
         Poset(2, (0b10, 0b01))
     with pytest.raises(ValueError, match="transitively"):
         Poset(3, (0b010, 0b100, 0))
+    with pytest.raises(ValueError):
+        Poset(3, (0b010, 0b100, 0b001))
 
 
 def test_incomparable():
