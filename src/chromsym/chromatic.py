@@ -11,9 +11,9 @@ The same quantities are reachable along two independent routes:
   distinct (composition, edge directions) pair;
 * orientations: acyclic orientations weighted by sinks and descents,
   assembled into fundamental coordinates through linear extensions.  One
-  bitmask recursion, ``_linear_extensions``, lists the extensions of an
-  orientation with their reflected descent sets, straight from the
-  orientation kernel's out-neighbour masks.
+  recursion over vertex orders, ``_vertex_orders``, meets every
+  (orientation, linear extension) pair once: an order is an extension of
+  the one orientation whose arcs run from its earlier to its later ends.
 
 Hook coefficients computed both ways must agree, which is what the
 ``verify``/``sweep`` commands and the test suite exercise exhaustively
@@ -22,7 +22,9 @@ at small vertex counts.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
+from itertools import groupby
 from math import comb, factorial
 
 from .graphs import (
@@ -30,7 +32,6 @@ from .graphs import (
     Labeling,
     Orientation,
     _transpose,
-    acyclic_orientation_masks,
     acyclic_orientations,  # noqa: F401  (perfbench/shim.py wraps this binding)
     stable_partitions_by_type,
 )
@@ -175,20 +176,17 @@ def chromatic_polynomial_by_colorings(graph: Graph, k: int) -> int:
 # quasisymmetric refinement
 
 
-def _zeta_bits(graph: Graph, zeta: Labeling) -> int:
+def _zeta_bits(graph: Graph, zeta: Labeling | None) -> int:
+    """Bit e is set when edge e runs up zeta (every edge when zeta is None)."""
+    if zeta is None:
+        return (1 << graph.m) - 1
+    if zeta.n != graph.n:
+        raise ValueError("labeling does not match the graph's vertex count")
     bits = 0
     for e, (u, v) in enumerate(graph.edges):
         if zeta.label(u) < zeta.label(v):
             bits |= 1 << e
     return bits
-
-
-def _check_labeling(graph: Graph, zeta) -> Labeling:
-    if zeta is None:
-        return Labeling.identity(graph.n)
-    if zeta.n != graph.n:
-        raise ValueError("labeling does not match the graph's vertex count")
-    return zeta
 
 
 @lru_cache(maxsize=4)
@@ -260,7 +258,6 @@ def cqf_monomial(graph: Graph, zeta: Labeling | None = None) -> QuasisymmetricM:
     """Monomial coordinates of the chromatic quasisymmetric function:
     the coefficient of M_alpha collects t^(ascents) over proper colorings
     surjective onto 1..len(alpha) with class sizes alpha."""
-    zeta = _check_labeling(graph, zeta)
     m = graph.m
     zbits = _zeta_bits(graph, zeta)
     acc: dict[tuple[int, ...], list[int]] = {}
@@ -294,36 +291,36 @@ def _canonical_labels(n: int, out) -> list[int]:
     return labels
 
 
-def _linear_extensions(n: int, out, labels) -> list[tuple[tuple[int, ...], int]]:
-    """(word, reflected descent bits) for every linear extension of the
-    acyclic orientation whose out-neighbour masks are out: word reads
-    through labels an order of the vertices with every tail before its
-    heads, and bit n - i - 1 is set when position i is a descent of word,
-    so the bits hold the reflected descent set {n - i : i in Des}."""
-    if n == 0:
-        return [((), 0)]
-    prereq = _transpose(out)  # prereq[v]: tails of the arcs into v
+def _vertex_orders(n: int, prereq, kept, order: list[int], leaf) -> None:
+    """Call leaf(mask) once for every order of the vertices 0..n-1 that
+    places each vertex v after all of prereq[v], with order[i] the vertex
+    at position i.  mask ORs kept[v][S] over the vertices v, S being the
+    vertices placed before v."""
+    if n < 2:
+        order[:] = range(n)
+        leaf(0)
+        return
     full = (1 << n) - 1
-    found: list[tuple[tuple[int, ...], int]] = []
-    word: list[int] = []
+    penult = n - 2
 
-    def rec(placed: int, i: int, prev: int, bits: int):
-        # i vertices are placed, the last of them labeled prev (0 for none)
-        if i == n - 1:  # the one vertex left is free to go last
-            label = labels[(full ^ placed).bit_length() - 1]
-            found.append(((*word, label), bits | 1 if prev > label else bits))
-            return
-        shift = n - i - 1
-        for v in range(n):
-            if placed >> v & 1 or prereq[v] & ~placed:
+    def rec(placed: int, i: int, mask: int):
+        rest = full ^ placed
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            if prereq[v] & ~placed:
                 continue
-            label = labels[v]
-            word.append(label)
-            rec(placed | 1 << v, i + 1, label, bits | 1 << shift if prev > label else bits)
-            word.pop()
+            order[i] = v
+            if i == penult:  # the one vertex left is free to go last
+                w = (full ^ placed ^ low).bit_length() - 1
+                order[i + 1] = w
+                leaf(mask | kept[v][placed] | kept[w][placed | low])
+            else:
+                rec(placed | low, i + 1, mask | kept[v][placed])
 
-    rec(0, 0, 0, 0)
-    return found
+    rec(0, 0, 0)
+    del rec  # rec refers to itself: break the cycle so the caller's tables are freed at once
 
 
 def sink_minimal_increasing_labeling(o: Orientation) -> Labeling:
@@ -343,29 +340,60 @@ def dual_linear_extensions(o: Orientation, omega: Labeling) -> tuple[tuple[int, 
     heads), read through omega as one-line permutations, sorted."""
     if not o.is_acyclic():
         raise ValueError("orientation has a directed cycle")
-    if omega.n != o.graph.n:
+    n = o.graph.n
+    if omega.n != n:
         raise ValueError("labeling does not match the orientation's graph")
-    return tuple(sorted(word for word, _ in _linear_extensions(o.graph.n, o.out_masks(), omega.labels)))
+    labels, order, words = omega.labels, [0] * n, []
+    no_bits = [defaultdict(int)] * n  # reads 0 for every set: no direction bits are needed
+
+    def record(_):
+        words.append(tuple(labels[v] for v in order))
+
+    _vertex_orders(n, _transpose(o.out_masks()), no_bits, order, record)
+    return tuple(sorted(words))
 
 
 @lru_cache(maxsize=4)
 def _orientation_compositions(graph: Graph) -> tuple:
-    """(direction bits, sinks, composition counts) per acyclic orientation.
-
-    The composition counts record, for each linear extension of the
-    orientation under its canonical labeling, the composition of the
-    reflected descent set {i : n - i in Des}.  Labels and extensions are
-    read off the kernel's out-neighbour masks; no ``Orientation`` is built.
-    """
+    """(direction bits, sinks, composition counts) per acyclic orientation,
+    in ascending order of the bits, from one walk over the n! vertex orders.
+    The first order met for an orientation gives its out-neighbour masks,
+    hence its sinks and canonical labels; each order then counts the
+    composition of its reflected descent set {i : n - i in Des} under them."""
     n = graph.n
+    adj = graph.adjacency_masks()
+    edge_bits = {edge: 1 << e for e, edge in enumerate(graph.edges)}
+    kept = [[0] for _ in range(n)]  # kept[v][S]: bits of the edges {u, v} with u in S and u < v
+    for u in range(n):  # each row doubles once per vertex, as S takes or leaves u
+        for v, row in enumerate(kept):
+            bit = edge_bits.get((u + 1, v + 1), 0)
+            row += [x | bit for x in row] if bit else row
+    found: dict[int, bytes] = {}  # mask -> canonical labels, then the sinks
+    tally: defaultdict[int, int] = defaultdict(int)  # mask << n | reflected descent bits -> orders
+    order = [0] * n
+
+    def leaf(mask: int):
+        labels = found.get(mask)
+        if labels is None:
+            out, seen = [0] * n, 0
+            for v in order:
+                seen |= 1 << v
+                out[v] = adj[v] & ~seen
+            labels = found[mask] = bytes([*_canonical_labels(n, out), out.count(0)])
+        key, prev = mask, 0
+        for v in order:  # shifts mask up by n; bit n - 1 - i is set for a descent at position i
+            label = labels[v]
+            key = key << 1 | (prev > label)
+            prev = label
+        tally[key] += 1
+
+    _vertex_orders(n, [0] * n, kept, order, leaf)
     table = _compositions_by_mask(n)
-    entries = []
-    for mask, out in acyclic_orientation_masks(graph):
-        counts: dict[int, int] = {}
-        for _, bits in _linear_extensions(n, out, _canonical_labels(n, out)):
-            counts[bits] = counts.get(bits, 0) + 1
-        entries.append((mask, out.count(0), tuple((table[bits], c) for bits, c in counts.items())))
-    return tuple(entries)
+    low = (1 << n) - 1
+    return tuple(
+        (mask, found.pop(mask)[n], tuple((table[key & low], tally.pop(key)) for key in keys))
+        for mask, keys in groupby(sorted(tally), lambda key: key >> n)
+    )
 
 
 def cqf_fundamental_via_orientations(
@@ -374,7 +402,6 @@ def cqf_fundamental_via_orientations(
     """Fundamental coordinates assembled from acyclic orientations:
     each orientation contributes t^(descents) times the fundamental
     terms of its dual linear extensions."""
-    zeta = _check_labeling(graph, zeta)
     m = graph.m
     zbits = _zeta_bits(graph, zeta)
     acc: dict[tuple[int, ...], list[int]] = {}
@@ -391,10 +418,10 @@ def cqf_fundamental_via_orientations(
 def hook_coefficients_via_orientations_t(graph: Graph, zeta: Labeling | None) -> tuple[TPoly, ...]:
     """Entry k - 1 is the binomial-weighted descent generating polynomial
     over acyclic orientations, sum of C(sinks-1, k-1) t^(descents), for k in
-    1..n.  One pass over the orientation walk that
-    ``cqf_fundamental_via_orientations`` also reads bins the orientations
-    by (sinks, descents); each bin then serves every k."""
-    zeta = _check_labeling(graph, zeta)
+    1..n.  It reads the cached walk over all n! vertex orders that
+    ``cqf_fundamental_via_orientations`` also reads, so a call that finds
+    no walk cached for the graph lists all n! orders.  One pass bins the
+    orientations by (sinks, descents); each bin then serves every k."""
     zbits = _zeta_bits(graph, zeta)
     n, m = graph.n, graph.m
     bins = [[0] * (m + 1) for _ in range(n + 1)]  # bins[sinks][descents]

@@ -89,8 +89,21 @@ def _resolve_labeling(args, loaded: Labeling | None, n: int) -> Labeling:
     if getattr(args, "labeling", None):
         if args.labeling == "identity":
             return Labeling.identity(n)
-        parts = [p for p in args.labeling.split(",") if p.strip()]
-        return Labeling(int(p) for p in parts)
+        parts = [p.strip() for p in args.labeling.split(",") if p.strip()]
+        for part in parts:
+            if not (part.isascii() and part.isdigit()):
+                raise ValueError(f"--labeling: {part!r} is not a positive integer; give the labels 1..{n}")
+        if len(parts) != n:
+            raise ValueError(f"--labeling gives {len(parts)} labels for a graph with {n} vertices")
+        labels = [int(part) for part in parts]
+        seen: set[int] = set()
+        for part, label in zip(parts, labels):
+            if not 1 <= label <= n:
+                raise ValueError(f"--labeling: {part} is outside 1..{n}")
+            if label in seen:
+                raise ValueError(f"--labeling: {part} appears twice in a permutation of 1..{n}")
+            seen.add(label)
+        return Labeling(labels)
     if loaded is not None:
         return loaded
     return Labeling.identity(n)
@@ -133,7 +146,8 @@ def cmd_cqf(args) -> int:
     loaded = _load_bounded_graph(args)
     graph = loaded.graph
     zeta = _resolve_labeling(args, loaded.labeling, graph.n)
-    via_colorings = qsym_M_to_F(cqf_monomial(graph, zeta))
+    monomial = cqf_monomial(graph, zeta)
+    via_colorings = qsym_M_to_F(monomial)
     via_orientations = cqf_fundamental_via_orientations(graph, zeta)
     keys = sorted(set(via_colorings.coeffs) | set(via_orientations.coeffs), reverse=True)
     diffs = [
@@ -157,7 +171,7 @@ def cmd_cqf(args) -> int:
             for k in diffs
         ]
     if args.t_eval is not None:
-        collapsed = collapse_t(cqf_monomial(graph, zeta))
+        collapsed = collapse_t(monomial)
         outputs["t_eval"] = 1
         outputs["symmetric_at_1"] = is_symmetric(collapsed)
 
@@ -185,18 +199,19 @@ def cmd_cqf(args) -> int:
         for o in acyclic_orientations(graph):
             omega = sink_minimal_increasing_labeling(o)
             words = dual_linear_extensions(o, omega)
+            des, snk = descents(o, zeta), o.sinks()
             arcs = " ".join(f"{u}->{v}" for u, v in o.arcs) or "(none)"
             word_strs = ["".join(str(x) for x in w) for w in words]
             lines.append(
-                f"  arcs: {arcs}  des={descents(o, zeta)}  snk={o.sinks()}  "
+                f"  arcs: {arcs}  des={des}  snk={snk}  "
                 f"omega={','.join(str(x) for x in omega.labels)}  "
                 f"extensions: {' '.join(word_strs)}"
             )
             extensions_json.append(
                 {
                     "arcs": [list(a) for a in o.arcs],
-                    "des": descents(o, zeta),
-                    "snk": o.sinks(),
+                    "des": des,
+                    "snk": snk,
                     "omega": list(omega.labels),
                     "extensions": word_strs,
                 }

@@ -129,7 +129,7 @@ class Orientation:
     aligned with the graph's canonical edge order.  Bit e of ``mask`` is
     set when edge e keeps its canonical (low -> high) direction."""
 
-    __slots__ = ("graph", "arcs", "mask", "_acyclic")
+    __slots__ = ("graph", "arcs", "mask", "_acyclic", "_out")
 
     def __init__(self, graph: Graph, arcs):
         edge_set = set(graph.edges)
@@ -147,7 +147,7 @@ class Orientation:
         self.graph = graph
         self.arcs = tuple(by_edge[e] for e in graph.edges)
         self.mask = sum(1 << e for e, (u, v) in enumerate(self.arcs) if u < v)
-        self._acyclic = None
+        self._acyclic = self._out = None
 
     @classmethod
     def from_mask(cls, graph: Graph, mask: int) -> "Orientation":
@@ -155,15 +155,18 @@ class Orientation:
 
         A mask names one direction per edge, so nothing is checked."""
         o = object.__new__(cls)
-        o.graph, o.mask, o._acyclic = graph, mask & (1 << graph.m) - 1, None
-        o.arcs = tuple((u, v) if mask >> e & 1 else (v, u) for e, (u, v) in enumerate(graph.edges))
+        o.graph, o.mask, o._acyclic, o._out = graph, mask & (1 << graph.m) - 1, None, None
+        o.arcs = tuple(edge if mask >> e & 1 else edge[::-1] for e, edge in enumerate(graph.edges))
         return o
 
-    def out_masks(self) -> list[int]:
-        out = [0] * self.graph.n
-        for u, v in self.arcs:
-            out[u - 1] |= 1 << (v - 1)
-        return out
+    def out_masks(self) -> tuple[int, ...]:
+        """Heads of the arcs leaving each vertex, as 0-indexed bits."""
+        if self._out is None:
+            out = [0] * self.graph.n
+            for u, v in self.arcs:
+                out[u - 1] |= 1 << (v - 1)
+            self._out = tuple(out)
+        return self._out
 
     def is_acyclic(self) -> bool:
         if self._acyclic is None:
@@ -172,8 +175,7 @@ class Orientation:
 
     def sinks(self) -> int:
         """Number of vertices with no outgoing arc (isolated ones count)."""
-        out = self.out_masks()
-        return sum(1 for v in range(self.graph.n) if out[v] == 0)
+        return self.out_masks().count(0)
 
     def reverse(self) -> "Orientation":
         return Orientation(self.graph, tuple((v, u) for u, v in self.arcs))

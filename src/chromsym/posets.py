@@ -47,8 +47,17 @@ class Poset:
         self.above = above
 
     @classmethod
+    def _trusted(cls, n: int, above: tuple[int, ...]) -> "Poset":
+        """A poset from above-masks closed and acyclic by construction; nothing is checked."""
+        p = object.__new__(cls)
+        p.n, p.above = n, above
+        return p
+
+    @classmethod
     def from_covers(cls, n: int, covers) -> "Poset":
         """Build from cover pairs [a, b] meaning a < b, closing transitively."""
+        if n < 0:
+            raise ValueError("element count must be nonnegative")
         direct = [0] * n
         for pair in covers:
             a, b = int(pair[0]), int(pair[1])
@@ -60,7 +69,7 @@ class Poset:
         above = _closure(direct)
         if above is None:
             raise ValueError("cover relations contain a cycle")
-        return cls(n, above)
+        return cls._trusted(n, tuple(above))
 
     def less(self, a: int, b: int) -> bool:
         return bool(self.above[a - 1] >> (b - 1) & 1)
@@ -87,7 +96,7 @@ class Poset:
 def all_posets(n: int):
     """Every partial order on {1..n}, each once, the antichain first."""
     for above in _poset_masks(n):
-        yield Poset(n, above)
+        yield Poset._trusted(n, above)
 
 
 def _closed_sets(m: int, up) -> list[int]:

@@ -238,7 +238,7 @@ def qsym_M_to_F_by_refinement(f) -> QuasisymmetricF:
     return QuasisymmetricF(n, out)
 
 
-def _sink_minimal_labels(o) -> tuple[int, ...]:
+def sink_minimal_labels(o) -> tuple[int, ...]:
     """Sinks take 1..s by vertex index; then the smallest vertex whose
     out-neighbours are all labeled takes the next label."""
     n = o.graph.n
@@ -254,7 +254,7 @@ def _sink_minimal_labels(o) -> tuple[int, ...]:
     return tuple(labels)
 
 
-def _extension_words(o, labels) -> list[tuple[int, ...]]:
+def extension_words(o, labels) -> list[tuple[int, ...]]:
     """Every vertex order with each arc's tail before its head, read
     through labels, by placing one vertex whose tails are all placed at a
     time."""
@@ -286,9 +286,9 @@ def orientation_compositions_by_words(graph: Graph) -> tuple:
     n = graph.n
     entries = []
     for o in acyclic_orientations(graph):
-        labels = _sink_minimal_labels(o)
+        labels = sink_minimal_labels(o)
         comps: Counter = Counter()
-        for word in _extension_words(o, labels):
+        for word in extension_words(o, labels):
             comps[composition_from_descents({n - i for i in descent_set(word)}, n)] += 1
         entries.append((o.mask, tuple(sorted(comps.items()))))
     return tuple(entries)

@@ -1,6 +1,6 @@
 from collections import Counter
 from itertools import permutations
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -51,10 +51,12 @@ from oracles import (
     coloring_profile_unpruned,
     count_colorings_brute,
     csf_monomial_by_colorings,
+    extension_words,
     orientation_compositions_by_words,
     seeded_graphs,
     sink_counts_scan,
     sink_histogram,
+    sink_minimal_labels,
 )
 
 CLAW = star_graph(3)
@@ -99,10 +101,16 @@ def test_coloring_profile_matches_the_unpruned_recursion_on_seeded_graphs_and_k7
 
 
 def _assert_orientation_compositions_match_the_oracle(g):
+    # The walk over vertex orders meets each acyclic orientation through its
+    # linear extensions; the backtracking kernel lists the orientations
+    # themselves.
     entries = _orientation_compositions(g)
+    kernel = list(acyclic_orientation_masks(g))
+    assert [mask for mask, _, _ in entries] == [mask for mask, _ in kernel]
+    assert [sinks for _, sinks, _ in entries] == [out.count(0) for _, out in kernel]
     got = tuple((mask, tuple(sorted(counts))) for mask, _, counts in entries)
     assert got == orientation_compositions_by_words(g)
-    assert [sinks for _, sinks, _ in entries] == [o.sinks() for o in acyclic_orientations(g)]
+    assert sum(c for _, _, counts in entries for _, c in counts) == factorial(g.n)
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -114,6 +122,18 @@ def test_orientation_compositions_match_the_word_oracle(n):
 def test_orientation_compositions_match_the_word_oracle_on_seeded_graphs_and_k7():
     for g in [*seeded_graphs(6, seed=21), complete_graph(7)]:
         _assert_orientation_compositions_match_the_oracle(g)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_dual_linear_extensions_match_the_word_oracle(n):
+    # under the canonical labeling and under one that ignores the arcs
+    reversed_labels = Labeling(range(n, 0, -1))
+    for g in all_graphs(n):
+        for o in acyclic_orientations(g):
+            omega = sink_minimal_increasing_labeling(o)
+            assert omega.labels == sink_minimal_labels(o)
+            for labeling in (omega, reversed_labels):
+                assert dual_linear_extensions(o, labeling) == tuple(sorted(extension_words(o, labeling.labels)))
 
 
 def test_csf_schur_golden_values():

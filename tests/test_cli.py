@@ -186,6 +186,31 @@ def test_cqf_labeling_flag(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "labeling, message",
+    [
+        ("a,b,c", "--labeling: 'a' is not a positive integer; give the labels 1..3"),
+        ("1,-2,3", "--labeling: '-2' is not a positive integer; give the labels 1..3"),
+        ("9", "--labeling gives 1 labels for a graph with 3 vertices"),
+        ("1,2,3,4", "--labeling gives 4 labels for a graph with 3 vertices"),
+        ("1,2,4", "--labeling: 4 is outside 1..3"),
+        ("2,1,2", "--labeling: 2 appears twice in a permutation of 1..3"),
+    ],
+)
+@pytest.mark.parametrize("command", [["cqf"], ["verify", "chrompoly"]])
+def test_bad_labelings_exit_2_naming_the_part_and_the_vertex_count(capsys, p3_file, command, labeling, message):
+    argv = [command[0], p3_file, *command[1:], "--labeling", labeling]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_cyclic_covers_exit_2(capsys, tmp_path):
+    path = tmp_path / "cyclic.json"
+    path.write_text('{"n": 3, "covers": [[1, 2], [2, 3], [3, 1]]}')
+    code, out, err = run_cli(capsys, "verify", str(path), "ptableaux")
+    assert (code, out, err) == (2, "", f"error: {path}: cover relations contain a cycle\n")
+
+
 def test_cqf_verbose_reports_the_4_path_extensions(capsys, tmp_path):
     path = tmp_path / "p4.json"
     path.write_text(P4_JSON)

@@ -174,6 +174,22 @@ def test_all_posets_matches_the_direction_scan(n):
     assert posets[0] == Poset(n, (0,) * n)  # the antichain comes first
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_built_posets_equal_validated_ones(n):
+    # all_posets and from_covers skip the checks of Poset(n, above)
+    for poset in all_posets(n):
+        assert poset == Poset(n, poset.above)
+        above = poset.above
+        relations = [(a, b) for a in range(n) for b in range(n) if above[a] >> b & 1]
+        covers = [
+            (a, b) for a, b in relations if not any(above[a] >> c & 1 and above[c] >> b & 1 for c in range(n))
+        ]
+        for pairs in (relations, covers):
+            built = Poset.from_covers(n, [[a + 1, b + 1] for a, b in pairs])
+            assert built == Poset(n, above)
+            assert hash(built) == hash(Poset(n, above))
+
+
 def test_all_posets_on_six_elements():
     assert sum(1 for _ in all_posets(6)) == 130_023
 
