@@ -4,11 +4,10 @@ The same quantities are reachable along two independent routes:
 
 * colorings: monomial coordinates from stable partitions, then exact
   basis changes; the quasisymmetric refinement and the chromatic
-  polynomial's enumeration side come from one recursion over proper
-  colorings, ``_coloring_profile``.  It drops a branch as soon as the
-  vertices left cannot use every color up to the highest one in play, so
-  its work follows the colorings it keeps, and it stores one count per
-  distinct (composition, edge directions) pair;
+  polynomial's enumeration side come from ``_coloring_profile``, a DP
+  over the set of vertices colored so far that adds one stable color
+  class at a time and counts colorings per distinct (composition, edge
+  directions) pair, never one coloring at a time;
 * orientations: acyclic orientations weighted by sinks and descents,
   assembled into fundamental coordinates through linear extensions.  One
   recursion over vertex orders, ``_vertex_orders``, meets every
@@ -193,56 +192,50 @@ def _zeta_bits(graph: Graph, zeta: Labeling | None) -> int:
 def _coloring_profile(graph: Graph) -> tuple[tuple[tuple[tuple[int, ...], int], int], ...]:
     """((class-size composition, edge-direction bits), colorings) over the
     proper colorings whose colors form an initial segment 1..j, one entry
-    per distinct pair.  Bit e of the direction bits is set when edge e
-    runs from the lower color to the higher one along its canonical
-    (low -> high vertex) direction.
+    per distinct pair, ascending in (descent mask of the composition, bits).
+    Bit e of the direction bits is set when edge e runs from the lower
+    color to the higher one along its canonical (low -> high vertex) direction.
 
-    Vertices are colored in index order.  With colors 1..top in play and
-    gaps of them still unused, a branch lives only while the vertices left
-    can fill every gap, so a used color at or below top is skipped once
-    they cannot, and no color above top + 1 + (vertices after this one) -
-    gaps is tried.
+    Such a coloring is a sequence of j nonempty stable color classes
+    (Stanley 1995).  A forward DP over the set S of colored vertices, in
+    ascending order of S, counts the colorings of S by one int key: the
+    direction bits, and bit m + p - 1 for each partial sum p of the
+    composition.  Coloring a stable T outside S next adds the partial sum
+    |S| + |T| and the bits of the edges from S up into T.  The work is one
+    step per (S, T, key of S), however many colorings a key counts.
     """
-    n = graph.n
-    if n == 0:
-        return ((((), 0), 1),)
-    earlier: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    n, m = graph.n, graph.m
+    adj = graph.adjacency_masks()
+    lower, upper = [0] * n, [0] * n  # bits of the edges whose lower (upper) end is v
     for e, (a, b) in enumerate(graph.edges):
-        earlier[b - 1].append((a - 1, 1 << e))  # (lower neighbour, edge bit)
-    colors = [0] * n
-    sizes = [0] * (n + 1)  # sizes[c]: vertices colored c so far
-    acc: dict[tuple[tuple[int, ...], int], int] = {}
-
-    def rec(v: int, top: int, gaps: int, bits: int):
-        rest = n - v - 1
-        for c in range(1, top + 2 + rest - gaps):
-            if c > top:
-                new_top, new_gaps = c, gaps + c - top - 1
-            elif sizes[c]:
-                if gaps > rest:
-                    continue
-                new_top, new_gaps = top, gaps
-            else:
-                new_top, new_gaps = top, gaps - 1
-            add = 0
-            for u, ebit in earlier[v]:
-                cu = colors[u]
-                if cu == c:
-                    break
-                if cu < c:
-                    add |= ebit
-            else:
-                sizes[c] += 1
-                if rest:
-                    colors[v] = c
-                    rec(v + 1, new_top, new_gaps, bits | add)
-                else:  # v is the last vertex and no gap is left
-                    key = (tuple(sizes[1 : new_top + 1]), bits | add)
-                    acc[key] = acc.get(key, 0) + 1
-                sizes[c] -= 1
-
-    rec(0, 0, 0, 0)
-    return tuple(acc.items())
+        lower[a - 1] |= 1 << e
+        upper[b - 1] |= 1 << e
+    full = (1 << n) - 1
+    stable = [True] * (full + 1)  # stable[T]: no edge inside T
+    starts = [0] * (full + 1)  # starts[S]: the edges whose lower end is in S
+    ends = [0] * (full + 1)  # ends[T]: the edges whose upper end is in T
+    for t in range(1, full + 1):
+        low = (t & -t).bit_length() - 1
+        rest = t & (t - 1)
+        stable[t] = stable[rest] and not adj[low] & rest
+        starts[t] = starts[rest] | lower[low]
+        ends[t] = ends[rest] | upper[low]
+    states: list = [defaultdict(int) for _ in range(full + 1)]
+    states[0][0] = 1
+    for s in range(full):
+        here, states[s] = states[s], None
+        up, shift, free = starts[s], m + s.bit_count() - 1, full ^ s
+        t = free
+        while t:
+            if stable[t]:
+                delta = up & ends[t] | 1 << (shift + t.bit_count())
+                there = states[s | t]
+                for key, count in here.items():
+                    there[key | delta] += count
+            t = (t - 1) & free
+    table, final = _compositions_by_mask(n), states[full]
+    low, bits = len(table) - 1, (1 << m) - 1  # the partial sum n is dropped
+    return tuple(((table[key >> m & low], key & bits), final[key]) for key in sorted(final))
 
 
 @lru_cache(maxsize=8)

@@ -17,7 +17,6 @@ from typing import Callable, NamedTuple
 
 from .chromatic import (
     chromatic_polynomial_by_colorings,
-    chromatic_polynomial_value,
     cqf_fundamental_via_orientations,
     cqf_monomial,
     csf_monomial,
@@ -40,6 +39,7 @@ from .symfunc import (
     m_to_e,
     m_to_s,
     qsym_M_to_F,
+    specialize_w_k,
 )
 from .tableaux import kostka
 from .tpoly import TPoly
@@ -271,8 +271,9 @@ def _e_sink_rows(graph: Graph, zeta) -> list[tuple]:
 
 
 def _chrompoly_rows(graph: Graph, zeta) -> list[tuple]:
+    monomial = csf_monomial(graph)  # built once, specialized at every k
     return [
-        (k, chromatic_polynomial_value(graph, k), chromatic_polynomial_by_colorings(graph, k))
+        (k, specialize_w_k(monomial, k), chromatic_polynomial_by_colorings(graph, k))
         for k in range(graph.n + 1)
     ]
 

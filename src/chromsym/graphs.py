@@ -274,7 +274,10 @@ def acyclic_orientation_masks(graph: Graph):
             out[tail] &= ~(1 << head)
             reach[:] = saved
 
-    yield from rec(len(edges) - 1, 0)
+    try:
+        yield from rec(len(edges) - 1, 0)
+    finally:
+        del rec  # rec refers to itself: break the cycle, also when the caller stops early
 
 
 def acyclic_orientations(graph: Graph) -> tuple[Orientation, ...]:
@@ -358,7 +361,9 @@ def _stable_partition_counts(graph: Graph) -> tuple[tuple[tuple[int, ...], int],
             memo[s] = got
         return got
 
-    return tuple(sorted(((_decode_type(code, n), c) for code, c in g(full).items()), reverse=True))
+    types = g(full)
+    del g  # g refers to itself and holds the memo: break the cycle so the memo is freed at once
+    return tuple(sorted(((_decode_type(code, n), c) for code, c in types.items()), reverse=True))
 
 
 def is_claw_free(graph: Graph) -> bool:

@@ -198,6 +198,7 @@ def _hook_tableau_counts(poset: Poset) -> list[int]:
 
     for bottom in range(n):
         chains(bottom, bottom, 1 << bottom, 1)
+    del legs, chains  # each refers to itself and legs holds the memo: break the cycles
     return counts
 
 

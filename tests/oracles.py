@@ -222,6 +222,59 @@ def coloring_profile_unpruned(graph: Graph) -> list[tuple[tuple[int, ...], int]]
     return out
 
 
+def coloring_profile_pruned(graph: Graph) -> tuple[tuple[tuple[tuple[int, ...], int], int], ...]:
+    """((class-size composition, edge-direction bits), colorings) as the
+    coloring kernel counts them, one entry per distinct pair, found by
+    visiting every proper coloring onto an initial segment 1..j.
+
+    Vertices are colored in index order.  With colors 1..top in play and
+    gaps of them still unused, a branch lives only while the vertices left
+    can fill every gap, so a used color at or below top is skipped once
+    they cannot, and no color above top + 1 + (vertices after this one) -
+    gaps is tried.
+    """
+    n = graph.n
+    if n == 0:
+        return ((((), 0), 1),)
+    earlier: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for e, (a, b) in enumerate(graph.edges):
+        earlier[b - 1].append((a - 1, 1 << e))  # (lower neighbour, edge bit)
+    colors = [0] * n
+    sizes = [0] * (n + 1)  # sizes[c]: vertices colored c so far
+    acc: dict[tuple[tuple[int, ...], int], int] = {}
+
+    def rec(v: int, top: int, gaps: int, bits: int):
+        rest = n - v - 1
+        for c in range(1, top + 2 + rest - gaps):
+            if c > top:
+                new_top, new_gaps = c, gaps + c - top - 1
+            elif sizes[c]:
+                if gaps > rest:
+                    continue
+                new_top, new_gaps = top, gaps
+            else:
+                new_top, new_gaps = top, gaps - 1
+            add = 0
+            for u, ebit in earlier[v]:
+                cu = colors[u]
+                if cu == c:
+                    break
+                if cu < c:
+                    add |= ebit
+            else:
+                sizes[c] += 1
+                if rest:
+                    colors[v] = c
+                    rec(v + 1, new_top, new_gaps, bits | add)
+                else:  # v is the last vertex and no gap is left
+                    key = (tuple(sizes[1 : new_top + 1]), bits | add)
+                    acc[key] = acc.get(key, 0) + 1
+                sizes[c] -= 1
+
+    rec(0, 0, 0, 0)
+    return tuple(acc.items())
+
+
 def qsym_M_to_F_by_refinement(f) -> QuasisymmetricF:
     """Fundamental coordinates of f, by signed refinement inversion: M_beta
     spreads over every alpha refining beta with sign (-1)^(added descents)."""

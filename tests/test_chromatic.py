@@ -34,7 +34,7 @@ from chromsym.graphs import (
     path_graph,
     star_graph,
 )
-from chromsym.partitions import composition_from_descents, hook_partition
+from chromsym.partitions import _descent_mask, composition_from_descents, hook_partition
 from chromsym.symfunc import (
     QuasisymmetricF,
     collapse_t,
@@ -48,6 +48,7 @@ from chromsym.tpoly import TPoly
 from oracles import (
     acyclic_orientations_scan,
     all_graphs,
+    coloring_profile_pruned,
     coloring_profile_unpruned,
     count_colorings_brute,
     csf_monomial_by_colorings,
@@ -82,10 +83,17 @@ def test_coloring_count_matches_brute_force(n):
             assert chromatic_polynomial_by_colorings(g, k) == count_colorings_brute(g, k)
 
 
-def _assert_coloring_profile_matches_the_oracle(g):
+def _assert_coloring_profile_matches(g, expected):
     profile = _coloring_profile(g)
-    assert len(dict(profile)) == len(profile)  # one entry per distinct pair
-    assert dict(profile) == Counter(coloring_profile_unpruned(g))
+    # one entry per distinct pair, in a fixed order: the bytes of every
+    # verb that reads the profile must not depend on dict insertion order
+    keys = [(_descent_mask(comp), bits) for (comp, bits), _ in profile]
+    assert keys == sorted(set(keys))
+    assert dict(profile) == expected
+
+
+def _assert_coloring_profile_matches_the_oracle(g):
+    _assert_coloring_profile_matches(g, Counter(coloring_profile_unpruned(g)))
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -98,6 +106,14 @@ def test_coloring_profile_matches_the_unpruned_recursion_on_seeded_graphs_and_k7
     # one graph each on 6, 7 and 8 vertices: the oracle visits up to n^n colorings
     for g in [*seeded_graphs(3, seed=21), complete_graph(7)]:
         _assert_coloring_profile_matches_the_oracle(g)
+
+
+def test_coloring_profile_matches_the_pruned_recursion_on_graphs_with_8_vertices():
+    # out of the unpruned oracle's reach: it tries up to 8^8 colorings per graph
+    cycle_8 = Graph(8, [*path_graph(8).edges, (1, 8)])
+    graphs = [path_graph(8), cycle_8, star_graph(7), edgeless_graph(8), complete_graph(8)]
+    for g in [*graphs, *seeded_graphs(3, seed=34, sizes=(8,))]:
+        _assert_coloring_profile_matches(g, dict(coloring_profile_pruned(g)))
 
 
 def _assert_orientation_compositions_match_the_oracle(g):

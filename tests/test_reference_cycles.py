@@ -1,0 +1,61 @@
+"""No kernel leaves a reference cycle behind.
+
+A recursion written as a nested function that calls itself refers to
+itself through its closure, so the function, and every table the closure
+holds, stays alive after the call until a cyclic collection.  Each kernel
+breaks that cycle when its walk ends; with ``gc.DEBUG_SAVEALL`` set, the
+collector keeps whatever it would have freed, so a chromsym function
+found there is a cycle that was not broken.
+"""
+
+import gc
+from itertools import islice
+from types import FunctionType
+
+import pytest
+
+from chromsym.chromatic import (
+    _coloring_profile,
+    _orientation_compositions,
+    _sink_counts,
+    dual_linear_extensions,
+    sink_minimal_increasing_labeling,
+)
+from chromsym.graphs import Graph, _stable_partition_counts, acyclic_orientation_masks, acyclic_orientations
+from chromsym.posets import Poset, _hook_tableau_counts
+
+GRAPH = Graph(6, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5), (4, 6), (5, 6)])
+POSET = Poset.from_covers(6, [[1, 2], [1, 3], [2, 4], [3, 4], [4, 5]])
+ORIENTATION = acyclic_orientations(GRAPH)[7]
+
+KERNELS = {
+    # the cached kernels are called past their caches, so that each call walks
+    "_coloring_profile": lambda: _coloring_profile.__wrapped__(GRAPH),
+    "_orientation_compositions": lambda: _orientation_compositions.__wrapped__(GRAPH),
+    "_sink_counts": lambda: _sink_counts.__wrapped__(GRAPH),
+    "_stable_partition_counts": lambda: _stable_partition_counts.__wrapped__(GRAPH),
+    "acyclic_orientation_masks": lambda: list(acyclic_orientation_masks(GRAPH)),
+    "acyclic_orientation_masks, stopped early": lambda: list(islice(acyclic_orientation_masks(GRAPH), 3)),
+    "dual_linear_extensions": lambda: dual_linear_extensions(
+        ORIENTATION, sink_minimal_increasing_labeling(ORIENTATION)
+    ),
+    "_hook_tableau_counts": lambda: _hook_tableau_counts(POSET),
+}
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_the_kernel_leaves_no_chromsym_function_in_a_cycle(name):
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert KERNELS[name]()
+        gc.collect()
+        leaked = [
+            obj.__qualname__
+            for obj in gc.garbage
+            if isinstance(obj, FunctionType) and obj.__module__.startswith("chromsym")
+        ]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert leaked == []
