@@ -13,6 +13,10 @@ The same quantities are reachable along two independent routes:
   recursion over vertex orders, ``_vertex_orders``, meets every
   (orientation, linear extension) pair once: an order is an extension of
   the one orientation whose arcs run from its earlier to its later ends.
+  It places vertices from the last position to the first and labels them
+  by height, so each order's descents are known as it is built; in its
+  hook mode it meets only the extensions whose descent composition is a
+  hook, 2^(sinks - 1) per orientation instead of all n! orders.
 
 Hook coefficients computed both ways must agree, which is what the
 ``verify``/``sweep`` commands and the test suite exercise exhaustively
@@ -30,7 +34,6 @@ from .graphs import (
     Graph,
     Labeling,
     Orientation,
-    _transpose,
     acyclic_orientations,  # noqa: F401  (perfbench/shim.py wraps this binding)
     stable_partitions_by_type,
 )
@@ -263,9 +266,69 @@ def cqf_monomial(graph: Graph, zeta: Labeling | None = None) -> QuasisymmetricM:
     return QuasisymmetricM._trusted(graph.n, {comp: TPoly._trusted(arr) for comp, arr in acc.items()})
 
 
-def _canonical_labels(n: int, out) -> list[int]:
-    """Labels of the sink-minimal increasing labeling of the acyclic
-    orientation whose out-neighbour masks are out."""
+def _vertex_orders(adj, after, kept, order: list[int], leaf, hooks: bool = False) -> None:
+    """Call leaf(mask, descents, sinks) once for every order of the vertices
+    0..n-1 that places each vertex v before all of after[v], with order[i]
+    the vertex at position i.  An order is a linear extension of the acyclic
+    orientation whose arcs run from the earlier to the later end of each
+    edge of adj.  Vertices are placed from the last position to the first,
+    so the neighbours of v already placed are the heads of its arcs: mask
+    ORs kept[v][S] over the vertices v, S being the vertices placed after v,
+    and sinks counts the vertices placed with no neighbour after them.  Each
+    vertex is labeled by its height, the longest directed path to a sink,
+    ties broken by index; bit n - 2 - i of descents is set when the label at
+    position i is larger than the one at i + 1.  With hooks, only the orders
+    whose labels fall and then rise are met: read from the back, an ascent
+    after a descent ends the branch."""
+    n = len(adj)
+    if n == 0:
+        leaf(0, 0, 0)
+        return
+    full = (1 << n) - 1
+    height = [0] * n + [n]  # the sentinel height[n] puts no descent after the last position
+    level = [0] * n  # level[d]: the placed vertices of height d
+
+    def rec(placed: int, i: int, mask: int, last: int, des: int, sinks: int, rise: int):
+        top = height[last]
+        rest = full ^ placed
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            if after[v] & ~placed:
+                continue
+            h, heads = rise, adj[v] & placed  # rise is one more than the largest height placed
+            while h and not heads & level[h - 1]:
+                h -= 1
+            if h > top or h == top and v > last:
+                fell = des | 1 << (n - 2 - i)
+            elif hooks and des:
+                continue
+            else:
+                fell = des
+            height[v] = h
+            order[i] = v
+            if i:
+                level[h] |= low
+                rec(placed | low, i - 1, mask | kept[v][placed], v, fell, sinks + (not h), rise + (h == rise))
+                level[h] ^= low
+            else:
+                leaf(mask | kept[v][placed], fell, sinks + (not h))
+
+    rec(0, n - 1, 0, n, 0, 0, 0)
+    del rec  # rec refers to itself: break the cycle so the caller's tables are freed at once
+
+
+def sink_minimal_increasing_labeling(o: Orientation) -> Labeling:
+    """The canonical labeling that decreases along directed paths and
+    gives the sinks the smallest labels.
+
+    Sinks are labeled 1..s by vertex index; afterwards the smallest
+    vertex whose out-neighbours are all labeled receives the next label.
+    """
+    if not o.is_acyclic():
+        raise ValueError("orientation has a directed cycle")
+    n, out = o.graph.n, o.out_masks()
     labels = [0] * n
     labeled = 0
     next_label = 1
@@ -281,51 +344,7 @@ def _canonical_labels(n: int, out) -> list[int]:
         labels[v] = next_label
         next_label += 1
         labeled |= 1 << v
-    return labels
-
-
-def _vertex_orders(n: int, prereq, kept, order: list[int], leaf) -> None:
-    """Call leaf(mask) once for every order of the vertices 0..n-1 that
-    places each vertex v after all of prereq[v], with order[i] the vertex
-    at position i.  mask ORs kept[v][S] over the vertices v, S being the
-    vertices placed before v."""
-    if n < 2:
-        order[:] = range(n)
-        leaf(0)
-        return
-    full = (1 << n) - 1
-    penult = n - 2
-
-    def rec(placed: int, i: int, mask: int):
-        rest = full ^ placed
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            if prereq[v] & ~placed:
-                continue
-            order[i] = v
-            if i == penult:  # the one vertex left is free to go last
-                w = (full ^ placed ^ low).bit_length() - 1
-                order[i + 1] = w
-                leaf(mask | kept[v][placed] | kept[w][placed | low])
-            else:
-                rec(placed | low, i + 1, mask | kept[v][placed])
-
-    rec(0, 0, 0)
-    del rec  # rec refers to itself: break the cycle so the caller's tables are freed at once
-
-
-def sink_minimal_increasing_labeling(o: Orientation) -> Labeling:
-    """The canonical labeling that decreases along directed paths and
-    gives the sinks the smallest labels.
-
-    Sinks are labeled 1..s by vertex index; afterwards the smallest
-    vertex whose out-neighbours are all labeled receives the next label.
-    """
-    if not o.is_acyclic():
-        raise ValueError("orientation has a directed cycle")
-    return Labeling(_canonical_labels(o.graph.n, o.out_masks()))
+    return Labeling(labels)
 
 
 def dual_linear_extensions(o: Orientation, omega: Labeling) -> tuple[tuple[int, ...], ...]:
@@ -339,66 +358,58 @@ def dual_linear_extensions(o: Orientation, omega: Labeling) -> tuple[tuple[int, 
     labels, order, words = omega.labels, [0] * n, []
     no_bits = [defaultdict(int)] * n  # reads 0 for every set: no direction bits are needed
 
-    def record(_):
+    def record(*_):
         words.append(tuple(labels[v] for v in order))
 
-    _vertex_orders(n, _transpose(o.out_masks()), no_bits, order, record)
+    _vertex_orders([0] * n, o.out_masks(), no_bits, order, record)  # no edges: every height is 0, only the orders are read
     return tuple(sorted(words))
 
 
 @lru_cache(maxsize=4)
-def _orientation_compositions(graph: Graph) -> tuple:
+def _orientation_compositions(graph: Graph, hooks: bool = False) -> tuple:
     """(direction bits, sinks, composition counts) per acyclic orientation,
-    in ascending order of the bits, from one walk over the n! vertex orders.
-    The first order met for an orientation gives its out-neighbour masks,
-    hence its sinks and canonical labels; each order then counts the
-    composition of its reflected descent set {i : n - i in Des} under them."""
+    in ascending order of the bits, from one walk over the vertex orders:
+    each order counts the composition of its reflected descent set
+    {i : n - i in Des} under the height labeling.  Every labeling that
+    decreases along the arcs gives an orientation the same descent sets
+    over its linear extensions (Stanley 1972).  With hooks, only the orders
+    whose composition is a hook (k, 1^(n-k)) are walked: 2^(sinks - 1) per
+    orientation, one of them with k = 1."""
     n = graph.n
-    adj = graph.adjacency_masks()
     edge_bits = {edge: 1 << e for e, edge in enumerate(graph.edges)}
-    kept = [[0] for _ in range(n)]  # kept[v][S]: bits of the edges {u, v} with u in S and u < v
+    kept = [[0] for _ in range(n)]  # kept[v][S]: bits of the edges {v, u} with u in S and v < u
     for u in range(n):  # each row doubles once per vertex, as S takes or leaves u
         for v, row in enumerate(kept):
-            bit = edge_bits.get((u + 1, v + 1), 0)
+            bit = edge_bits.get((v + 1, u + 1), 0)
             row += [x | bit for x in row] if bit else row
-    found: dict[int, bytes] = {}  # mask -> canonical labels, then the sinks
-    tally: defaultdict[int, int] = defaultdict(int)  # mask << n | reflected descent bits -> orders
-    order = [0] * n
+    found: dict[int, int] = {}  # mask -> sinks
+    tally: defaultdict[int, int] = defaultdict(int)  # mask << n | descent bits -> orders
 
-    def leaf(mask: int):
-        labels = found.get(mask)
-        if labels is None:
-            out, seen = [0] * n, 0
-            for v in order:
-                seen |= 1 << v
-                out[v] = adj[v] & ~seen
-            labels = found[mask] = bytes([*_canonical_labels(n, out), out.count(0)])
-        key, prev = mask, 0
-        for v in order:  # shifts mask up by n; bit n - 1 - i is set for a descent at position i
-            label = labels[v]
-            key = key << 1 | (prev > label)
-            prev = label
-        tally[key] += 1
+    def leaf(mask: int, des: int, sinks: int):
+        tally[mask << n | des] += 1
+        found[mask] = sinks
 
-    _vertex_orders(n, [0] * n, kept, order, leaf)
+    _vertex_orders(graph.adjacency_masks(), [0] * n, kept, [0] * n, leaf, hooks)
     table = _compositions_by_mask(n)
     low = (1 << n) - 1
-    return tuple(
-        (mask, found.pop(mask)[n], tuple((table[key & low], tally.pop(key)) for key in keys))
-        for mask, keys in groupby(sorted(tally), lambda key: key >> n)
-    )
+    entries, shared = [], {}  # equal count tuples are kept once: less memory, fewer objects to collect
+    for mask, keys in groupby(sorted(tally), lambda key: key >> n):
+        counts = tuple((table[key & low], tally.pop(key)) for key in keys)
+        entries.append((mask, found.pop(mask), shared.setdefault(counts, counts)))
+    return tuple(entries)
 
 
 def cqf_fundamental_via_orientations(
-    graph: Graph, zeta: Labeling | None = None
+    graph: Graph, zeta: Labeling | None = None, hooks: bool = False
 ) -> QuasisymmetricF:
     """Fundamental coordinates assembled from acyclic orientations:
     each orientation contributes t^(descents) times the fundamental
-    terms of its dual linear extensions."""
+    terms of its dual linear extensions.  With hooks, only the terms at
+    the hooks (k, 1^(n-k)), from a walk that meets only their extensions."""
     m = graph.m
     zbits = _zeta_bits(graph, zeta)
     acc: dict[tuple[int, ...], list[int]] = {}
-    for dirbits, _, comp_counts in _orientation_compositions(graph):
+    for dirbits, _, comp_counts in _orientation_compositions(graph, hooks):
         des = (dirbits ^ zbits).bit_count()
         for comp, count in comp_counts:
             arr = acc.get(comp)
@@ -411,14 +422,14 @@ def cqf_fundamental_via_orientations(
 def hook_coefficients_via_orientations_t(graph: Graph, zeta: Labeling | None) -> tuple[TPoly, ...]:
     """Entry k - 1 is the binomial-weighted descent generating polynomial
     over acyclic orientations, sum of C(sinks-1, k-1) t^(descents), for k in
-    1..n.  It reads the cached walk over all n! vertex orders that
-    ``cqf_fundamental_via_orientations`` also reads, so a call that finds
-    no walk cached for the graph lists all n! orders.  One pass bins the
+    1..n.  It reads the cached hook walk that
+    ``cqf_fundamental_via_orientations(..., hooks=True)`` also reads, which
+    meets every orientation once with k = 1.  One pass bins the
     orientations by (sinks, descents); each bin then serves every k."""
     zbits = _zeta_bits(graph, zeta)
     n, m = graph.n, graph.m
     bins = [[0] * (m + 1) for _ in range(n + 1)]  # bins[sinks][descents]
-    for dirbits, sinks_, _ in _orientation_compositions(graph):
+    for dirbits, sinks_, _ in _orientation_compositions(graph, True):
         bins[sinks_][(dirbits ^ zbits).bit_count()] += 1
     polys = []
     for k in range(1, n + 1):

@@ -13,7 +13,8 @@ import json
 import os
 import sys
 from contextlib import closing
-from typing import Callable, NamedTuple
+from itertools import chain
+from typing import Callable, Iterable, NamedTuple
 
 from .chromatic import (
     chromatic_polynomial_by_colorings,
@@ -65,14 +66,22 @@ def _emit_table(lines: list[str], items) -> None:
         lines.append(f"  {k.ljust(width)}  {c}")
 
 
-def _finish(args, command: str, inputs: dict, outputs: dict, status: str, lines: list[str]) -> int:
+def _finish(args, command: str, inputs: dict, outputs: dict, status: str, lines: Iterable[str]) -> int:
     """Write the run to stdout, as JSON with --json and as lines otherwise,
-    and return the exit code of its status."""
+    and return the exit code of its status.  The lines are read only
+    without --json, and written in chunks of about 64 KiB."""
     if args.json:
         payload = {"command": command, "inputs": inputs, "outputs": outputs, "status": status}
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
-        sys.stdout.write("\n".join(lines) + "\n")
+        chunk, size = [], 0
+        for line in lines:
+            chunk.append(line + "\n")
+            size += len(chunk[-1])
+            if size >= 1 << 16:
+                sys.stdout.write("".join(chunk))
+                chunk, size = [], 0
+        sys.stdout.write("".join(chunk))
     return EXIT_OK if status == "ok" else EXIT_MISMATCH
 
 
@@ -193,32 +202,34 @@ def cmd_cqf(args) -> int:
     if args.t_eval is not None:
         lines.append(f"symmetric at t=1: {'yes' if outputs['symmetric_at_1'] else 'no'}")
 
+    listing: Iterable[str] = ()
     if args.verbose:
-        lines.append("orientations:")
-        extensions_json = []
-        for o in acyclic_orientations(graph):
-            omega = sink_minimal_increasing_labeling(o)
-            words = dual_linear_extensions(o, omega)
-            des, snk = descents(o, zeta), o.sinks()
-            arcs = " ".join(f"{u}->{v}" for u, v in o.arcs) or "(none)"
-            word_strs = ["".join(str(x) for x in w) for w in words]
-            lines.append(
-                f"  arcs: {arcs}  des={des}  snk={snk}  "
-                f"omega={','.join(str(x) for x in omega.labels)}  "
-                f"extensions: {' '.join(word_strs)}"
+        records = _orientation_records(graph, zeta)
+        if args.json:
+            outputs["orientations"] = [
+                {"arcs": [list(a) for a in arcs], "des": des, "snk": snk, "omega": list(omega), "extensions": words}
+                for arcs, des, snk, omega, words in records
+            ]
+        else:  # one line at a time, as _finish writes them
+            listing = chain(
+                ["orientations:"],
+                (
+                    f"  arcs: {' '.join(f'{u}->{v}' for u, v in arcs) or '(none)'}  des={des}  snk={snk}  "
+                    f"omega={','.join(str(x) for x in omega)}  extensions: {' '.join(words)}"
+                    for arcs, des, snk, omega, words in records
+                ),
             )
-            extensions_json.append(
-                {
-                    "arcs": [list(a) for a in o.arcs],
-                    "des": des,
-                    "snk": snk,
-                    "omega": list(omega.labels),
-                    "extensions": word_strs,
-                }
-            )
-        outputs["orientations"] = extensions_json
-    lines.append(f"status: {status}")
+    lines = chain(lines, listing, [f"status: {status}"])
     return _finish(args, "cqf", _graph_inputs(graph, zeta, loaded.names), outputs, status, lines)
+
+
+def _orientation_records(graph: Graph, zeta: Labeling):
+    """(arcs, descents, sinks, canonical labels, extension words) for each
+    acyclic orientation in turn, as ``cqf --verbose`` lists them."""
+    for o in acyclic_orientations(graph):
+        omega = sink_minimal_increasing_labeling(o)
+        words = ["".join(str(x) for x in w) for w in dual_linear_extensions(o, omega)]
+        yield o.arcs, descents(o, zeta), o.sinks(), omega.labels, words
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +248,7 @@ class Check(NamedTuple):
 
 
 def _hook_t_rows(graph: Graph, zeta: Labeling | None) -> list[tuple]:
-    direct = cqf_fundamental_via_orientations(graph, zeta)
+    direct = cqf_fundamental_via_orientations(graph, zeta, hooks=True)
     converted = qsym_M_to_F(cqf_monomial(graph, zeta))
     sums = hook_coefficients_via_orientations_t(graph, zeta)
     return [

@@ -55,7 +55,9 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
             for rest in rec(rem - first, first):
                 yield (first,) + rest
 
-    return tuple(rec(n, n))
+    out = tuple(rec(n, n))
+    del rec  # rec refers to itself: break the cycle
+    return out
 
 
 def compositions_of(n: int) -> tuple[Composition, ...]:

@@ -175,6 +175,7 @@ def _schur_h_table(n: int) -> dict[Partition, tuple[tuple[Partition, int], ...]]
                 nu = decoded[code] = _decode_type(code, n)
             row.append((nu, c))
         table[lam] = tuple(row)
+    del expand  # expand refers to itself: break the cycle so the memo is freed at once
     return table
 
 

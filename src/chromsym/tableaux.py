@@ -80,6 +80,7 @@ def standard_tableaux(lam) -> tuple[Tableau, ...]:
                 row.pop()
 
     place(1)
+    del place  # place refers to itself: break the cycle
     return tuple(out)
 
 
@@ -99,8 +100,11 @@ def _strip_removals(shape: tuple[int, ...], size: int):
             for rest in rec(i + 1, remaining - removed):
                 yield (v,) + rest
 
-    for nu in rec(0, size):
-        yield tuple(p for p in nu if p)
+    try:
+        for nu in rec(0, size):
+            yield tuple(p for p in nu if p)
+    finally:
+        del rec  # rec refers to itself: break the cycle, also when the caller stops early
 
 
 @lru_cache(maxsize=1 << 15)

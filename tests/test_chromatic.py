@@ -1,6 +1,7 @@
 from collections import Counter
 from itertools import permutations
 from math import comb, factorial
+from random import Random
 
 import pytest
 
@@ -138,6 +139,39 @@ def test_orientation_compositions_match_the_word_oracle(n):
 def test_orientation_compositions_match_the_word_oracle_on_seeded_graphs_and_k7():
     for g in [*seeded_graphs(6, seed=21), complete_graph(7)]:
         _assert_orientation_compositions_match_the_oracle(g)
+
+
+def _assert_hook_walk_matches_the_full_walk(g, zetas):
+    n = g.n
+    hook_entries = _orientation_compositions(g, True)
+    # every orientation once, with the sinks the full walk gives it
+    assert [entry[:2] for entry in hook_entries] == [entry[:2] for entry in _orientation_compositions(g)]
+    hooks = {hook_partition(n, k) for k in range(1, n + 1)}
+    for _, sinks, counts in hook_entries:
+        by_comp = dict(counts)
+        assert set(by_comp) <= hooks
+        assert by_comp[(1,) * n] == 1  # the falling extension
+        assert sum(by_comp.values()) == 2 ** (sinks - 1)
+    for zeta in zetas:
+        walked = cqf_fundamental_via_orientations(g, zeta, hooks=True)
+        assert set(walked.coeffs) <= hooks
+        full = cqf_fundamental_via_orientations(g, zeta)
+        for k in range(1, n + 1):
+            assert hook_coefficient_of_F(walked, k) == hook_coefficient_of_F(full, k)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_hook_walk_matches_the_full_walk(n):
+    for g in all_graphs(n):
+        _assert_hook_walk_matches_the_full_walk(g, (Labeling.identity(n), Labeling(range(n, 0, -1))))
+
+
+def test_hook_walk_matches_the_full_walk_on_seeded_graphs_k7_and_path_8():
+    rng = Random(12)
+    for g in [*seeded_graphs(6, seed=12), complete_graph(7), path_graph(8)]:
+        labels = list(range(1, g.n + 1))
+        rng.shuffle(labels)
+        _assert_hook_walk_matches_the_full_walk(g, (Labeling(labels),))
 
 
 @pytest.mark.parametrize("n", range(5))

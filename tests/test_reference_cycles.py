@@ -22,7 +22,10 @@ from chromsym.chromatic import (
     sink_minimal_increasing_labeling,
 )
 from chromsym.graphs import Graph, _stable_partition_counts, acyclic_orientation_masks, acyclic_orientations
+from chromsym.partitions import partitions_of
 from chromsym.posets import Poset, _hook_tableau_counts
+from chromsym.symfunc import _schur_h_table
+from chromsym.tableaux import _strip_removals, standard_tableaux
 
 GRAPH = Graph(6, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5), (4, 6), (5, 6)])
 POSET = Poset.from_covers(6, [[1, 2], [1, 3], [2, 4], [3, 4], [4, 5]])
@@ -32,6 +35,7 @@ KERNELS = {
     # the cached kernels are called past their caches, so that each call walks
     "_coloring_profile": lambda: _coloring_profile.__wrapped__(GRAPH),
     "_orientation_compositions": lambda: _orientation_compositions.__wrapped__(GRAPH),
+    "_orientation_compositions, hooks": lambda: _orientation_compositions.__wrapped__(GRAPH, True),
     "_sink_counts": lambda: _sink_counts.__wrapped__(GRAPH),
     "_stable_partition_counts": lambda: _stable_partition_counts.__wrapped__(GRAPH),
     "acyclic_orientation_masks": lambda: list(acyclic_orientation_masks(GRAPH)),
@@ -40,6 +44,11 @@ KERNELS = {
         ORIENTATION, sink_minimal_increasing_labeling(ORIENTATION)
     ),
     "_hook_tableau_counts": lambda: _hook_tableau_counts(POSET),
+    "_schur_h_table": lambda: _schur_h_table.__wrapped__(6),
+    "_strip_removals": lambda: list(_strip_removals((4, 3, 1), 3)),
+    "_strip_removals, stopped early": lambda: list(islice(_strip_removals((4, 3, 1), 3), 1)),
+    "standard_tableaux": lambda: standard_tableaux((3, 2)),
+    "partitions_of": lambda: partitions_of.__wrapped__(6),
 }
 
 
