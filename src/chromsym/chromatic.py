@@ -6,15 +6,16 @@ The same quantities are reachable along two independent routes:
   basis changes; the quasisymmetric refinement and the chromatic
   polynomial's enumeration side come from ``_coloring_profile``, a DP
   over the set of vertices colored so far that adds one stable color
-  class at a time and counts colorings per distinct (composition, edge
-  directions) pair, never one coloring at a time;
+  class at a time and counts colorings per distinct (composition,
+  ascents) pair, never one coloring at a time;
 * orientations: acyclic orientations weighted by sinks and descents,
   assembled into fundamental coordinates through linear extensions.  One
   recursion over vertex orders, ``_vertex_orders``, meets every
   (orientation, linear extension) pair once: an order is an extension of
   the one orientation whose arcs run from its earlier to its later ends.
   It places vertices from the last position to the first and labels them
-  by height, so each order's descents are known as it is built; in its
+  by height, so each order's descents, and the orientation's descents
+  under the labeling, are known as it is built; in its
   hook mode it meets only the extensions whose descent composition is a
   hook, 2^(sinks - 1) per orientation instead of all n! orders.
 
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
-from itertools import groupby
 from math import comb, factorial
 
 from .graphs import (
@@ -178,39 +178,44 @@ def chromatic_polynomial_by_colorings(graph: Graph, k: int) -> int:
 # quasisymmetric refinement
 
 
-def _zeta_bits(graph: Graph, zeta: Labeling | None) -> int:
-    """Bit e is set when edge e runs up zeta (every edge when zeta is None)."""
-    if zeta is None:
-        return (1 << graph.m) - 1
-    if zeta.n != graph.n:
+def _below(graph: Graph, zeta: Labeling | None) -> list[int]:
+    """Entry v masks the neighbours of vertex v (0-indexed) with a smaller
+    label under zeta, or a smaller index when zeta is None."""
+    if zeta is not None and zeta.n != graph.n:
         raise ValueError("labeling does not match the graph's vertex count")
-    bits = 0
-    for e, (u, v) in enumerate(graph.edges):
-        if zeta.label(u) < zeta.label(v):
-            bits |= 1 << e
-    return bits
+    below = [0] * graph.n
+    for a, b in graph.edges:
+        if zeta is None or zeta.label(a) < zeta.label(b):
+            below[b - 1] |= 1 << (a - 1)
+        else:
+            below[a - 1] |= 1 << (b - 1)
+    return below
 
 
 @lru_cache(maxsize=4)
-def _coloring_profile(graph: Graph) -> tuple[tuple[tuple[tuple[int, ...], int], int], ...]:
-    """((class-size composition, edge-direction bits), colorings) over the
-    proper colorings whose colors form an initial segment 1..j, one entry
-    per distinct pair, ascending in (descent mask of the composition, bits).
-    Bit e of the direction bits is set when edge e runs from the lower
-    color to the higher one along its canonical (low -> high vertex) direction.
+def _coloring_profile(graph: Graph, zeta: Labeling | None) -> tuple[tuple[tuple[tuple[int, ...], int], int], ...]:
+    """((class-size composition, ascents), colorings) over the proper
+    colorings whose colors form an initial segment 1..j, one entry per
+    distinct pair, ascending in (descent mask of the composition, ascents).
+    An ascent is an edge whose end with the smaller label under zeta (the
+    smaller index when zeta is None) has the smaller color.
 
     Such a coloring is a sequence of j nonempty stable color classes
     (Stanley 1995).  A forward DP over the set S of colored vertices, in
     ascending order of S, counts the colorings of S by one int key: the
-    direction bits, and bit m + p - 1 for each partial sum p of the
-    composition.  Coloring a stable T outside S next adds the partial sum
-    |S| + |T| and the bits of the edges from S up into T.  The work is one
-    step per (S, T, key of S), however many colorings a key counts.
+    ascents in the low bits, and bit w + p - 1 above them for each partial
+    sum p of the composition.  Coloring a stable T outside S next adds the
+    partial sum |S| + |T| and the ascents of the edges that run up the
+    labeling from S into T.  The work is one step per (S, T, key of S),
+    however many colorings a key counts.
     """
     n, m = graph.n, graph.m
     adj = graph.adjacency_masks()
-    lower, upper = [0] * n, [0] * n  # bits of the edges whose lower (upper) end is v
+    below = _below(graph, zeta)
+    lower, upper = [0] * n, [0] * n  # bits of the edges whose lower (upper) end under zeta is v
     for e, (a, b) in enumerate(graph.edges):
+        if not below[b - 1] >> (a - 1) & 1:
+            a, b = b, a
         lower[a - 1] |= 1 << e
         upper[b - 1] |= 1 << e
     full = (1 << n) - 1
@@ -223,29 +228,30 @@ def _coloring_profile(graph: Graph) -> tuple[tuple[tuple[tuple[int, ...], int], 
         stable[t] = stable[rest] and not adj[low] & rest
         starts[t] = starts[rest] | lower[low]
         ends[t] = ends[rest] | upper[low]
+    width = m.bit_length()  # the ascents number at most m
     states: list = [defaultdict(int) for _ in range(full + 1)]
     states[0][0] = 1
     for s in range(full):
         here, states[s] = states[s], None
-        up, shift, free = starts[s], m + s.bit_count() - 1, full ^ s
+        up, shift, free = starts[s], width + s.bit_count() - 1, full ^ s
         t = free
         while t:
             if stable[t]:
-                delta = up & ends[t] | 1 << (shift + t.bit_count())
+                delta = (up & ends[t]).bit_count() + (1 << (shift + t.bit_count()))
                 there = states[s | t]
                 for key, count in here.items():
-                    there[key | delta] += count
+                    there[key + delta] += count
             t = (t - 1) & free
     table, final = _compositions_by_mask(n), states[full]
-    low, bits = len(table) - 1, (1 << m) - 1  # the partial sum n is dropped
-    return tuple(((table[key >> m & low], key & bits), final[key]) for key in sorted(final))
+    low, asc = len(table) - 1, (1 << width) - 1  # the partial sum n is dropped
+    return tuple(((table[key >> width & low], key & asc), final[key]) for key in sorted(final))
 
 
 @lru_cache(maxsize=8)
 def _colorings_by_size(graph: Graph) -> tuple[int, ...]:
     """Entry j counts the proper colorings onto the colors 1..j."""
     counts = [0] * (graph.n + 1)
-    for (comp, _), count in _coloring_profile(graph):
+    for (comp, _), count in _coloring_profile(graph, None):
         counts[len(comp)] += count
     return tuple(counts)
 
@@ -255,10 +261,8 @@ def cqf_monomial(graph: Graph, zeta: Labeling | None = None) -> QuasisymmetricM:
     the coefficient of M_alpha collects t^(ascents) over proper colorings
     surjective onto 1..len(alpha) with class sizes alpha."""
     m = graph.m
-    zbits = _zeta_bits(graph, zeta)
     acc: dict[tuple[int, ...], list[int]] = {}
-    for (comp, kbits), count in _coloring_profile(graph):
-        asc = m - (kbits ^ zbits).bit_count()
+    for (comp, asc), count in _coloring_profile(graph, zeta):
         arr = acc.get(comp)
         if arr is None:
             arr = acc[comp] = [0] * (m + 1)
@@ -266,20 +270,19 @@ def cqf_monomial(graph: Graph, zeta: Labeling | None = None) -> QuasisymmetricM:
     return QuasisymmetricM._trusted(graph.n, {comp: TPoly._trusted(arr) for comp, arr in acc.items()})
 
 
-def _vertex_orders(adj, after, kept, order: list[int], leaf, hooks: bool = False) -> None:
-    """Call leaf(mask, descents, sinks) once for every order of the vertices
+def _vertex_orders(adj, after, below, order: list[int], leaf, hooks: bool = False) -> None:
+    """Call leaf(down, descents, sinks) once for every order of the vertices
     0..n-1 that places each vertex v before all of after[v], with order[i]
     the vertex at position i.  An order is a linear extension of the acyclic
     orientation whose arcs run from the earlier to the later end of each
     edge of adj.  Vertices are placed from the last position to the first,
-    so the neighbours of v already placed are the heads of its arcs: mask
-    ORs kept[v][S] over the vertices v, S being the vertices placed after v,
-    and sinks counts the vertices placed with no neighbour after them.  Each
-    vertex is labeled by its height, the longest directed path to a sink,
-    ties broken by index; bit n - 2 - i of descents is set when the label at
-    position i is larger than the one at i + 1.  With hooks, only the orders
-    whose labels fall and then rise are met: read from the back, an ascent
-    after a descent ends the branch."""
+    so the neighbours of v already placed are the heads of its arcs: down
+    counts the arcs v -> u with u in below[v], and sinks the vertices placed
+    with no neighbour after them.  Each vertex is labeled by its height, the
+    longest directed path to a sink, ties broken by index; bit n - 2 - i of
+    descents is set when the label at position i is larger than the one at
+    i + 1.  With hooks, only the orders whose labels fall and then rise are
+    met: read from the back, an ascent after a descent ends the branch."""
     n = len(adj)
     if n == 0:
         leaf(0, 0, 0)
@@ -288,7 +291,7 @@ def _vertex_orders(adj, after, kept, order: list[int], leaf, hooks: bool = False
     height = [0] * n + [n]  # the sentinel height[n] puts no descent after the last position
     level = [0] * n  # level[d]: the placed vertices of height d
 
-    def rec(placed: int, i: int, mask: int, last: int, des: int, sinks: int, rise: int):
+    def rec(placed: int, i: int, down: int, last: int, des: int, sinks: int, rise: int):
         top = height[last]
         rest = full ^ placed
         while rest:
@@ -308,12 +311,13 @@ def _vertex_orders(adj, after, kept, order: list[int], leaf, hooks: bool = False
                 fell = des
             height[v] = h
             order[i] = v
+            arcs_down = down + (heads & below[v]).bit_count()
             if i:
                 level[h] |= low
-                rec(placed | low, i - 1, mask | kept[v][placed], v, fell, sinks + (not h), rise + (h == rise))
+                rec(placed | low, i - 1, arcs_down, v, fell, sinks + (not h), rise + (h == rise))
                 level[h] ^= low
             else:
-                leaf(mask | kept[v][placed], fell, sinks + (not h))
+                leaf(arcs_down, fell, sinks + (not h))
 
     rec(0, n - 1, 0, n, 0, 0, 0)
     del rec  # rec refers to itself: break the cycle so the caller's tables are freed at once
@@ -355,48 +359,37 @@ def dual_linear_extensions(o: Orientation, omega: Labeling) -> tuple[tuple[int, 
     n = o.graph.n
     if omega.n != n:
         raise ValueError("labeling does not match the orientation's graph")
-    labels, order, words = omega.labels, [0] * n, []
-    no_bits = [defaultdict(int)] * n  # reads 0 for every set: no direction bits are needed
+    labels, order, words, none = omega.labels, [0] * n, [], [0] * n
 
     def record(*_):
         words.append(tuple(labels[v] for v in order))
 
-    _vertex_orders([0] * n, o.out_masks(), no_bits, order, record)  # no edges: every height is 0, only the orders are read
+    _vertex_orders(none, o.out_masks(), none, order, record)  # no edges: every height is 0, only the orders are read
     return tuple(sorted(words))
 
 
 @lru_cache(maxsize=4)
-def _orientation_compositions(graph: Graph, hooks: bool = False) -> tuple:
-    """(direction bits, sinks, composition counts) per acyclic orientation,
-    in ascending order of the bits, from one walk over the vertex orders:
-    each order counts the composition of its reflected descent set
+def _orientation_compositions(graph: Graph, zeta: Labeling | None, *, hooks: bool = False) -> tuple:
+    """((composition, descents, sinks), orders) over the pairs of an acyclic
+    orientation and one of its linear extensions, one entry per distinct
+    triple, ascending in (descent mask of the composition, descents, sinks),
+    from one walk over the vertex orders.  The descents are the orientation's
+    arcs u -> v with v below u under zeta (by index when zeta is None); the
+    composition is that of the order's reflected descent set
     {i : n - i in Des} under the height labeling.  Every labeling that
     decreases along the arcs gives an orientation the same descent sets
     over its linear extensions (Stanley 1972).  With hooks, only the orders
     whose composition is a hook (k, 1^(n-k)) are walked: 2^(sinks - 1) per
-    orientation, one of them with k = 1."""
+    orientation, exactly one of them with k = 1."""
     n = graph.n
-    edge_bits = {edge: 1 << e for e, edge in enumerate(graph.edges)}
-    kept = [[0] for _ in range(n)]  # kept[v][S]: bits of the edges {v, u} with u in S and v < u
-    for u in range(n):  # each row doubles once per vertex, as S takes or leaves u
-        for v, row in enumerate(kept):
-            bit = edge_bits.get((v + 1, u + 1), 0)
-            row += [x | bit for x in row] if bit else row
-    found: dict[int, int] = {}  # mask -> sinks
-    tally: defaultdict[int, int] = defaultdict(int)  # mask << n | descent bits -> orders
+    tally: defaultdict[tuple[int, int, int], int] = defaultdict(int)
 
-    def leaf(mask: int, des: int, sinks: int):
-        tally[mask << n | des] += 1
-        found[mask] = sinks
+    def leaf(down: int, des: int, sinks: int):
+        tally[des, down, sinks] += 1
 
-    _vertex_orders(graph.adjacency_masks(), [0] * n, kept, [0] * n, leaf, hooks)
+    _vertex_orders(graph.adjacency_masks(), [0] * n, _below(graph, zeta), [0] * n, leaf, hooks)
     table = _compositions_by_mask(n)
-    low = (1 << n) - 1
-    entries, shared = [], {}  # equal count tuples are kept once: less memory, fewer objects to collect
-    for mask, keys in groupby(sorted(tally), lambda key: key >> n):
-        counts = tuple((table[key & low], tally.pop(key)) for key in keys)
-        entries.append((mask, found.pop(mask), shared.setdefault(counts, counts)))
-    return tuple(entries)
+    return tuple(((table[des], down, sinks), tally[des, down, sinks]) for des, down, sinks in sorted(tally))
 
 
 def cqf_fundamental_via_orientations(
@@ -407,15 +400,12 @@ def cqf_fundamental_via_orientations(
     terms of its dual linear extensions.  With hooks, only the terms at
     the hooks (k, 1^(n-k)), from a walk that meets only their extensions."""
     m = graph.m
-    zbits = _zeta_bits(graph, zeta)
     acc: dict[tuple[int, ...], list[int]] = {}
-    for dirbits, _, comp_counts in _orientation_compositions(graph, hooks):
-        des = (dirbits ^ zbits).bit_count()
-        for comp, count in comp_counts:
-            arr = acc.get(comp)
-            if arr is None:
-                arr = acc[comp] = [0] * (m + 1)
-            arr[des] += count
+    for (comp, des, _), count in _orientation_compositions(graph, zeta, hooks=hooks):
+        arr = acc.get(comp)
+        if arr is None:
+            arr = acc[comp] = [0] * (m + 1)
+        arr[des] += count
     return QuasisymmetricF._trusted(graph.n, {comp: TPoly._trusted(arr) for comp, arr in acc.items()})
 
 
@@ -424,13 +414,15 @@ def hook_coefficients_via_orientations_t(graph: Graph, zeta: Labeling | None) ->
     over acyclic orientations, sum of C(sinks-1, k-1) t^(descents), for k in
     1..n.  It reads the cached hook walk that
     ``cqf_fundamental_via_orientations(..., hooks=True)`` also reads, which
-    meets every orientation once with k = 1.  One pass bins the
-    orientations by (sinks, descents); each bin then serves every k."""
-    zbits = _zeta_bits(graph, zeta)
+    meets every orientation once with k = 1, through the one extension
+    whose labels only fall.  One pass bins those entries by (sinks,
+    descents); each bin then serves every k."""
     n, m = graph.n, graph.m
+    falling = (1,) * n
     bins = [[0] * (m + 1) for _ in range(n + 1)]  # bins[sinks][descents]
-    for dirbits, sinks_, _ in _orientation_compositions(graph, True):
-        bins[sinks_][(dirbits ^ zbits).bit_count()] += 1
+    for (comp, des, sinks_), count in _orientation_compositions(graph, zeta, hooks=True):
+        if comp == falling:
+            bins[sinks_][des] += count
     polys = []
     for k in range(1, n + 1):
         arr = [0] * (m + 1)

@@ -95,10 +95,10 @@ def _graph_inputs(graph: Graph, zeta: Labeling | None = None, names=None) -> dic
 
 
 def _resolve_labeling(args, loaded: Labeling | None, n: int) -> Labeling:
-    if getattr(args, "labeling", None):
+    if getattr(args, "labeling", None) is not None:
         if args.labeling == "identity":
             return Labeling.identity(n)
-        parts = [p.strip() for p in args.labeling.split(",") if p.strip()]
+        parts = [p.strip() for p in args.labeling.split(",")]  # an empty part is an error, not skipped
         for part in parts:
             if not (part.isascii() and part.isdigit()):
                 raise ValueError(f"--labeling: {part!r} is not a positive integer; give the labels 1..{n}")

@@ -84,75 +84,108 @@ def test_coloring_count_matches_brute_force(n):
             assert chromatic_polynomial_by_colorings(g, k) == count_colorings_brute(g, k)
 
 
-def _assert_coloring_profile_matches(g, expected):
-    profile = _coloring_profile(g)
-    # one entry per distinct pair, in a fixed order: the bytes of every
-    # verb that reads the profile must not depend on dict insertion order
-    keys = [(_descent_mask(comp), bits) for (comp, bits), _ in profile]
-    assert keys == sorted(set(keys))
-    assert dict(profile) == expected
+def _zetas(n, rng=None):
+    """No labeling, the reversed one, and with rng a random one."""
+    zetas = [None, Labeling(range(n, 0, -1))]
+    if rng is not None:
+        labels = list(range(1, n + 1))
+        rng.shuffle(labels)
+        zetas.append(Labeling(labels))
+    return zetas
 
 
-def _assert_coloring_profile_matches_the_oracle(g):
-    _assert_coloring_profile_matches(g, Counter(coloring_profile_unpruned(g)))
+def _ascents(g, zeta, bits):
+    """The ascents under zeta of a coloring with the oracles' direction
+    bits: bit e is set when edge e runs from its lower color to its higher
+    one along its canonical (low -> high vertex) direction."""
+    return sum(
+        (bits >> e & 1) == (zeta is None or zeta.label(a) < zeta.label(b)) for e, (a, b) in enumerate(g.edges)
+    )
+
+
+def _assert_coloring_profile_matches(g, oracle, zetas):
+    for zeta in zetas:
+        profile = _coloring_profile(g, zeta)
+        # one entry per distinct pair, in a fixed order: the bytes of every
+        # verb that reads the profile must not depend on dict insertion order
+        keys = [(_descent_mask(comp), asc) for (comp, asc), _ in profile]
+        assert keys == sorted(set(keys))
+        expected: Counter = Counter()
+        for (comp, bits), count in oracle.items():
+            expected[comp, _ascents(g, zeta, bits)] += count
+        assert dict(profile) == expected
 
 
 @pytest.mark.parametrize("n", range(6))
 def test_coloring_profile_matches_the_unpruned_recursion(n):
+    rng = Random(n)
     for g in all_graphs(n):
-        _assert_coloring_profile_matches_the_oracle(g)
+        _assert_coloring_profile_matches(g, Counter(coloring_profile_unpruned(g)), _zetas(n, rng))
 
 
 def test_coloring_profile_matches_the_unpruned_recursion_on_seeded_graphs_and_k7():
     # one graph each on 6, 7 and 8 vertices: the oracle visits up to n^n colorings
+    rng = Random(21)
     for g in [*seeded_graphs(3, seed=21), complete_graph(7)]:
-        _assert_coloring_profile_matches_the_oracle(g)
+        _assert_coloring_profile_matches(g, Counter(coloring_profile_unpruned(g)), _zetas(g.n, rng))
 
 
 def test_coloring_profile_matches_the_pruned_recursion_on_graphs_with_8_vertices():
     # out of the unpruned oracle's reach: it tries up to 8^8 colorings per graph
     cycle_8 = Graph(8, [*path_graph(8).edges, (1, 8)])
     graphs = [path_graph(8), cycle_8, star_graph(7), edgeless_graph(8), complete_graph(8)]
+    rng = Random(34)
     for g in [*graphs, *seeded_graphs(3, seed=34, sizes=(8,))]:
-        _assert_coloring_profile_matches(g, dict(coloring_profile_pruned(g)))
+        _assert_coloring_profile_matches(g, dict(coloring_profile_pruned(g)), _zetas(8, rng))
 
 
-def _assert_orientation_compositions_match_the_oracle(g):
+def _assert_orientation_compositions_match_the_oracle(g, zetas):
     # The walk over vertex orders meets each acyclic orientation through its
-    # linear extensions; the backtracking kernel lists the orientations
-    # themselves.
-    entries = _orientation_compositions(g)
-    kernel = list(acyclic_orientation_masks(g))
-    assert [mask for mask, _, _ in entries] == [mask for mask, _ in kernel]
-    assert [sinks for _, sinks, _ in entries] == [out.count(0) for _, out in kernel]
-    got = tuple((mask, tuple(sorted(counts))) for mask, _, counts in entries)
-    assert got == orientation_compositions_by_words(g)
-    assert sum(c for _, _, counts in entries for _, c in counts) == factorial(g.n)
+    # linear extensions; the oracle lists the orientations themselves and
+    # reads the words of their extensions.
+    words = [(Orientation.from_mask(g, mask), counts) for mask, counts in orientation_compositions_by_words(g)]
+    for zeta in zetas:
+        entries = _orientation_compositions(g, zeta)
+        keys = [(_descent_mask(comp), des, sinks) for (comp, des, sinks), _ in entries]
+        assert keys == sorted(set(keys))
+        labels = zeta or Labeling.identity(g.n)
+        expected: Counter = Counter()
+        for o, counts in words:
+            for comp, count in counts:
+                expected[comp, descents(o, labels), o.sinks()] += count
+        assert dict(entries) == expected
+        assert sum(count for _, count in entries) == factorial(g.n)
 
 
 @pytest.mark.parametrize("n", range(6))
 def test_orientation_compositions_match_the_word_oracle(n):
+    rng = Random(n)
     for g in all_graphs(n):
-        _assert_orientation_compositions_match_the_oracle(g)
+        _assert_orientation_compositions_match_the_oracle(g, _zetas(n, rng))
 
 
 def test_orientation_compositions_match_the_word_oracle_on_seeded_graphs_and_k7():
+    rng = Random(21)
     for g in [*seeded_graphs(6, seed=21), complete_graph(7)]:
-        _assert_orientation_compositions_match_the_oracle(g)
+        _assert_orientation_compositions_match_the_oracle(g, _zetas(g.n, rng))
 
 
 def _assert_hook_walk_matches_the_full_walk(g, zetas):
     n = g.n
-    hook_entries = _orientation_compositions(g, True)
-    # every orientation once, with the sinks the full walk gives it
-    assert [entry[:2] for entry in hook_entries] == [entry[:2] for entry in _orientation_compositions(g)]
     hooks = {hook_partition(n, k) for k in range(1, n + 1)}
-    for _, sinks, counts in hook_entries:
-        by_comp = dict(counts)
-        assert set(by_comp) <= hooks
-        assert by_comp[(1,) * n] == 1  # the falling extension
-        assert sum(by_comp.values()) == 2 ** (sinks - 1)
+    profile = sink_profile(g).counts
     for zeta in zetas:
+        hook_entries = _orientation_compositions(g, zeta, hooks=True)
+        full_entries = _orientation_compositions(g, zeta)
+        assert hook_entries == tuple(entry for entry in full_entries if entry[0][0] in hooks)
+        falling: Counter = Counter()  # sinks -> orientations, each met once through its falling extension
+        orders: Counter = Counter()  # sinks -> hook orders
+        for (comp, _, sinks), count in hook_entries:
+            orders[sinks] += count
+            if comp == (1,) * n:
+                falling[sinks] += count
+        assert sorted(falling.items()) == list(profile)
+        assert sorted(orders.items()) == [(s, 2 ** (s - 1) * a) for s, a in profile]
         walked = cqf_fundamental_via_orientations(g, zeta, hooks=True)
         assert set(walked.coeffs) <= hooks
         full = cqf_fundamental_via_orientations(g, zeta)
@@ -172,6 +205,16 @@ def test_hook_walk_matches_the_full_walk_on_seeded_graphs_k7_and_path_8():
         labels = list(range(1, g.n + 1))
         rng.shuffle(labels)
         _assert_hook_walk_matches_the_full_walk(g, (Labeling(labels),))
+
+
+def test_the_hook_walk_of_k8_holds_one_entry_per_composition_and_descent_count():
+    # Every orientation of K8 has one sink, so the hook walk meets all 8!
+    # orders; it keeps one entry per (composition, descents, sinks), not
+    # one per orientation.
+    g = complete_graph(8)
+    entries = _orientation_compositions(g, None, hooks=True)
+    assert len(entries) <= (g.m + 1) * 2 ** (g.n - 1)
+    assert sum(count for _, count in entries) == factorial(8)
 
 
 @pytest.mark.parametrize("n", range(5))

@@ -190,6 +190,8 @@ def test_cqf_labeling_flag(capsys, tmp_path):
     "labeling, message",
     [
         ("a,b,c", "--labeling: 'a' is not a positive integer; give the labels 1..3"),
+        ("", "--labeling: '' is not a positive integer; give the labels 1..3"),
+        ("1,,3", "--labeling: '' is not a positive integer; give the labels 1..3"),
         ("1,-2,3", "--labeling: '-2' is not a positive integer; give the labels 1..3"),
         ("9", "--labeling gives 1 labels for a graph with 3 vertices"),
         ("1,2,3,4", "--labeling gives 4 labels for a graph with 3 vertices"),
@@ -482,6 +484,52 @@ def test_edge_list_numbering_does_not_depend_on_the_hash_seed(tmp_path):
     assert runs[0].returncode == 0
     assert json.loads(runs[0].stdout)["inputs"]["vertex_names"] == ["01", "1", "2"]
     assert all(run.stdout == runs[0].stdout for run in runs)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["cqf", "--labeling", "3,1,5,2,4", "--json"], ["verify", "hook-t", "--labeling", "3,1,5,2,4", "--json"]],
+    ids=["cqf", "verify-hook-t"],
+)
+def test_kernel_output_does_not_depend_on_the_hash_seed(tmp_path, argv):
+    # the route kernels tally their entries in dicts; the bytes must not
+    # follow the hash seed's iteration order
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 5, "edges": [[1, 2], [1, 3], [2, 3], [2, 4], [3, 5], [4, 5]]}')
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "chromsym", argv[0], str(path), *argv[1:]],
+            capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": str(seed)},
+        )
+        for seed in range(4)
+    ]
+    assert runs[0].returncode == 0
+    assert json.loads(runs[0].stdout)["status"] == "ok"
+    assert all(run.stdout == runs[0].stdout for run in runs)
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [(12, [[v, v + 1] for v in range(1, 12)]), (10, [[u, v] for u in range(1, 11) for v in range(u + 1, 11)])],
+    ids=["path12", "K10"],
+)
+def test_verify_chrompoly_finishes_on_path_12_and_k10(tmp_path, n, edges):
+    # A coloring DP keyed by edge-direction bits keeps 10! keys on K10 and
+    # about 1 GB on path_12; keyed by ascents it stays far below the cap.
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": n, "edges": edges}))
+    cap = 512 << 20  # bytes of address space
+
+    run = subprocess.run(
+        [sys.executable, "-m", "chromsym", "verify", str(path), "chrompoly"],
+        capture_output=True,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.decode().endswith("status: ok\n")
 
 
 @pytest.mark.parametrize("check", ["hook-1", "e-sink"])
