@@ -11,6 +11,8 @@ from .chromatic import (
     csf_schur,
     dual_linear_extensions,
     hook_coefficient_via_orientations_t,
+    hook_coefficients_via_colorings_t,
+    hook_coefficients_via_extensions_t,
     hook_coefficients_via_orientations_t,
     hook_coefficient_via_sinks,
     sink_minimal_increasing_labeling,

@@ -19,6 +19,9 @@ The same quantities are reachable along two independent routes:
   hook mode it meets only the extensions whose descent composition is a
   hook, 2^(sinks - 1) per orientation instead of all n! orders.
 
+Both kernels read the labeling only through the orientation it induces
+on the edges, and are cached on that.  ``hook-t`` reads its three values
+off their tallies at the hooks alone, with no quasisymmetric map built.
 Hook coefficients computed both ways must agree, which is what the
 ``verify``/``sweep`` commands and the test suite exercise exhaustively
 at small vertex counts.
@@ -192,15 +195,23 @@ def _below(graph: Graph, zeta: Labeling | None) -> list[int]:
     return below
 
 
-@lru_cache(maxsize=4)
 def _coloring_profile(graph: Graph, zeta: Labeling | None) -> tuple[tuple[tuple[tuple[int, ...], int], int], ...]:
     """((class-size composition, ascents), colorings) over the proper
     colorings whose colors form an initial segment 1..j, one entry per
     distinct pair, ascending in (descent mask of the composition, ascents).
     An ascent is an edge whose end with the smaller label under zeta (the
-    smaller index when zeta is None) has the smaller color.
+    smaller index when zeta is None) has the smaller color, so the profile
+    depends on zeta only through the orientation it induces, and is cached
+    on that."""
+    return _coloring_counts(graph, None if zeta is None else tuple(_below(graph, zeta)))
 
-    Such a coloring is a sequence of j nonempty stable color classes
+
+@lru_cache(maxsize=4)
+def _coloring_counts(graph: Graph, below: tuple[int, ...] | None) -> tuple:
+    """The profile of ``_coloring_profile`` under the labeling whose
+    ``_below`` is below, or the order by index when below is None.
+
+    A coloring onto 1..j is a sequence of j nonempty stable color classes
     (Stanley 1995).  A forward DP over the set S of colored vertices, in
     ascending order of S, counts the colorings of S by one int key: the
     ascents in the low bits, and bit w + p - 1 above them for each partial
@@ -211,8 +222,9 @@ def _coloring_profile(graph: Graph, zeta: Labeling | None) -> tuple[tuple[tuple[
     """
     n, m = graph.n, graph.m
     adj = graph.adjacency_masks()
-    below = _below(graph, zeta)
-    lower, upper = [0] * n, [0] * n  # bits of the edges whose lower (upper) end under zeta is v
+    if below is None:
+        below = _below(graph, None)
+    lower, upper = [0] * n, [0] * n  # bits of the edges whose lower (upper) end under the labeling is v
     for e, (a, b) in enumerate(graph.edges):
         if not below[b - 1] >> (a - 1) & 1:
             a, b = b, a
@@ -368,7 +380,6 @@ def dual_linear_extensions(o: Orientation, omega: Labeling) -> tuple[tuple[int, 
     return tuple(sorted(words))
 
 
-@lru_cache(maxsize=4)
 def _orientation_compositions(graph: Graph, zeta: Labeling | None, *, hooks: bool = False) -> tuple:
     """((composition, descents, sinks), orders) over the pairs of an acyclic
     orientation and one of its linear extensions, one entry per distinct
@@ -380,28 +391,35 @@ def _orientation_compositions(graph: Graph, zeta: Labeling | None, *, hooks: boo
     decreases along the arcs gives an orientation the same descent sets
     over its linear extensions (Stanley 1972).  With hooks, only the orders
     whose composition is a hook (k, 1^(n-k)) are walked: 2^(sinks - 1) per
-    orientation, exactly one of them with k = 1."""
+    orientation, exactly one of them with k = 1.  The walk reads zeta only
+    through the orientation it induces, and is cached on that."""
+    return _order_counts(graph, None if zeta is None else tuple(_below(graph, zeta)), hooks)
+
+
+@lru_cache(maxsize=4)
+def _order_counts(graph: Graph, below: tuple[int, ...] | None, hooks: bool) -> tuple:
+    """The entries of ``_orientation_compositions`` under the labeling whose
+    ``_below`` is below, or the order by index when below is None."""
     n = graph.n
+    if below is None:
+        below = _below(graph, None)
     tally: defaultdict[tuple[int, int, int], int] = defaultdict(int)
 
     def leaf(down: int, des: int, sinks: int):
         tally[des, down, sinks] += 1
 
-    _vertex_orders(graph.adjacency_masks(), [0] * n, _below(graph, zeta), [0] * n, leaf, hooks)
+    _vertex_orders(graph.adjacency_masks(), [0] * n, below, [0] * n, leaf, hooks)
     table = _compositions_by_mask(n)
     return tuple(((table[des], down, sinks), tally[des, down, sinks]) for des, down, sinks in sorted(tally))
 
 
-def cqf_fundamental_via_orientations(
-    graph: Graph, zeta: Labeling | None = None, hooks: bool = False
-) -> QuasisymmetricF:
+def cqf_fundamental_via_orientations(graph: Graph, zeta: Labeling | None = None) -> QuasisymmetricF:
     """Fundamental coordinates assembled from acyclic orientations:
     each orientation contributes t^(descents) times the fundamental
-    terms of its dual linear extensions.  With hooks, only the terms at
-    the hooks (k, 1^(n-k)), from a walk that meets only their extensions."""
+    terms of its dual linear extensions."""
     m = graph.m
     acc: dict[tuple[int, ...], list[int]] = {}
-    for (comp, des, _), count in _orientation_compositions(graph, zeta, hooks=hooks):
+    for (comp, des, _), count in _orientation_compositions(graph, zeta):
         arr = acc.get(comp)
         if arr is None:
             arr = acc[comp] = [0] * (m + 1)
@@ -409,14 +427,28 @@ def cqf_fundamental_via_orientations(
     return QuasisymmetricF._trusted(graph.n, {comp: TPoly._trusted(arr) for comp, arr in acc.items()})
 
 
+def hook_coefficients_via_extensions_t(graph: Graph, zeta: Labeling | None) -> tuple[TPoly, ...]:
+    """Entry k - 1 is the coefficient of F_(k,1^(n-k)) in
+    ``cqf_fundamental_via_orientations(graph, zeta)``, for k in 1..n, read
+    from the hook walk, which meets only the orders of those compositions:
+    one pass bins its entries by (k, descents)."""
+    n, m = graph.n, graph.m
+    if not n:
+        return ()
+    arrays = [[0] * (m + 1) for _ in range(n)]  # arrays[k - 1][descents]
+    for (comp, des, _), count in _orientation_compositions(graph, zeta, hooks=True):
+        arrays[comp[0] - 1][des] += count
+    return tuple(TPoly._trusted(arr) for arr in arrays)
+
+
 def hook_coefficients_via_orientations_t(graph: Graph, zeta: Labeling | None) -> tuple[TPoly, ...]:
     """Entry k - 1 is the binomial-weighted descent generating polynomial
     over acyclic orientations, sum of C(sinks-1, k-1) t^(descents), for k in
     1..n.  It reads the cached hook walk that
-    ``cqf_fundamental_via_orientations(..., hooks=True)`` also reads, which
-    meets every orientation once with k = 1, through the one extension
-    whose labels only fall.  One pass bins those entries by (sinks,
-    descents); each bin then serves every k."""
+    ``hook_coefficients_via_extensions_t`` also reads, which meets every
+    orientation once with k = 1, through the one extension whose labels
+    only fall.  One pass bins those entries by (sinks, descents); each bin
+    then serves every k."""
     n, m = graph.n, graph.m
     falling = (1,) * n
     bins = [[0] * (m + 1) for _ in range(n + 1)]  # bins[sinks][descents]
@@ -442,6 +474,28 @@ def hook_coefficient_via_orientations_t(
     orientations: sum of C(sinks-1, k-1) t^(descents)."""
     hook_partition(graph.n, k)  # rejects k outside 1..n
     return hook_coefficients_via_orientations_t(graph, zeta)[k - 1]
+
+
+def hook_coefficients_via_colorings_t(graph: Graph, zeta: Labeling | None) -> tuple[TPoly, ...]:
+    """Entry k - 1 is the coefficient of F_(k,1^(n-k)) in
+    ``qsym_M_to_F(cqf_monomial(graph, zeta))``, for k in 1..n, with the
+    Moebius sum taken at the hooks only.  The descent set of a composition
+    alpha lies within the hook's, {k..n-1}, exactly when alpha_1 >= k, so
+        [F_(k,1^(n-k))] = sum over alpha_1 >= k of (-1)^(n-k+1-len(alpha)) c_alpha(t).
+    One pass over the coloring profile bins c_alpha (-1)^len(alpha) by
+    alpha_1; the sums over alpha_1 >= k then run from k = n down."""
+    n, m = graph.n, graph.m
+    if not n:
+        return ()
+    bins = [[0] * (m + 1) for _ in range(n + 1)]  # bins[alpha_1][ascents]
+    for (comp, asc), count in _coloring_profile(graph, zeta):
+        bins[comp[0]][asc] += -count if len(comp) & 1 else count
+    polys = []
+    acc = [0] * (m + 1)
+    for k in range(n, 0, -1):
+        acc = [a + b for a, b in zip(acc, bins[k])]
+        polys.append(TPoly._trusted(acc if (n - k) & 1 else [-a for a in acc]))
+    return tuple(reversed(polys))
 
 
 def verify_e_sink_identity(graph: Graph) -> list[tuple[int, int, int]]:

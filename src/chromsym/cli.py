@@ -23,19 +23,20 @@ from .chromatic import (
     csf_monomial,
     csf_schur,
     dual_linear_extensions,
+    hook_coefficients_via_colorings_t,
+    hook_coefficients_via_extensions_t,
     hook_coefficients_via_orientations_t,
     hook_coefficient_via_sinks,
     sink_minimal_increasing_labeling,
     verify_e_sink_identity,
 )
-from .graphs import Graph, Labeling, acyclic_orientations, descents, load_graph
+from .graphs import Graph, Labeling, Orientation, acyclic_orientation_masks, descents, load_graph
 from .partitions import hook_partition
 from .posets import all_posets, load_poset, verify_hook_proposition
 from .symfunc import (
     _terms_json,
     canonical_items,
     collapse_t,
-    hook_coefficient_of_F,
     is_symmetric,
     m_to_e,
     m_to_s,
@@ -225,8 +226,11 @@ def cmd_cqf(args) -> int:
 
 def _orientation_records(graph: Graph, zeta: Labeling):
     """(arcs, descents, sinks, canonical labels, extension words) for each
-    acyclic orientation in turn, as ``cqf --verbose`` lists them."""
-    for o in acyclic_orientations(graph):
+    acyclic orientation in turn, as ``cqf --verbose`` lists them; each
+    orientation is built as the stream reaches it and dropped after."""
+    for mask, out in acyclic_orientation_masks(graph):
+        o = Orientation.from_mask(graph, mask)
+        o._acyclic, o._out = True, out
         omega = sink_minimal_increasing_labeling(o)
         words = ["".join(str(x) for x in w) for w in dual_linear_extensions(o, omega)]
         yield o.arcs, descents(o, zeta), o.sinks(), omega.labels, words
@@ -248,18 +252,14 @@ class Check(NamedTuple):
 
 
 def _hook_t_rows(graph: Graph, zeta: Labeling | None) -> list[tuple]:
-    direct = cqf_fundamental_via_orientations(graph, zeta, hooks=True)
-    converted = qsym_M_to_F(cqf_monomial(graph, zeta))
-    sums = hook_coefficients_via_orientations_t(graph, zeta)
-    return [
-        (
-            k,
-            hook_coefficient_of_F(direct, k),
-            sums[k - 1],
-            hook_coefficient_of_F(converted, k),
+    return list(
+        zip(
+            range(1, graph.n + 1),
+            hook_coefficients_via_extensions_t(graph, zeta),
+            hook_coefficients_via_orientations_t(graph, zeta),
+            hook_coefficients_via_colorings_t(graph, zeta),
         )
-        for k in range(1, graph.n + 1)
-    ]
+    )
 
 
 def _hook_1_rows(graph: Graph, zeta) -> list[tuple]:

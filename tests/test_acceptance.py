@@ -22,7 +22,7 @@ from chromsym.chromatic import (
     cqf_monomial,
     csf_schur,
     dual_linear_extensions,
-    hook_coefficient_via_orientations_t,
+    hook_coefficients_via_orientations_t,
     hook_coefficient_via_sinks,
     sink_minimal_increasing_labeling,
     verify_e_sink_identity,
@@ -139,9 +139,10 @@ def test_criterion_4_hook_t_polynomials_all_labelings():
                 zeta = Labeling(perm)
                 direct = cqf_fundamental_via_orientations(g, zeta)
                 converted = qsym_M_to_F(cqf_monomial(g, zeta))
+                sums = hook_coefficients_via_orientations_t(g, zeta)
                 for k in range(1, n + 1):
                     a = hook_coefficient_of_F(direct, k)
-                    b = hook_coefficient_via_orientations_t(g, zeta, k)
+                    b = sums[k - 1]
                     c = hook_coefficient_of_F(converted, k)
                     if not (a == b == c):
                         failures += 1

@@ -7,7 +7,9 @@ import pytest
 
 from chromsym.chromatic import (
     SinkProfile,
+    _coloring_counts,
     _coloring_profile,
+    _order_counts,
     _orientation_compositions,
     chromatic_polynomial_by_colorings,
     chromatic_polynomial_value,
@@ -17,12 +19,15 @@ from chromsym.chromatic import (
     csf_schur,
     dual_linear_extensions,
     hook_coefficient_via_orientations_t,
+    hook_coefficients_via_colorings_t,
+    hook_coefficients_via_extensions_t,
     hook_coefficients_via_orientations_t,
     hook_coefficient_via_sinks,
     sink_minimal_increasing_labeling,
     sink_profile,
     verify_e_sink_identity,
 )
+from chromsym.cli import _hook_t_rows
 from chromsym.graphs import (
     Graph,
     Labeling,
@@ -186,11 +191,9 @@ def _assert_hook_walk_matches_the_full_walk(g, zetas):
                 falling[sinks] += count
         assert sorted(falling.items()) == list(profile)
         assert sorted(orders.items()) == [(s, 2 ** (s - 1) * a) for s, a in profile]
-        walked = cqf_fundamental_via_orientations(g, zeta, hooks=True)
-        assert set(walked.coeffs) <= hooks
         full = cqf_fundamental_via_orientations(g, zeta)
-        for k in range(1, n + 1):
-            assert hook_coefficient_of_F(walked, k) == hook_coefficient_of_F(full, k)
+        walked = hook_coefficients_via_extensions_t(g, zeta)
+        assert walked == tuple(hook_coefficient_of_F(full, k) for k in range(1, n + 1))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -205,6 +208,67 @@ def test_hook_walk_matches_the_full_walk_on_seeded_graphs_k7_and_path_8():
         labels = list(range(1, g.n + 1))
         rng.shuffle(labels)
         _assert_hook_walk_matches_the_full_walk(g, (Labeling(labels),))
+
+
+def _assert_hook_t_rows_match_the_full_transforms(g, zetas):
+    # Each value of a hook-t row against the route it stands for, computed
+    # in full: the F-expansion of the full walk, the binomial sum over the
+    # full walk's falling orders, and the M -> F transform of every
+    # composition of the coloring route.
+    n = g.n
+    for zeta in zetas:
+        walked = cqf_fundamental_via_orientations(g, zeta)
+        converted = qsym_M_to_F(cqf_monomial(g, zeta))
+        entries = _orientation_compositions(g, zeta)
+        falling = [(sinks, des, count) for (comp, des, sinks), count in entries if comp == (1,) * n]
+        expected = []
+        for k in range(1, n + 1):
+            arr = [0] * (g.m + 1)
+            for sinks, des, count in falling:
+                arr[des] += comb(sinks - 1, k - 1) * count
+            expected.append((k, hook_coefficient_of_F(walked, k), TPoly(arr), hook_coefficient_of_F(converted, k)))
+        assert _hook_t_rows(g, zeta) == expected
+        assert all(a == b == c for _, a, b, c in expected)  # the routes agree
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_hook_t_rows_match_the_full_transforms(n):
+    rng = Random(30 + n)
+    for g in all_graphs(n):
+        _assert_hook_t_rows_match_the_full_transforms(g, _zetas(n, rng))
+
+
+def test_hook_t_rows_match_the_full_transforms_on_seeded_graphs_and_k7():
+    rng = Random(31)
+    for g in [*seeded_graphs(6, seed=31, sizes=(6, 7)), complete_graph(7)]:
+        _assert_hook_t_rows_match_the_full_transforms(g, _zetas(g.n, rng))
+
+
+def test_the_hook_t_readers_give_no_terms_on_the_empty_graph():
+    g = Graph(0)
+    assert hook_coefficients_via_extensions_t(g, None) == ()
+    assert hook_coefficients_via_colorings_t(g, None) == ()
+    assert hook_coefficients_via_orientations_t(g, None) == ()
+    assert _hook_t_rows(g, None) == []
+
+
+def test_the_route_kernels_are_cached_on_the_orientation_the_labeling_induces():
+    # Centre 1 has the smallest label under both labelings, so both orient
+    # every edge of the claw the same way.
+    first, second = Labeling([1, 2, 3, 4]), Labeling([1, 4, 2, 3])
+    _coloring_counts.cache_clear()
+    _order_counts.cache_clear()
+    assert _coloring_profile(CLAW, first) is _coloring_profile(CLAW, second)
+    assert _orientation_compositions(CLAW, first) is _orientation_compositions(CLAW, second)
+    assert _orientation_compositions(CLAW, first, hooks=True) is _orientation_compositions(CLAW, second, hooks=True)
+    assert _coloring_counts.cache_info().misses == 1
+    assert _order_counts.cache_info().misses == 2
+    # a labeling that turns an edge round is a new entry
+    turned = Labeling([2, 1, 3, 4])
+    assert _coloring_profile(CLAW, turned) != _coloring_profile(CLAW, first)
+    assert _orientation_compositions(CLAW, turned) != _orientation_compositions(CLAW, first)
+    assert _coloring_counts.cache_info().misses == 2
+    assert _order_counts.cache_info().misses == 3
 
 
 def test_the_hook_walk_of_k8_holds_one_entry_per_composition_and_descent_count():

@@ -8,8 +8,8 @@ import pytest
 
 from chromsym import cli
 from chromsym.cli import main
-from chromsym.partitions import hook_partition
 from chromsym.posets import Poset
+from chromsym.tpoly import TPoly
 
 CLAW_JSON = '{"n": 4, "edges": [[1, 2], [1, 3], [1, 4]]}'
 P3_EDGES = "1 2\n2 3\n"
@@ -337,14 +337,12 @@ def test_verify_chrompoly_counts_one_coloring_of_the_empty_graph(capsys, tmp_pat
 def test_verify_hook_t_marks_a_row_where_only_the_coloring_route_fails(capsys, claw_file, monkeypatch):
     # The table shows the F-expansion and orientation-sum columns; the
     # coloring route is compared too, and a row failing there is marked.
-    real = cli.qsym_M_to_F
+    real = cli.hook_coefficients_via_colorings_t
 
-    def drop_hook_2(f):
-        g = real(f)
-        g.coeffs.pop(hook_partition(4, 2), None)
-        return g
+    def drop_hook_2(graph, zeta):
+        return tuple(TPoly() if k == 2 else poly for k, poly in enumerate(real(graph, zeta), 1))
 
-    monkeypatch.setattr(cli, "qsym_M_to_F", drop_hook_2)
+    monkeypatch.setattr(cli, "hook_coefficients_via_colorings_t", drop_hook_2)
     code, out, _ = run_cli(capsys, "verify", claw_file, "hook-t")
     assert code == 1
     rows = out.splitlines()[2:-1]

@@ -4,9 +4,12 @@ import sys
 
 import pytest
 
+from chromsym.chromatic import csf_schur
 from chromsym.graphs import Graph, complete_graph, edgeless_graph, is_claw_free
+from chromsym.partitions import hook_partition
 from chromsym.posets import (
     Poset,
+    _schur_hooks,
     all_posets,
     count_p_tableaux_hook,
     incomparability_graph,
@@ -133,6 +136,39 @@ def test_all_posets_counts():
 def test_hook_proposition_holds_for_every_small_poset(n):
     for poset in all_posets(n):
         assert all(a == b for _, a, b in verify_hook_proposition(poset))
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_built_incomparability_graphs_equal_validated_ones(n):
+    # incomparability_graph skips the checks of Graph(n, edges)
+    for poset in all_posets(n):
+        built = incomparability_graph(poset)
+        validated = Graph(n, [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if poset.incomparable(a, b)])
+        assert built == validated
+        assert hash(built) == hash(validated)
+        assert built.edges == validated.edges
+        assert all(type(x) is int for edge in built.edges for x in edge)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_hook_proposition_rows_match_the_schur_expansion_of_each_poset(n):
+    # the Schur side comes from a memo shared by posets with one
+    # incomparability graph; each poset is checked against its own expansion
+    for poset in all_posets(n):
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if poset.incomparable(a, b)]
+        schur = csf_schur(Graph(n, pairs))
+        counts = [count_p_tableaux_hook(poset, k) for k in range(1, n + 1)]
+        expected = [(k, counts[k - 1], schur.get(hook_partition(n, k), 0)) for k in range(1, n + 1)]
+        assert verify_hook_proposition(poset) == expected
+
+
+def test_the_schur_hook_memo_is_bounded():
+    bound = _schur_hooks.cache_info().maxsize
+    assert bound is not None and bound >= 1012  # the distinct incomparability graphs on 5 elements
+    pairs = [(u, v) for u in range(1, 7) for v in range(u + 1, 7)]
+    for mask in range(bound + 10):  # more distinct graphs than the memo holds
+        _schur_hooks(Graph(6, [pairs[i] for i in range(len(pairs)) if mask >> i & 1]))
+    assert _schur_hooks.cache_info().currsize == bound
 
 
 def test_some_small_posets_have_clawed_incomparability_graphs():

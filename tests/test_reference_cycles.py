@@ -15,8 +15,9 @@ from types import FunctionType
 import pytest
 
 from chromsym.chromatic import (
-    _coloring_profile,
-    _orientation_compositions,
+    _below,
+    _coloring_counts,
+    _order_counts,
     _sink_counts,
     dual_linear_extensions,
     sink_minimal_increasing_labeling,
@@ -30,13 +31,13 @@ from chromsym.tableaux import _strip_removals, standard_tableaux
 GRAPH = Graph(6, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5), (4, 6), (5, 6)])
 POSET = Poset.from_covers(6, [[1, 2], [1, 3], [2, 4], [3, 4], [4, 5]])
 ORIENTATION = acyclic_orientations(GRAPH)[7]
-ZETA = Labeling([4, 1, 6, 2, 5, 3])
+BELOW = tuple(_below(GRAPH, Labeling([4, 1, 6, 2, 5, 3])))
 
 KERNELS = {
     # the cached kernels are called past their caches, so that each call walks
-    "_coloring_profile": lambda: _coloring_profile.__wrapped__(GRAPH, ZETA),
-    "_orientation_compositions": lambda: _orientation_compositions.__wrapped__(GRAPH, ZETA),
-    "_orientation_compositions, hooks": lambda: _orientation_compositions.__wrapped__(GRAPH, ZETA, hooks=True),
+    "_coloring_profile": lambda: _coloring_counts.__wrapped__(GRAPH, BELOW),
+    "_orientation_compositions": lambda: _order_counts.__wrapped__(GRAPH, BELOW, False),
+    "_orientation_compositions, hooks": lambda: _order_counts.__wrapped__(GRAPH, BELOW, True),
     "_sink_counts": lambda: _sink_counts.__wrapped__(GRAPH),
     "_stable_partition_counts": lambda: _stable_partition_counts.__wrapped__(GRAPH),
     "acyclic_orientation_masks": lambda: list(acyclic_orientation_masks(GRAPH)),
