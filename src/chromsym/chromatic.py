@@ -7,7 +7,8 @@ The same quantities are reachable along two independent routes:
   polynomial's enumeration side come from ``_coloring_profile``, a DP
   over the set of vertices colored so far that adds one stable color
   class at a time and counts colorings per distinct (composition,
-  ascents) pair, never one coloring at a time;
+  ascents) pair, never one coloring at a time; on graphs of sweep size
+  its finished states are stored per induced subgraph and shared;
 * orientations: acyclic orientations weighted by sinks and descents,
   assembled into fundamental coordinates through linear extensions.  One
   recursion over vertex orders, ``_vertex_orders``, meets every
@@ -37,6 +38,9 @@ from .graphs import (
     Graph,
     Labeling,
     Orientation,
+    _pair_mask,
+    _relation_bits,
+    _transpose,
     acyclic_orientations,  # noqa: F401  (perfbench/shim.py wraps this binding)
     stable_partitions_by_type,
 )
@@ -206,6 +210,22 @@ def _coloring_profile(graph: Graph, zeta: Labeling | None) -> tuple[tuple[tuple[
     return _coloring_counts(graph, None if zeta is None else tuple(_below(graph, zeta)))
 
 
+# Finished DP states of the vertex sets of graphs with at most _STORED_N
+# vertices, keyed by the induced subgraph with its orientation and shared by
+# every such graph of the process; values are pairs (keys, counts) of tuples.
+# Cleared on entry to _coloring_counts once it holds more than _STATES_CAP.
+_STATES: dict[int, tuple] = {}
+_STATES_CAP = 1 << 13
+_STORED_N = 7
+
+
+@lru_cache(maxsize=8)
+def _subset_pair_masks(n: int) -> tuple[int, ...]:
+    """Entry s is ``_pair_mask(n, s)`` with bit n² set, which tells the
+    vertex counts apart in the keys of ``_STATES``."""
+    return tuple(_pair_mask(n, s) | 1 << n * n for s in range(1 << n))
+
+
 @lru_cache(maxsize=4)
 def _coloring_counts(graph: Graph, below: tuple[int, ...] | None) -> tuple:
     """The profile of ``_coloring_profile`` under the labeling whose
@@ -219,8 +239,14 @@ def _coloring_counts(graph: Graph, below: tuple[int, ...] | None) -> tuple:
     partial sum |S| + |T| and the ascents of the edges that run up the
     labeling from S into T.  The work is one step per (S, T, key of S),
     however many colorings a key counts.
+
+    The state of S depends only on the subgraph S induces and the
+    orientation its edges get, so on graphs of at most ``_STORED_N``
+    vertices every finished state of a proper subset goes to ``_STATES``,
+    and when that already holds V - T for every nonempty stable T, the
+    last color class, the states of V are summed from them with no DP.
     """
-    n, m = graph.n, graph.m
+    n = graph.n
     adj = graph.adjacency_masks()
     if below is None:
         below = _below(graph, None)
@@ -240,23 +266,55 @@ def _coloring_counts(graph: Graph, below: tuple[int, ...] | None) -> tuple:
         stable[t] = stable[rest] and not adj[low] & rest
         starts[t] = starts[rest] | lower[low]
         ends[t] = ends[rest] | upper[low]
-    width = m.bit_length()  # the ascents number at most m
-    states: list = [defaultdict(int) for _ in range(full + 1)]
-    states[0][0] = 1
-    for s in range(full):
-        here, states[s] = states[s], None
-        up, shift, free = starts[s], width + s.bit_count() - 1, full ^ s
-        t = free
-        while t:
-            if stable[t]:
-                delta = (up & ends[t]).bit_count() + (1 << (shift + t.bit_count()))
-                there = states[s | t]
-                for key, count in here.items():
-                    there[key + delta] += count
-            t = (t - 1) & free
-    table, final = _compositions_by_mask(n), states[full]
+    width = (n * (n - 1) // 2).bit_length()  # the ascents number at most C(n, 2)
+    keys = final = None
+    if 0 < n <= _STORED_N:
+        if len(_STATES) > _STATES_CAP:
+            _STATES.clear()
+        rel = _relation_bits(_transpose(below)) | 1 << n * n  # bit a·n + b: a below b
+        keys = [rel & mask for mask in _subset_pair_masks(n)]
+        final = _states_from_store(keys, stable, starts, ends)
+    if final is None:
+        states: list = [defaultdict(int) for _ in range(full + 1)]
+        states[0][0] = 1
+        for s in range(full):
+            here, states[s] = states[s], None
+            if keys:
+                _STATES[keys[s]] = (tuple(here), tuple(here.values()))
+            up, shift, free = starts[s], width + s.bit_count() - 1, full ^ s
+            t = free
+            while t:
+                if stable[t]:
+                    delta = (up & ends[t]).bit_count() + (1 << (shift + t.bit_count()))
+                    there = states[s | t]
+                    for key, count in here.items():
+                        there[key + delta] += count
+                t = (t - 1) & free
+        final = states[full]
+    table = _compositions_by_mask(n)
     low, asc = len(table) - 1, (1 << width) - 1  # the partial sum n is dropped
     return tuple(((table[key >> width & low], key & asc), final[key]) for key in sorted(final))
+
+
+def _states_from_store(keys: list[int], stable: list[bool], starts: list[int], ends: list[int]):
+    """The DP's states of the whole vertex set, summed over the last color
+    class T from the stored states of V - T, or None when one is missing.
+    The partial sum n that T adds is left out: it is dropped anyway."""
+    full = len(keys) - 1
+    parts = []
+    t = full
+    while t:
+        if stable[t]:
+            got = _STATES.get(keys[full ^ t])
+            if got is None:
+                return None
+            parts.append((got, (starts[full ^ t] & ends[t]).bit_count()))
+        t = (t - 1) & full
+    final: defaultdict[int, int] = defaultdict(int)
+    for (got, counts), ascents_ in parts:
+        for key, count in zip(got, counts):
+            final[key + ascents_] += count
+    return final
 
 
 @lru_cache(maxsize=8)

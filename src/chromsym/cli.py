@@ -32,7 +32,7 @@ from .chromatic import (
 )
 from .graphs import Graph, Labeling, Orientation, acyclic_orientation_masks, descents, load_graph
 from .partitions import hook_partition
-from .posets import all_posets, load_poset, verify_hook_proposition
+from .posets import Poset, all_posets, load_poset, verify_hook_proposition
 from .symfunc import (
     _terms_json,
     canonical_items,
@@ -67,23 +67,49 @@ def _emit_table(lines: list[str], items) -> None:
         lines.append(f"  {k.ljust(width)}  {c}")
 
 
-def _finish(args, command: str, inputs: dict, outputs: dict, status: str, lines: Iterable[str]) -> int:
+def _finish(args, command: str, inputs: dict, outputs: dict, status: str, lines: Iterable[str], streamed=None) -> int:
     """Write the run to stdout, as JSON with --json and as lines otherwise,
     and return the exit code of its status.  The lines are read only
-    without --json, and written in chunks of about 64 KiB."""
+    without --json.  With it, streamed, when given, is a pair (field of
+    outputs, its records): the array is written one record at a time.
+    Either way the text goes out in chunks of about 64 KiB."""
     if args.json:
         payload = {"command": command, "inputs": inputs, "outputs": outputs, "status": status}
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        pieces = _json_pieces(payload, streamed)
     else:
-        chunk, size = [], 0
-        for line in lines:
-            chunk.append(line + "\n")
-            size += len(chunk[-1])
-            if size >= 1 << 16:
-                sys.stdout.write("".join(chunk))
-                chunk, size = [], 0
-        sys.stdout.write("".join(chunk))
+        pieces = (line + "\n" for line in lines)
+    chunk, size = [], 0
+    for piece in pieces:
+        chunk.append(piece)
+        size += len(piece)
+        if size >= 1 << 16:
+            sys.stdout.write("".join(chunk))
+            chunk, size = [], 0
+    sys.stdout.write("".join(chunk))
     return EXIT_OK if status == "ok" else EXIT_MISMATCH
+
+
+_HOLE = "\0"  # stands in for a streamed array while the rest of the payload is dumped
+
+
+def _json_pieces(payload: dict, streamed):
+    """The text of json.dumps(payload, indent=2, sort_keys=True) plus a
+    newline, with the streamed field of payload["outputs"] filled from its
+    records as they come.  The stand-in is found as its last occurrence:
+    an input such as a vertex name may hold a NUL, but the outputs after
+    the field and the status are numbers, flags and fixed words."""
+    if streamed is None:
+        yield json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return
+    field, records = streamed
+    payload["outputs"][field] = _HOLE
+    head, _, tail = json.dumps(payload, indent=2, sort_keys=True).rpartition(json.dumps(_HOLE))
+    yield head
+    sep = "[\n      "  # the array sits at depth 2, its records at depth 3
+    for record in records:
+        yield sep + json.dumps(record, indent=2, sort_keys=True).replace("\n", "\n      ")
+        sep = ",\n      "
+    yield ("[]" if sep[0] == "[" else "\n    ]") + tail + "\n"
 
 
 def _graph_inputs(graph: Graph, zeta: Labeling | None = None, names=None) -> dict:
@@ -204,13 +230,17 @@ def cmd_cqf(args) -> int:
         lines.append(f"symmetric at t=1: {'yes' if outputs['symmetric_at_1'] else 'no'}")
 
     listing: Iterable[str] = ()
+    streamed = None
     if args.verbose:
         records = _orientation_records(graph, zeta)
         if args.json:
-            outputs["orientations"] = [
-                {"arcs": [list(a) for a in arcs], "des": des, "snk": snk, "omega": list(omega), "extensions": words}
-                for arcs, des, snk, omega, words in records
-            ]
+            streamed = (
+                "orientations",
+                (
+                    {"arcs": [list(a) for a in arcs], "des": des, "snk": snk, "omega": list(omega), "extensions": words}
+                    for arcs, des, snk, omega, words in records
+                ),
+            )
         else:  # one line at a time, as _finish writes them
             listing = chain(
                 ["orientations:"],
@@ -221,7 +251,7 @@ def cmd_cqf(args) -> int:
                 ),
             )
     lines = chain(lines, listing, [f"status: {status}"])
-    return _finish(args, "cqf", _graph_inputs(graph, zeta, loaded.names), outputs, status, lines)
+    return _finish(args, "cqf", _graph_inputs(graph, zeta, loaded.names), outputs, status, lines, streamed)
 
 
 def _orientation_records(graph: Graph, zeta: Labeling):
@@ -359,31 +389,36 @@ def _case_failures(target, checks) -> list[dict]:
     return [f for name in checks for f in _failures(CHECKS[name], target, CHECKS[name].rows(target, None))]
 
 
-def _sweep_graph_worker(task) -> list[dict]:
-    n, mask, checks = task
+def _sweep_worker(task) -> list[dict]:
+    """The failure records of one case: (n, edge mask, checks) names a
+    graph, (n, above-masks, checks) a poset."""
+    n, case, checks = task
+    if isinstance(case, tuple):
+        return _case_failures(Poset._trusted(n, case), checks)
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    return _case_failures(Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1]), checks)
+    return _case_failures(Graph(n, [pairs[i] for i in range(len(pairs)) if case >> i & 1]), checks)
 
 
 def _sweep_results(n: int, checks: tuple[str, ...], jobs: int):
     """The failure records of each case in turn: every graph on n
-    vertices, then every poset on n elements.  Graphs go to at most
-    min(jobs, CPUs) worker processes."""
+    vertices, then every poset on n elements.  Both go to at most
+    min(jobs, CPUs) worker processes, each with its own kernel stores."""
     graph_checks = tuple(c for c in checks if c in GRAPH_CHECKS)
-    if graph_checks:
-        tasks = ((n, mask, graph_checks) for mask in range(1 << (n * (n - 1) // 2)))
-        workers = min(jobs, os.cpu_count() or 1)
-        if workers > 1:
-            from multiprocessing import Pool  # only parallel sweeps pay for the import
-
-            with Pool(workers) as pool:
-                yield from pool.imap(_sweep_graph_worker, tasks, chunksize=64)
-        else:
-            yield from map(_sweep_graph_worker, tasks)
     poset_checks = tuple(c for c in checks if c in POSET_CHECKS)
-    if poset_checks:
-        for poset in all_posets(n):
-            yield _case_failures(poset, poset_checks)
+    graphs = range(1 << (n * (n - 1) // 2)) if graph_checks else ()
+    posets = all_posets(n) if poset_checks else ()
+    tasks = chain(
+        ((n, mask, graph_checks) for mask in graphs),
+        ((n, poset.above, poset_checks) for poset in posets),
+    )
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
+        from multiprocessing import Pool  # only parallel sweeps pay for the import
+
+        with Pool(workers) as pool:
+            yield from pool.imap(_sweep_worker, tasks, chunksize=64)
+    else:
+        yield from map(_sweep_worker, tasks)
 
 
 def cmd_sweep(args) -> int:

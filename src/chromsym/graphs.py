@@ -9,7 +9,9 @@ vectors.  Stable partitions are counted by type with a subset DP over
 vertex sets, memoized per graph, so their cost follows the 2^n subsets
 and the number of types rather than the number of partitions.  A
 relation held as bitmasks is reversed by ``_transpose`` and closed by
-``_closure``, the one kernel for each that orientations and posets share.
+``_closure``, the one kernel for each that orientations and posets share;
+``_relation_bits`` holds it as one integer that ``_pair_mask`` restricts
+to a set, the key of the stores the sweep kernels share across cases.
 """
 
 from __future__ import annotations
@@ -243,6 +245,26 @@ def _closure(masks) -> list[int] | None:
                 order.append(j)
             rest ^= low
     return closed if len(order) == n else None
+
+
+def _relation_bits(masks) -> int:
+    """The relation masks (bit b of masks[a] relates a to b) as one n²-bit
+    integer: bit a·n + b is set when a relates to b, and every diagonal bit
+    a·n + a is set as well.  One AND with ``_pair_mask(n, s)`` restricts it
+    to the set s, and the diagonal bits left then name s itself, so equal
+    results mean equal sets carrying equal relations."""
+    n = len(masks)
+    return sum((mask | 1 << a) << a * n for a, mask in enumerate(masks))
+
+
+def _pair_mask(n: int, s: int) -> int:
+    """The bits a·n + b of an n²-bit relation with a and b both in s."""
+    out, rows = 0, s
+    while rows:
+        low = rows & -rows
+        out |= s << (low.bit_length() - 1) * n
+        rows ^= low
+    return out
 
 
 def acyclic_orientation_masks(graph: Graph):

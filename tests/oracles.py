@@ -361,6 +361,52 @@ def count_p_tableaux_hook_brute(poset, k: int, column_ok) -> int:
     return total
 
 
+def hook_tableau_counts_per_poset(poset) -> list[int]:
+    """Entry k counts the hook fillings of arm length k, for k in 0..n, by
+    a walk over the chains whose column fillings are memoized per poset on
+    (bottom cell, elements left), a memo dropped when the walk ends.  This
+    was the library's kernel before its memo became a store shared across
+    posets; it keeps no state between calls."""
+    n = poset.n
+    above = poset.above
+    below = [0] * n  # below[x]: the elements strictly less than x
+    for a in range(n):
+        for b in range(n):
+            if above[a] >> b & 1:
+                below[b] |= 1 << a
+    memo: dict[int, int] = {}
+
+    def legs(lower: int, remaining: int) -> int:
+        if not remaining:
+            return 1
+        key = remaining * n + lower
+        got = memo.get(key)
+        if got is None:
+            got = 0
+            allowed = remaining & ~below[lower]
+            while allowed:
+                low = allowed & -allowed
+                got += legs(low.bit_length() - 1, remaining ^ low)
+                allowed ^= low
+            memo[key] = got
+        return got
+
+    full = (1 << n) - 1
+    counts = [0] * (n + 1)
+
+    def chains(bottom: int, top: int, used: int, length: int):
+        counts[length] += legs(bottom, full ^ used)
+        ups = above[top]
+        while ups:
+            low = ups & -ups
+            chains(bottom, low.bit_length() - 1, used | low, length + 1)
+            ups ^= low
+
+    for bottom in range(n):
+        chains(bottom, bottom, 1 << bottom, 1)
+    return counts
+
+
 def interpolate_at(points: list[tuple[int, int]], x: int) -> Fraction:
     """Exact Lagrange interpolation through integer points."""
     total = Fraction(0)

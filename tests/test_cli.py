@@ -424,6 +424,24 @@ def test_parallel_sweep_stops_at_the_first_failing_case(capsys, monkeypatch):
     assert (outputs["cases"], outputs["aborted_early"], len(outputs["failures"])) == (2, True, 1)
 
 
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="workers must inherit the patched registry"
+)
+def test_parallel_poset_sweep_stops_at_the_first_failing_case(capsys, monkeypatch):
+    # posets go to the pool too, and their results also arrive in case order
+    _fail_on_nonempty_targets(monkeypatch, "ptableaux")
+    argv = ["sweep", "--max-n", "4", "--checks", "hook-1,ptableaux", "--json"]
+    code, out, _ = run_cli(capsys, *argv, "--jobs", "2")
+    assert code == 1
+    outputs = json.loads(out)["outputs"]
+    # 64 graphs on 4 vertices pass, then the antichain, then a failure
+    assert (outputs["cases"], outputs["aborted_early"], len(outputs["failures"])) == (66, True, 1)
+    _, serial, _ = run_cli(capsys, *argv, "--keep-going")
+    _, parallel, _ = run_cli(capsys, *argv, "--keep-going", "--jobs", "2")
+    assert parallel == serial
+    assert json.loads(parallel)["outputs"]["cases"] == 64 + 219
+
+
 def test_sweep_keep_going_runs_every_case(capsys, monkeypatch):
     _fail_on_nonempty_targets(monkeypatch, "hook-1")
     _fail_on_nonempty_targets(monkeypatch, "ptableaux")
@@ -465,6 +483,32 @@ def test_cli_output_is_byte_deterministic(tmp_path):
     ]
     assert sweeps[0].returncode == 0
     assert sweeps[0].stdout == sweeps[1].stdout
+
+
+@pytest.mark.parametrize("checks", ["ptableaux", "hook-1,hook-t,e-sink,chrompoly"])
+def test_sweep_output_does_not_depend_on_jobs_or_the_hash_seed(checks):
+    # the kernels' stores fill in the order each process meets the cases
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "chromsym", "sweep", "--max-n", "4", "--checks", checks, "--jobs", jobs],
+            capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        for seed in ("0", "1")
+        for jobs in ("1", "2")
+    ]
+    assert runs[0].returncode == 0
+    assert runs[0].stdout.startswith(b"# sweep  n=4")
+    assert all(run.stdout == runs[0].stdout for run in runs)
+
+
+def test_a_streamed_array_is_written_as_json_dumps_writes_it():
+    records = [{"b": [1, 2], "a": {"y": 1, "x": [3]}}, {"b": [], "a": {}}]
+    for count in range(3):
+        outputs = {"after": [[1], 2], "before": "\u0000 is not the stand-in"}
+        payload = {"command": "c", "inputs": {"names": ["\0"]}, "outputs": outputs, "status": "ok"}
+        expected = json.dumps({**payload, "outputs": {**outputs, "list": records[:count]}}, indent=2, sort_keys=True)
+        assert "".join(cli._json_pieces(payload, ("list", iter(records[:count])))) == expected + "\n"
 
 
 def test_edge_list_numbering_does_not_depend_on_the_hash_seed(tmp_path):

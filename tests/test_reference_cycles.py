@@ -36,6 +36,8 @@ BELOW = tuple(_below(GRAPH, Labeling([4, 1, 6, 2, 5, 3])))
 KERNELS = {
     # the cached kernels are called past their caches, so that each call walks
     "_coloring_profile": lambda: _coloring_counts.__wrapped__(GRAPH, BELOW),
+    # the second call sums the states the first one stored
+    "_coloring_profile, from the store": lambda: [_coloring_counts.__wrapped__(GRAPH, BELOW) for _ in range(2)],
     "_orientation_compositions": lambda: _order_counts.__wrapped__(GRAPH, BELOW, False),
     "_orientation_compositions, hooks": lambda: _order_counts.__wrapped__(GRAPH, BELOW, True),
     "_sink_counts": lambda: _sink_counts.__wrapped__(GRAPH),

@@ -1,0 +1,193 @@
+"""The kernel stores never change an answer.
+
+``posets._LEGS`` holds column fillings by induced sub-order and
+``chromatic._STATES`` the coloring DP's finished states by induced,
+oriented subgraph; every case a process runs shares them.  Each test runs
+a kernel over many cases with its store emptied before every case, shared
+from empty, warmed by a first pass, or capped low so that it is cleared
+between cases, in order, reversed and with the sizes interleaved, and
+compares every answer with one that keeps no store.
+"""
+
+from functools import cache
+from itertools import chain, zip_longest
+from random import Random
+
+import pytest
+
+from chromsym import chromatic, cli, posets
+from chromsym.chromatic import _coloring_counts
+from chromsym.graphs import Labeling, complete_graph, path_graph
+from chromsym.posets import Poset, _hook_tableau_counts, all_posets
+from oracles import (
+    all_graphs,
+    coloring_profile_pruned,
+    count_p_tableaux_hook_brute,
+    hook_tableau_counts_per_poset,
+    seeded_graphs,
+    seeded_relations,
+)
+from test_chromatic import _assert_coloring_profile_matches
+
+RUNS = [
+    ("in order", "emptied"),
+    ("in order", "shared"),
+    ("in order", "warm"),
+    ("in order", "low cap"),
+    ("reversed", "shared"),
+    ("interleaved", "shared"),
+    ("interleaved", "low cap"),
+]
+
+
+def _ordered(by_size: list[list], order: str) -> list:
+    if order == "interleaved":  # one case of each size in turn
+        return [case for group in zip_longest(*by_size) for case in group if case is not None]
+    cases = list(chain.from_iterable(by_size))
+    return cases[::-1] if order == "reversed" else cases
+
+
+def _run(monkeypatch, module, store: str, cap: str, mode: str, cases, check) -> dict:
+    """Run check on every case under mode, with a fresh store; return it."""
+    monkeypatch.setattr(module, store, {})
+    if mode == "low cap":
+        monkeypatch.setattr(module, cap, 40)
+    if mode == "warm":
+        for case in cases:
+            check(case)
+    for case in cases:
+        if mode == "emptied":
+            getattr(module, store).clear()
+        check(case)
+    return getattr(module, store)
+
+
+def _seeded_posets(sizes=(6, 7)):
+    # the even-numbered relations only relate lower to higher indices
+    for i, masks in enumerate(seeded_relations(12, seed=15, sizes=sizes)):
+        if i % 2 == 0:
+            n = len(masks)
+            yield Poset.from_covers(n, [(a + 1, b + 1) for a in range(n) for b in range(n) if masks[a] >> b & 1])
+
+
+def _brute_counts(poset) -> list[int]:
+    def column_ok(lower, upper):
+        return not poset.less(upper, lower)
+
+    return [0] + [count_p_tableaux_hook_brute(poset, k, column_ok) for k in range(1, poset.n + 1)]
+
+
+POSETS = [list(all_posets(n)) for n in range(6)]
+
+
+@cache  # the oracles run when a test first needs them, not at collection
+def _poset_oracle() -> dict:
+    counts = {poset: hook_tableau_counts_per_poset(poset) for group in POSETS for poset in group}
+    counts.update((poset, _brute_counts(poset)) for poset in SEEDED_POSETS)
+    return counts
+
+
+@pytest.mark.parametrize("order, mode", RUNS)
+def test_tableau_counts_match_the_per_poset_kernel_on_every_small_poset(monkeypatch, order, mode):
+    def check(poset):
+        assert _hook_tableau_counts(poset) == _poset_oracle()[poset]
+
+    store = _run(monkeypatch, posets, "_LEGS", "_LEGS_CAP", mode, _ordered(POSETS, order), check)
+    assert store and all(type(value) is int for value in store.values())
+
+
+SEEDED_POSETS = list(_seeded_posets())
+
+
+@pytest.mark.parametrize("mode", ["shared", "warm", "low cap"])
+def test_tableau_counts_match_the_permutation_oracle_on_seeded_posets(monkeypatch, mode):
+    assert {poset.n for poset in SEEDED_POSETS} == {6, 7}
+    cases = _ordered([POSETS[4], SEEDED_POSETS], "interleaved")
+
+    def check(poset):
+        assert _hook_tableau_counts(poset) == _poset_oracle()[poset]
+
+    _run(monkeypatch, posets, "_LEGS", "_LEGS_CAP", mode, cases, check)
+
+
+def test_posets_above_seven_elements_neither_read_nor_write_the_store(monkeypatch):
+    monkeypatch.setattr(posets, "_LEGS", {})
+    for poset in _seeded_posets(sizes=(8, 9, 10)):
+        assert _hook_tableau_counts(poset) == hook_tableau_counts_per_poset(poset)
+    assert posets._LEGS == {}
+
+
+def _zetas(n: int, rng: Random) -> list:
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    return [None, Labeling(range(n, 0, -1)), Labeling(labels)]
+
+
+GRAPHS = [list(all_graphs(n)) for n in range(6)]
+SEEDED_GRAPHS = [*seeded_graphs(6, seed=15), complete_graph(7), path_graph(8)]
+
+
+@cache
+def _graph_cases() -> dict:
+    return {
+        g: (dict(coloring_profile_pruned(g)), _zetas(g.n, Random(i)))
+        for i, g in enumerate(chain(*GRAPHS, SEEDED_GRAPHS))
+    }
+
+
+def _check_graph(g):
+    _coloring_counts.cache_clear()  # every call runs the kernel, not its lru_cache
+    oracle, zetas = _graph_cases()[g]
+    _assert_coloring_profile_matches(g, oracle, zetas)
+
+
+def _assert_states_are_immutable(store: dict):
+    assert store
+    for value in store.values():
+        assert type(value) is tuple
+        keys, counts = value
+        assert type(keys) is tuple and type(counts) is tuple and len(keys) == len(counts)
+        assert all(type(item) is int for item in keys + counts)
+
+
+@pytest.mark.parametrize("order, mode", RUNS)
+def test_coloring_profiles_match_the_oracle_on_every_small_graph(monkeypatch, order, mode):
+    store = _run(monkeypatch, chromatic, "_STATES", "_STATES_CAP", mode, _ordered(GRAPHS, order), _check_graph)
+    _assert_states_are_immutable(store)
+
+
+@pytest.mark.parametrize("mode", ["shared", "warm", "low cap"])
+def test_coloring_profiles_match_the_oracle_on_seeded_graphs(monkeypatch, mode):
+    assert {g.n for g in SEEDED_GRAPHS} == {6, 7, 8}
+    cases = _ordered([GRAPHS[4], GRAPHS[5][::7], SEEDED_GRAPHS], "interleaved")
+    store = _run(monkeypatch, chromatic, "_STATES", "_STATES_CAP", mode, cases, _check_graph)
+    _assert_states_are_immutable(store)
+
+
+def test_graphs_above_seven_vertices_neither_read_nor_write_the_store(monkeypatch):
+    monkeypatch.setattr(chromatic, "_STATES", {})
+    for g in SEEDED_GRAPHS[2::3]:  # 8 vertices
+        _check_graph(g)
+    assert chromatic._STATES == {}
+
+
+def test_the_coloring_store_skips_the_dp_in_a_sweep_of_five_vertices(monkeypatch):
+    monkeypatch.setattr(chromatic, "_STATES", {})
+    found = []
+    real = chromatic._states_from_store
+
+    def recording(*args):
+        got = real(*args)
+        found.append(got is not None)
+        return got
+
+    monkeypatch.setattr(chromatic, "_states_from_store", recording)
+    _coloring_counts.cache_clear()
+    assert list(cli._sweep_results(5, ("chrompoly", "hook-t"), 1)) == [[]] * 1024
+    # one lookup per graph; once the smaller subgraphs are stored, three in
+    # four graphs are summed from them
+    assert len(found) == 1024
+    assert sum(found) == 768
+    # the 425 nonempty proper induced subgraphs, and the empty one
+    assert len(chromatic._STATES) == 426
+    _assert_states_are_immutable(chromatic._STATES)
