@@ -10,7 +10,6 @@ from .chromatic import (
     csf_monomial,
     csf_schur,
     dual_linear_extensions,
-    hook_coefficient_via_orientations_t,
     hook_coefficients_via_colorings_t,
     hook_coefficients_via_extensions_t,
     hook_coefficients_via_orientations_t,
@@ -24,12 +23,10 @@ from .graphs import (
     Labeling,
     Orientation,
     acyclic_orientations,
-    ascents,
     complete_graph,
     descents,
     edgeless_graph,
     is_claw_free,
-    is_proper_coloring,
     load_graph,
     parse_graph_text,
     path_graph,
@@ -41,7 +38,6 @@ from .partitions import (
     compositions_of,
     conjugate,
     descents_from_composition,
-    dominance_leq,
     hook_partition,
     partition_of,
     partitions_of,
@@ -66,11 +62,8 @@ from .symfunc import (
     is_symmetric,
     m_to_e,
     m_to_s,
-    monomial_to_quasi,
     qsym_F_to_M,
     qsym_M_to_F,
-    schur_m_expansion,
-    serialize,
     specialize_w_k,
 )
 from .tableaux import (

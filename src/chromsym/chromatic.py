@@ -11,14 +11,16 @@ The same quantities are reachable along two independent routes:
   its finished states are stored per induced subgraph and shared;
 * orientations: acyclic orientations weighted by sinks and descents,
   assembled into fundamental coordinates through linear extensions.  One
-  recursion over vertex orders, ``_vertex_orders``, meets every
-  (orientation, linear extension) pair once: an order is an extension of
-  the one orientation whose arcs run from its earlier to its later ends.
-  It places vertices from the last position to the first and labels them
-  by height, so each order's descents, and the orientation's descents
-  under the labeling, are known as it is built; in its
-  hook mode it meets only the extensions whose descent composition is a
-  hook, 2^(sinks - 1) per orientation instead of all n! orders.
+  recursion over vertex orders, in ``_order_counts``, meets every
+  (orientation, linear extension) pair once and tallies it in place: an
+  order is an extension of the one orientation whose arcs run from its
+  earlier to its later ends.  It places vertices from the last position
+  to the first and labels them by height, so each order's descents, and
+  the orientation's descents under the labeling, are known as it is
+  built; in its hook mode it meets only the extensions whose descent
+  composition is a hook, 2^(sinks - 1) per orientation instead of all n!
+  orders.  ``dual_linear_extensions`` lists the extensions of one given
+  orientation with a recursion of its own.
 
 Both kernels read the labeling only through the orientation it induces
 on the edges, and are cached on that.  ``hook-t`` reads its three values
@@ -340,59 +342,6 @@ def cqf_monomial(graph: Graph, zeta: Labeling | None = None) -> QuasisymmetricM:
     return QuasisymmetricM._trusted(graph.n, {comp: TPoly._trusted(arr) for comp, arr in acc.items()})
 
 
-def _vertex_orders(adj, after, below, order: list[int], leaf, hooks: bool = False) -> None:
-    """Call leaf(down, descents, sinks) once for every order of the vertices
-    0..n-1 that places each vertex v before all of after[v], with order[i]
-    the vertex at position i.  An order is a linear extension of the acyclic
-    orientation whose arcs run from the earlier to the later end of each
-    edge of adj.  Vertices are placed from the last position to the first,
-    so the neighbours of v already placed are the heads of its arcs: down
-    counts the arcs v -> u with u in below[v], and sinks the vertices placed
-    with no neighbour after them.  Each vertex is labeled by its height, the
-    longest directed path to a sink, ties broken by index; bit n - 2 - i of
-    descents is set when the label at position i is larger than the one at
-    i + 1.  With hooks, only the orders whose labels fall and then rise are
-    met: read from the back, an ascent after a descent ends the branch."""
-    n = len(adj)
-    if n == 0:
-        leaf(0, 0, 0)
-        return
-    full = (1 << n) - 1
-    height = [0] * n + [n]  # the sentinel height[n] puts no descent after the last position
-    level = [0] * n  # level[d]: the placed vertices of height d
-
-    def rec(placed: int, i: int, down: int, last: int, des: int, sinks: int, rise: int):
-        top = height[last]
-        rest = full ^ placed
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            if after[v] & ~placed:
-                continue
-            h, heads = rise, adj[v] & placed  # rise is one more than the largest height placed
-            while h and not heads & level[h - 1]:
-                h -= 1
-            if h > top or h == top and v > last:
-                fell = des | 1 << (n - 2 - i)
-            elif hooks and des:
-                continue
-            else:
-                fell = des
-            height[v] = h
-            order[i] = v
-            arcs_down = down + (heads & below[v]).bit_count()
-            if i:
-                level[h] |= low
-                rec(placed | low, i - 1, arcs_down, v, fell, sinks + (not h), rise + (h == rise))
-                level[h] ^= low
-            else:
-                leaf(arcs_down, fell, sinks + (not h))
-
-    rec(0, n - 1, 0, n, 0, 0, 0)
-    del rec  # rec refers to itself: break the cycle so the caller's tables are freed at once
-
-
 def sink_minimal_increasing_labeling(o: Orientation) -> Labeling:
     """The canonical labeling that decreases along directed paths and
     gives the sinks the smallest labels.
@@ -429,12 +378,25 @@ def dual_linear_extensions(o: Orientation, omega: Labeling) -> tuple[tuple[int, 
     n = o.graph.n
     if omega.n != n:
         raise ValueError("labeling does not match the orientation's graph")
-    labels, order, words, none = omega.labels, [0] * n, [], [0] * n
+    tails = _transpose(o.out_masks())  # tails[v]: the vertices with an arc into v
+    labels, word, words = omega.labels, [0] * n, []
+    full = (1 << n) - 1
 
-    def record(*_):
-        words.append(tuple(labels[v] for v in order))
+    def rec(placed: int, i: int):
+        if i == n:
+            words.append(tuple(word))
+            return
+        rest = full ^ placed
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            if not tails[v] & ~placed:
+                word[i] = labels[v]
+                rec(placed | low, i + 1)
 
-    _vertex_orders(none, o.out_masks(), none, order, record)  # no edges: every height is 0, only the orders are read
+    rec(0, 0)
+    del rec  # rec refers to itself: break the cycle so its tables are freed at once
     return tuple(sorted(words))
 
 
@@ -457,16 +419,59 @@ def _orientation_compositions(graph: Graph, zeta: Labeling | None, *, hooks: boo
 @lru_cache(maxsize=4)
 def _order_counts(graph: Graph, below: tuple[int, ...] | None, hooks: bool) -> tuple:
     """The entries of ``_orientation_compositions`` under the labeling whose
-    ``_below`` is below, or the order by index when below is None."""
+    ``_below`` is below, or the order by index when below is None.
+
+    One recursion meets every order of the vertices once, each of them a
+    linear extension of the orientation whose arcs run from the earlier to
+    the later end of each edge.  Vertices are placed from the last position
+    to the first, so the neighbours of v already placed are the heads of its
+    arcs: down counts the arcs v -> u with u in below[v], and sinks the
+    vertices placed with no neighbour after them.  Each vertex is labeled by
+    its height, the longest directed path to a sink, ties broken by index;
+    bit n - 2 - i of des is set when the label at position i is larger than
+    the one at i + 1.  With hooks, only the orders whose labels fall and then
+    rise are met: read from the back, an ascent after a descent ends the
+    branch.  Placing position 0 completes an order, counted in
+    tally[des, down, sinks]."""
     n = graph.n
     if below is None:
         below = _below(graph, None)
+    adj = graph.adjacency_masks()
     tally: defaultdict[tuple[int, int, int], int] = defaultdict(int)
+    full = (1 << n) - 1
+    height = [0] * n + [n]  # the sentinel height[n] puts no descent after the last position
+    level = [0] * n  # level[d]: the placed vertices of height d
 
-    def leaf(down: int, des: int, sinks: int):
-        tally[des, down, sinks] += 1
+    def rec(placed: int, i: int, down: int, last: int, des: int, sinks: int, rise: int):
+        top = height[last]
+        rest = full ^ placed
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            h, heads = rise, adj[v] & placed  # rise is one more than the largest height placed
+            while h and not heads & level[h - 1]:
+                h -= 1
+            if h > top or h == top and v > last:
+                fell = des | 1 << (n - 2 - i)
+            elif hooks and des:
+                continue
+            else:
+                fell = des
+            arcs_down = down + (heads & below[v]).bit_count()
+            if i:
+                height[v] = h
+                level[h] |= low
+                rec(placed | low, i - 1, arcs_down, v, fell, sinks + (not h), rise + (h == rise))
+                level[h] ^= low
+            else:
+                tally[fell, arcs_down, sinks + (not h)] += 1
 
-    _vertex_orders(graph.adjacency_masks(), [0] * n, below, [0] * n, leaf, hooks)
+    if n:
+        rec(0, n - 1, 0, n, 0, 0, 0)
+    else:
+        tally[0, 0, 0] = 1  # the empty order
+    del rec  # rec refers to itself: break the cycle so the tables are freed at once
     table = _compositions_by_mask(n)
     return tuple(((table[des], down, sinks), tally[des, down, sinks]) for des, down, sinks in sorted(tally))
 
@@ -523,15 +528,6 @@ def hook_coefficients_via_orientations_t(graph: Graph, zeta: Labeling | None) ->
                     arr[d] += w * count
         polys.append(TPoly._trusted(arr))
     return tuple(polys)
-
-
-def hook_coefficient_via_orientations_t(
-    graph: Graph, zeta: Labeling | None, k: int
-) -> TPoly:
-    """Binomial-weighted descent generating polynomial over acyclic
-    orientations: sum of C(sinks-1, k-1) t^(descents)."""
-    hook_partition(graph.n, k)  # rejects k outside 1..n
-    return hook_coefficients_via_orientations_t(graph, zeta)[k - 1]
 
 
 def hook_coefficients_via_colorings_t(graph: Graph, zeta: Labeling | None) -> tuple[TPoly, ...]:

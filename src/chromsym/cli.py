@@ -2,8 +2,9 @@
 identity checks, and exhaustive small-graph sweeps.
 
 Exit codes: 0 all checks pass, 1 a mathematical comparison failed,
-2 input or usage error.  Output is deterministic: identical inputs and
-flags produce identical bytes.
+2 input or usage error, or an input too large to finish in memory.
+Output is deterministic: identical inputs and flags produce identical
+bytes.
 """
 
 from __future__ import annotations
@@ -360,6 +361,8 @@ def _plain(value):
 def cmd_verify(args) -> int:
     check = CHECKS[args.check]
     if check.on_posets:
+        if args.labeling is not None:
+            raise ValueError(f"--labeling does not apply to the {args.check} check, which reads a poset")
         target = load_poset(args.input)
         inputs = {"poset": repr(target)}
         zeta = None
@@ -520,6 +523,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
+    except MemoryError:
+        task = f"the {args.check} check" if args.command == "verify" else args.command
+        return _fail(f"out of memory: the input is too large for {task}")
 
 
 if __name__ == "__main__":

@@ -326,26 +326,6 @@ def descents(o: Orientation, zeta: Labeling) -> int:
     return sum(1 for u, v in o.arcs if zeta.label(u) > zeta.label(v))
 
 
-def ascents(graph: Graph, kappa, zeta: Labeling) -> int:
-    """Edges increasing in both the labeling and the coloring."""
-    kappa = tuple(kappa)
-    if len(kappa) != graph.n or zeta.n != graph.n:
-        raise ValueError("coloring and labeling must match the graph")
-    count = 0
-    for u, v in graph.edges:
-        cu, cv = kappa[u - 1], kappa[v - 1]
-        if cu == cv:
-            raise ValueError(f"coloring is not proper on edge ({u},{v})")
-        if (zeta.label(u) < zeta.label(v)) == (cu < cv):
-            count += 1
-    return count
-
-
-def is_proper_coloring(graph: Graph, kappa) -> bool:
-    kappa = tuple(kappa)
-    return all(kappa[u - 1] != kappa[v - 1] for u, v in graph.edges)
-
-
 def stable_partitions_by_type(graph: Graph) -> dict[tuple[int, ...], int]:
     """Unordered partitions of V into stable blocks, counted by sorted
     block-size type."""

@@ -82,21 +82,6 @@ def conjugate(lam) -> Partition:
     return tuple(sum(1 for p in lam if p > c) for c in range(lam[0]))
 
 
-def dominance_leq(lam, mu) -> bool:
-    """Whether lam <= mu in dominance order (prefix-sum comparison)."""
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError("dominance order compares partitions of equal weight")
-    a = b = 0
-    for j in range(max(len(lam), len(mu))):
-        a += lam[j] if j < len(lam) else 0
-        b += mu[j] if j < len(mu) else 0
-        if a > b:
-            return False
-    return True
-
-
 def composition_from_descents(descents, n: int) -> Composition:
     """The composition of n whose proper partial sums are the given set."""
     prev = 0

@@ -22,10 +22,8 @@ Basis changes are exact:
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from functools import lru_cache
-from itertools import permutations
 from math import factorial
 
 from .partitions import (
@@ -43,7 +41,8 @@ from .partitions import (
     partition_of,
     partitions_of,
 )
-from .tableaux import ides, kostka, reading_word, standard_tableaux
+from .tableaux import ides, reading_word, standard_tableaux
+from .tableaux import kostka  # noqa: F401  (perfbench/shim.py wraps this binding)
 from .tpoly import TPoly
 
 
@@ -216,16 +215,6 @@ def m_to_e(f: SymmetricFunctionM) -> dict[Partition, int]:
     return {nu: acc[nu] for nu in reversed(partitions_of(n)) if acc.get(nu)}
 
 
-def schur_m_expansion(schur_coeffs, degree: int) -> SymmetricFunctionM:
-    """Re-expand a Schur coefficient vector into monomial coordinates."""
-    acc: Counter = Counter()
-    for mu, c in dict(schur_coeffs).items():
-        mu = check_partition(mu)
-        for lam in partitions_of(degree):
-            acc[lam] += c * kostka(mu, lam)
-    return SymmetricFunctionM(degree, acc)
-
-
 # ---------------------------------------------------------------------------
 # quasisymmetric basis changes
 
@@ -271,29 +260,20 @@ def qsym_F_to_M(f: QuasisymmetricF) -> QuasisymmetricM:
 
 
 def is_symmetric(f: QuasisymmetricM) -> bool:
-    """Whether rearranged compositions always carry equal coefficients."""
-    seen: set[Partition] = set()
-    for alpha in f.coeffs:
-        seen.add(partition_of(alpha))
-    for lam in seen:
-        reference = None
-        for alpha in set(permutations(lam)):
-            poly = f.coefficient(alpha)
-            if reference is None:
-                reference = poly
-            elif poly != reference:
-                return False
+    """Whether rearranged compositions always carry equal coefficients.
+    Zero coefficients are never stored, so f is symmetric exactly when the
+    stored rearrangements of each partition lam number all of them, the
+    multinomial coefficient of lam's multiplicities, and carry one value."""
+    groups: dict[Partition, list[TPoly]] = {}
+    for alpha, poly in f.coeffs.items():
+        groups.setdefault(partition_of(alpha), []).append(poly)
+    for lam, polys in groups.items():
+        rearrangements = factorial(len(lam))
+        for mult in multiplicities(lam).values():
+            rearrangements //= factorial(mult)
+        if len(polys) != rearrangements or any(poly != polys[0] for poly in polys):
+            return False
     return True
-
-
-def monomial_to_quasi(f: SymmetricFunctionM) -> QuasisymmetricM:
-    """Reinterpret m-coordinates quasisymmetrically: m_lam spreads over
-    the distinct rearrangements of lam."""
-    out: dict[Composition, TPoly] = {}
-    for lam, c in f.coeffs.items():
-        for alpha in set(permutations(lam)):
-            out[alpha] = TPoly((c,))
-    return QuasisymmetricM(f.degree, out)
 
 
 def collapse_t(f):
@@ -349,7 +329,3 @@ def _terms_json(items) -> list:
     """(key, coefficient) pairs as [parts, poly-coefficients] lists."""
     return [[list(key), [c] if isinstance(c, int) else list(c.coeffs)] for key, c in items]
 
-
-def serialize(f) -> str:
-    """Canonical text form: JSON list of [parts, poly-coefficients] pairs."""
-    return json.dumps(_terms_json(canonical_items(f)), separators=(",", ":"))

@@ -17,6 +17,7 @@ from chromsym import (
     Graph,
     Poset,
     QuasisymmetricF,
+    QuasisymmetricM,
     SymmetricFunctionM,
     TPoly,
     acyclic_orientations,
@@ -25,6 +26,7 @@ from chromsym import (
     descent_set,
     descents_from_composition,
     kostka,
+    partition_of,
     partitions_of,
 )
 
@@ -644,3 +646,66 @@ def m_to_e_by_kostka(f: SymmetricFunctionM) -> dict[tuple[int, ...], int]:
         reversed(partitions_of(f.degree)),
         lambda mu, lam: kostka(lam, mu),
     )
+
+
+def ascents(graph: Graph, kappa, zeta) -> int:
+    """Edges increasing in both the labeling and the coloring."""
+    kappa = tuple(kappa)
+    if len(kappa) != graph.n or zeta.n != graph.n:
+        raise ValueError("coloring and labeling must match the graph")
+    count = 0
+    for u, v in graph.edges:
+        cu, cv = kappa[u - 1], kappa[v - 1]
+        if cu == cv:
+            raise ValueError(f"coloring is not proper on edge ({u},{v})")
+        if (zeta.label(u) < zeta.label(v)) == (cu < cv):
+            count += 1
+    return count
+
+
+def is_proper_coloring(graph: Graph, kappa) -> bool:
+    kappa = tuple(kappa)
+    return all(kappa[u - 1] != kappa[v - 1] for u, v in graph.edges)
+
+
+def dominance_leq(lam, mu) -> bool:
+    """Whether lam <= mu in dominance order (prefix-sum comparison)."""
+    if sum(lam) != sum(mu):
+        raise ValueError("dominance order compares partitions of equal weight")
+    a = b = 0
+    for j in range(max(len(lam), len(mu))):
+        a += lam[j] if j < len(lam) else 0
+        b += mu[j] if j < len(mu) else 0
+        if a > b:
+            return False
+    return True
+
+
+def schur_m_expansion(schur_coeffs, degree: int) -> SymmetricFunctionM:
+    """Re-expand a Schur coefficient vector into monomial coordinates:
+    s_mu = sum over lam of K(mu, lam) m_lam."""
+    acc: Counter = Counter()
+    for mu, c in dict(schur_coeffs).items():
+        for lam in partitions_of(degree):
+            acc[lam] += c * kostka(mu, lam)
+    return SymmetricFunctionM(degree, acc)
+
+
+def monomial_to_quasi(f: SymmetricFunctionM) -> QuasisymmetricM:
+    """Reinterpret m-coordinates quasisymmetrically: m_lam spreads over
+    the distinct rearrangements of lam."""
+    out = {}
+    for lam, c in f.coeffs.items():
+        for alpha in set(permutations(lam)):
+            out[alpha] = TPoly((c,))
+    return QuasisymmetricM(f.degree, out)
+
+
+def is_symmetric_by_permutations(f: QuasisymmetricM) -> bool:
+    """Whether every rearrangement of every stored composition carries the
+    same coefficient, read at each of the distinct permutations."""
+    for lam in {partition_of(alpha) for alpha in f.coeffs}:
+        values = {f.coefficient(alpha) for alpha in set(permutations(lam))}
+        if len(values) > 1:
+            return False
+    return True

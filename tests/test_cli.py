@@ -164,6 +164,16 @@ def test_verify_ptableaux(capsys, tmp_path):
     assert payload["outputs"]["table"] == [[1, 1, 1], [2, 2, 2], [3, 1, 1]]
 
 
+@pytest.mark.parametrize("labeling", ["9,9", "identity"])
+def test_verify_ptableaux_rejects_a_labeling(capsys, tmp_path, labeling):
+    path = tmp_path / "chain.json"
+    path.write_text(CHAIN3_POSET)
+    code, out, err = run_cli(capsys, "verify", str(path), "ptableaux", "--labeling", labeling)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --labeling does not apply to the ptableaux check, which reads a poset\n"
+
+
 def test_cqf_text_output(capsys, tmp_path):
     path = tmp_path / "k2.json"
     path.write_text('{"n": 2, "edges": [[1, 2]]}')
@@ -324,6 +334,19 @@ def test_mathematical_mismatch_exits_1(capsys, claw_file, monkeypatch):
     assert payload["outputs"]["failures"] == [
         {"edges": [[1, 2], [1, 3], [1, 4]], "k": 1, "schur": 0, "sinks": 1}
     ]
+
+
+@pytest.mark.parametrize("check", ["hook-1", "e-sink", "chrompoly"])
+def test_running_out_of_memory_exits_2(capsys, claw_file, monkeypatch, check):
+    # a rows function that raises stands in for an input too large to check
+    def exhausted(graph, zeta):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.CHECKS, check, cli.CHECKS[check]._replace(rows=exhausted))
+    code, out, err = run_cli(capsys, "verify", claw_file, check)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: out of memory: the input is too large for the {check} check\n"
 
 
 def test_verify_chrompoly_counts_one_coloring_of_the_empty_graph(capsys, tmp_path):

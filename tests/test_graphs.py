@@ -11,12 +11,10 @@ from chromsym.graphs import (
     _transpose,
     acyclic_orientation_masks,
     acyclic_orientations,
-    ascents,
     complete_graph,
     descents,
     edgeless_graph,
     is_claw_free,
-    is_proper_coloring,
     parse_graph_text,
     path_graph,
     stable_partitions_by_type,
@@ -25,9 +23,11 @@ from chromsym.graphs import (
 from oracles import (
     acyclic_orientations_scan,
     all_graphs,
+    ascents,
     closure_warshall,
     count_colorings_brute,
     interpolate_at,
+    is_proper_coloring,
     proper_colorings_bounded,
     seeded_graphs,
     seeded_relations,

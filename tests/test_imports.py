@@ -1,9 +1,12 @@
-"""Every name a library module imports is used in that module, and every
-private function or class it defines is used somewhere in the package.
+"""Every name a library module imports is used in that module, every
+private function or class it defines is used somewhere in the package,
+and every public one is used outside its own body by library code other
+than ``__init__`` or by the acceptance checks.
 
 No linter ships with the project, so this stands in for pyflakes' F401
 check and for a dead-code check: a kernel that replaces another must not
-leave its import or its helpers behind.  An import on a line marked
+leave its import or its helpers behind, and code only the tests call
+belongs in ``tests/oracles.py``.  An import on a line marked
 ``# noqa: F401`` is kept on purpose.
 """
 
@@ -43,24 +46,35 @@ def test_every_import_is_used(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
-def unused_private_definitions(sources: dict[str, str]) -> list[str]:
-    """The module-level functions and classes named with one leading
-    underscore that no code in sources refers to outside their own body."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
+def unreferenced_definitions(sources: dict[str, str], private: bool, readers=None) -> list[str]:
+    """The module-level functions and classes of sources, named with one
+    leading underscore when private and with none otherwise, that no code
+    refers to outside their own body.  A private definition may be used by
+    any module of sources; a public one only by a module of sources other
+    than ``__init__.py``, or by readers, a dict of further sources."""
+    trees = {module: ast.parse(source) for module, source in {**sources, **(readers or {})}.items()}
     references = [
-        (node, node.id if isinstance(node, ast.Name) else node.attr)
-        for tree in trees.values()
+        (module, node, node.id if isinstance(node, ast.Name) else node.attr)
+        for module, tree in trees.items()
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute))
     ]
     unused = []
-    for module, tree in sorted(trees.items()):
-        for definition in tree.body:
+    for module in sorted(sources):
+        for definition in trees[module].body:
             name = getattr(definition, "name", "")
-            if isinstance(definition, DEFINITIONS) and name.startswith("_") and not name.startswith("__"):
-                inside = {id(node) for node in ast.walk(definition)}
-                if not any(ref == name and id(node) not in inside for node, ref in references):
-                    unused.append(f"{module}: {name}")
+            if not isinstance(definition, DEFINITIONS) or name.startswith("__"):
+                continue
+            if name.startswith("_") != private:
+                continue
+            inside = {id(node) for node in ast.walk(definition)}
+            if not any(
+                ref == name
+                and id(node) not in inside
+                and (private or user != "__init__.py")
+                for user, node, ref in references
+            ):
+                unused.append(f"{module}: {name}")
     return unused
 
 
@@ -69,9 +83,41 @@ def test_the_check_finds_an_unused_private_definition():
         "a.py": "def _rec(k):\n    return _rec(k - 1) if k else 0\ndef _used():\n    pass\nclass _Gone:\n    pass\n",
         "b.py": "from .a import _used\n_used()\n",
     }
-    assert unused_private_definitions(sources) == ["a.py: _rec", "a.py: _Gone"]
+    assert unreferenced_definitions(sources, private=True) == ["a.py: _rec", "a.py: _Gone"]
 
 
 def test_every_private_definition_is_used():
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
-    assert unused_private_definitions(sources) == []
+    assert unreferenced_definitions(sources, private=True) == []
+
+
+# Public names that no other module and no acceptance check uses, kept as
+# library API on purpose.
+PUBLIC_API = {
+    "complete_graph": "builds K_n beside path_graph, star_graph and edgeless_graph",
+    "count_p_tableaux_hook": "the tableau side of the hook proposition at one arm length k",
+}
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+
+
+def test_the_check_finds_an_unused_public_definition():
+    sources = {
+        "__init__.py": "from .a import exported\n",
+        "a.py": "def exported():\n    pass\ndef own():\n    return own()\ndef used():\n    pass\ndef read():\n    pass\n"
+        "def inner():\n    pass\ndef outer():\n    return inner()\n",
+        "b.py": "from .a import used\nused()\n",
+    }
+    readers = {"test_acceptance.py": "from chromsym.a import read\nread()\n"}
+    assert unreferenced_definitions(sources, private=False, readers=readers) == [
+        "a.py: exported",
+        "a.py: own",
+        "a.py: outer",
+    ]
+
+
+def test_every_public_definition_is_used_or_kept_as_api():
+    # an entry of PUBLIC_API that comes into use elsewhere, or goes, fails too
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    readers = {ACCEPTANCE.name: ACCEPTANCE.read_text(encoding="utf-8")}
+    unused = unreferenced_definitions(sources, private=False, readers=readers)
+    assert sorted(entry.split(": ")[1] for entry in unused) == sorted(PUBLIC_API)

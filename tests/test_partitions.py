@@ -10,13 +10,12 @@ from chromsym.partitions import (
     compositions_of,
     conjugate,
     descents_from_composition,
-    dominance_leq,
     hook_partition,
     multiplicities,
     partition_of,
     partitions_of,
 )
-from oracles import partitions_brute
+from oracles import dominance_leq, partitions_brute
 
 
 @st.composite

@@ -1,5 +1,5 @@
-import json
 from collections import Counter
+from itertools import permutations
 from random import Random
 
 import pytest
@@ -17,11 +17,8 @@ from chromsym.symfunc import (
     is_symmetric,
     m_to_e,
     m_to_s,
-    monomial_to_quasi,
     qsym_F_to_M,
     qsym_M_to_F,
-    schur_m_expansion,
-    serialize,
     specialize_w_k,
 )
 from chromsym.tpoly import TPoly
@@ -32,16 +29,19 @@ from chromsym.chromatic import (
     hook_coefficients_via_orientations_t,
 )
 from chromsym.graphs import Graph, Labeling, complete_graph, edgeless_graph, path_graph
-from chromsym.symfunc import _schur_h_table
+from chromsym.symfunc import _schur_h_table, _terms_json
 from oracles import (
     all_graphs,
     elementary_m_expansion,
     fundamental_monomials,
+    is_symmetric_by_permutations,
     m_to_e_by_kostka,
     m_to_e_by_matrix,
     m_to_s_by_kostka,
     monomial_basis_monomials,
+    monomial_to_quasi,
     qsym_M_to_F_by_refinement,
+    schur_m_expansion,
     seeded_graphs,
 )
 
@@ -235,6 +235,34 @@ def test_is_symmetric():
     assert not is_symmetric(QuasisymmetricM(3, {(2, 1): 1, (1, 2): TPoly((0, 1))}))
 
 
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_is_symmetric_agrees_with_the_permutation_oracle(n):
+    rearranged = QuasisymmetricM(4, {(2, 1, 1): 1, (1, 2, 1): 1, (1, 1, 2): 1})
+    missing = QuasisymmetricM(4, {(2, 1, 1): 1, (1, 2, 1): 1})
+    unequal = QuasisymmetricM(4, {(2, 1, 1): 1, (1, 2, 1): 1, (1, 1, 2): 2})
+    assert [is_symmetric(f) for f in (rearranged, missing, unequal)] == [True, False, False]
+    assert [is_symmetric_by_permutations(f) for f in (rearranged, missing, unequal)] == [True, False, False]
+    rng = Random(n)
+    answers = set()
+    for _ in range(60):
+        coeffs = {}
+        for lam in partitions_of(n):  # each partition in or out, with all its rearrangements
+            if rng.random() < 0.5:
+                c = TPoly((rng.randint(1, 3), rng.randint(0, 1)))
+                coeffs.update(dict.fromkeys(permutations(lam), c))
+        if coeffs:  # then perhaps drop one composition, or change its coefficient
+            alpha = rng.choice(sorted(coeffs))
+            action = rng.randrange(3)
+            if action == 1:
+                del coeffs[alpha]
+            elif action == 2:
+                coeffs[alpha] = coeffs[alpha] + TPoly((1,))
+        f = QuasisymmetricM(n, coeffs)
+        answers.add(is_symmetric(f))
+        assert is_symmetric(f) == is_symmetric_by_permutations(f)
+    assert answers == ({True, False} if n > 2 else {True})  # below 3 every partition has one rearrangement
+
 def test_collapse_t():
     f = QuasisymmetricF(2, {(1, 1): TPoly((1, 1))})
     assert collapse_t(f).coeffs == {(1, 1): TPoly((2,))}
@@ -317,13 +345,13 @@ def test_monomial_to_quasi():
 
 
 def test_serialization_is_canonical_and_deterministic():
+    # the terms as the CLI writes them: canonical_items, then _terms_json
     f = SymmetricFunctionM(4, {(2, 1, 1): 5, (3, 1): 1, (2, 2): -1, (1, 1, 1, 1): 8})
-    text = serialize(f)
-    assert text == serialize(
-        SymmetricFunctionM(4, {(1, 1, 1, 1): 8, (2, 2): -1, (3, 1): 1, (2, 1, 1): 5})
+    terms = _terms_json(canonical_items(f))
+    assert terms == _terms_json(
+        canonical_items(SymmetricFunctionM(4, {(1, 1, 1, 1): 8, (2, 2): -1, (3, 1): 1, (2, 1, 1): 5}))
     )
-    parsed = json.loads(text)
-    assert parsed == [[[3, 1], [1]], [[2, 2], [-1]], [[2, 1, 1], [5]], [[1, 1, 1, 1], [8]]]
+    assert terms == [[[3, 1], [1]], [[2, 2], [-1]], [[2, 1, 1], [5]], [[1, 1, 1, 1], [8]]]
     g = QuasisymmetricF(2, {(1, 1): TPoly((1, 1))})
-    assert json.loads(serialize(g)) == [[[1, 1], [1, 1]]]
+    assert _terms_json(canonical_items(g)) == [[[1, 1], [1, 1]]]
     assert [key for key, _ in canonical_items(f)] == sorted(f.coeffs, reverse=True)

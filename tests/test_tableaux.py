@@ -12,7 +12,7 @@ from chromsym.tableaux import (
     reading_word,
     standard_tableaux,
 )
-from oracles import ssyt_count_brute
+from oracles import dominance_leq, ssyt_count_brute
 
 # The five standard fillings of shape (3,2), bottom row first.
 SHAPE_32_TABLEAUX = {
@@ -132,3 +132,12 @@ def test_ides_matches_brute_force_on_all_of_s4():
         inv = tuple(sigma.index(v) + 1 for v in range(1, 5))
         expected = tuple(i for i in range(1, 4) if inv[i - 1] > inv[i])
         assert ides(sigma) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_kostka_is_nonzero_exactly_on_the_dominance_order(n):
+    # a tableau of shape lam and weight mu exists exactly when mu <= lam
+    parts = partitions_of(n)
+    for lam in parts:
+        for mu in parts:
+            assert (kostka(lam, mu) > 0) == dominance_leq(mu, lam)
