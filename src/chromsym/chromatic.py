@@ -4,11 +4,11 @@ The same quantities are reachable along two independent routes:
 
 * colorings: monomial coordinates from stable partitions, then exact
   basis changes; the quasisymmetric refinement and the chromatic
-  polynomial's enumeration side come from ``_coloring_profile``, a DP
-  over the set of vertices colored so far that adds one stable color
+  polynomial's enumeration side come from ``_coloring_profile``, one
+  memoized recursion over vertex sets that takes off one stable color
   class at a time and counts colorings per distinct (composition,
   ascents) pair, never one coloring at a time; on graphs of sweep size
-  its finished states are stored per induced subgraph and shared;
+  its states are stored per induced subgraph and shared;
 * orientations: acyclic orientations weighted by sinks and descents,
   assembled into fundamental coordinates through linear extensions.  One
   recursion over vertex orders, in ``_order_counts``, meets every
@@ -37,6 +37,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .graphs import (
+    _STORED_N,
     Graph,
     Labeling,
     Orientation,
@@ -209,16 +210,15 @@ def _coloring_profile(graph: Graph, zeta: Labeling | None) -> tuple[tuple[tuple[
     smaller index when zeta is None) has the smaller color, so the profile
     depends on zeta only through the orientation it induces, and is cached
     on that."""
-    return _coloring_counts(graph, None if zeta is None else tuple(_below(graph, zeta)))
+    return _coloring_counts(graph, tuple(_below(graph, zeta)))
 
 
-# Finished DP states of the vertex sets of graphs with at most _STORED_N
-# vertices, keyed by the induced subgraph with its orientation and shared by
-# every such graph of the process; values are pairs (keys, counts) of tuples.
-# Cleared on entry to _coloring_counts once it holds more than _STATES_CAP.
+# States of the vertex sets of graphs with at most _STORED_N vertices, keyed
+# by the induced subgraph with its orientation and shared by every such graph
+# of the process; values are pairs (keys, counts) of tuples.  Cleared on
+# entry to _coloring_counts once it holds more than _STATES_CAP.
 _STATES: dict[int, tuple] = {}
 _STATES_CAP = 1 << 13
-_STORED_N = 7
 
 
 @lru_cache(maxsize=8)
@@ -229,29 +229,28 @@ def _subset_pair_masks(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=4)
-def _coloring_counts(graph: Graph, below: tuple[int, ...] | None) -> tuple:
+def _coloring_counts(graph: Graph, below: tuple[int, ...]) -> tuple:
     """The profile of ``_coloring_profile`` under the labeling whose
-    ``_below`` is below, or the order by index when below is None.
+    ``_below`` is below.
 
     A coloring onto 1..j is a sequence of j nonempty stable color classes
-    (Stanley 1995).  A forward DP over the set S of colored vertices, in
-    ascending order of S, counts the colorings of S by one int key: the
-    ascents in the low bits, and bit w + p - 1 above them for each partial
-    sum p of the composition.  Coloring a stable T outside S next adds the
-    partial sum |S| + |T| and the ascents of the edges that run up the
-    labeling from S into T.  The work is one step per (S, T, key of S),
-    however many colorings a key counts.
+    (Stanley 1995).  The state of a vertex set S counts the colorings of S
+    by one int key: the ascents in the low bits, and bit w + p - 1 above
+    them for each partial sum p of the composition.  One recursion sums it
+    over the last color class T, a nonempty stable subset of S, from the
+    state of S - T, whose keys gain the partial sum |S| and the ascents of
+    the edges that run up the labeling from S - T into T.  The work is one
+    step per (S, T, key of S - T), however many colorings a key counts.
 
     The state of S depends only on the subgraph S induces and the
     orientation its edges get, so on graphs of at most ``_STORED_N``
-    vertices every finished state of a proper subset goes to ``_STATES``,
-    and when that already holds V - T for every nonempty stable T, the
-    last color class, the states of V are summed from them with no DP.
+    vertices the states of the proper subsets are kept in ``_STATES`` on
+    that, and each is looked up there before it is computed: a graph
+    reuses every state that another graph stored.  Other graphs keep a
+    memo of their own, keyed by the set alone.
     """
     n = graph.n
     adj = graph.adjacency_masks()
-    if below is None:
-        below = _below(graph, None)
     lower, upper = [0] * n, [0] * n  # bits of the edges whose lower (upper) end under the labeling is v
     for e, (a, b) in enumerate(graph.edges):
         if not below[b - 1] >> (a - 1) & 1:
@@ -269,54 +268,42 @@ def _coloring_counts(graph: Graph, below: tuple[int, ...] | None) -> tuple:
         starts[t] = starts[rest] | lower[low]
         ends[t] = ends[rest] | upper[low]
     width = (n * (n - 1) // 2).bit_length()  # the ascents number at most C(n, 2)
-    keys = final = None
     if 0 < n <= _STORED_N:
         if len(_STATES) > _STATES_CAP:
             _STATES.clear()
         rel = _relation_bits(_transpose(below)) | 1 << n * n  # bit a·n + b: a below b
         keys = [rel & mask for mask in _subset_pair_masks(n)]
-        final = _states_from_store(keys, stable, starts, ends)
-    if final is None:
-        states: list = [defaultdict(int) for _ in range(full + 1)]
-        states[0][0] = 1
-        for s in range(full):
-            here, states[s] = states[s], None
-            if keys:
-                _STATES[keys[s]] = (tuple(here), tuple(here.values()))
-            up, shift, free = starts[s], width + s.bit_count() - 1, full ^ s
-            t = free
+        store = _STATES
+    else:  # keyed by the set alone: no other graph shares a state
+        keys = range(full + 1)
+        store = {}
+
+    def state(s: int) -> tuple:
+        sums: defaultdict[int, int] = defaultdict(int)
+        if s:
+            part, t = 1 << (width + s.bit_count() - 1), s
             while t:
                 if stable[t]:
-                    delta = (up & ends[t]).bit_count() + (1 << (shift + t.bit_count()))
-                    there = states[s | t]
-                    for key, count in here.items():
-                        there[key + delta] += count
-                t = (t - 1) & free
-        final = states[full]
+                    rest = s ^ t
+                    sub = store.get(keys[rest])
+                    if sub is None:
+                        sub = state(rest)
+                    delta = (starts[rest] & ends[t]).bit_count() + part
+                    for key, count in zip(*sub):
+                        sums[key + delta] += count
+                t = (t - 1) & s
+        else:
+            sums[0] = 1  # the empty coloring
+        got = (tuple(sums), tuple(sums.values()))
+        if s != full:  # the whole graph's state is met once: not stored
+            store[keys[s]] = got
+        return got
+
+    final = dict(zip(*state(full)))
+    del state  # state refers to itself and may hold the memo: break the cycle
     table = _compositions_by_mask(n)
     low, asc = len(table) - 1, (1 << width) - 1  # the partial sum n is dropped
     return tuple(((table[key >> width & low], key & asc), final[key]) for key in sorted(final))
-
-
-def _states_from_store(keys: list[int], stable: list[bool], starts: list[int], ends: list[int]):
-    """The DP's states of the whole vertex set, summed over the last color
-    class T from the stored states of V - T, or None when one is missing.
-    The partial sum n that T adds is left out: it is dropped anyway."""
-    full = len(keys) - 1
-    parts = []
-    t = full
-    while t:
-        if stable[t]:
-            got = _STATES.get(keys[full ^ t])
-            if got is None:
-                return None
-            parts.append((got, (starts[full ^ t] & ends[t]).bit_count()))
-        t = (t - 1) & full
-    final: defaultdict[int, int] = defaultdict(int)
-    for (got, counts), ascents_ in parts:
-        for key, count in zip(got, counts):
-            final[key + ascents_] += count
-    return final
 
 
 @lru_cache(maxsize=8)
@@ -413,13 +400,13 @@ def _orientation_compositions(graph: Graph, zeta: Labeling | None, *, hooks: boo
     whose composition is a hook (k, 1^(n-k)) are walked: 2^(sinks - 1) per
     orientation, exactly one of them with k = 1.  The walk reads zeta only
     through the orientation it induces, and is cached on that."""
-    return _order_counts(graph, None if zeta is None else tuple(_below(graph, zeta)), hooks)
+    return _order_counts(graph, tuple(_below(graph, zeta)), hooks)
 
 
 @lru_cache(maxsize=4)
-def _order_counts(graph: Graph, below: tuple[int, ...] | None, hooks: bool) -> tuple:
+def _order_counts(graph: Graph, below: tuple[int, ...], hooks: bool) -> tuple:
     """The entries of ``_orientation_compositions`` under the labeling whose
-    ``_below`` is below, or the order by index when below is None.
+    ``_below`` is below.
 
     One recursion meets every order of the vertices once, each of them a
     linear extension of the orientation whose arcs run from the earlier to
@@ -434,8 +421,6 @@ def _order_counts(graph: Graph, below: tuple[int, ...] | None, hooks: bool) -> t
     branch.  Placing position 0 completes an order, counted in
     tally[des, down, sinks]."""
     n = graph.n
-    if below is None:
-        below = _below(graph, None)
     adj = graph.adjacency_masks()
     tally: defaultdict[tuple[int, int, int], int] = defaultdict(int)
     full = (1 << n) - 1

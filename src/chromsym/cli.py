@@ -72,21 +72,13 @@ def _finish(args, command: str, inputs: dict, outputs: dict, status: str, lines:
     """Write the run to stdout, as JSON with --json and as lines otherwise,
     and return the exit code of its status.  The lines are read only
     without --json.  With it, streamed, when given, is a pair (field of
-    outputs, its records): the array is written one record at a time.
-    Either way the text goes out in chunks of about 64 KiB."""
+    outputs, its records): the array is written one record at a time."""
     if args.json:
         payload = {"command": command, "inputs": inputs, "outputs": outputs, "status": status}
         pieces = _json_pieces(payload, streamed)
     else:
         pieces = (line + "\n" for line in lines)
-    chunk, size = [], 0
-    for piece in pieces:
-        chunk.append(piece)
-        size += len(piece)
-        if size >= 1 << 16:
-            sys.stdout.write("".join(chunk))
-            chunk, size = [], 0
-    sys.stdout.write("".join(chunk))
+    sys.stdout.writelines(pieces)
     return EXIT_OK if status == "ok" else EXIT_MISMATCH
 
 

@@ -247,6 +247,12 @@ def _closure(masks) -> list[int] | None:
     return closed if len(order) == n else None
 
 
+# The most vertices a structure may have for the stores that the sweep
+# kernels share, ``chromatic._STATES`` and ``posets._LEGS``, to hold its
+# sub-structures under ``_relation_bits`` keys; larger ones keep their own.
+_STORED_N = 7
+
+
 def _relation_bits(masks) -> int:
     """The relation masks (bit b of masks[a] relates a to b) as one n²-bit
     integer: bit a·n + b is set when a relates to b, and every diagonal bit

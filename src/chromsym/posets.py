@@ -24,6 +24,7 @@ from functools import lru_cache
 
 from .chromatic import csf_schur
 from .graphs import (
+    _STORED_N,
     Graph,
     _check_int_pairs,
     _closure,
@@ -171,7 +172,6 @@ def count_p_tableaux_hook(poset: Poset, k: int) -> int:
 # Cleared on entry to _hook_tableau_counts once it holds over _LEGS_CAP.
 _LEGS: dict[int, int] = {}
 _LEGS_CAP = 1 << 17
-_STORED_N = 7
 
 
 def _hook_tableau_counts(poset: Poset) -> list[int]:

@@ -268,6 +268,12 @@ def test_the_route_kernels_are_cached_on_the_orientation_the_labeling_induces():
     assert _orientation_compositions(CLAW, turned) != _orientation_compositions(CLAW, first)
     assert _coloring_counts.cache_info().misses == 2
     assert _order_counts.cache_info().misses == 3
+    # zeta omitted orients every edge by index, as the identity does: the same entry
+    assert first == Labeling.identity(4)
+    assert _coloring_profile(CLAW, None) is _coloring_profile(CLAW, first)
+    assert _orientation_compositions(CLAW, None) is _orientation_compositions(CLAW, first)
+    assert _coloring_counts.cache_info().misses == 2
+    assert _order_counts.cache_info().misses == 3
 
 
 def test_the_hook_walk_of_k8_holds_one_entry_per_composition_and_descent_count():

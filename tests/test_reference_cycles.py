@@ -32,12 +32,18 @@ GRAPH = Graph(6, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5), (4, 6), (5, 6)
 POSET = Poset.from_covers(6, [[1, 2], [1, 3], [2, 4], [3, 4], [4, 5]])
 ORIENTATION = acyclic_orientations(GRAPH)[7]
 BELOW = tuple(_below(GRAPH, Labeling([4, 1, 6, 2, 5, 3])))
+GRAPH_8 = Graph(8, [(1, 2), (1, 5), (2, 3), (2, 6), (3, 4), (3, 7), (4, 8), (5, 6), (6, 7), (7, 8)])
+BELOW_8 = tuple(_below(GRAPH_8, Labeling([3, 8, 1, 6, 2, 7, 4, 5])))
 
 KERNELS = {
     # the cached kernels are called past their caches, so that each call walks
     "_coloring_profile": lambda: _coloring_counts.__wrapped__(GRAPH, BELOW),
-    # the second call sums the states the first one stored
-    "_coloring_profile, from the store": lambda: [_coloring_counts.__wrapped__(GRAPH, BELOW) for _ in range(2)],
+    # the second call looks up every state of a proper subset that the first one stored
+    "_coloring_profile, sub-states looked up in the store": lambda: [
+        _coloring_counts.__wrapped__(GRAPH, BELOW) for _ in range(2)
+    ],
+    # above seven vertices the recursion closes over a memo of its own
+    "_coloring_profile, eight vertices": lambda: _coloring_counts.__wrapped__(GRAPH_8, BELOW_8),
     "_orientation_compositions": lambda: _order_counts.__wrapped__(GRAPH, BELOW, False),
     "_orientation_compositions, hooks": lambda: _order_counts.__wrapped__(GRAPH, BELOW, True),
     "_sink_counts": lambda: _sink_counts.__wrapped__(GRAPH),

@@ -1,7 +1,7 @@
 """The kernel stores never change an answer.
 
 ``posets._LEGS`` holds column fillings by induced sub-order and
-``chromatic._STATES`` the coloring DP's finished states by induced,
+``chromatic._STATES`` the coloring recursion's states by induced,
 oriented subgraph; every case a process runs shares them.  Each test runs
 a kernel over many cases with its store emptied before every case, shared
 from empty, warmed by a first pass, or capped low so that it is cleared
@@ -9,6 +9,7 @@ between cases, in order, reversed and with the sizes interleaved, and
 compares every answer with one that keeps no store.
 """
 
+from collections import Counter
 from functools import cache
 from itertools import chain, zip_longest
 from random import Random
@@ -171,23 +172,28 @@ def test_graphs_above_seven_vertices_neither_read_nor_write_the_store(monkeypatc
     assert chromatic._STATES == {}
 
 
-def test_the_coloring_store_skips_the_dp_in_a_sweep_of_five_vertices(monkeypatch):
-    monkeypatch.setattr(chromatic, "_STATES", {})
-    found = []
-    real = chromatic._states_from_store
+class _CountingStore(dict):
+    """A store that counts the writes to each key."""
 
-    def recording(*args):
-        got = real(*args)
-        found.append(got is not None)
-        return got
+    def __init__(self):
+        super().__init__()
+        self.writes = Counter()
 
-    monkeypatch.setattr(chromatic, "_states_from_store", recording)
+    def __setitem__(self, key, value):
+        self.writes[key] += 1
+        super().__setitem__(key, value)
+
+
+def test_a_sweep_of_five_vertices_computes_each_coloring_state_once(monkeypatch):
+    store = _CountingStore()
+    monkeypatch.setattr(chromatic, "_STATES", store)
     _coloring_counts.cache_clear()
     assert list(cli._sweep_results(5, ("chrompoly", "hook-t"), 1)) == [[]] * 1024
-    # one lookup per graph; once the smaller subgraphs are stored, three in
-    # four graphs are summed from them
-    assert len(found) == 1024
-    assert sum(found) == 768
-    # the 425 nonempty proper induced subgraphs, and the empty one
-    assert len(chromatic._STATES) == 426
-    _assert_states_are_immutable(chromatic._STATES)
+    # the 425 nonempty proper induced oriented subgraphs, and the empty one,
+    # each computed once and then read from the store by every graph
+    assert len(store) == 426
+    assert len(store.writes) == 426 and set(store.writes.values()) == {1}
+    # a whole graph's key keeps all five diagonal bits: none is stored
+    diagonal = sum(1 << a * 5 + a for a in range(5))
+    assert all(key & diagonal != diagonal for key in store)
+    _assert_states_are_immutable(store)
