@@ -5,10 +5,10 @@ The same quantities are reachable along two independent routes:
 * colorings: monomial coordinates from stable partitions, then exact
   basis changes; the quasisymmetric refinement and the chromatic
   polynomial's enumeration side come from ``_coloring_profile``, one
-  memoized recursion over vertex sets that takes off one stable color
-  class at a time and counts colorings per distinct (composition,
-  ascents) pair, never one coloring at a time; on graphs of sweep size
-  its states are stored per induced subgraph and shared;
+  ascending pass over the vertex sets that adds one stable color class
+  at a time and counts colorings per distinct (composition, ascents)
+  pair, never one coloring at a time; on graphs of sweep size its states
+  are stored per induced subgraph and shared;
 * orientations: acyclic orientations weighted by sinks and descents,
   assembled into fundamental coordinates through linear extensions.  One
   recursion over vertex orders, in ``_order_counts``, meets every
@@ -41,8 +41,8 @@ from .graphs import (
     Graph,
     Labeling,
     Orientation,
-    _pair_mask,
     _relation_bits,
+    _subset_pair_masks,
     _transpose,
     acyclic_orientations,  # noqa: F401  (perfbench/shim.py wraps this binding)
     stable_partitions_by_type,
@@ -221,13 +221,6 @@ _STATES: dict[int, tuple] = {}
 _STATES_CAP = 1 << 13
 
 
-@lru_cache(maxsize=8)
-def _subset_pair_masks(n: int) -> tuple[int, ...]:
-    """Entry s is ``_pair_mask(n, s)`` with bit n² set, which tells the
-    vertex counts apart in the keys of ``_STATES``."""
-    return tuple(_pair_mask(n, s) | 1 << n * n for s in range(1 << n))
-
-
 @lru_cache(maxsize=4)
 def _coloring_counts(graph: Graph, below: tuple[int, ...]) -> tuple:
     """The profile of ``_coloring_profile`` under the labeling whose
@@ -236,11 +229,13 @@ def _coloring_counts(graph: Graph, below: tuple[int, ...]) -> tuple:
     A coloring onto 1..j is a sequence of j nonempty stable color classes
     (Stanley 1995).  The state of a vertex set S counts the colorings of S
     by one int key: the ascents in the low bits, and bit w + p - 1 above
-    them for each partial sum p of the composition.  One recursion sums it
-    over the last color class T, a nonempty stable subset of S, from the
-    state of S - T, whose keys gain the partial sum |S| and the ascents of
-    the edges that run up the labeling from S - T into T.  The work is one
-    step per (S, T, key of S - T), however many colorings a key counts.
+    them for each partial sum p of the composition.  One pass over the
+    sets in ascending order sums it over the last color class T, a
+    nonempty stable subset of S, from the state of S - T, met before S as
+    a smaller integer; its keys gain the partial sum |S| and the ascents
+    of the edges that run up the labeling from S - T into T.  The work is
+    one step per (S, T, key of S - T), however many colorings a key
+    counts.  The whole graph comes last, and its state is the result.
 
     The state of S depends only on the subgraph S induces and the
     orientation its edges get, so on graphs of at most ``_STORED_N``
@@ -277,33 +272,26 @@ def _coloring_counts(graph: Graph, below: tuple[int, ...]) -> tuple:
     else:  # keyed by the set alone: no other graph shares a state
         keys = range(full + 1)
         store = {}
-
-    def state(s: int) -> tuple:
+    for s in range(full + 1):
+        if keys[s] in store:
+            continue
         sums: defaultdict[int, int] = defaultdict(int)
         if s:
             part, t = 1 << (width + s.bit_count() - 1), s
             while t:
                 if stable[t]:
                     rest = s ^ t
-                    sub = store.get(keys[rest])
-                    if sub is None:
-                        sub = state(rest)
                     delta = (starts[rest] & ends[t]).bit_count() + part
-                    for key, count in zip(*sub):
+                    for key, count in zip(*store[keys[rest]]):
                         sums[key + delta] += count
                 t = (t - 1) & s
         else:
             sums[0] = 1  # the empty coloring
-        got = (tuple(sums), tuple(sums.values()))
-        if s != full:  # the whole graph's state is met once: not stored
-            store[keys[s]] = got
-        return got
-
-    final = dict(zip(*state(full)))
-    del state  # state refers to itself and may hold the memo: break the cycle
-    table = _compositions_by_mask(n)
+        if s != full:  # the whole graph's state is met once, last: not stored
+            store[keys[s]] = (tuple(sums), tuple(sums.values()))
+    table = _compositions_by_mask(n)  # sums is the whole graph's state
     low, asc = len(table) - 1, (1 << width) - 1  # the partial sum n is dropped
-    return tuple(((table[key >> width & low], key & asc), final[key]) for key in sorted(final))
+    return tuple(((table[key >> width & low], key & asc), sums[key]) for key in sorted(sums))
 
 
 @lru_cache(maxsize=8)

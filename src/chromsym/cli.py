@@ -2,7 +2,8 @@
 identity checks, and exhaustive small-graph sweeps.
 
 Exit codes: 0 all checks pass, 1 a mathematical comparison failed,
-2 input or usage error, or an input too large to finish in memory.
+2 input or usage error, or an input too large to finish in memory or
+within the recursion limit.
 Output is deterministic: identical inputs and flags produce identical
 bytes.
 """
@@ -31,7 +32,7 @@ from .chromatic import (
     sink_minimal_increasing_labeling,
     verify_e_sink_identity,
 )
-from .graphs import Graph, Labeling, Orientation, acyclic_orientation_masks, descents, load_graph
+from .graphs import _STORED_N, Graph, Labeling, Orientation, acyclic_orientation_masks, descents, load_graph
 from .partitions import hook_partition
 from .posets import Poset, all_posets, load_poset, verify_hook_proposition
 from .symfunc import (
@@ -418,8 +419,8 @@ def _sweep_results(n: int, checks: tuple[str, ...], jobs: int):
 
 def cmd_sweep(args) -> int:
     n = args.max_n
-    if n > 7:
-        raise ValueError("sweeps above 7 vertices are not supported")
+    if n > _STORED_N:  # the kernels' stores are sized for these sweeps
+        raise ValueError(f"sweeps above {_STORED_N} vertices are not supported")
     if n < 1:
         raise ValueError("sweeps need at least one vertex")
     if args.jobs < 1:
@@ -515,9 +516,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
-    except MemoryError:
+    except (MemoryError, OverflowError, RecursionError) as exc:  # a 2^n table or an n-deep recursion
         task = f"the {args.check} check" if args.command == "verify" else args.command
-        return _fail(f"out of memory: the input is too large for {task}")
+        cause = "recursion too deep" if isinstance(exc, RecursionError) else "out of memory"
+        return _fail(f"{cause}: the input is too large for {task}")
 
 
 if __name__ == "__main__":

@@ -10,8 +10,9 @@ vertex sets, memoized per graph, so their cost follows the 2^n subsets
 and the number of types rather than the number of partitions.  A
 relation held as bitmasks is reversed by ``_transpose`` and closed by
 ``_closure``, the one kernel for each that orientations and posets share;
-``_relation_bits`` holds it as one integer that ``_pair_mask`` restricts
-to a set, the key of the stores the sweep kernels share across cases.
+``_relation_bits`` holds it as one integer that one AND restricts to a
+set, with a mask from the cached table ``_subset_pair_masks``: the key of
+both stores the sweep kernels share across cases.
 """
 
 from __future__ import annotations
@@ -273,6 +274,13 @@ def _pair_mask(n: int, s: int) -> int:
     return out
 
 
+@lru_cache(maxsize=8)
+def _subset_pair_masks(n: int) -> tuple[int, ...]:
+    """Entry s is ``_pair_mask(n, s)`` with bit n² set, which tells the
+    vertex counts apart in the keys of the stores."""
+    return tuple(_pair_mask(n, s) | 1 << n * n for s in range(1 << n))
+
+
 def acyclic_orientation_masks(graph: Graph):
     """Stream ``(mask, out_masks)`` for every acyclic orientation, in
     ascending mask order.
@@ -518,5 +526,5 @@ def _is_numeral(name: str) -> bool:
 
 
 def load_graph(path) -> GraphInput:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is not text
         return parse_graph_text(fh.read(), source=str(path))

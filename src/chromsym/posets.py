@@ -30,8 +30,8 @@ from .graphs import (
     _closure,
     _is_int,
     _load_json_object,
-    _pair_mask,
     _relation_bits,
+    _subset_pair_masks,
     _transpose,
 )
 from .partitions import hook_partition
@@ -191,7 +191,7 @@ def _hook_tableau_counts(poset: Poset) -> list[int]:
     full = (1 << n) - 1
     if n <= _STORED_N:  # rel is the order as _relation_bits holds it
         whole = _relation_bits(above)
-        drop = [_pair_mask(n, full ^ 1 << x) for x in range(n)]  # one AND removes x
+        drop = [_subset_pair_masks(n)[full ^ 1 << x] for x in range(n)]  # one AND removes x; rel lacks bit n²
         tops = [1 << n * n + x for x in range(n)]  # the key's mark of the lower cell
         if len(_LEGS) > _LEGS_CAP:
             _LEGS.clear()
@@ -278,5 +278,5 @@ def parse_poset_text(text: str, source: str = "<input>") -> Poset:
 
 
 def load_poset(path) -> Poset:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is not text
         return parse_poset_text(fh.read(), source=str(path))

@@ -336,17 +336,78 @@ def test_mathematical_mismatch_exits_1(capsys, claw_file, monkeypatch):
     ]
 
 
-@pytest.mark.parametrize("check", ["hook-1", "e-sink", "chrompoly"])
-def test_running_out_of_memory_exits_2(capsys, claw_file, monkeypatch, check):
+@pytest.mark.parametrize(
+    "check, error",
+    [
+        pytest.param(check, error, id=check if error is MemoryError else f"{check}-{error.__name__}")
+        for error in (MemoryError, OverflowError, RecursionError)
+        for check in ("hook-1", "e-sink", "chrompoly")
+    ],
+)
+def test_running_out_of_memory_exits_2(capsys, claw_file, monkeypatch, check, error):
     # a rows function that raises stands in for an input too large to check
     def exhausted(graph, zeta):
-        raise MemoryError
+        raise error
 
     monkeypatch.setitem(cli.CHECKS, check, cli.CHECKS[check]._replace(rows=exhausted))
     code, out, err = run_cli(capsys, "verify", claw_file, check)
+    cause = "recursion too deep" if error is RecursionError else "out of memory"
     assert code == 2
     assert out == ""
-    assert err == f"error: out of memory: the input is too large for the {check} check\n"
+    assert err == f"error: {cause}: the input is too large for the {check} check\n"
+
+
+@pytest.mark.parametrize(
+    "text, argv, task",
+    [
+        # a 2^100 table is refused at allocation, at once
+        ('{"n": 100}', ["verify", "e-sink"], "out of memory: the input is too large for the e-sink check"),
+        ('{"n": 100}', ["verify", "hook-1"], "out of memory: the input is too large for the hook-1 check"),
+        ('{"n": 100}', ["verify", "chrompoly"], "out of memory: the input is too large for the chrompoly check"),
+        ('{"n": 100}', ["expand", "--max-n", "100"], "out of memory: the input is too large for expand"),
+        ('{"n": 100}', ["cqf", "--max-n", "100"], "out of memory: the input is too large for cqf"),
+        # a recursion one level per element or vertex
+        (
+            json.dumps({"n": 1500, "covers": [[i, i + 1] for i in range(1, 1500)]}),
+            ["verify", "ptableaux"],
+            "recursion too deep: the input is too large for the ptableaux check",
+        ),
+        (
+            json.dumps({"n": 1200, "edges": [[i, i + 1] for i in range(1, 1200)]}),
+            ["verify", "hook-t"],
+            "recursion too deep: the input is too large for the hook-t check",
+        ),
+    ],
+    ids=["e-sink", "hook-1", "chrompoly", "expand", "cqf", "ptableaux chain", "hook-t path"],
+)
+def test_an_input_too_large_for_a_table_or_a_recursion_exits_2(capsys, tmp_path, text, argv, task):
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    verb, *rest = argv
+    code, out, err = run_cli(capsys, verb, str(path), *rest)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {task}\n"
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        (CLAW_JSON, ["expand", "--basis", "s"]),
+        (CHAIN3_POSET, ["verify", "ptableaux"]),
+        (P3_EDGES, ["cqf"]),  # numbered names: a BOM read as text would relabel the path
+    ],
+    ids=["graph JSON", "poset JSON", "edge list"],
+)
+def test_a_leading_byte_order_mark_changes_no_output(capsys, tmp_path, text, argv):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    verb, *rest = argv
+    expected = run_cli(capsys, verb, str(plain), *rest, "--json")
+    assert expected[0] == 0
+    assert run_cli(capsys, verb, str(marked), *rest, "--json") == expected
 
 
 def test_verify_chrompoly_counts_one_coloring_of_the_empty_graph(capsys, tmp_path):

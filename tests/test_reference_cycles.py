@@ -42,7 +42,7 @@ KERNELS = {
     "_coloring_profile, sub-states looked up in the store": lambda: [
         _coloring_counts.__wrapped__(GRAPH, BELOW) for _ in range(2)
     ],
-    # above seven vertices the recursion closes over a memo of its own
+    # above seven vertices the pass keeps a memo of its own
     "_coloring_profile, eight vertices": lambda: _coloring_counts.__wrapped__(GRAPH_8, BELOW_8),
     "_orientation_compositions": lambda: _order_counts.__wrapped__(GRAPH, BELOW, False),
     "_orientation_compositions, hooks": lambda: _order_counts.__wrapped__(GRAPH, BELOW, True),
