@@ -2,15 +2,19 @@
 
 The same quantities are reachable along two independent routes:
 
-* colorings: monomial coordinates from stable partitions, then exact
-  basis changes; the quasisymmetric refinement and the chromatic
-  polynomial's enumeration side come from ``_coloring_profile``, one
-  ascending pass over the vertex sets that adds one stable color class
-  at a time and counts colorings per distinct (composition, ascents)
-  pair, never one coloring at a time; on graphs of sweep size its states
-  are stored per induced subgraph and shared;
+* colorings: monomial coordinates from stable partitions, computed once
+  per graph, then exact basis changes; the quasisymmetric refinement and
+  the chromatic polynomial's enumeration side come from
+  ``_coloring_profile``, one ascending pass over the vertex sets that
+  adds one stable color class at a time and counts colorings per
+  distinct (composition, ascents) pair, never one coloring at a time; on
+  graphs of sweep size its states are stored per induced subgraph and
+  shared;
 * orientations: acyclic orientations weighted by sinks and descents,
-  assembled into fundamental coordinates through linear extensions.  One
+  assembled into fundamental coordinates through linear extensions.  The
+  sink histogram is a 3^n subset sum over the acyclic orientations of
+  the induced subgraphs, counted without listing one; on graphs of sweep
+  size those counts go to a store of their own.  One
   recursion over vertex orders, in ``_order_counts``, meets every
   (orientation, linear extension) pair once and tallies it in place: an
   order is an extension of the one orientation whose arcs run from its
@@ -37,12 +41,10 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .graphs import (
-    _STORED_N,
     Graph,
     Labeling,
     Orientation,
-    _relation_bits,
-    _subset_pair_masks,
+    _shared_states,
     _transpose,
     acyclic_orientations,  # noqa: F401  (perfbench/shim.py wraps this binding)
     stable_partitions_by_type,
@@ -102,18 +104,33 @@ def csf_monomial(graph: Graph) -> SymmetricFunctionM:
     exactly lam: stable partitions of type lam times the permutations of
     equal-size blocks among their colors.
     """
-    coeffs = {}
+    return SymmetricFunctionM._trusted(graph.n, dict(_monomial_terms(graph)))
+
+
+@lru_cache(maxsize=8)
+def _monomial_terms(graph: Graph) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The (lam, coefficient) pairs of ``csf_monomial``, computed once per
+    graph; each call wraps a fresh dict of them, which its caller may keep."""
+    terms = []
     for lam, count in stable_partitions_by_type(graph).items():
         ways = count
         for mult in multiplicities(lam).values():
             ways *= factorial(mult)
-        coeffs[lam] = ways
-    return SymmetricFunctionM._trusted(graph.n, coeffs)
+        terms.append((lam, ways))
+    return tuple(terms)
 
 
 def csf_schur(graph: Graph) -> dict[tuple[int, ...], int]:
     """Schur coefficients of the chromatic symmetric function."""
     return m_to_s(csf_monomial(graph))
+
+
+# a(U) of the vertex sets U of graphs with at most _STORED_N vertices, keyed
+# by the induced subgraph and shared by every such graph of the process;
+# values are ints.  Cleared on entry to _sink_counts once it holds more
+# than _SINK_STATES_CAP.
+_SINK_STATES: dict[int, int] = {}
+_SINK_STATES_CAP = 1 << 13
 
 
 @lru_cache(maxsize=8)
@@ -127,7 +144,9 @@ def _sink_counts(graph: Graph) -> tuple[tuple[int, int], ...]:
     #   P(y) = sum_T y^|T| a(V - T) = sum over orientations O of (1 + y)^sinks(O),
     # so the histogram is the coefficient list of P(x - 1).  This is the
     # 3^n subset-sum scheme of Bjorklund, Husfeldt and Koivisto, "Set
-    # partitioning via inclusion-exclusion" (SIAM J. Comput. 2009).
+    # partitioning via inclusion-exclusion" (SIAM J. Comput. 2009).  a(U)
+    # depends only on G[U], so the values of proper subsets are shared
+    # through _shared_states; the whole graph's is met once, last.
     n = graph.n
     adj = graph.adjacency_masks()
     full = (1 << n) - 1
@@ -138,14 +157,20 @@ def _sink_counts(graph: Graph) -> tuple[tuple[int, int], ...]:
         rest = t & (t - 1)
         stable[t] = stable[rest] and not adj[low] & rest
         size[t] = size[rest] + 1
+    store, keys = _shared_states(_SINK_STATES, _SINK_STATES_CAP, adj)
+    shared = store is _SINK_STATES  # otherwise the list a is all the memo a graph needs
     a = [1] * (full + 1)
     for u in range(1, full + 1):
-        total = 0
-        t = u
-        while t:
-            if stable[t]:
-                total += a[u ^ t] if size[t] & 1 else -a[u ^ t]
-            t = (t - 1) & u
+        total = store.get(keys[u]) if shared else None
+        if total is None:
+            total = 0
+            t = u
+            while t:
+                if stable[t]:
+                    total += a[u ^ t] if size[t] & 1 else -a[u ^ t]
+                t = (t - 1) & u
+            if shared and u != full:
+                store[keys[u]] = total
         a[u] = total
     p = [0] * (n + 1)  # coefficients of P(y)
     for t in range(full + 1):
@@ -263,15 +288,7 @@ def _coloring_counts(graph: Graph, below: tuple[int, ...]) -> tuple:
         starts[t] = starts[rest] | lower[low]
         ends[t] = ends[rest] | upper[low]
     width = (n * (n - 1) // 2).bit_length()  # the ascents number at most C(n, 2)
-    if 0 < n <= _STORED_N:
-        if len(_STATES) > _STATES_CAP:
-            _STATES.clear()
-        rel = _relation_bits(_transpose(below)) | 1 << n * n  # bit a·n + b: a below b
-        keys = [rel & mask for mask in _subset_pair_masks(n)]
-        store = _STATES
-    else:  # keyed by the set alone: no other graph shares a state
-        keys = range(full + 1)
-        store = {}
+    store, keys = _shared_states(_STATES, _STATES_CAP, _transpose(below))  # bit a·n + b: a below b
     for s in range(full + 1):
         if keys[s] in store:
             continue

@@ -6,18 +6,21 @@ with no loops or duplicates.  Acyclic orientations come from one
 backtracking kernel, ``acyclic_orientation_masks``, whose cost grows with
 the number of acyclic orientations rather than with the 2^|E| direction
 vectors.  Stable partitions are counted by type with a subset DP over
-vertex sets, memoized per graph, so their cost follows the 2^n subsets
-and the number of types rather than the number of partitions.  A
-relation held as bitmasks is reversed by ``_transpose`` and closed by
-``_closure``, the one kernel for each that orientations and posets share;
-``_relation_bits`` holds it as one integer that one AND restricts to a
-set, with a mask from the cached table ``_subset_pair_masks``: the key of
-both stores the sweep kernels share across cases.
+vertex sets, so their cost follows the 2^n subsets and the number of
+types rather than the number of partitions.  A relation held as bitmasks
+is reversed by ``_transpose`` and closed by ``_closure``, the one kernel
+for each that orientations and posets share; ``_relation_bits`` holds it
+as one integer that one AND restricts to a set, with a mask from the
+cached table ``_subset_pair_masks``: the key of the stores the sweep
+kernels share across cases.  ``_shared_states`` gives each subset DP its
+store and those keys on graphs of sweep size, and a memo of its own
+otherwise; the stable-partition DP is one of them.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from functools import lru_cache
 from itertools import combinations
 
@@ -27,15 +30,16 @@ from .partitions import _decode_type
 class Graph:
     """A simple graph with vertices 1..n and a canonical edge tuple."""
 
-    __slots__ = ("n", "edges")
+    __slots__ = ("n", "edges", "_hash")
 
     def __init__(self, n: int, edges=()):
+        n = _as_int(n, "vertex count")
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         seen = set()
         normalized = []
         for e in edges:
-            u, v = int(e[0]), int(e[1])
+            u, v = _as_int(e[0], "edge endpoint"), _as_int(e[1], "edge endpoint")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edge ({u},{v}) out of range 1..{n}")
             if u == v:
@@ -48,13 +52,14 @@ class Graph:
             normalized.append((u, v))
         self.n = n
         self.edges = tuple(sorted(normalized))
+        self._hash = hash((n, self.edges))
 
     @classmethod
     def _trusted(cls, n: int, edges: tuple[tuple[int, int], ...]) -> "Graph":
         """A graph from a canonical edge tuple, sorted pairs (u, v) with
         1 <= u < v <= n in ascending order, as built; nothing is checked."""
         g = object.__new__(cls)
-        g.n, g.edges = n, edges
+        g.n, g.edges, g._hash = n, edges, hash((n, edges))
         return g
 
     @property
@@ -79,8 +84,8 @@ class Graph:
     def __eq__(self, other):
         return isinstance(other, Graph) and self.key() == other.key()
 
-    def __hash__(self):
-        return hash(self.key())
+    def __hash__(self):  # computed once: every cached kernel hashes the graph
+        return self._hash
 
     def __repr__(self):
         return f"Graph({self.n}, {list(self.edges)!r})"
@@ -109,7 +114,7 @@ class Labeling:
     __slots__ = ("labels",)
 
     def __init__(self, labels):
-        word = tuple(int(x) for x in labels)
+        word = tuple(_as_int(x, "label") for x in labels)
         if sorted(word) != list(range(1, len(word) + 1)):
             raise ValueError(f"labeling must be a permutation of 1..{len(word)}: {word}")
         self.labels = word
@@ -249,8 +254,9 @@ def _closure(masks) -> list[int] | None:
 
 
 # The most vertices a structure may have for the stores that the sweep
-# kernels share, ``chromatic._STATES`` and ``posets._LEGS``, to hold its
-# sub-structures under ``_relation_bits`` keys; larger ones keep their own.
+# kernels share (``_PARTITION_STATES`` here, ``chromatic._STATES`` and
+# ``chromatic._SINK_STATES``, ``posets._LEGS``) to hold its sub-structures
+# under ``_relation_bits`` keys; larger ones keep their own.
 _STORED_N = 7
 
 
@@ -279,6 +285,25 @@ def _subset_pair_masks(n: int) -> tuple[int, ...]:
     """Entry s is ``_pair_mask(n, s)`` with bit n² set, which tells the
     vertex counts apart in the keys of the stores."""
     return tuple(_pair_mask(n, s) | 1 << n * n for s in range(1 << n))
+
+
+def _shared_states(store: dict, cap: int, masks) -> tuple[dict, list[int]]:
+    """(states, keys) for a DP over the vertex sets s of the graph or
+    relation whose masks are given: the state of s is states[keys[s]].
+
+    With 1 <= n <= ``_STORED_N`` vertices, states is the process-wide
+    store, cleared first once it holds more than cap entries, and keys[s]
+    is ``_relation_bits(masks)`` with bit n² set, restricted to s: the
+    induced sub-structure, which every other graph with the same one
+    shares.  Otherwise states is a fresh memo keyed by the set alone.
+    """
+    n = len(masks)
+    if not 0 < n <= _STORED_N:
+        return {}, list(range(1 << n))  # a list reads faster than a range
+    if len(store) > cap:
+        store.clear()
+    rel = _relation_bits(masks) | 1 << n * n
+    return store, [rel & mask for mask in _subset_pair_masks(n)]
 
 
 def acyclic_orientation_masks(graph: Graph):
@@ -346,6 +371,14 @@ def stable_partitions_by_type(graph: Graph) -> dict[tuple[int, ...], int]:
     return dict(_stable_partition_counts(graph))
 
 
+# States of the vertex sets of graphs with at most _STORED_N vertices, keyed
+# by the induced subgraph and shared by every such graph of the process;
+# values are tuples of (type code, count) pairs.  Cleared on entry to
+# _stable_partition_counts once it holds more than _PARTITION_STATES_CAP.
+_PARTITION_STATES: dict[int, tuple] = {}
+_PARTITION_STATES_CAP = 1 << 13
+
+
 @lru_cache(maxsize=8)
 def _stable_partition_counts(graph: Graph) -> tuple[tuple[tuple[int, ...], int], ...]:
     # g(S), the stable partitions of the vertex set S by type, is the sum over
@@ -353,7 +386,9 @@ def _stable_partition_counts(graph: Graph) -> tuple[tuple[tuple[int, ...], int],
     # added to each type.  A type is coded as sum over its parts k of
     # (n + 1)^(k - 1), so adding a part is adding an integer.  Only the sets S
     # reached from V are visited; each costs one pass over the subsets of the
-    # non-neighbours of its lowest vertex.
+    # non-neighbours of its lowest vertex.  g(S) depends only on the subgraph
+    # S induces, so the states of proper subsets are shared through
+    # _shared_states, and the whole graph's state is met once, last.
     n = graph.n
     adj = graph.adjacency_masks()
     full = (1 << n) - 1
@@ -364,29 +399,31 @@ def _stable_partition_counts(graph: Graph) -> tuple[tuple[tuple[int, ...], int],
         rest = t & (t - 1)
         stable[t] = stable[rest] and not adj[low] & rest
     base = n + 1
-    memo: dict[int, dict[int, int]] = {0: {0: 1}}
+    store, keys = _shared_states(_PARTITION_STATES, _PARTITION_STATES_CAP, adj)
 
     def g(s: int) -> dict[int, int]:
-        got = memo.get(s)
-        if got is None:
-            lowbit = s & -s
-            free = s & ~adj[lowbit.bit_length() - 1] & ~lowbit
-            got = {}
-            rest = free
-            while True:  # every subset rest of free, free itself first
-                t = rest | lowbit
-                if stable[t]:
-                    part = base ** (t.bit_count() - 1)
-                    for code, c in g(s ^ t).items():
-                        got[code + part] = got.get(code + part, 0) + c
-                if not rest:
-                    break
-                rest = (rest - 1) & free
-            memo[s] = got
+        if not s:
+            return {0: 1}  # the empty partition
+        lowbit = s & -s
+        free = s & ~adj[lowbit.bit_length() - 1] & ~lowbit
+        got: dict[int, int] = {}
+        rest = free
+        while True:  # every subset rest of free, free itself first
+            t = rest | lowbit
+            if stable[t]:
+                part = base ** (t.bit_count() - 1)
+                state = store.get(keys[s ^ t])
+                if state is None:
+                    state = store[keys[s ^ t]] = tuple(g(s ^ t).items())
+                for code, c in state:
+                    got[code + part] = got.get(code + part, 0) + c
+            if not rest:
+                break
+            rest = (rest - 1) & free
         return got
 
     types = g(full)
-    del g  # g refers to itself and holds the memo: break the cycle so the memo is freed at once
+    del g  # g refers to itself and may hold the memo: break the cycle so the memo is freed at once
     return tuple(sorted(((_decode_type(code, n), c) for code, c in types.items()), reverse=True))
 
 
@@ -472,6 +509,17 @@ def _parse_graph_json(text: str, source: str) -> GraphInput:
 def _is_int(value) -> bool:
     """True for JSON integers; JSON true and false are not integers."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _as_int(value, what: str) -> int:
+    """value as an int, if it is an integer: an int or any type that
+    ``operator.index`` accepts, such as a NumPy integer, but not a bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _check_int_pairs(pairs, field: str, source: str) -> list:

@@ -14,18 +14,19 @@ stored on that sub-order for every poset of the process, so the cost
 follows the chains and the distinct sub-orders rather than the n! orders
 of the elements.
 The Schur side of the identity is computed once per distinct
-incomparability graph and shared by the posets that have it.
+incomparability relation, held as one integer, and shared by the posets
+that have it; the graph is built only the first time.
 """
 
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 
 from .chromatic import csf_schur
 from .graphs import (
     _STORED_N,
     Graph,
+    _as_int,
     _check_int_pairs,
     _closure,
     _is_int,
@@ -44,7 +45,8 @@ class Poset:
     __slots__ = ("n", "above")
 
     def __init__(self, n: int, above):
-        above = tuple(int(a) for a in above)
+        n = _as_int(n, "element count")
+        above = tuple(_as_int(a, "bitmask") for a in above)
         if n < 0 or len(above) != n:
             raise ValueError("above must give one bitmask per element")
         full = (1 << n) - 1
@@ -71,11 +73,12 @@ class Poset:
     @classmethod
     def from_covers(cls, n: int, covers) -> "Poset":
         """Build from cover pairs [a, b] meaning a < b, closing transitively."""
+        n = _as_int(n, "element count")
         if n < 0:
             raise ValueError("element count must be nonnegative")
         direct = [0] * n
         for pair in covers:
-            a, b = int(pair[0]), int(pair[1])
+            a, b = _as_int(pair[0], "cover element"), _as_int(pair[1], "cover element")
             if not (1 <= a <= n and 1 <= b <= n):
                 raise ValueError(f"cover ({a},{b}) out of range 1..{n}")
             if a == b:
@@ -154,9 +157,27 @@ def _poset_masks(n: int):
 
 def incomparability_graph(poset: Poset) -> Graph:
     """Edges between incomparable pairs."""
-    n, above = poset.n, poset.above
-    below = _transpose(above)
-    edges = tuple((a + 1, b + 1) for a in range(n) for b in range(a + 1, n) if not (above[a] | below[a]) >> b & 1)
+    return _graph_of(poset.n, _incomparability_bits(poset))
+
+
+def _incomparability_bits(poset: Poset) -> int:
+    """The incomparability relation as ``_relation_bits`` holds it: bit
+    a·n + b is set when elements a + 1 and b + 1 are incomparable or equal.
+    Its highest bit is n² - 1, so it tells the element counts apart."""
+    n = poset.n
+    comparable = 0  # bits a·n + b and b·n + a for each a below b
+    for a, up in enumerate(poset.above):
+        comparable |= up << a * n
+        while up:
+            low = up & -up
+            comparable |= 1 << (low.bit_length() - 1) * n + a
+            up ^= low
+    return comparable ^ (1 << n * n) - 1
+
+
+def _graph_of(n: int, bits: int) -> Graph:
+    """The graph with an edge (a + 1, b + 1) for each a < b with bit a·n + b of bits set."""
+    edges = tuple((a + 1, b + 1) for a in range(n) for b in range(a + 1, n) if bits >> a * n + b & 1)
     return Graph._trusted(n, edges)  # pairs (a, b) with a < b, ascending
 
 
@@ -245,19 +266,32 @@ def verify_hook_proposition(poset: Poset) -> list[tuple[int, int, int]]:
     hook (k, 1, ..., 1) in the incomparability graph) for k in 1..n; the
     proposition holds when both values of every row are equal."""
     counts = _hook_tableau_counts(poset)
-    schur = _schur_hooks(incomparability_graph(poset))
+    schur = _schur_hooks(poset.n, _incomparability_bits(poset))
     return [(k, counts[k], schur[k - 1]) for k in range(1, poset.n + 1)]
 
 
-@lru_cache(maxsize=4096)
-def _schur_hooks(graph: Graph) -> tuple[int, ...]:
+# Schur hook coefficients by incomparability relation, shared by every
+# poset of the process; keys as _incomparability_bits gives them, values
+# tuples of ints.  Cleared before a write once it holds over
+# _SCHUR_HOOKS_CAP, which the 30164 distinct incomparability graphs on 6
+# elements fit.
+_SCHUR_HOOKS: dict[int, tuple[int, ...]] = {}
+_SCHUR_HOOKS_CAP = 1 << 15
+
+
+def _schur_hooks(n: int, bits: int) -> tuple[int, ...]:
     """Entry k - 1 is the Schur coefficient of the hook (k, 1, ..., 1) in
-    the chromatic symmetric function of graph, for k in 1..n.  Posets that
-    share an incomparability graph share this value: the 4231 labeled
-    posets on 5 elements have 1012 distinct ones, which all fit."""
-    n = graph.n
-    schur = csf_schur(graph)
-    return tuple(schur.get(hook_partition(n, k), 0) for k in range(1, n + 1))
+    the chromatic symmetric function of the graph ``_graph_of(n, bits)``,
+    for k in 1..n.  Posets that share an incomparability graph share this
+    value: the 4231 labeled posets on 5 elements have 1012 distinct ones,
+    and the graph is built only for those."""
+    got = _SCHUR_HOOKS.get(bits)
+    if got is None:
+        if len(_SCHUR_HOOKS) > _SCHUR_HOOKS_CAP:
+            _SCHUR_HOOKS.clear()
+        schur = csf_schur(_graph_of(n, bits))
+        got = _SCHUR_HOOKS[bits] = tuple(schur.get(hook_partition(n, k), 0) for k in range(1, n + 1))
+    return got
 
 
 # ---------------------------------------------------------------------------

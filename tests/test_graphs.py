@@ -53,6 +53,32 @@ def test_graph_normalisation_and_validation():
         Graph(2, [(1, 3)])
 
 
+@pytest.mark.parametrize(
+    "n, edges, bad",
+    [(3, [(1.9, 2.2)], "1.9"), (3, [("1", "3")], "'1'"), (3, [(1, True)], "True"), (True, [], "True"), (2.0, [], "2.0")],
+)
+def test_graph_rejects_non_integers(n, edges, bad):
+    with pytest.raises(ValueError, match=f"must be an integer, got {bad}"):
+        Graph(n, edges)
+
+
+def test_graph_accepts_numpy_integers():
+    np = pytest.importorskip("numpy")
+    g = Graph(np.int64(3), [(np.int32(2), np.uint8(1))])
+    assert g == Graph(3, [(1, 2)]) and hash(g) == hash(Graph(3, [(1, 2)]))
+    assert type(g.n) is int and all(type(x) is int for edge in g.edges for x in edge)
+    with pytest.raises(ValueError, match="must be an integer"):
+        Graph(3, [(np.bool_(True), 2)])
+
+
+def test_labeling_rejects_non_integers():
+    for labels, bad in (([1.0, 2.0], "1.0"), (["2", "1"], "'2'"), ([True, 2], "True")):
+        with pytest.raises(ValueError, match=f"label must be an integer, got {bad}"):
+            Labeling(labels)
+    np = pytest.importorskip("numpy")
+    assert Labeling(np.array([2, 1])).labels == (2, 1)
+
+
 def test_labeling_validation():
     z = Labeling((2, 1, 3))
     assert z.label(1) == 2

@@ -4,11 +4,13 @@ import sys
 
 import pytest
 
+from chromsym import posets
 from chromsym.chromatic import csf_schur
 from chromsym.graphs import Graph, complete_graph, edgeless_graph, is_claw_free
 from chromsym.partitions import hook_partition
 from chromsym.posets import (
     Poset,
+    _incomparability_bits,
     _schur_hooks,
     all_posets,
     count_p_tableaux_hook,
@@ -50,6 +52,20 @@ def test_constructor_validates_order_axioms():
         Poset(3, (0b010, 0b100, 0))
     with pytest.raises(ValueError):
         Poset(3, (0b010, 0b100, 0b001))
+
+
+def test_constructor_rejects_non_integers():
+    for n, above, bad in ((2, (2.9, 0), "2.9"), (2, ("2", 0), "'2'"), (True, (0,), "True"), (2, (False, 0), "False")):
+        with pytest.raises(ValueError, match=f"must be an integer, got {bad}"):
+            Poset(n, above)
+
+
+def test_from_covers_rejects_non_integers():
+    for n, covers, bad in ((2, [(1.7, 2)], "1.7"), (2, [("1", 2)], "'1'"), (2.0, [], "2.0"), (2, [(1, True)], "True")):
+        with pytest.raises(ValueError, match=f"must be an integer, got {bad}"):
+            Poset.from_covers(n, covers)
+    np = pytest.importorskip("numpy")
+    assert Poset.from_covers(np.int64(2), [(np.int8(1), np.int16(2))]) == Poset(2, (0b10, 0))
 
 
 def test_incomparable():
@@ -162,13 +178,28 @@ def test_hook_proposition_rows_match_the_schur_expansion_of_each_poset(n):
         assert verify_hook_proposition(poset) == expected
 
 
-def test_the_schur_hook_memo_is_bounded():
-    bound = _schur_hooks.cache_info().maxsize
-    assert bound is not None and bound >= 1012  # the distinct incomparability graphs on 5 elements
-    pairs = [(u, v) for u in range(1, 7) for v in range(u + 1, 7)]
-    for mask in range(bound + 10):  # more distinct graphs than the memo holds
-        _schur_hooks(Graph(6, [pairs[i] for i in range(len(pairs)) if mask >> i & 1]))
-    assert _schur_hooks.cache_info().currsize == bound
+def test_the_schur_hook_memo_is_bounded(monkeypatch):
+    assert posets._SCHUR_HOOKS_CAP >= 30164  # the distinct incomparability graphs on 6 elements
+    monkeypatch.setattr(posets, "_SCHUR_HOOKS", {})
+    monkeypatch.setattr(posets, "_SCHUR_HOOKS_CAP", 40)
+    sizes = []
+    for poset in all_posets(5):  # 1012 distinct incomparability graphs, many more than the cap
+        bits = _incomparability_bits(poset)
+        schur = csf_schur(Graph(5, incomparability_graph(poset).edges))
+        assert _schur_hooks(5, bits) == tuple(schur.get(hook_partition(5, k), 0) for k in range(1, 6))
+        assert posets._SCHUR_HOOKS[bits] == _schur_hooks(5, bits)
+        sizes.append(len(posets._SCHUR_HOOKS))
+    assert max(sizes) == 41  # the cap is passed by one entry, then the store is cleared
+    assert sizes.count(1) > 1
+
+
+def test_incomparability_bits_name_one_graph_each():
+    seen, graphs = {}, set()
+    for poset in (poset for n in range(6) for poset in all_posets(n)):
+        graph = (poset.n, incomparability_graph(poset).edges)
+        assert seen.setdefault(_incomparability_bits(poset), graph) == graph  # one graph per key
+        graphs.add(graph)
+    assert len(seen) == len(graphs)  # one key per graph, across the element counts too
 
 
 def test_some_small_posets_have_clawed_incomparability_graphs():

@@ -48,6 +48,10 @@ KERNELS = {
     "_orientation_compositions, hooks": lambda: _order_counts.__wrapped__(GRAPH, BELOW, True),
     "_sink_counts": lambda: _sink_counts.__wrapped__(GRAPH),
     "_stable_partition_counts": lambda: _stable_partition_counts.__wrapped__(GRAPH),
+    "_stable_partition_counts, sub-states looked up in the store": lambda: [
+        _stable_partition_counts.__wrapped__(GRAPH) for _ in range(2)
+    ],
+    "_stable_partition_counts, eight vertices": lambda: _stable_partition_counts.__wrapped__(GRAPH_8),
     "acyclic_orientation_masks": lambda: list(acyclic_orientation_masks(GRAPH)),
     "acyclic_orientation_masks, stopped early": lambda: list(islice(acyclic_orientation_masks(GRAPH), 3)),
     "dual_linear_extensions": lambda: dual_linear_extensions(

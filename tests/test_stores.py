@@ -1,8 +1,11 @@
 """The kernel stores never change an answer.
 
-``posets._LEGS`` holds column fillings by induced sub-order and
-``chromatic._STATES`` the coloring recursion's states by induced,
-oriented subgraph; every case a process runs shares them.  Each test runs
+``posets._LEGS`` holds column fillings by induced sub-order,
+``chromatic._STATES`` the coloring pass's states by induced, oriented
+subgraph, ``graphs._PARTITION_STATES`` the stable-partition recursion's
+states and ``chromatic._SINK_STATES`` the sink DP's acyclic-orientation
+counts, both by induced subgraph; every case a process runs shares them.
+Each test runs
 a kernel over many cases with its store emptied before every case, shared
 from empty, warmed by a first pass, or capped low so that it is cleared
 between cases, in order, reversed and with the sizes interleaved, and
@@ -16,9 +19,9 @@ from random import Random
 
 import pytest
 
-from chromsym import chromatic, cli, posets
-from chromsym.chromatic import _coloring_counts
-from chromsym.graphs import Labeling, complete_graph, path_graph
+from chromsym import chromatic, cli, graphs, posets
+from chromsym.chromatic import _coloring_counts, _sink_counts, sink_profile
+from chromsym.graphs import Labeling, _stable_partition_counts, complete_graph, path_graph, stable_partitions_by_type
 from chromsym.posets import Poset, _hook_tableau_counts, all_posets
 from oracles import (
     all_graphs,
@@ -27,6 +30,8 @@ from oracles import (
     hook_tableau_counts_per_poset,
     seeded_graphs,
     seeded_relations,
+    sink_counts_scan,
+    stable_partitions_recursive,
 )
 from test_chromatic import _assert_coloring_profile_matches
 
@@ -197,3 +202,98 @@ def test_a_sweep_of_five_vertices_computes_each_coloring_state_once(monkeypatch)
     diagonal = sum(1 << a * 5 + a for a in range(5))
     assert all(key & diagonal != diagonal for key in store)
     _assert_states_are_immutable(store)
+
+
+# The sink oracle scans all 2^m edge directions: K7 is left out of its cases.
+SCANNED_EDGES = 13
+SINK_GRAPHS = [g for g in SEEDED_GRAPHS if g.m <= SCANNED_EDGES]
+
+
+@cache
+def _subset_dp_oracles() -> dict:
+    return {
+        g: (stable_partitions_recursive(g), sink_counts_scan(g) if g.m <= SCANNED_EDGES else None)
+        for g in chain(*GRAPHS, SEEDED_GRAPHS)
+    }
+
+
+def _check_partitions(g):
+    _stable_partition_counts.cache_clear()  # every call runs the kernel, not its lru_cache
+    assert stable_partitions_by_type(g) == _subset_dp_oracles()[g][0]
+
+
+def _check_sinks(g):
+    _sink_counts.cache_clear()
+    assert sink_profile(g).counts == _subset_dp_oracles()[g][1]
+
+
+def _assert_sink_states_are_ints(store: dict):
+    assert store and all(type(value) is int for value in store.values())
+
+
+def _assert_partition_states_are_immutable(store: dict):
+    assert store
+    for value in store.values():
+        assert type(value) is tuple
+        assert all(type(pair) is tuple and len(pair) == 2 and all(type(x) is int for x in pair) for pair in value)
+
+
+@pytest.mark.parametrize("order, mode", RUNS)
+def test_stable_partitions_match_the_oracle_on_every_small_graph(monkeypatch, order, mode):
+    store = _run(
+        monkeypatch, graphs, "_PARTITION_STATES", "_PARTITION_STATES_CAP", mode, _ordered(GRAPHS, order), _check_partitions
+    )
+    _assert_partition_states_are_immutable(store)
+
+
+@pytest.mark.parametrize("mode", ["shared", "warm", "low cap"])
+def test_stable_partitions_match_the_oracle_on_seeded_graphs(monkeypatch, mode):
+    cases = _ordered([GRAPHS[4], GRAPHS[5][::7], SEEDED_GRAPHS], "interleaved")
+    store = _run(monkeypatch, graphs, "_PARTITION_STATES", "_PARTITION_STATES_CAP", mode, cases, _check_partitions)
+    _assert_partition_states_are_immutable(store)
+
+
+@pytest.mark.parametrize("order, mode", RUNS)
+def test_sink_counts_match_the_scan_on_every_small_graph(monkeypatch, order, mode):
+    store = _run(monkeypatch, chromatic, "_SINK_STATES", "_SINK_STATES_CAP", mode, _ordered(GRAPHS, order), _check_sinks)
+    _assert_sink_states_are_ints(store)
+
+
+@pytest.mark.parametrize("mode", ["shared", "warm", "low cap"])
+def test_sink_counts_match_the_scan_on_seeded_graphs(monkeypatch, mode):
+    assert {g.n for g in SINK_GRAPHS} == {6, 7, 8}
+    cases = _ordered([GRAPHS[4], GRAPHS[5][::7], SINK_GRAPHS], "interleaved")
+    store = _run(monkeypatch, chromatic, "_SINK_STATES", "_SINK_STATES_CAP", mode, cases, _check_sinks)
+    _assert_sink_states_are_ints(store)
+
+
+def test_graphs_above_seven_vertices_leave_the_partition_and_sink_stores_empty(monkeypatch):
+    monkeypatch.setattr(graphs, "_PARTITION_STATES", {})
+    monkeypatch.setattr(chromatic, "_SINK_STATES", {})
+    for g in SEEDED_GRAPHS[2::3]:  # 8 vertices
+        _check_partitions(g)
+        _check_sinks(g)
+    assert graphs._PARTITION_STATES == {} and chromatic._SINK_STATES == {}
+
+
+def test_a_sweep_of_five_vertices_computes_each_partition_and_sink_state_once(monkeypatch):
+    partitions, sinks = _CountingStore(), _CountingStore()
+    monkeypatch.setattr(graphs, "_PARTITION_STATES", partitions)
+    monkeypatch.setattr(chromatic, "_SINK_STATES", sinks)
+    _stable_partition_counts.cache_clear()
+    _sink_counts.cache_clear()
+    assert list(cli._sweep_results(5, ("hook-1", "e-sink"), 1)) == [[]] * 1024
+    # The recursion removes a block holding the lowest vertex first, so the
+    # proper sets it reaches are the ones without vertex 1: their
+    # 1 + 4 + 6·2 + 4·8 + 64 = 113 induced subgraphs, each computed once.
+    assert len(partitions) == len(partitions.writes) == 113
+    assert set(partitions.writes.values()) == {1}
+    assert all(not key & 1 for key in partitions)  # bit 0·5 + 0: vertex 1
+    _assert_partition_states_are_immutable(partitions)
+    # The sink DP visits every set: the 425 nonempty proper induced subgraphs.
+    assert len(sinks) == len(sinks.writes) == 425
+    assert set(sinks.writes.values()) == {1}
+    _assert_sink_states_are_ints(sinks)
+    # a whole graph's key keeps all five diagonal bits: neither store holds one
+    diagonal = sum(1 << a * 5 + a for a in range(5))
+    assert all(key & diagonal != diagonal for key in chain(partitions, sinks))
