@@ -2,14 +2,14 @@
 
 The same quantities are reachable along two independent routes:
 
-* colorings: monomial coordinates from stable partitions, computed once
-  per graph, then exact basis changes; the quasisymmetric refinement and
-  the chromatic polynomial's enumeration side come from
-  ``_coloring_profile``, one ascending pass over the vertex sets that
-  adds one stable color class at a time and counts colorings per
-  distinct (composition, ascents) pair, never one coloring at a time; on
-  graphs of sweep size its states are stored per induced subgraph and
-  shared;
+* colorings: monomial coordinates from stable partitions and the Schur
+  coefficients from an exact basis change, each computed once per graph;
+  the quasisymmetric refinement and the chromatic polynomial's
+  enumeration side come from ``_coloring_profile``, one ascending pass
+  over the vertex sets that adds one stable color class at a time and
+  counts colorings per distinct (composition, ascents) pair, never one
+  coloring at a time; on graphs of sweep size its states are stored per
+  induced subgraph and shared;
 * orientations: acyclic orientations weighted by sinks and descents,
   assembled into fundamental coordinates through linear extensions.  The
   sink histogram is a 3^n subset sum over the acyclic orientations of
@@ -54,7 +54,7 @@ from .symfunc import (
     QuasisymmetricF,
     QuasisymmetricM,
     SymmetricFunctionM,
-    m_to_e,
+    _s_to_e,
     m_to_s,
     specialize_w_k,
 )
@@ -122,7 +122,14 @@ def _monomial_terms(graph: Graph) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 def csf_schur(graph: Graph) -> dict[tuple[int, ...], int]:
     """Schur coefficients of the chromatic symmetric function."""
-    return m_to_s(csf_monomial(graph))
+    return dict(_schur_terms(graph))
+
+
+@lru_cache(maxsize=8)
+def _schur_terms(graph: Graph) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The (lam, coefficient) pairs of ``csf_schur``, computed once per
+    graph; each call wraps a fresh dict of them, which its caller may keep."""
+    return tuple(m_to_s(csf_monomial(graph)).items())
 
 
 # a(U) of the vertex sets U of graphs with at most _STORED_N vertices, keyed
@@ -158,10 +165,9 @@ def _sink_counts(graph: Graph) -> tuple[tuple[int, int], ...]:
         stable[t] = stable[rest] and not adj[low] & rest
         size[t] = size[rest] + 1
     store, keys = _shared_states(_SINK_STATES, _SINK_STATES_CAP, adj)
-    shared = store is _SINK_STATES  # otherwise the list a is all the memo a graph needs
     a = [1] * (full + 1)
     for u in range(1, full + 1):
-        total = store.get(keys[u]) if shared else None
+        total = store.get(keys[u])
         if total is None:
             total = 0
             t = u
@@ -169,7 +175,7 @@ def _sink_counts(graph: Graph) -> tuple[tuple[int, int], ...]:
                 if stable[t]:
                     total += a[u ^ t] if size[t] & 1 else -a[u ^ t]
                 t = (t - 1) & u
-            if shared and u != full:
+            if u != full:
                 store[keys[u]] = total
         a[u] = total
     p = [0] * (n + 1)  # coefficients of P(y)
@@ -549,6 +555,6 @@ def verify_e_sink_identity(graph: Graph) -> list[tuple[int, int, int]]:
     n = graph.n
     profile = sink_profile(graph)
     by_length = [0] * (n + 1)
-    for lam, coeff in m_to_e(csf_monomial(graph)).items():
+    for lam, coeff in _s_to_e(n, csf_schur(graph)).items():
         by_length[len(lam)] += coeff
     return [(k, profile[k], by_length[k]) for k in range(1, n + 1)]

@@ -32,7 +32,7 @@ from .chromatic import (
     sink_minimal_increasing_labeling,
     verify_e_sink_identity,
 )
-from .graphs import _STORED_N, Graph, Labeling, Orientation, acyclic_orientation_masks, descents, load_graph
+from .graphs import _STORED_N, Graph, Labeling, _acyclic_orientation, acyclic_orientation_masks, descents, load_graph
 from .partitions import hook_partition
 from .posets import Poset, all_posets, load_poset, verify_hook_proposition
 from .symfunc import (
@@ -253,8 +253,7 @@ def _orientation_records(graph: Graph, zeta: Labeling):
     acyclic orientation in turn, as ``cqf --verbose`` lists them; each
     orientation is built as the stream reaches it and dropped after."""
     for mask, out in acyclic_orientation_masks(graph):
-        o = Orientation.from_mask(graph, mask)
-        o._acyclic, o._out = True, out
+        o = _acyclic_orientation(graph, mask, out)
         omega = sink_minimal_increasing_labeling(o)
         words = ["".join(str(x) for x in w) for w in dual_linear_extensions(o, omega)]
         yield o.arcs, descents(o, zeta), o.sinks(), omega.labels, words

@@ -349,13 +349,18 @@ def acyclic_orientation_masks(graph: Graph):
         del rec  # rec refers to itself: break the cycle, also when the caller stops early
 
 
+def _acyclic_orientation(graph: Graph, mask: int, out: tuple[int, ...]) -> Orientation:
+    """The orientation of a pair (mask, out) that ``acyclic_orientation_masks``
+    yields, known to be acyclic and to have out-masks out; nothing is checked."""
+    o = Orientation.from_mask(graph, mask)
+    o._acyclic, o._out = True, out
+    return o
+
+
 def acyclic_orientations(graph: Graph) -> tuple[Orientation, ...]:
     """All acyclic orientations in ascending mask order; the empty
     orientation for edgeless graphs."""
-    out = tuple(Orientation.from_mask(graph, mask) for mask, _ in acyclic_orientation_masks(graph))
-    for o in out:
-        o._acyclic = True
-    return out
+    return tuple(_acyclic_orientation(graph, mask, out) for mask, out in acyclic_orientation_masks(graph))
 
 
 def descents(o: Orientation, zeta: Labeling) -> int:
@@ -365,22 +370,17 @@ def descents(o: Orientation, zeta: Labeling) -> int:
     return sum(1 for u, v in o.arcs if zeta.label(u) > zeta.label(v))
 
 
-def stable_partitions_by_type(graph: Graph) -> dict[tuple[int, ...], int]:
-    """Unordered partitions of V into stable blocks, counted by sorted
-    block-size type."""
-    return dict(_stable_partition_counts(graph))
-
-
 # States of the vertex sets of graphs with at most _STORED_N vertices, keyed
 # by the induced subgraph and shared by every such graph of the process;
 # values are tuples of (type code, count) pairs.  Cleared on entry to
-# _stable_partition_counts once it holds more than _PARTITION_STATES_CAP.
+# stable_partitions_by_type once it holds more than _PARTITION_STATES_CAP.
 _PARTITION_STATES: dict[int, tuple] = {}
 _PARTITION_STATES_CAP = 1 << 13
 
 
-@lru_cache(maxsize=8)
-def _stable_partition_counts(graph: Graph) -> tuple[tuple[tuple[int, ...], int], ...]:
+def stable_partitions_by_type(graph: Graph) -> dict[tuple[int, ...], int]:
+    """Unordered partitions of V into stable blocks, counted by sorted
+    block-size type, in descending type order."""
     # g(S), the stable partitions of the vertex set S by type, is the sum over
     # stable T within S that hold the lowest vertex of S of g(S - T) with |T|
     # added to each type.  A type is coded as sum over its parts k of
@@ -424,7 +424,7 @@ def _stable_partition_counts(graph: Graph) -> tuple[tuple[tuple[int, ...], int],
 
     types = g(full)
     del g  # g refers to itself and may hold the memo: break the cycle so the memo is freed at once
-    return tuple(sorted(((_decode_type(code, n), c) for code, c in types.items()), reverse=True))
+    return dict(sorted(((_decode_type(code, n), c) for code, c in types.items()), reverse=True))
 
 
 def is_claw_free(graph: Graph) -> bool:
@@ -466,7 +466,8 @@ def parse_graph_text(text: str, source: str = "<input>") -> GraphInput:
 
 
 def _load_json_object(text: str, source: str, fields: tuple[str, ...]) -> dict:
-    """The JSON object in text, holding 'n' and no field outside fields."""
+    """The JSON object in text, holding a nonnegative integer 'n' and no
+    field outside fields."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -479,14 +480,15 @@ def _load_json_object(text: str, source: str, fields: tuple[str, ...]) -> dict:
     if unknown:
         known = ", ".join(f"'{name}'" for name in fields)
         raise ValueError(f"{source}: unknown field {json.dumps(unknown[0])}; expected fields {known}")
+    n = data["n"]
+    if not _is_int(n) or n < 0:
+        raise ValueError(f"{source}: 'n' must be a nonnegative integer, got {json.dumps(n)}")
     return data
 
 
 def _parse_graph_json(text: str, source: str) -> GraphInput:
     data = _load_json_object(text, source, ("n", "edges", "labels"))
     n = data["n"]
-    if not _is_int(n) or n < 0:
-        raise ValueError(f"{source}: 'n' must be a nonnegative integer, got {json.dumps(n)}")
     edges = _check_int_pairs(data.get("edges", []), "edges", source)
     try:
         graph = Graph(n, edges)

@@ -20,7 +20,7 @@ that have it; the graph is built only the first time.
 
 from __future__ import annotations
 
-import json
+from functools import lru_cache
 
 from .chromatic import csf_schur
 from .graphs import (
@@ -29,7 +29,6 @@ from .graphs import (
     _as_int,
     _check_int_pairs,
     _closure,
-    _is_int,
     _load_json_object,
     _relation_bits,
     _subset_pair_masks,
@@ -270,28 +269,15 @@ def verify_hook_proposition(poset: Poset) -> list[tuple[int, int, int]]:
     return [(k, counts[k], schur[k - 1]) for k in range(1, poset.n + 1)]
 
 
-# Schur hook coefficients by incomparability relation, shared by every
-# poset of the process; keys as _incomparability_bits gives them, values
-# tuples of ints.  Cleared before a write once it holds over
-# _SCHUR_HOOKS_CAP, which the 30164 distinct incomparability graphs on 6
-# elements fit.
-_SCHUR_HOOKS: dict[int, tuple[int, ...]] = {}
-_SCHUR_HOOKS_CAP = 1 << 15
-
-
+@lru_cache(maxsize=1 << 15)  # the 30164 distinct incomparability graphs on 6 elements fit
 def _schur_hooks(n: int, bits: int) -> tuple[int, ...]:
     """Entry k - 1 is the Schur coefficient of the hook (k, 1, ..., 1) in
     the chromatic symmetric function of the graph ``_graph_of(n, bits)``,
     for k in 1..n.  Posets that share an incomparability graph share this
     value: the 4231 labeled posets on 5 elements have 1012 distinct ones,
     and the graph is built only for those."""
-    got = _SCHUR_HOOKS.get(bits)
-    if got is None:
-        if len(_SCHUR_HOOKS) > _SCHUR_HOOKS_CAP:
-            _SCHUR_HOOKS.clear()
-        schur = csf_schur(_graph_of(n, bits))
-        got = _SCHUR_HOOKS[bits] = tuple(schur.get(hook_partition(n, k), 0) for k in range(1, n + 1))
-    return got
+    schur = csf_schur(_graph_of(n, bits))
+    return tuple(schur.get(hook_partition(n, k), 0) for k in range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +287,9 @@ def _schur_hooks(n: int, bits: int) -> tuple[int, ...]:
 def parse_poset_text(text: str, source: str = "<input>") -> Poset:
     """Parse a poset file: JSON object with fields n and covers."""
     data = _load_json_object(text, source, ("n", "covers"))
-    n = data["n"]
-    if not _is_int(n) or n < 0:
-        raise ValueError(f"{source}: 'n' must be a nonnegative integer, got {json.dumps(n)}")
     covers = _check_int_pairs(data.get("covers", []), "covers", source)
     try:
-        return Poset.from_covers(n, covers)
+        return Poset.from_covers(data["n"], covers)
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
 

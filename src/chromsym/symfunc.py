@@ -52,9 +52,24 @@ def _as_poly(value) -> TPoly:
 
 class _CoefficientMap:
     """A homogeneous value of one degree as a mapping from keys to nonzero
-    coefficients; values are equal when class, degree and mapping are."""
+    coefficients; values are equal when class, degree and mapping are.
+
+    A subclass names its keys (``_kind``), checks one (``_check_key``) and
+    coerces a coefficient (``_coerce``)."""
 
     __slots__ = ("degree", "coeffs")
+
+    def __init__(self, degree: int, coeffs):
+        cleaned = {}
+        for key, c in dict(coeffs).items():
+            key = self._check_key(key)
+            if sum(key) != degree:
+                raise ValueError(f"key {key} is not a {self._kind} of {degree}")
+            c = self._coerce(c)
+            if c:
+                cleaned[key] = c
+        self.degree = degree
+        self.coeffs = cleaned
 
     @classmethod
     def _trusted(cls, degree: int, coeffs: dict):
@@ -87,34 +102,16 @@ class SymmetricFunctionM(_CoefficientMap):
 
     __slots__ = ()
     _zero = 0
-
-    def __init__(self, degree: int, coeffs):
-        cleaned: dict[Partition, int] = {}
-        for lam, c in dict(coeffs).items():
-            lam = check_partition(lam)
-            if sum(lam) != degree:
-                raise ValueError(f"key {lam} is not a partition of {degree}")
-            c = int(c)
-            if c:
-                cleaned[lam] = c
-        self.degree = degree
-        self.coeffs = cleaned
+    _kind = "partition"
+    _check_key = staticmethod(check_partition)
+    _coerce = int
 
 
 class _QuasisymmetricBase(_CoefficientMap):
     _zero = TPoly()
-
-    def __init__(self, degree: int, coeffs):
-        cleaned: dict[Composition, TPoly] = {}
-        for alpha, c in dict(coeffs).items():
-            alpha = check_composition(alpha)
-            if sum(alpha) != degree:
-                raise ValueError(f"key {alpha} is not a composition of {degree}")
-            poly = _as_poly(c)
-            if poly:
-                cleaned[alpha] = poly
-        self.degree = degree
-        self.coeffs = cleaned
+    _kind = "composition"
+    _check_key = staticmethod(check_composition)
+    _coerce = staticmethod(_as_poly)
 
 
 class QuasisymmetricM(_QuasisymmetricBase):
@@ -199,17 +196,22 @@ def m_to_s(f: SymmetricFunctionM) -> dict[Partition, int]:
 
 
 def m_to_e(f: SymmetricFunctionM) -> dict[Partition, int]:
-    """Elementary coefficients of f, in ascending canonical order.
+    """Elementary coefficients of f, in ascending canonical order."""
+    return _s_to_e(f.degree, m_to_s(f))
+
+
+def _s_to_e(n: int, schur: dict[Partition, int]) -> dict[Partition, int]:
+    """Elementary coefficients, in ascending canonical order, of the
+    function of degree n with the Schur coefficients schur.
 
     Applying the involution omega to Jacobi-Trudi gives s_lam = det[e_(lam'_i
     - i + j)], so s_lam = sum_nu a(lam', nu) e_nu with the same table, and
     f = sum_lam c_lam s_lam has the e-coefficients
     d_nu = sum_lam c_lam a(lam', nu).
     """
-    n = f.degree
     table = _schur_h_table(n)
     acc: dict[Partition, int] = {}
-    for lam, c in m_to_s(f).items():
+    for lam, c in schur.items():
         for nu, a in table[conjugate(lam)]:
             acc[nu] = acc.get(nu, 0) + c * a
     return {nu: acc[nu] for nu in reversed(partitions_of(n)) if acc.get(nu)}

@@ -4,6 +4,7 @@ exit code 2."""
 
 import json
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chromsym.graphs import parse_graph_text
@@ -74,3 +75,11 @@ def test_graph_parser_raises_only_value_error(text):
 @example('{"n": 7, "edges": [[1, 2], [2, 3]]}')
 def test_poset_parser_raises_only_value_error(text):
     _parses_or_raises_value_error(parse_poset_text, {"n", "covers"}, text)
+
+
+@pytest.mark.parametrize("parse", [parse_graph_text, parse_poset_text])
+@pytest.mark.parametrize("n, shown", [(-1, "-1"), (True, "true")])
+def test_a_json_file_with_a_bad_n_is_named_in_one_message(parse, n, shown):
+    with pytest.raises(ValueError) as info:
+        parse(json.dumps({"n": n}), source="in.json")
+    assert str(info.value) == f"in.json: 'n' must be a nonnegative integer, got {shown}"

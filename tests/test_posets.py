@@ -4,7 +4,6 @@ import sys
 
 import pytest
 
-from chromsym import posets
 from chromsym.chromatic import csf_schur
 from chromsym.graphs import Graph, complete_graph, edgeless_graph, is_claw_free
 from chromsym.partitions import hook_partition
@@ -178,19 +177,12 @@ def test_hook_proposition_rows_match_the_schur_expansion_of_each_poset(n):
         assert verify_hook_proposition(poset) == expected
 
 
-def test_the_schur_hook_memo_is_bounded(monkeypatch):
-    assert posets._SCHUR_HOOKS_CAP >= 30164  # the distinct incomparability graphs on 6 elements
-    monkeypatch.setattr(posets, "_SCHUR_HOOKS", {})
-    monkeypatch.setattr(posets, "_SCHUR_HOOKS_CAP", 40)
-    sizes = []
-    for poset in all_posets(5):  # 1012 distinct incomparability graphs, many more than the cap
-        bits = _incomparability_bits(poset)
+def test_the_schur_hook_memo_is_bounded():
+    assert _schur_hooks.cache_info().maxsize >= 30164  # the distinct incomparability graphs on 6 elements
+    for poset in all_posets(5):  # 1012 distinct incomparability graphs
         schur = csf_schur(Graph(5, incomparability_graph(poset).edges))
-        assert _schur_hooks(5, bits) == tuple(schur.get(hook_partition(5, k), 0) for k in range(1, 6))
-        assert posets._SCHUR_HOOKS[bits] == _schur_hooks(5, bits)
-        sizes.append(len(posets._SCHUR_HOOKS))
-    assert max(sizes) == 41  # the cap is passed by one entry, then the store is cleared
-    assert sizes.count(1) > 1
+        expected = tuple(schur.get(hook_partition(5, k), 0) for k in range(1, 6))
+        assert _schur_hooks(5, _incomparability_bits(poset)) == expected
 
 
 def test_incomparability_bits_name_one_graph_each():

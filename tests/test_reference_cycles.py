@@ -22,7 +22,7 @@ from chromsym.chromatic import (
     dual_linear_extensions,
     sink_minimal_increasing_labeling,
 )
-from chromsym.graphs import Graph, Labeling, _stable_partition_counts, acyclic_orientation_masks, acyclic_orientations
+from chromsym.graphs import Graph, Labeling, acyclic_orientation_masks, acyclic_orientations, stable_partitions_by_type
 from chromsym.partitions import partitions_of
 from chromsym.posets import Poset, _hook_tableau_counts
 from chromsym.symfunc import _schur_h_table
@@ -47,11 +47,11 @@ KERNELS = {
     "_orientation_compositions": lambda: _order_counts.__wrapped__(GRAPH, BELOW, False),
     "_orientation_compositions, hooks": lambda: _order_counts.__wrapped__(GRAPH, BELOW, True),
     "_sink_counts": lambda: _sink_counts.__wrapped__(GRAPH),
-    "_stable_partition_counts": lambda: _stable_partition_counts.__wrapped__(GRAPH),
-    "_stable_partition_counts, sub-states looked up in the store": lambda: [
-        _stable_partition_counts.__wrapped__(GRAPH) for _ in range(2)
+    "stable_partitions_by_type": lambda: stable_partitions_by_type(GRAPH),
+    "stable_partitions_by_type, sub-states looked up in the store": lambda: [
+        stable_partitions_by_type(GRAPH) for _ in range(2)
     ],
-    "_stable_partition_counts, eight vertices": lambda: _stable_partition_counts.__wrapped__(GRAPH_8),
+    "stable_partitions_by_type, eight vertices": lambda: stable_partitions_by_type(GRAPH_8),
     "acyclic_orientation_masks": lambda: list(acyclic_orientation_masks(GRAPH)),
     "acyclic_orientation_masks, stopped early": lambda: list(islice(acyclic_orientation_masks(GRAPH), 3)),
     "dual_linear_extensions": lambda: dual_linear_extensions(

@@ -19,9 +19,9 @@ from random import Random
 
 import pytest
 
-from chromsym import chromatic, cli, graphs, posets
-from chromsym.chromatic import _coloring_counts, _sink_counts, sink_profile
-from chromsym.graphs import Labeling, _stable_partition_counts, complete_graph, path_graph, stable_partitions_by_type
+from chromsym import chromatic, cli, graphs, posets, symfunc
+from chromsym.chromatic import _coloring_counts, _monomial_terms, _schur_terms, _sink_counts, sink_profile
+from chromsym.graphs import Labeling, complete_graph, path_graph, stable_partitions_by_type
 from chromsym.posets import Poset, _hook_tableau_counts, all_posets
 from oracles import (
     all_graphs,
@@ -218,7 +218,6 @@ def _subset_dp_oracles() -> dict:
 
 
 def _check_partitions(g):
-    _stable_partition_counts.cache_clear()  # every call runs the kernel, not its lru_cache
     assert stable_partitions_by_type(g) == _subset_dp_oracles()[g][0]
 
 
@@ -280,7 +279,7 @@ def test_a_sweep_of_five_vertices_computes_each_partition_and_sink_state_once(mo
     partitions, sinks = _CountingStore(), _CountingStore()
     monkeypatch.setattr(graphs, "_PARTITION_STATES", partitions)
     monkeypatch.setattr(chromatic, "_SINK_STATES", sinks)
-    _stable_partition_counts.cache_clear()
+    _monomial_terms.cache_clear()  # the sweep reaches the partition DP through it
     _sink_counts.cache_clear()
     assert list(cli._sweep_results(5, ("hook-1", "e-sink"), 1)) == [[]] * 1024
     # The recursion removes a block holding the lowest vertex first, so the
@@ -297,3 +296,17 @@ def test_a_sweep_of_five_vertices_computes_each_partition_and_sink_state_once(mo
     # a whole graph's key keeps all five diagonal bits: neither store holds one
     diagonal = sum(1 << a * 5 + a for a in range(5))
     assert all(key & diagonal != diagonal for key in chain(partitions, sinks))
+
+
+def test_a_sweep_of_five_vertices_expands_each_graph_in_schur_functions_once(monkeypatch):
+    calls, m_to_s = [], symfunc.m_to_s
+
+    def counted(f):
+        calls.append(f)
+        return m_to_s(f)
+
+    monkeypatch.setattr(chromatic, "m_to_s", counted)
+    monkeypatch.setattr(symfunc, "m_to_s", counted)  # the binding m_to_e reads
+    _schur_terms.cache_clear()
+    assert list(cli._sweep_results(5, ("hook-1", "e-sink"), 1)) == [[]] * 1024
+    assert len(calls) == 1024  # hook-1 and e-sink read one cached expansion

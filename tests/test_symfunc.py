@@ -64,6 +64,16 @@ def test_value_types_drop_zeros_and_validate():
         QuasisymmetricF(2, {(3,): 1})
 
 
+def test_value_types_name_a_key_of_the_wrong_weight():
+    with pytest.raises(ValueError) as info:
+        SymmetricFunctionM(3, {(2, 2): 1})
+    assert str(info.value) == "key (2, 2) is not a partition of 3"
+    for cls in (QuasisymmetricM, QuasisymmetricF):
+        with pytest.raises(ValueError) as info:
+            cls(2, {(3,): 1})
+        assert str(info.value) == "key (3,) is not a composition of 2"
+
+
 def test_m_to_s_on_claw_and_edgeless():
     assert m_to_s(CLAW_M) == {(3, 1): 1, (2, 2): -1, (2, 1, 1): 5, (1, 1, 1, 1): 8}
     assert m_to_s(EDGELESS3_M) == {(3,): 1, (2, 1): 2, (1, 1, 1): 1}
