@@ -11,16 +11,20 @@ types rather than the number of partitions.  A relation held as bitmasks
 is reversed by ``_transpose`` and closed by ``_closure``, the one kernel
 for each that orientations and posets share; ``_relation_bits`` holds it
 as one integer that one AND restricts to a set, with a mask from the
-cached table ``_subset_pair_masks``: the key of the stores the sweep
-kernels share across cases.  ``_shared_states`` gives each subset DP its
-store and those keys on graphs of sweep size, and a memo of its own
-otherwise; the stable-partition DP is one of them.
+cached table ``_subset_pair_masks``, and ``_graph_of`` turns a symmetric
+one back into a graph.  ``_shared_states`` gives every subset DP of the
+package (the stable-partition DP here, the coloring pass and the sink DP
+in ``chromatic``, the hook tableau walk in ``posets``) its store and those
+keys on structures of sweep size, and a memo of its own otherwise, so no
+other module computes with the bit layout or decides when a store is
+cleared.
 """
 
 from __future__ import annotations
 
 import json
 import operator
+import sys
 from functools import lru_cache
 from itertools import combinations
 
@@ -270,6 +274,14 @@ def _relation_bits(masks) -> int:
     return sum((mask | 1 << a) << a * n for a, mask in enumerate(masks))
 
 
+def _graph_of(n: int, bits: int) -> Graph:
+    """The graph whose edges are the pairs a + 1 < b + 1 that bits, a
+    relation as ``_relation_bits`` holds it, relates: the inverse of
+    ``_relation_bits`` on symmetric relations."""
+    edges = tuple((a + 1, b + 1) for a in range(n) for b in range(a + 1, n) if bits >> a * n + b & 1)
+    return Graph._trusted(n, edges)  # pairs (a, b) with a < b, ascending
+
+
 def _pair_mask(n: int, s: int) -> int:
     """The bits a·n + b of an n²-bit relation with a and b both in s."""
     out, rows = 0, s
@@ -287,7 +299,7 @@ def _subset_pair_masks(n: int) -> tuple[int, ...]:
     return tuple(_pair_mask(n, s) | 1 << n * n for s in range(1 << n))
 
 
-def _shared_states(store: dict, cap: int, masks) -> tuple[dict, list[int]]:
+def _shared_states(store: dict, cap: int, masks) -> tuple[dict, list[int] | range]:
     """(states, keys) for a DP over the vertex sets s of the graph or
     relation whose masks are given: the state of s is states[keys[s]].
 
@@ -299,7 +311,11 @@ def _shared_states(store: dict, cap: int, masks) -> tuple[dict, list[int]]:
     """
     n = len(masks)
     if not 0 < n <= _STORED_N:
-        return {}, list(range(1 << n))  # a list reads faster than a range
+        sets = range(1 << n)
+        # A list reads faster than a range, but holds at most sys.maxsize
+        # items; past that a walk that needs no other 2^n table, such as
+        # the hook tableau walk, still fails by its own recursion depth.
+        return {}, list(sets) if n < sys.maxsize.bit_length() else sets
     if len(store) > cap:
         store.clear()
     rel = _relation_bits(masks) | 1 << n * n

@@ -9,13 +9,14 @@ oracle and shows that it fails.
 
 The fillings of every arm length are counted in one walk over the chains
 of the poset.  The column fillings above each chain's bottom cell depend
-only on the order restricted to that cell and the elements left, and are
-stored on that sub-order for every poset of the process, so the cost
-follows the chains and the distinct sub-orders rather than the n! orders
-of the elements.
+only on that cell and the order restricted to the elements left with it,
+so they are stored under the key ``graphs._shared_states`` gives that
+sub-order, as the graph kernels store theirs; the cost follows the chains
+and the distinct sub-orders rather than the n! orders of the elements.
 The Schur side of the identity is computed once per distinct
-incomparability relation, held as one integer, and shared by the posets
-that have it; the graph is built only the first time.
+incomparability relation, held by ``graphs._relation_bits`` as one
+integer, and shared by the posets that have it; the graph is built only
+the first time.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ from functools import lru_cache
 
 from .chromatic import csf_schur
 from .graphs import (
-    _STORED_N,
     Graph,
     _as_int,
     _check_int_pairs,
     _closure,
+    _graph_of,
     _load_json_object,
     _relation_bits,
-    _subset_pair_masks,
+    _shared_states,
     _transpose,
 )
 from .partitions import hook_partition
@@ -160,24 +161,11 @@ def incomparability_graph(poset: Poset) -> Graph:
 
 
 def _incomparability_bits(poset: Poset) -> int:
-    """The incomparability relation as ``_relation_bits`` holds it: bit
-    a·n + b is set when elements a + 1 and b + 1 are incomparable or equal.
-    Its highest bit is n² - 1, so it tells the element counts apart."""
-    n = poset.n
-    comparable = 0  # bits a·n + b and b·n + a for each a below b
-    for a, up in enumerate(poset.above):
-        comparable |= up << a * n
-        while up:
-            low = up & -up
-            comparable |= 1 << (low.bit_length() - 1) * n + a
-            up ^= low
-    return comparable ^ (1 << n * n) - 1
-
-
-def _graph_of(n: int, bits: int) -> Graph:
-    """The graph with an edge (a + 1, b + 1) for each a < b with bit a·n + b of bits set."""
-    edges = tuple((a + 1, b + 1) for a in range(n) for b in range(a + 1, n) if bits >> a * n + b & 1)
-    return Graph._trusted(n, edges)  # pairs (a, b) with a < b, ascending
+    """The incomparability relation, with each element incomparable to
+    itself, as ``_relation_bits`` holds it; it tells the element counts
+    apart."""
+    full = (1 << poset.n) - 1
+    return _relation_bits([full ^ (up | down) for up, down in zip(poset.above, _transpose(poset.above))])
 
 
 def count_p_tableaux_hook(poset: Poset, k: int) -> int:
@@ -187,9 +175,9 @@ def count_p_tableaux_hook(poset: Poset, k: int) -> int:
     return _hook_tableau_counts(poset)[k]
 
 
-# Column fillings by induced sub-order, shared by every poset of at most
-# _STORED_N elements in the process; keys as in legs below, values ints.
-# Cleared on entry to _hook_tableau_counts once it holds over _LEGS_CAP.
+# Column fillings by lower cell and induced sub-order, shared through
+# graphs._shared_states by every poset of at most graphs._STORED_N elements in the
+# process; keys as in legs below, values ints.
 _LEGS: dict[int, int] = {}
 _LEGS_CAP = 1 << 17
 
@@ -209,53 +197,40 @@ def _hook_tableau_counts(poset: Poset) -> list[int]:
     above = poset.above
     below = _transpose(above)  # below[x]: the elements strictly less than x
     full = (1 << n) - 1
-    if n <= _STORED_N:  # rel is the order as _relation_bits holds it
-        whole = _relation_bits(above)
-        drop = [_subset_pair_masks(n)[full ^ 1 << x] for x in range(n)]  # one AND removes x; rel lacks bit n²
-        tops = [1 << n * n + x for x in range(n)]  # the key's mark of the lower cell
-        if len(_LEGS) > _LEGS_CAP:
-            _LEGS.clear()
-        store = _LEGS
-    else:  # rel is the set alone: no other poset shares a sub-order
-        whole = full
-        drop = [full ^ 1 << x for x in range(n)]
-        tops = [1 << n + x for x in range(n)]
-        store = {}
+    store, keys = _shared_states(_LEGS, _LEGS_CAP, above)
 
-    def legs(lower: int, remaining: int, rel: int) -> int:
-        # Orderings of remaining stacked above lower, none of them placed
-        # directly on an element it is less than; rel holds remaining and
-        # lower, and the key marks lower above its bits.
+    def legs(lower: int, left: int) -> int:
+        # Orderings of the elements of left other than lower stacked above
+        # lower, none of them placed directly on an element it is less than.
+        remaining = left ^ 1 << lower
         if not remaining:
             return 1
-        key = rel | tops[lower]
+        key = keys[left] * n + lower  # one key per sub-order and lower cell
         got = store.get(key)
         if got is None:
             got = 0
-            rest = rel & drop[lower]
             allowed = remaining & ~below[lower]
             while allowed:
                 low = allowed & -allowed
-                got += legs(low.bit_length() - 1, remaining ^ low, rest)
+                got += legs(low.bit_length() - 1, remaining)
                 allowed ^= low
-            if rel != whole:  # a state of the whole poset is met once: not stored
+            if left != full:  # a state of the whole poset is met once: not stored
                 store[key] = got
         return got
 
     counts = [0] * (n + 1)
 
-    def chains(bottom: int, top: int, left: int, rel: int, length: int):
-        # left: the elements off the chain; rel: the order on left and bottom
-        counts[length] += legs(bottom, left, rel)
+    def chains(bottom: int, top: int, left: int, length: int):
+        # left: bottom and the elements off the chain
+        counts[length] += legs(bottom, left)
         ups = above[top]
         while ups:
             low = ups & -ups
-            x = low.bit_length() - 1
-            chains(bottom, x, left ^ low, rel & drop[x], length + 1)
+            chains(bottom, low.bit_length() - 1, left ^ low, length + 1)
             ups ^= low
 
     for bottom in range(n):
-        chains(bottom, bottom, full ^ 1 << bottom, whole, 1)
+        chains(bottom, bottom, full, 1)
     del legs, chains  # each refers to itself and legs may hold the memo: break the cycles
     return counts
 

@@ -11,6 +11,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from math import comb
 from random import Random
 
 from chromsym import (
@@ -709,3 +710,90 @@ def is_symmetric_by_permutations(f: QuasisymmetricM) -> bool:
         if len(values) > 1:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Closed forms for graph families under the natural labeling, written with
+# no chromsym kernel.  A polynomial in t is a tuple of its coefficients, low
+# degree first, with no trailing zeros; an e-expansion maps a partition,
+# in descending parts, to its polynomial, with e_0 = 1.
+
+
+def _t_trim(coeffs) -> tuple[int, ...]:
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _t_add(p, q) -> tuple[int, ...]:
+    longer, shorter = (p, q) if len(p) >= len(q) else (q, p)
+    return _t_trim(a + (shorter[i] if i < len(shorter) else 0) for i, a in enumerate(longer))
+
+
+def _t_mul(p, q) -> tuple[int, ...]:
+    out = [0] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _t_trim(out)
+
+
+def t_integer(m: int) -> tuple[int, ...]:
+    """[m]_t = 1 + t + ... + t^(m-1)."""
+    return (1,) * m
+
+
+def _e_times(i: int, expansion: dict, coeff) -> dict:
+    """coeff · e_i · expansion, with e_0 = 1."""
+    out = {}
+    for lam, c in expansion.items():
+        mu = tuple(sorted(lam + (i,), reverse=True)) if i else lam
+        out[mu] = _t_mul(coeff, c)
+    return out
+
+
+def _e_add(total: dict, part: dict) -> None:
+    for lam, c in part.items():
+        total[lam] = _t_add(total.get(lam, ()), c)
+        if not total[lam]:
+            del total[lam]
+
+
+def path_e_expansion(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """X_{P_n}(x,t) = sum_{j=0..n} e_j W_{n-j}, with W_0 = 1 and
+    W_m = sum_{i=2..m} t[i-1]_t e_i W_{m-i} (Shareshian-Wachs 2016; at
+    t = 1, Stanley 1995)."""
+    w = [{(): (1,)}]
+    for m in range(1, n + 1):
+        total: dict = {}
+        for i in range(2, m + 1):
+            _e_add(total, _e_times(i, w[m - i], (0,) + t_integer(i - 1)))
+        w.append(total)
+    x: dict = {}
+    for j in range(n + 1):
+        _e_add(x, _e_times(j, w[n - j], (1,)))
+    return x
+
+
+def complete_e_expansion(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """X_{K_n}(x,t) = [n]_t! e_n."""
+    factorial = (1,)
+    for m in range(1, n + 1):
+        factorial = _t_mul(factorial, t_integer(m))
+    return {(n,) if n else (): factorial}
+
+
+def edgeless_e_expansion(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """X = e_1^n."""
+    return {(1,) * n: (1,)}
+
+
+def hooks_of_e_expansion(expansion: dict, n: int) -> list[tuple[int, ...]]:
+    """Entry k - 1 is the coefficient of the Schur hook s_(k,1^(n-k)) in the
+    e-expansion, for k in 1..n, from [s_(k,1^(n-k))] e_lam = C(len(lam)-1, k-1)."""
+    hooks = [()] * n
+    for lam, c in expansion.items():
+        for k in range(1, len(lam) + 1):
+            hooks[k - 1] = _t_add(hooks[k - 1], _t_mul((comb(len(lam) - 1, k - 1),), c))
+    return hooks

@@ -32,6 +32,7 @@ GRAPH = Graph(6, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5), (4, 6), (5, 6)
 POSET = Poset.from_covers(6, [[1, 2], [1, 3], [2, 4], [3, 4], [4, 5]])
 ORIENTATION = acyclic_orientations(GRAPH)[7]
 BELOW = tuple(_below(GRAPH, Labeling([4, 1, 6, 2, 5, 3])))
+POSET_8 = Poset.from_covers(8, [[1, 2], [1, 3], [2, 4], [3, 4], [4, 5], [2, 6], [6, 7], [5, 8]])
 GRAPH_8 = Graph(8, [(1, 2), (1, 5), (2, 3), (2, 6), (3, 4), (3, 7), (4, 8), (5, 6), (6, 7), (7, 8)])
 BELOW_8 = tuple(_below(GRAPH_8, Labeling([3, 8, 1, 6, 2, 7, 4, 5])))
 
@@ -58,6 +59,9 @@ KERNELS = {
         ORIENTATION, sink_minimal_increasing_labeling(ORIENTATION)
     ),
     "_hook_tableau_counts": lambda: _hook_tableau_counts(POSET),
+    "_hook_tableau_counts, sub-states looked up in the store": lambda: [_hook_tableau_counts(POSET) for _ in range(2)],
+    # above seven elements the walk keeps a memo of its own
+    "_hook_tableau_counts, eight elements": lambda: _hook_tableau_counts(POSET_8),
     "_schur_h_table": lambda: _schur_h_table.__wrapped__(6),
     "_strip_removals": lambda: list(_strip_removals((4, 3, 1), 3)),
     "_strip_removals, stopped early": lambda: list(islice(_strip_removals((4, 3, 1), 3), 1)),

@@ -123,6 +123,23 @@ def test_posets_above_seven_elements_neither_read_nor_write_the_store(monkeypatc
     assert posets._LEGS == {}
 
 
+def test_posets_of_five_elements_share_5010_tableau_states_and_each_size_keys_its_own(monkeypatch):
+    store = _CountingStore()
+    monkeypatch.setattr(posets, "_LEGS", store)
+    for poset in POSETS[5]:
+        _hook_tableau_counts(poset)
+    # one state per sub-order and lower cell met: a key that merged or split
+    # states would change the count
+    assert len(store) == len(store.writes) == 5010
+    assert set(store.writes.values()) == {1}
+    for poset in chain(*POSETS[1:5]):
+        _hook_tableau_counts(poset)
+    # the posets of 3 and 4 elements add their own 18 and 264 states: no key
+    # of one size meets a key of another
+    assert len(store) == len(store.writes) == 5292
+    assert set(store.writes.values()) == {1}
+
+
 def _zetas(n: int, rng: Random) -> list:
     labels = list(range(1, n + 1))
     rng.shuffle(labels)
