@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import json
 import operator
-import sys
 from functools import lru_cache
 from itertools import combinations
+from typing import Sequence
 
 from .partitions import _decode_type
 
@@ -299,7 +299,7 @@ def _subset_pair_masks(n: int) -> tuple[int, ...]:
     return tuple(_pair_mask(n, s) | 1 << n * n for s in range(1 << n))
 
 
-def _shared_states(store: dict, cap: int, masks) -> tuple[dict, list[int] | range]:
+def _shared_states(store: dict, cap: int, masks) -> tuple[dict, Sequence[int]]:
     """(states, keys) for a DP over the vertex sets s of the graph or
     relation whose masks are given: the state of s is states[keys[s]].
 
@@ -311,11 +311,7 @@ def _shared_states(store: dict, cap: int, masks) -> tuple[dict, list[int] | rang
     """
     n = len(masks)
     if not 0 < n <= _STORED_N:
-        sets = range(1 << n)
-        # A list reads faster than a range, but holds at most sys.maxsize
-        # items; past that a walk that needs no other 2^n table, such as
-        # the hook tableau walk, still fails by its own recursion depth.
-        return {}, list(sets) if n < sys.maxsize.bit_length() else sets
+        return {}, range(1 << n)
     if len(store) > cap:
         store.clear()
     rel = _relation_bits(masks) | 1 << n * n
