@@ -4,7 +4,6 @@ simple graphs, with hook coefficients verified along independent routes."""
 from .chromatic import (
     SinkProfile,
     chromatic_polynomial_by_colorings,
-    chromatic_polynomial_value,
     cqf_fundamental_via_orientations,
     cqf_monomial,
     csf_monomial,
@@ -35,9 +34,7 @@ from .graphs import (
 )
 from .partitions import (
     composition_from_descents,
-    compositions_of,
     conjugate,
-    descents_from_composition,
     hook_partition,
     partition_of,
     partitions_of,
@@ -57,24 +54,13 @@ from .symfunc import (
     SymmetricFunctionM,
     canonical_items,
     collapse_t,
-    gessel_schur_F,
-    hook_coefficient_of_F,
     is_symmetric,
     m_to_e,
     m_to_s,
-    qsym_F_to_M,
     qsym_M_to_F,
     specialize_w_k,
 )
-from .tableaux import (
-    Tableau,
-    descent_set,
-    ides,
-    inverse_permutation,
-    kostka,
-    reading_word,
-    standard_tableaux,
-)
+from .tableaux import kostka
 from .tpoly import TPoly
 
 __version__ = "0.1.0"

@@ -56,7 +56,6 @@ from .symfunc import (
     SymmetricFunctionM,
     _s_to_e,
     m_to_s,
-    specialize_w_k,
 )
 from .tpoly import TPoly
 
@@ -199,11 +198,6 @@ def hook_coefficient_via_sinks(graph: Graph, k: int) -> int:
     """Binomial-weighted sink enumeration for the hook coefficient."""
     hook_partition(graph.n, k)  # rejects k outside 1..n
     return sum(comb(j - 1, k - 1) * a for j, a in _sink_counts(graph))
-
-
-def chromatic_polynomial_value(graph: Graph, k: int) -> int:
-    """Number of proper colorings with at most k colors, by specialization."""
-    return specialize_w_k(csf_monomial(graph), k)
 
 
 def chromatic_polynomial_by_colorings(graph: Graph, k: int) -> int:

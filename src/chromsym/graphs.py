@@ -587,6 +587,15 @@ def _is_numeral(name: str) -> bool:
     return digits.isascii() and digits.isdigit()
 
 
+def _read_input(path) -> str:
+    """The text of an input file; bytes that are not UTF-8 are an error
+    naming the file."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is not text
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_graph(path) -> GraphInput:
-    with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is not text
-        return parse_graph_text(fh.read(), source=str(path))
+    return parse_graph_text(_read_input(path), source=str(path))

@@ -8,10 +8,10 @@ Conventions used throughout the package:
   descending tuple comparison, so ``partitions_of(3)`` starts at ``(3,)``
   and ends at ``(1, 1, 1)``.
 
-Descent sets are exposed as sorted tuples of positions in ``1..n-1``;
-a composition of n and its set of proper partial sums determine each
-other, which is the bijection ``composition_from_descents`` /
-``descents_from_composition`` implements.
+A composition of n and its descent set, the set of its proper partial
+sums in ``1..n-1``, determine each other: ``composition_from_descents``
+builds the composition, and ``_descent_mask`` reads the set back as a
+bit mask.
 """
 
 from __future__ import annotations
@@ -58,13 +58,6 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     out = tuple(rec(n, n))
     del rec  # rec refers to itself: break the cycle
     return out
-
-
-def compositions_of(n: int) -> tuple[Composition, ...]:
-    """All compositions of n in canonical (descending) order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return tuple(sorted(_compositions_by_mask(n), reverse=True))
 
 
 def hook_partition(n: int, k: int) -> Partition:
@@ -114,17 +107,6 @@ def _descent_mask(alpha: Composition) -> int:
         acc += part
         mask |= 1 << (acc - 1)
     return mask
-
-
-def descents_from_composition(alpha) -> tuple[int, ...]:
-    """Proper partial sums of a composition, as a sorted descent set."""
-    alpha = check_composition(alpha)
-    out = []
-    acc = 0
-    for part in alpha[:-1]:
-        acc += part
-        out.append(acc)
-    return tuple(out)
 
 
 def partition_of(alpha) -> Partition:

@@ -31,6 +31,7 @@ from .graphs import (
     _closure,
     _graph_of,
     _load_json_object,
+    _read_input,
     _relation_bits,
     _shared_states,
     _transpose,
@@ -270,5 +271,4 @@ def parse_poset_text(text: str, source: str = "<input>") -> Poset:
 
 
 def load_poset(path) -> Poset:
-    with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is not text
-        return parse_poset_text(fh.read(), source=str(path))
+    return parse_poset_text(_read_input(path), source=str(path))

@@ -1,8 +1,9 @@
-"""Independent brute-force oracles used to freeze expected values.
+"""Independent brute-force oracles used to freeze expected values, and
+the helpers that only the tests call.
 
-Everything here is deliberately written from first principles (straight
-enumeration, direct definitions, rational interpolation) so that it
-stays independent of the library code paths it checks.
+The oracles are deliberately written from first principles (straight
+enumeration, direct definitions, rational interpolation) so that they
+stay independent of the library code paths they check.
 """
 
 from __future__ import annotations
@@ -24,12 +25,14 @@ from chromsym import (
     acyclic_orientations,
     composition_from_descents,
     conjugate,
-    descent_set,
-    descents_from_composition,
+    csf_monomial,
+    hook_partition,
     kostka,
     partition_of,
     partitions_of,
+    specialize_w_k,
 )
+from chromsym.partitions import check_composition, check_partition
 
 
 def partitions_brute(n: int) -> set[tuple[int, ...]]:
@@ -83,6 +86,132 @@ def ssyt_count_brute(shape: tuple[int, ...], weight: tuple[int, ...]) -> int:
     return total
 
 
+# ---------------------------------------------------------------------------
+# standard tableaux and permutations
+
+
+class Tableau:
+    """A semi-standard filling, rows bottom-up (French convention: rows[0]
+    is the longest row and columns strictly increase upward), entries
+    positive; immutable."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        shape = tuple(len(r) for r in rows)
+        check_partition(shape)
+        for i, row in enumerate(rows):
+            for j, entry in enumerate(row):
+                if entry < 1:
+                    raise ValueError(f"tableau entries must be positive, got {entry}")
+                if j and row[j - 1] > entry:
+                    raise ValueError(f"row {i + 1} is not weakly increasing: {row}")
+                if i and j < len(rows[i - 1]) and rows[i - 1][j] >= entry:
+                    raise ValueError(f"column {j + 1} is not strictly increasing upward")
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.rows,))
+
+    def __repr__(self):
+        return f"Tableau(rows={self.rows!r})"
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(len(r) for r in self.rows)
+
+    @property
+    def size(self) -> int:
+        return sum(len(r) for r in self.rows)
+
+    def is_standard(self) -> bool:
+        entries = sorted(e for row in self.rows for e in row)
+        return entries == list(range(1, self.size + 1))
+
+
+def standard_tableaux(lam) -> tuple[Tableau, ...]:
+    """All standard tableaux of the given shape."""
+    lam = check_partition(lam)
+    n = sum(lam)
+    rows: list[list[int]] = [[] for _ in lam]
+    out: list[Tableau] = []
+
+    def place(v: int):
+        if v > n:
+            out.append(Tableau(tuple(tuple(r) for r in rows)))
+            return
+        for i, row in enumerate(rows):
+            # Cell (i, len(row)) is addable: row not full and supported below.
+            if len(row) < lam[i] and (i == 0 or len(rows[i - 1]) > len(row)):
+                row.append(v)
+                place(v + 1)
+                row.pop()
+
+    place(1)
+    del place  # place refers to itself: break the cycle
+    return tuple(out)
+
+
+def reading_word(t: Tableau) -> tuple[int, ...]:
+    """Row word of a standard tableau: top row first, each left to right."""
+    if not t.is_standard():
+        raise ValueError("reading words are defined for standard tableaux")
+    word: list[int] = []
+    for row in reversed(t.rows):
+        word.extend(row)
+    return tuple(word)
+
+
+def check_permutation(sigma) -> tuple[int, ...]:
+    """Validate one-line notation for a permutation of 1..n."""
+    word = tuple(int(x) for x in sigma)
+    if sorted(word) != list(range(1, len(word) + 1)):
+        raise ValueError(f"not a permutation of 1..{len(word)}: {word}")
+    return word
+
+
+def descent_set(sigma) -> tuple[int, ...]:
+    """Positions i with sigma(i) > sigma(i+1), 1-indexed, sorted."""
+    word = check_permutation(sigma)
+    return tuple(i for i in range(1, len(word)) if word[i - 1] > word[i])
+
+
+def inverse_permutation(sigma) -> tuple[int, ...]:
+    word = check_permutation(sigma)
+    inv = [0] * len(word)
+    for i, v in enumerate(word):
+        inv[v - 1] = i + 1
+    return tuple(inv)
+
+
+def ides(sigma) -> tuple[int, ...]:
+    """Descent set of the inverse permutation."""
+    return descent_set(inverse_permutation(sigma))
+
+
+def gessel_schur_F(lam) -> QuasisymmetricF:
+    """Fundamental expansion of the Schur function s_lam (Gessel): one term
+    per standard tableau of shape lam, indexed by the descent composition
+    of the inverse of its reading word."""
+    lam = check_partition(lam)
+    n = sum(lam)
+    counts: Counter = Counter()
+    for t in standard_tableaux(lam):
+        counts[composition_from_descents(ides(reading_word(t)), n)] += 1
+    return QuasisymmetricF(n, {a: TPoly((c,)) for a, c in counts.items()})
+
+
 def fundamental_monomials(descents, n: int, nvars: int) -> Counter:
     """Expand one fundamental quasisymmetric term over finitely many
     variables: weakly increasing index sequences, strict at descents."""
@@ -112,6 +241,11 @@ def monomial_basis_monomials(lam, nvars: int) -> Counter:
     for arrangement in set(permutations(padded)):
         out[arrangement] += 1
     return out
+
+
+def chromatic_polynomial_value(graph: Graph, k: int) -> int:
+    """Number of proper colorings with at most k colors, by specialization."""
+    return specialize_w_k(csf_monomial(graph), k)
 
 
 def count_colorings_brute(graph: Graph, k: int) -> int:
@@ -278,20 +412,61 @@ def coloring_profile_pruned(graph: Graph) -> tuple[tuple[tuple[tuple[int, ...], 
     return tuple(acc.items())
 
 
+def compositions_of(n: int) -> tuple[tuple[int, ...], ...]:
+    """All compositions of n in canonical (descending) order, by their
+    first part."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        return ((),)
+    return tuple((first,) + rest for first in range(n, 0, -1) for rest in compositions_of(n - first))
+
+
+def descents_from_composition(alpha) -> tuple[int, ...]:
+    """Proper partial sums of a composition, as a sorted descent set."""
+    alpha = check_composition(alpha)
+    out = []
+    acc = 0
+    for part in alpha[:-1]:
+        acc += part
+        out.append(acc)
+    return tuple(out)
+
+
+def hook_coefficient_of_F(f, k: int) -> TPoly:
+    """Coefficient at the hook composition (k, 1, ..., 1)."""
+    return f.coefficient(hook_partition(f.degree, k))
+
+
+def _refinements(alpha, n: int):
+    """(beta, number of descents beta adds) for every composition beta of
+    n refining alpha, that is, whose descent set contains alpha's."""
+    base = set(descents_from_composition(alpha))
+    others = [i for i in range(1, n) if i not in base]
+    for r in range(len(others) + 1):
+        for extra in combinations(others, r):
+            yield composition_from_descents(base.union(extra), n), r
+
+
 def qsym_M_to_F_by_refinement(f) -> QuasisymmetricF:
     """Fundamental coordinates of f, by signed refinement inversion: M_beta
     spreads over every alpha refining beta with sign (-1)^(added descents)."""
-    n = f.degree
     out: dict[tuple[int, ...], TPoly] = {}
     for beta, poly in f.coeffs.items():
-        base = set(descents_from_composition(beta))
-        others = [i for i in range(1, n) if i not in base]
-        for r in range(len(others) + 1):
-            sign = 1 if r % 2 == 0 else -1
-            for extra in combinations(others, r):
-                alpha = composition_from_descents(base.union(extra), n)
-                out[alpha] = out.get(alpha, TPoly()) + sign * poly
-    return QuasisymmetricF(n, out)
+        for alpha, added in _refinements(beta, f.degree):
+            out[alpha] = out.get(alpha, TPoly()) + (-1) ** added * poly
+    return QuasisymmetricF(f.degree, out)
+
+
+def qsym_F_to_M(f) -> QuasisymmetricM:
+    """Monomial coordinates of f, by the refinement sum: F_alpha is the sum
+    of M_beta over every beta refining alpha.  The unsigned twin of
+    qsym_M_to_F_by_refinement."""
+    out: dict[tuple[int, ...], TPoly] = {}
+    for alpha, poly in f.coeffs.items():
+        for beta, _ in _refinements(alpha, f.degree):
+            out[beta] = out.get(beta, TPoly()) + poly
+    return QuasisymmetricM(f.degree, out)
 
 
 def sink_minimal_labels(o) -> tuple[int, ...]:

@@ -17,7 +17,6 @@ from math import comb
 import pytest
 
 from chromsym.chromatic import (
-    chromatic_polynomial_value,
     cqf_fundamental_via_orientations,
     cqf_monomial,
     csf_schur,
@@ -37,22 +36,29 @@ from chromsym.graphs import (
     edgeless_graph,
 )
 from chromsym.partitions import (
-    compositions_of,
-    descents_from_composition,
     hook_partition,
     partitions_of,
 )
 from chromsym.posets import all_posets, incomparability_graph, verify_hook_proposition
 from chromsym.symfunc import (
     QuasisymmetricM,
-    gessel_schur_F,
-    hook_coefficient_of_F,
-    qsym_F_to_M,
     qsym_M_to_F,
 )
-from chromsym.tableaux import descent_set, kostka
+from chromsym.tableaux import kostka
 from chromsym.tpoly import TPoly
-from oracles import all_graphs, fundamental_monomials, monomial_basis_monomials, proper_colorings_bounded
+from oracles import (
+    all_graphs,
+    chromatic_polynomial_value,
+    compositions_of,
+    descent_set,
+    descents_from_composition,
+    fundamental_monomials,
+    gessel_schur_F,
+    hook_coefficient_of_F,
+    monomial_basis_monomials,
+    proper_colorings_bounded,
+    qsym_F_to_M,
+)
 
 CLAW_JSON = '{"n": 4, "edges": [[1, 2], [1, 3], [1, 4]]}'
 

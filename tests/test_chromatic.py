@@ -12,7 +12,6 @@ from chromsym.chromatic import (
     _order_counts,
     _orientation_compositions,
     chromatic_polynomial_by_colorings,
-    chromatic_polynomial_value,
     cqf_fundamental_via_orientations,
     cqf_monomial,
     csf_monomial,
@@ -43,20 +42,21 @@ from chromsym.partitions import _descent_mask, composition_from_descents, hook_p
 from chromsym.symfunc import (
     QuasisymmetricF,
     collapse_t,
-    hook_coefficient_of_F,
     is_symmetric,
     qsym_M_to_F,
 )
-from chromsym.tableaux import descent_set
 from chromsym.tpoly import TPoly
 from oracles import (
     acyclic_orientations_scan,
     all_graphs,
+    chromatic_polynomial_value,
     coloring_profile_pruned,
     coloring_profile_unpruned,
     count_colorings_brute,
     csf_monomial_by_colorings,
+    descent_set,
     extension_words,
+    hook_coefficient_of_F,
     monomial_to_quasi,
     orientation_compositions_by_words,
     seeded_graphs,

@@ -410,6 +410,19 @@ def test_a_leading_byte_order_mark_changes_no_output(capsys, tmp_path, text, arg
     assert run_cli(capsys, verb, str(marked), *rest, "--json") == expected
 
 
+@pytest.mark.parametrize(
+    "argv", [["expand"], ["verify", "ptableaux"]], ids=["graph file", "poset file"]
+)
+def test_a_file_that_is_not_utf8_exits_2_naming_it(capsys, tmp_path, argv):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'\xff{"n": 2}')
+    verb, *rest = argv
+    code, out, err = run_cli(capsys, verb, str(path), *rest)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+
+
 def test_verify_chrompoly_counts_one_coloring_of_the_empty_graph(capsys, tmp_path):
     path = tmp_path / "empty.json"
     path.write_text('{"n": 0, "edges": []}')

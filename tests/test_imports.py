@@ -1,12 +1,12 @@
 """Every name a library module imports is used in that module, every
 private function or class it defines is used somewhere in the package,
 and every public one is used outside its own body by library code other
-than ``__init__`` or by the acceptance checks.
+than ``__init__``, or is named in ``PUBLIC_API`` with the reason it is kept.
 
 No linter ships with the project, so this stands in for pyflakes' F401
 check and for a dead-code check: a kernel that replaces another must not
-leave its import or its helpers behind, and code only the tests call
-belongs in ``tests/oracles.py``.  An import on a line marked
+leave its import or its helpers behind, and code only the tests call,
+the acceptance checks included, belongs in ``tests/oracles.py``.  An import on a line marked
 ``# noqa: F401`` is kept on purpose.
 """
 
@@ -46,13 +46,13 @@ def test_every_import_is_used(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
-def unreferenced_definitions(sources: dict[str, str], private: bool, readers=None) -> list[str]:
+def unreferenced_definitions(sources: dict[str, str], private: bool) -> list[str]:
     """The module-level functions and classes of sources, named with one
     leading underscore when private and with none otherwise, that no code
     refers to outside their own body.  A private definition may be used by
     any module of sources; a public one only by a module of sources other
-    than ``__init__.py``, or by readers, a dict of further sources."""
-    trees = {module: ast.parse(source) for module, source in {**sources, **(readers or {})}.items()}
+    than ``__init__.py``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
     references = [
         (module, node, node.id if isinstance(node, ast.Name) else node.attr)
         for module, tree in trees.items()
@@ -91,24 +91,28 @@ def test_every_private_definition_is_used():
     assert unreferenced_definitions(sources, private=True) == []
 
 
-# Public names that no other module and no acceptance check uses, kept as
-# library API on purpose.
+# Public names that no other library module uses, kept as library API on
+# purpose.
 PUBLIC_API = {
-    "complete_graph": "builds K_n beside path_graph, star_graph and edgeless_graph",
+    "star_graph": "the README's library example builds the claw with it",
+    "path_graph": "a graph family constructor beside star_graph",
+    "edgeless_graph": "a graph family constructor beside star_graph",
+    "complete_graph": "a graph family constructor beside star_graph",
+    "acyclic_orientations": "the binding perfbench/shim.py wraps",
+    "is_claw_free": "the claw-free graphs of the positivity survey (ROADMAP item 8)",
+    "incomparability_graph": "the graph whose X_G ptableaux reads for a poset; the check keys it as an int",
     "count_p_tableaux_hook": "the tableau side of the hook proposition at one arm length k",
 }
-ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 
 def test_the_check_finds_an_unused_public_definition():
     sources = {
         "__init__.py": "from .a import exported\n",
-        "a.py": "def exported():\n    pass\ndef own():\n    return own()\ndef used():\n    pass\ndef read():\n    pass\n"
+        "a.py": "def exported():\n    pass\ndef own():\n    return own()\ndef used():\n    pass\n"
         "def inner():\n    pass\ndef outer():\n    return inner()\n",
         "b.py": "from .a import used\nused()\n",
     }
-    readers = {"test_acceptance.py": "from chromsym.a import read\nread()\n"}
-    assert unreferenced_definitions(sources, private=False, readers=readers) == [
+    assert unreferenced_definitions(sources, private=False) == [
         "a.py: exported",
         "a.py: own",
         "a.py: outer",
@@ -118,6 +122,5 @@ def test_the_check_finds_an_unused_public_definition():
 def test_every_public_definition_is_used_or_kept_as_api():
     # an entry of PUBLIC_API that comes into use elsewhere, or goes, fails too
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
-    readers = {ACCEPTANCE.name: ACCEPTANCE.read_text(encoding="utf-8")}
-    unused = unreferenced_definitions(sources, private=False, readers=readers)
+    unused = unreferenced_definitions(sources, private=False)
     assert sorted(entry.split(": ")[1] for entry in unused) == sorted(PUBLIC_API)

@@ -7,15 +7,13 @@ from chromsym.partitions import (
     check_composition,
     check_partition,
     composition_from_descents,
-    compositions_of,
     conjugate,
-    descents_from_composition,
     hook_partition,
     multiplicities,
     partition_of,
     partitions_of,
 )
-from oracles import dominance_leq, partitions_brute
+from oracles import compositions_of, descents_from_composition, dominance_leq, partitions_brute
 
 
 @st.composite

@@ -5,19 +5,16 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chromsym.partitions import compositions_of, descents_from_composition, partitions_of
+from chromsym.partitions import partitions_of
 from chromsym.symfunc import (
     QuasisymmetricF,
     QuasisymmetricM,
     SymmetricFunctionM,
     canonical_items,
     collapse_t,
-    gessel_schur_F,
-    hook_coefficient_of_F,
     is_symmetric,
     m_to_e,
     m_to_s,
-    qsym_F_to_M,
     qsym_M_to_F,
     specialize_w_k,
 )
@@ -32,14 +29,19 @@ from chromsym.graphs import Graph, Labeling, complete_graph, edgeless_graph, pat
 from chromsym.symfunc import _schur_h_table, _terms_json
 from oracles import (
     all_graphs,
+    compositions_of,
+    descents_from_composition,
     elementary_m_expansion,
     fundamental_monomials,
+    gessel_schur_F,
+    hook_coefficient_of_F,
     is_symmetric_by_permutations,
     m_to_e_by_kostka,
     m_to_e_by_matrix,
     m_to_s_by_kostka,
     monomial_basis_monomials,
     monomial_to_quasi,
+    qsym_F_to_M,
     qsym_M_to_F_by_refinement,
     schur_m_expansion,
     seeded_graphs,

@@ -3,16 +3,17 @@ from itertools import permutations
 import pytest
 
 from chromsym.partitions import partitions_of
-from chromsym.tableaux import (
+from chromsym.tableaux import kostka
+from oracles import (
     Tableau,
     descent_set,
+    dominance_leq,
     ides,
     inverse_permutation,
-    kostka,
     reading_word,
+    ssyt_count_brute,
     standard_tableaux,
 )
-from oracles import dominance_leq, ssyt_count_brute
 
 # The five standard fillings of shape (3,2), bottom row first.
 SHAPE_32_TABLEAUX = {
