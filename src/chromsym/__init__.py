@@ -3,7 +3,7 @@ simple graphs, with hook coefficients verified along independent routes."""
 
 from .chromatic import (
     SinkProfile,
-    chromatic_polynomial_by_colorings,
+    chromatic_polynomial_via_colorings,
     cqf_fundamental_via_orientations,
     cqf_monomial,
     csf_monomial,
@@ -12,6 +12,7 @@ from .chromatic import (
     hook_coefficients_via_colorings_t,
     hook_coefficients_via_extensions_t,
     hook_coefficients_via_orientations_t,
+    hook_coefficients_via_sinks,
     hook_coefficient_via_sinks,
     sink_minimal_increasing_labeling,
     sink_profile,
@@ -58,7 +59,6 @@ from .symfunc import (
     m_to_e,
     m_to_s,
     qsym_M_to_F,
-    specialize_w_k,
 )
 from .tableaux import kostka
 from .tpoly import TPoly

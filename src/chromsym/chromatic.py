@@ -49,7 +49,7 @@ from .graphs import (
     acyclic_orientations,  # noqa: F401  (perfbench/shim.py wraps this binding)
     stable_partitions_by_type,
 )
-from .partitions import _compositions_by_mask, hook_partition, multiplicities
+from .partitions import _binomials, _compositions_by_mask, hook_partition, multiplicities
 from .symfunc import (
     QuasisymmetricF,
     QuasisymmetricM,
@@ -163,7 +163,8 @@ def _sink_counts(graph: Graph) -> tuple[tuple[int, int], ...]:
         rest = t & (t - 1)
         stable[t] = stable[rest] and not adj[low] & rest
         size[t] = size[rest] + 1
-    store, keys = _shared_states(_SINK_STATES, _SINK_STATES_CAP, adj)
+    store, rel, sets = _shared_states(_SINK_STATES, _SINK_STATES_CAP, adj)
+    keys = [rel & mask for mask in sets]
     a = [1] * (full + 1)
     for u in range(1, full + 1):
         total = store.get(keys[u])
@@ -197,16 +198,24 @@ def sink_profile(graph: Graph) -> SinkProfile:
 def hook_coefficient_via_sinks(graph: Graph, k: int) -> int:
     """Binomial-weighted sink enumeration for the hook coefficient."""
     hook_partition(graph.n, k)  # rejects k outside 1..n
-    return sum(comb(j - 1, k - 1) * a for j, a in _sink_counts(graph))
+    return hook_coefficients_via_sinks(graph)[k - 1]
 
 
-def chromatic_polynomial_by_colorings(graph: Graph, k: int) -> int:
-    """Number of proper colorings with at most k colors, by enumeration:
-    a coloring onto the colors 1..j stands for the C(k, j) ways to choose
-    its j colors.  No stable partition is used."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return sum(count * comb(k, j) for j, count in enumerate(_colorings_by_size(graph)))
+def hook_coefficients_via_sinks(graph: Graph) -> tuple[int, ...]:
+    """Entry k - 1 is the sum over acyclic orientations of C(sinks - 1,
+    k - 1), ``hook_coefficient_via_sinks(graph, k)``, for k in 1..n."""
+    binom, counts = _binomials(graph.n), _sink_counts(graph)
+    return tuple(sum(binom[j - 1][k] * a for j, a in counts) for k in range(graph.n))
+
+
+def chromatic_polynomial_via_colorings(graph: Graph) -> tuple[int, ...]:
+    """Entry k counts the proper colorings with at most k colors, for k in
+    0..n, by enumeration: a coloring onto the colors 1..j stands for the
+    C(k, j) ways to choose its j colors.  No stable partition is used."""
+    by_size = [0] * (graph.n + 1)  # by_size[j]: the colorings onto 1..j
+    for (comp, _), count in _coloring_profile(graph, None):
+        by_size[len(comp)] += count
+    return tuple(sum(count * c for count, c in zip(by_size, row)) for row in _binomials(graph.n))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +297,8 @@ def _coloring_counts(graph: Graph, below: tuple[int, ...]) -> tuple:
         starts[t] = starts[rest] | lower[low]
         ends[t] = ends[rest] | upper[low]
     width = (n * (n - 1) // 2).bit_length()  # the ascents number at most C(n, 2)
-    store, keys = _shared_states(_STATES, _STATES_CAP, _transpose(below))  # bit a·n + b: a below b
+    store, rel, sets = _shared_states(_STATES, _STATES_CAP, _transpose(below))  # bit a·n + b: a below b
+    keys = [rel & mask for mask in sets]
     for s in range(full + 1):
         if keys[s] in store:
             continue
@@ -309,15 +319,6 @@ def _coloring_counts(graph: Graph, below: tuple[int, ...]) -> tuple:
     table = _compositions_by_mask(n)  # sums is the whole graph's state
     low, asc = len(table) - 1, (1 << width) - 1  # the partial sum n is dropped
     return tuple(((table[key >> width & low], key & asc), sums[key]) for key in sorted(sums))
-
-
-@lru_cache(maxsize=8)
-def _colorings_by_size(graph: Graph) -> tuple[int, ...]:
-    """Entry j counts the proper colorings onto the colors 1..j."""
-    counts = [0] * (graph.n + 1)
-    for (comp, _), count in _coloring_profile(graph, None):
-        counts[len(comp)] += count
-    return tuple(counts)
 
 
 def cqf_monomial(graph: Graph, zeta: Labeling | None = None) -> QuasisymmetricM:
@@ -508,14 +509,13 @@ def hook_coefficients_via_orientations_t(graph: Graph, zeta: Labeling | None) ->
     for (comp, des, sinks_), count in _orientation_compositions(graph, zeta, hooks=True):
         if comp == falling:
             bins[sinks_][des] += count
+    binom = _binomials(n)
     polys = []
-    for k in range(1, n + 1):
+    for k in range(n):
         arr = [0] * (m + 1)
-        for s in range(k, n + 1):
-            w = comb(s - 1, k - 1)
-            for d, count in enumerate(bins[s]):
-                if count:
-                    arr[d] += w * count
+        for s in range(k + 1, n + 1):
+            w = binom[s - 1][k]
+            arr = [a + w * count for a, count in zip(arr, bins[s])]
         polys.append(TPoly._trusted(arr))
     return tuple(polys)
 

@@ -15,11 +15,12 @@ import json
 import os
 import sys
 from contextlib import closing
-from itertools import chain
+from functools import lru_cache
+from itertools import chain, combinations
 from typing import Callable, Iterable, NamedTuple
 
 from .chromatic import (
-    chromatic_polynomial_by_colorings,
+    chromatic_polynomial_via_colorings,
     cqf_fundamental_via_orientations,
     cqf_monomial,
     csf_monomial,
@@ -28,14 +29,15 @@ from .chromatic import (
     hook_coefficients_via_colorings_t,
     hook_coefficients_via_extensions_t,
     hook_coefficients_via_orientations_t,
-    hook_coefficient_via_sinks,
+    hook_coefficients_via_sinks,
     sink_minimal_increasing_labeling,
     verify_e_sink_identity,
 )
 from .graphs import _STORED_N, Graph, Labeling, _acyclic_orientation, acyclic_orientation_masks, descents, load_graph
-from .partitions import hook_partition
+from .partitions import Partition, _hooks, partitions_of
 from .posets import Poset, all_posets, load_poset, verify_hook_proposition
 from .symfunc import (
+    _monomials_at_ones,
     _terms_json,
     canonical_items,
     collapse_t,
@@ -43,7 +45,6 @@ from .symfunc import (
     m_to_e,
     m_to_s,
     qsym_M_to_F,
-    specialize_w_k,
 )
 from .tableaux import kostka
 from .tpoly import TPoly
@@ -287,17 +288,25 @@ def _hook_t_rows(graph: Graph, zeta: Labeling | None) -> list[tuple]:
 
 def _hook_1_rows(graph: Graph, zeta) -> list[tuple]:
     schur = csf_schur(graph)
-    monomial = csf_monomial(graph)
+    monomial = csf_monomial(graph).coeffs
     rows = []
-    for k in range(1, graph.n + 1):
-        hook = hook_partition(graph.n, k)
-        # The m_hook coordinate of X_G = sum c_lam s_lam is the sum of
-        # c_lam K(lam, hook) over lam with lam_1 >= k, and K(hook, hook) = 1,
-        # so the third value reads c_hook back through Kostka numbers.
-        others = sum(c * kostka(lam, hook) for lam, c in schur.items() if lam[0] >= k and lam != hook)
-        by_kostka = monomial.coefficient(hook) - others
-        rows.append((k, schur.get(hook, 0), hook_coefficient_via_sinks(graph, k), by_kostka))
+    # The m_hook coordinate of X_G = sum c_lam s_lam is the sum of
+    # c_lam K(lam, hook) over lam with lam_1 >= k, and K(hook, hook) = 1,
+    # so the third value reads c_hook back through Kostka numbers.
+    for hook, sinks, others in zip(_hooks(graph.n), hook_coefficients_via_sinks(graph), _hook_kostka(graph.n)):
+        by_kostka = monomial.get(hook, 0) - sum(schur.get(lam, 0) * K for lam, K in others)
+        rows.append((hook[0], schur.get(hook, 0), sinks, by_kostka))
     return rows
+
+
+@lru_cache(maxsize=8)
+def _hook_kostka(n: int) -> tuple[tuple[tuple[Partition, int], ...], ...]:
+    """Entry k - 1 holds the pairs (lam, K(lam, hook)) for the hook (k, 1,
+    ..., 1) of weight n and every other partition lam of n with lam_1 >= k."""
+    return tuple(
+        tuple((lam, kostka(lam, hook)) for lam in partitions_of(n) if lam[0] >= hook[0] and lam != hook)
+        for hook in _hooks(n)
+    )
 
 
 def _e_sink_rows(graph: Graph, zeta) -> list[tuple]:
@@ -305,11 +314,10 @@ def _e_sink_rows(graph: Graph, zeta) -> list[tuple]:
 
 
 def _chrompoly_rows(graph: Graph, zeta) -> list[tuple]:
-    monomial = csf_monomial(graph)  # built once, specialized at every k
-    return [
-        (k, specialize_w_k(monomial, k), chromatic_polynomial_by_colorings(graph, k))
-        for k in range(graph.n + 1)
-    ]
+    # X_G at x_1 = ... = x_k = 1 and all other variables 0, for every k
+    terms, ones = csf_monomial(graph).coeffs.items(), _monomials_at_ones(graph.n)
+    specialized = [sum(c * ones[lam][k] for lam, c in terms) for k in range(graph.n + 1)]
+    return list(zip(range(graph.n + 1), specialized, chromatic_polynomial_via_colorings(graph)))
 
 
 def _ptableaux_rows(poset, zeta) -> list[tuple]:
@@ -390,8 +398,13 @@ def _sweep_worker(task) -> list[dict]:
     n, case, checks = task
     if isinstance(case, tuple):
         return _case_failures(Poset._trusted(n, case), checks)
-    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]  # ascending: any selection is canonical
-    return _case_failures(Graph._trusted(n, tuple(pairs[i] for i in range(len(pairs)) if case >> i & 1)), checks)
+    pairs = _vertex_pairs(n)
+    return _case_failures(Graph._trusted(n, tuple(pair for i, pair in enumerate(pairs) if case >> i & 1)), checks)
+
+
+@lru_cache(maxsize=8)
+def _vertex_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple(combinations(range(1, n + 1), 2))  # ascending: any selection is canonical
 
 
 def _sweep_results(n: int, checks: tuple[str, ...], jobs: int):

@@ -299,23 +299,22 @@ def _subset_pair_masks(n: int) -> tuple[int, ...]:
     return tuple(_pair_mask(n, s) | 1 << n * n for s in range(1 << n))
 
 
-def _shared_states(store: dict, cap: int, masks) -> tuple[dict, Sequence[int]]:
-    """(states, keys) for a DP over the vertex sets s of the graph or
-    relation whose masks are given: the state of s is states[keys[s]].
+def _shared_states(store: dict, cap: int, masks) -> tuple[dict, int, Sequence[int]]:
+    """(states, rel, sets) for a DP over the vertex sets s of the graph or
+    relation whose masks are given: the state of s is states[rel & sets[s]].
 
     With 1 <= n <= ``_STORED_N`` vertices, states is the process-wide
-    store, cleared first once it holds more than cap entries, and keys[s]
-    is ``_relation_bits(masks)`` with bit n² set, restricted to s: the
+    store, cleared first once it holds more than cap entries, and the key
+    of s is ``_relation_bits(masks)`` with bit n² set, restricted to s: the
     induced sub-structure, which every other graph with the same one
     shares.  Otherwise states is a fresh memo keyed by the set alone.
     """
     n = len(masks)
     if not 0 < n <= _STORED_N:
-        return {}, range(1 << n)
+        return {}, -1, range(1 << n)
     if len(store) > cap:
         store.clear()
-    rel = _relation_bits(masks) | 1 << n * n
-    return store, [rel & mask for mask in _subset_pair_masks(n)]
+    return store, _relation_bits(masks) | 1 << n * n, _subset_pair_masks(n)
 
 
 def acyclic_orientation_masks(graph: Graph):
@@ -411,7 +410,7 @@ def stable_partitions_by_type(graph: Graph) -> dict[tuple[int, ...], int]:
         rest = t & (t - 1)
         stable[t] = stable[rest] and not adj[low] & rest
     base = n + 1
-    store, keys = _shared_states(_PARTITION_STATES, _PARTITION_STATES_CAP, adj)
+    store, rel, sets = _shared_states(_PARTITION_STATES, _PARTITION_STATES_CAP, adj)
 
     def g(s: int) -> dict[int, int]:
         if not s:
@@ -424,9 +423,10 @@ def stable_partitions_by_type(graph: Graph) -> dict[tuple[int, ...], int]:
             t = rest | lowbit
             if stable[t]:
                 part = base ** (t.bit_count() - 1)
-                state = store.get(keys[s ^ t])
+                key = rel & sets[s ^ t]
+                state = store.get(key)
                 if state is None:
-                    state = store[keys[s ^ t]] = tuple(g(s ^ t).items())
+                    state = store[key] = tuple(g(s ^ t).items())
                 for code, c in state:
                     got[code + part] = got.get(code + part, 0) + c
             if not rest:

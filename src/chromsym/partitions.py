@@ -17,6 +17,7 @@ bit mask.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 Partition = tuple[int, ...]
 Composition = tuple[int, ...]
@@ -65,6 +66,18 @@ def hook_partition(n: int, k: int) -> Partition:
     if not 1 <= k <= n:
         raise ValueError(f"hook arm length must be in 1..{n}, got {k}")
     return (k,) + (1,) * (n - k)
+
+
+@lru_cache(maxsize=8)
+def _hooks(n: int) -> tuple[Partition, ...]:
+    """Entry k - 1 is the hook (k, 1, ..., 1) of weight n, for k in 1..n."""
+    return tuple(hook_partition(n, k) for k in range(1, n + 1))
+
+
+@lru_cache(maxsize=8)
+def _binomials(n: int) -> tuple[tuple[int, ...], ...]:
+    """Entry a is the row of C(a, b) for b in 0..n, for a in 0..n."""
+    return tuple(tuple(comb(a, b) for b in range(n + 1)) for a in range(n + 1))
 
 
 def conjugate(lam) -> Partition:

@@ -36,7 +36,7 @@ from .graphs import (
     _shared_states,
     _transpose,
 )
-from .partitions import hook_partition
+from .partitions import _hooks, hook_partition
 
 
 class Poset:
@@ -161,12 +161,12 @@ def incomparability_graph(poset: Poset) -> Graph:
     return _graph_of(poset.n, _incomparability_bits(poset))
 
 
-def _incomparability_bits(poset: Poset) -> int:
+def _incomparability_bits(poset: Poset, below: list[int] | None = None) -> int:
     """The incomparability relation, with each element incomparable to
     itself, as ``_relation_bits`` holds it; it tells the element counts
-    apart."""
+    apart.  below, when given, is the poset's transpose."""
     full = (1 << poset.n) - 1
-    return _relation_bits([full ^ (up | down) for up, down in zip(poset.above, _transpose(poset.above))])
+    return _relation_bits([full ^ (up | down) for up, down in zip(poset.above, below or _transpose(poset.above))])
 
 
 def count_p_tableaux_hook(poset: Poset, k: int) -> int:
@@ -183,8 +183,9 @@ _LEGS: dict[int, int] = {}
 _LEGS_CAP = 1 << 17
 
 
-def _hook_tableau_counts(poset: Poset) -> list[int]:
-    """Entry k counts the hook fillings of arm length k, for k in 0..n.
+def _hook_tableau_counts(poset: Poset, below: list[int] | None = None) -> list[int]:
+    """Entry k counts the hook fillings of arm length k, for k in 0..n;
+    below, when given, is the poset's transpose.
 
     One walk visits every chain once, from its bottom cell upward, and
     adds the column fillings above that cell to the count of the chain's
@@ -196,9 +197,9 @@ def _hook_tableau_counts(poset: Poset) -> list[int]:
     """
     n = poset.n
     above = poset.above
-    below = _transpose(above)  # below[x]: the elements strictly less than x
+    below = below or _transpose(above)  # below[x]: the elements strictly less than x
     full = (1 << n) - 1
-    store, keys = _shared_states(_LEGS, _LEGS_CAP, above)
+    store, rel, sets = _shared_states(_LEGS, _LEGS_CAP, above)
 
     def legs(lower: int, left: int) -> int:
         # Orderings of the elements of left other than lower stacked above
@@ -206,7 +207,7 @@ def _hook_tableau_counts(poset: Poset) -> list[int]:
         remaining = left ^ 1 << lower
         if not remaining:
             return 1
-        key = keys[left] * n + lower  # one key per sub-order and lower cell
+        key = (rel & sets[left]) * n + lower  # one key per sub-order and lower cell
         got = store.get(key)
         if got is None:
             got = 0
@@ -240,8 +241,9 @@ def verify_hook_proposition(poset: Poset) -> list[tuple[int, int, int]]:
     """Rows (k, hook tableaux of arm length k, Schur coefficient of the
     hook (k, 1, ..., 1) in the incomparability graph) for k in 1..n; the
     proposition holds when both values of every row are equal."""
-    counts = _hook_tableau_counts(poset)
-    schur = _schur_hooks(poset.n, _incomparability_bits(poset))
+    below = _transpose(poset.above)
+    counts = _hook_tableau_counts(poset, below)
+    schur = _schur_hooks(poset.n, _incomparability_bits(poset, below))
     return [(k, counts[k], schur[k - 1]) for k in range(1, poset.n + 1)]
 
 
@@ -253,7 +255,7 @@ def _schur_hooks(n: int, bits: int) -> tuple[int, ...]:
     value: the 4231 labeled posets on 5 elements have 1012 distinct ones,
     and the graph is built only for those."""
     schur = csf_schur(_graph_of(n, bits))
-    return tuple(schur.get(hook_partition(n, k), 0) for k in range(1, n + 1))
+    return tuple(schur.get(hook, 0) for hook in _hooks(n))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from math import factorial
 from .partitions import (
     Composition,
     Partition,
+    _binomials,
     _compositions_by_mask,
     _decode_type,
     _descent_mask,
@@ -206,12 +207,19 @@ def _s_to_e(n: int, schur: dict[Partition, int]) -> dict[Partition, int]:
     f = sum_lam c_lam s_lam has the e-coefficients
     d_nu = sum_lam c_lam a(lam', nu).
     """
-    table = _schur_h_table(n)
+    table = _schur_e_table(n)
     acc: dict[Partition, int] = {}
     for lam, c in schur.items():
-        for nu, a in table[conjugate(lam)]:
+        for nu, a in table[lam]:
             acc[nu] = acc.get(nu, 0) + c * a
     return {nu: acc[nu] for nu in reversed(partitions_of(n)) if acc.get(nu)}
+
+
+@lru_cache(maxsize=8)
+def _schur_e_table(n: int) -> dict[Partition, tuple[tuple[Partition, int], ...]]:
+    """lam -> the nonzero (nu, a) with s_lam = sum of a * e_nu: the row of
+    lam' in ``_schur_h_table(n)``."""
+    return {lam: _schur_h_table(n)[conjugate(lam)] for lam in partitions_of(n)}
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +264,18 @@ def is_symmetric(f: QuasisymmetricM) -> bool:
     for alpha, poly in f.coeffs.items():
         groups.setdefault(partition_of(alpha), []).append(poly)
     for lam, polys in groups.items():
-        rearrangements = factorial(len(lam))
-        for mult in multiplicities(lam).values():
-            rearrangements //= factorial(mult)
-        if len(polys) != rearrangements or any(poly != polys[0] for poly in polys):
+        if len(polys) != _rearrangements(lam) or any(poly != polys[0] for poly in polys):
             return False
     return True
+
+
+def _rearrangements(lam: Partition) -> int:
+    """The compositions that rearrange lam: len(lam)! over the factorials
+    of its part multiplicities."""
+    count = factorial(len(lam))
+    for mult in multiplicities(lam).values():
+        count //= factorial(mult)
+    return count
 
 
 def collapse_t(f):
@@ -269,20 +283,11 @@ def collapse_t(f):
     return type(f)(f.degree, {a: TPoly((p.subs(1),)) for a, p in f.coeffs.items()})
 
 
-def specialize_w_k(f: SymmetricFunctionM, k: int) -> int:
-    """Evaluate f at x_1 = ... = x_k = 1 and all other variables 0."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    total = 0
-    for lam, c in f.coeffs.items():
-        ell = len(lam)
-        if ell > k:
-            continue
-        ways = factorial(k) // factorial(k - ell)
-        for m in multiplicities(lam).values():
-            ways //= factorial(m)
-        total += c * ways
-    return total
+@lru_cache(maxsize=8)
+def _monomials_at_ones(n: int) -> dict[Partition, tuple[int, ...]]:
+    """lam -> m_lam(1^k), its monomials in k variables, for k in 0..n and
+    every partition lam of n: C(k, len(lam)) times the rearrangements."""
+    return {lam: tuple(row[len(lam)] * _rearrangements(lam) for row in _binomials(n)) for lam in partitions_of(n)}
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import comb
+from math import comb, factorial
 from random import Random
 
 from chromsym import (
@@ -26,13 +26,18 @@ from chromsym import (
     composition_from_descents,
     conjugate,
     csf_monomial,
+    csf_schur,
+    hook_coefficients_via_colorings_t,
+    hook_coefficients_via_extensions_t,
     hook_partition,
     kostka,
     partition_of,
     partitions_of,
-    specialize_w_k,
+    sink_profile,
 )
-from chromsym.partitions import check_composition, check_partition
+from chromsym.chromatic import _coloring_profile, _orientation_compositions, _sink_counts
+from chromsym.partitions import check_composition, check_partition, multiplicities
+from chromsym.symfunc import _schur_h_table
 
 
 def partitions_brute(n: int) -> set[tuple[int, ...]]:
@@ -243,9 +248,109 @@ def monomial_basis_monomials(lam, nvars: int) -> Counter:
     return out
 
 
+def specialize_w_k(f: SymmetricFunctionM, k: int) -> int:
+    """Evaluate f at x_1 = ... = x_k = 1 and all other variables 0."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    total = 0
+    for lam, c in f.coeffs.items():
+        ell = len(lam)
+        if ell > k:
+            continue
+        ways = factorial(k) // factorial(k - ell)
+        for m in multiplicities(lam).values():
+            ways //= factorial(m)
+        total += c * ways
+    return total
+
+
 def chromatic_polynomial_value(graph: Graph, k: int) -> int:
     """Number of proper colorings with at most k colors, by specialization."""
     return specialize_w_k(csf_monomial(graph), k)
+
+
+def chromatic_polynomial_by_colorings(graph: Graph, k: int) -> int:
+    """Number of proper colorings with at most k colors, by enumeration:
+    a coloring onto the colors 1..j stands for the C(k, j) ways to choose
+    its j colors.  No stable partition is used."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    by_size = [0] * (graph.n + 1)
+    for (comp, _), count in _coloring_profile(graph, None):
+        by_size[len(comp)] += count
+    return sum(count * comb(k, j) for j, count in enumerate(by_size))
+
+
+# ---------------------------------------------------------------------------
+# the rows of the graph checks, one k at a time: the library reads each
+# check's arithmetic from tables built once per vertex count
+
+
+def sink_hook_coefficient(graph: Graph, k: int) -> int:
+    """The sum over acyclic orientations of C(sinks - 1, k - 1)."""
+    return sum(comb(j - 1, k - 1) * a for j, a in _sink_counts(graph))
+
+
+def orientation_hook_polys(graph: Graph, zeta) -> tuple[TPoly, ...]:
+    """Entry k - 1 is the sum over acyclic orientations of C(sinks - 1,
+    k - 1) t^(descents), for k in 1..n, each orientation read from the hook
+    walk as its one extension whose composition is (1, ..., 1)."""
+    n = graph.n
+    polys = []
+    for k in range(1, n + 1):
+        coeffs = [0] * (graph.m + 1)
+        for (comp, des, sinks), count in _orientation_compositions(graph, zeta, hooks=True):
+            if comp == (1,) * n:
+                coeffs[des] += comb(sinks - 1, k - 1) * count
+        polys.append(TPoly(coeffs))
+    return tuple(polys)
+
+
+def s_to_e_by_conjugates(n: int, schur: dict) -> dict[tuple[int, ...], int]:
+    """Elementary coefficients of sum c_lam s_lam, each s_lam read from the
+    Jacobi-Trudi table at its conjugate, in ascending canonical order."""
+    table = _schur_h_table(n)
+    acc: dict[tuple[int, ...], int] = {}
+    for lam, c in schur.items():
+        for nu, a in table[conjugate(lam)]:
+            acc[nu] = acc.get(nu, 0) + c * a
+    return {nu: acc[nu] for nu in reversed(partitions_of(n)) if acc.get(nu)}
+
+
+def hook_1_rows(graph: Graph) -> list[tuple]:
+    schur = csf_schur(graph)
+    monomial = csf_monomial(graph)
+    rows = []
+    for k in range(1, graph.n + 1):
+        hook = hook_partition(graph.n, k)
+        others = sum(c * kostka(lam, hook) for lam, c in schur.items() if lam[0] >= k and lam != hook)
+        rows.append((k, schur.get(hook, 0), sink_hook_coefficient(graph, k), monomial.coefficient(hook) - others))
+    return rows
+
+
+def hook_t_rows(graph: Graph, zeta) -> list[tuple]:
+    return list(
+        zip(
+            range(1, graph.n + 1),
+            hook_coefficients_via_extensions_t(graph, zeta),
+            orientation_hook_polys(graph, zeta),
+            hook_coefficients_via_colorings_t(graph, zeta),
+        )
+    )
+
+
+def e_sink_rows(graph: Graph) -> list[tuple]:
+    by_length = [0] * (graph.n + 1)
+    for lam, c in s_to_e_by_conjugates(graph.n, csf_schur(graph)).items():
+        by_length[len(lam)] += c
+    return [(k, sink_profile(graph)[k], by_length[k]) for k in range(1, graph.n + 1)]
+
+
+def chrompoly_rows(graph: Graph) -> list[tuple]:
+    monomial = csf_monomial(graph)
+    return [
+        (k, specialize_w_k(monomial, k), chromatic_polynomial_by_colorings(graph, k)) for k in range(graph.n + 1)
+    ]
 
 
 def count_colorings_brute(graph: Graph, k: int) -> int:

@@ -11,7 +11,6 @@ from chromsym.chromatic import (
     _coloring_profile,
     _order_counts,
     _orientation_compositions,
-    chromatic_polynomial_by_colorings,
     cqf_fundamental_via_orientations,
     cqf_monomial,
     csf_monomial,
@@ -49,6 +48,7 @@ from chromsym.tpoly import TPoly
 from oracles import (
     acyclic_orientations_scan,
     all_graphs,
+    chromatic_polynomial_by_colorings,
     chromatic_polynomial_value,
     coloring_profile_pruned,
     coloring_profile_unpruned,

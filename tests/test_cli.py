@@ -599,6 +599,25 @@ def test_sweep_output_does_not_depend_on_jobs_or_the_hash_seed(checks):
     assert all(run.stdout == runs[0].stdout for run in runs)
 
 
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_parallel_sweep_output_does_not_depend_on_the_start_method(method):
+    # workers that start from a fresh interpreter build their own tables and
+    # stores; two CPUs are claimed so that the pool starts on any host
+    argv = ["sweep", "--max-n", "4", "--checks", ",".join(cli.CHECKS), "--json"]
+    script = (
+        "import multiprocessing, os, sys\n"
+        "multiprocessing.set_start_method(sys.argv[1])\n"
+        "os.cpu_count = lambda: 2\n"
+        "from chromsym.cli import main\n"
+        "sys.exit(main(sys.argv[2:]))\n"
+    )
+    serial = subprocess.run([sys.executable, "-m", "chromsym", *argv, "--jobs", "1"], capture_output=True)
+    parallel = subprocess.run([sys.executable, "-c", script, method, *argv, "--jobs", "2"], capture_output=True)
+    assert serial.returncode == parallel.returncode == 0, parallel.stderr
+    assert json.loads(serial.stdout)["outputs"]["cases"] == 64 + 219
+    assert parallel.stdout == serial.stdout
+
+
 def test_a_streamed_array_is_written_as_json_dumps_writes_it():
     records = [{"b": [1, 2], "a": {"y": 1, "x": [3]}}, {"b": [], "a": {}}]
     for count in range(3):

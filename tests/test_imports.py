@@ -2,6 +2,8 @@
 private function or class it defines is used somewhere in the package,
 and every public one is used outside its own body by library code other
 than ``__init__``, or is named in ``PUBLIC_API`` with the reason it is kept.
+Every method of a library class is called by live library code, or is
+named in ``PUBLIC_API`` too.
 
 No linter ships with the project, so this stands in for pyflakes' F401
 check and for a dead-code check: a kernel that replaces another must not
@@ -91,8 +93,8 @@ def test_every_private_definition_is_used():
     assert unreferenced_definitions(sources, private=True) == []
 
 
-# Public names that no other library module uses, kept as library API on
-# purpose.
+# Public names that no other library module uses, and methods that no live
+# library code calls, kept as library API on purpose.
 PUBLIC_API = {
     "star_graph": "the README's library example builds the claw with it",
     "path_graph": "a graph family constructor beside star_graph",
@@ -102,6 +104,15 @@ PUBLIC_API = {
     "is_claw_free": "the claw-free graphs of the positivity survey (ROADMAP item 8)",
     "incomparability_graph": "the graph whose X_G ptableaux reads for a poset; the check keys it as an int",
     "count_p_tableaux_hook": "the tableau side of the hook proposition at one arm length k",
+    "hook_coefficient_via_sinks": "the sink route at one k; perfbench/shim.py wraps it to count orientations",
+    "Graph.neighbors": "the neighbours of one vertex as numbers, for is_claw_free and library users",
+    "Orientation.reverse": "the reversed orientation; its descents complement the original's",
+    "Poset.less": "the order relation between two elements, by number",
+    "Poset.incomparable": "the incomparability relation between two elements, by number",
+    "SinkProfile.total": "the number of acyclic orientations; perfbench/shim.py reads it",
+    "TPoly.t_power": "the constructor of c t^k",
+    "TPoly.degree": "the degree of a t-polynomial, -1 for zero",
+    "TPoly.is_zero": "whether a t-polynomial is zero, by name",
 }
 
 
@@ -119,8 +130,68 @@ def test_the_check_finds_an_unused_public_definition():
     ]
 
 
+def unreferenced_methods(sources: dict[str, str], dead: list[str]) -> list[str]:
+    """The methods of the module-level classes of sources, dunders aside,
+    named "module: Class.method", that no live code of a module other than
+    ``__init__.py`` reads as an attribute outside their own body.  Code is
+    live unless it lies in a definition that dead names, as
+    ``unreferenced_definitions`` names them, or in a method found unused,
+    so a method that only dead code calls is unused too.  A module reads an
+    attribute that one of its own classes keeps in ``__slots__`` as that
+    data, not as a method of another class with the same name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    definitions, methods, slots = {}, {}, {}
+    for module, tree in trees.items():
+        slots[module] = set()
+        for definition in tree.body:
+            if not isinstance(definition, DEFINITIONS):
+                continue
+            definitions[f"{module}: {definition.name}"] = definition
+            for node in definition.body if isinstance(definition, ast.ClassDef) else ():
+                if isinstance(node, DEFINITIONS[:2]) and not node.name.startswith("__"):
+                    methods[f"{module}: {definition.name}.{node.name}"] = node
+                elif isinstance(node, ast.Assign) and any(getattr(t, "id", "") == "__slots__" for t in node.targets):
+                    slots[module].update(item.value for item in ast.walk(node.value) if isinstance(item, ast.Constant))
+    reads = [
+        node
+        for module, tree in trees.items()
+        if module != "__init__.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr not in slots[module]
+    ]
+    inside = {name: {id(node) for node in ast.walk(body)} for name, body in [*definitions.items(), *methods.items()]}
+    callers = {
+        name: [id(read) for read in reads if read.attr == method.name and id(read) not in inside[name]]
+        for name, method in methods.items()
+    }
+    unused: list[str] = []
+    while True:
+        inert = set().union(*(inside[name] for name in dead + unused))
+        found = [name for name in methods if name not in unused and all(read in inert for read in callers[name])]
+        if not found:
+            return [name for name in methods if name in unused]
+        unused += found
+
+
+def test_the_check_finds_an_unused_method():
+    sources = {
+        "__init__.py": "from .a import A\nA().exported()\n",
+        "a.py": "class A:\n    __slots__ = ('size',)\n    def used(self):\n        return self.helper()\n"
+        "    def helper(self):\n        pass\n    def only_dead(self):\n        pass\n"
+        "    def own(self):\n        return self.own()\n    def exported(self):\n        pass\n"
+        "class B:\n    @property\n    def size(self):\n        return 1\n"
+        "def dead(a):\n    return a.only_dead()\ndef live(a):\n    return a.used() + a.size\n",
+        "b.py": "from .a import A, B, live\nlive(A()), B\n",
+    }
+    dead = unreferenced_definitions(sources, private=False)
+    assert dead == ["a.py: dead"]
+    unused = unreferenced_methods(sources, dead)
+    assert unused == ["a.py: A.only_dead", "a.py: A.own", "a.py: A.exported", "a.py: B.size"]
+
+
 def test_every_public_definition_is_used_or_kept_as_api():
     # an entry of PUBLIC_API that comes into use elsewhere, or goes, fails too
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     unused = unreferenced_definitions(sources, private=False)
+    unused += unreferenced_methods(sources, unused)
     assert sorted(entry.split(": ")[1] for entry in unused) == sorted(PUBLIC_API)

@@ -16,7 +16,6 @@ from chromsym.symfunc import (
     m_to_e,
     m_to_s,
     qsym_M_to_F,
-    specialize_w_k,
 )
 from chromsym.tpoly import TPoly
 from chromsym.chromatic import (
@@ -45,6 +44,7 @@ from oracles import (
     qsym_M_to_F_by_refinement,
     schur_m_expansion,
     seeded_graphs,
+    specialize_w_k,
 )
 
 # Chromatic monomial coordinates used as fixed inputs: the claw K_{1,3},
