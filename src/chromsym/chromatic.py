@@ -96,51 +96,48 @@ class SinkProfile:
         return sum(c for _, c in self.counts)
 
 
+@lru_cache(maxsize=8)
 def csf_monomial(graph: Graph) -> SymmetricFunctionM:
-    """Monomial coordinates of the chromatic symmetric function.
+    """Monomial coordinates of the chromatic symmetric function, computed
+    once per graph and shared by every caller.
 
     The coefficient of m_lam counts colorings with color-class sizes
     exactly lam: stable partitions of type lam times the permutations of
     equal-size blocks among their colors.
     """
-    return SymmetricFunctionM._trusted(graph.n, dict(_monomial_terms(graph)))
-
-
-@lru_cache(maxsize=8)
-def _monomial_terms(graph: Graph) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The (lam, coefficient) pairs of ``csf_monomial``, computed once per
-    graph; each call wraps a fresh dict of them, which its caller may keep."""
-    terms = []
+    terms = {}
     for lam, count in stable_partitions_by_type(graph).items():
         ways = count
         for mult in multiplicities(lam).values():
             ways *= factorial(mult)
-        terms.append((lam, ways))
-    return tuple(terms)
+        terms[lam] = ways
+    return SymmetricFunctionM._trusted(graph.n, terms)
 
 
 def csf_schur(graph: Graph) -> dict[tuple[int, ...], int]:
-    """Schur coefficients of the chromatic symmetric function."""
+    """Schur coefficients of the chromatic symmetric function, as a fresh
+    dict that the caller may keep."""
     return dict(_schur_terms(graph))
 
 
 @lru_cache(maxsize=8)
-def _schur_terms(graph: Graph) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The (lam, coefficient) pairs of ``csf_schur``, computed once per
-    graph; each call wraps a fresh dict of them, which its caller may keep."""
-    return tuple(m_to_s(csf_monomial(graph)).items())
+def _schur_terms(graph: Graph) -> dict[tuple[int, ...], int]:
+    """The coefficients of ``csf_schur``, computed once per graph."""
+    return m_to_s(csf_monomial(graph))
 
 
 # a(U) of the vertex sets U of graphs with at most _STORED_N vertices, keyed
 # by the induced subgraph and shared by every such graph of the process;
-# values are ints.  Cleared on entry to _sink_counts once it holds more
+# values are ints.  Cleared on entry to sink_profile once it holds more
 # than _SINK_STATES_CAP.
 _SINK_STATES: dict[int, int] = {}
 _SINK_STATES_CAP = 1 << 13
 
 
 @lru_cache(maxsize=8)
-def _sink_counts(graph: Graph) -> tuple[tuple[int, int], ...]:
+def sink_profile(graph: Graph) -> SinkProfile:
+    """Sink histogram over all acyclic orientations, computed once per
+    graph and shared by every caller."""
     # No orientation is listed.  With a(U) the number of acyclic orientations
     # of the induced subgraph G[U], sink removal gives (Stanley 1973)
     #   a(U) = sum over nonempty stable T within U of (-1)^(|T|+1) a(U - T),
@@ -187,12 +184,7 @@ def _sink_counts(graph: Graph) -> tuple[tuple[int, int], ...]:
         h = sum(p[j] * comb(j, s) * (-1) ** (j - s) for j in range(s, n + 1))
         if h:
             counts.append((s, h))
-    return tuple(counts)
-
-
-def sink_profile(graph: Graph) -> SinkProfile:
-    """Sink histogram over all acyclic orientations."""
-    return SinkProfile(_sink_counts(graph))
+    return SinkProfile(tuple(counts))
 
 
 def hook_coefficient_via_sinks(graph: Graph, k: int) -> int:
@@ -204,7 +196,7 @@ def hook_coefficient_via_sinks(graph: Graph, k: int) -> int:
 def hook_coefficients_via_sinks(graph: Graph) -> tuple[int, ...]:
     """Entry k - 1 is the sum over acyclic orientations of C(sinks - 1,
     k - 1), ``hook_coefficient_via_sinks(graph, k)``, for k in 1..n."""
-    binom, counts = _binomials(graph.n), _sink_counts(graph)
+    binom, counts = _binomials(graph.n), sink_profile(graph).counts
     return tuple(sum(binom[j - 1][k] * a for j, a in counts) for k in range(graph.n))
 
 

@@ -43,7 +43,7 @@ class Graph:
         seen = set()
         normalized = []
         for e in edges:
-            u, v = _as_int(e[0], "edge endpoint"), _as_int(e[1], "edge endpoint")
+            u, v = _as_int_pair(e, "edge", "edge endpoint")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edge ({u},{v}) out of range 1..{n}")
             if u == v:
@@ -534,6 +534,18 @@ def _as_int(value, what: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _as_int_pair(item, what: str, part: str) -> tuple[int, int]:
+    """item as a pair of ints, if it is a sequence of two integers, each
+    read by ``_as_int`` as a part; a string is no pair."""
+    if not isinstance(item, (str, bytes)):
+        try:
+            if len(item) == 2:
+                return _as_int(item[0], part), _as_int(item[1], part)
+        except (TypeError, LookupError):  # no length, or no items 0 and 1
+            pass
+    raise ValueError(f"{what} must be a pair of integers, got {item!r}")
 
 
 def _check_int_pairs(pairs, field: str, source: str) -> list:

@@ -27,6 +27,7 @@ from .chromatic import csf_schur
 from .graphs import (
     Graph,
     _as_int,
+    _as_int_pair,
     _check_int_pairs,
     _closure,
     _graph_of,
@@ -79,7 +80,7 @@ class Poset:
             raise ValueError("element count must be nonnegative")
         direct = [0] * n
         for pair in covers:
-            a, b = _as_int(pair[0], "cover element"), _as_int(pair[1], "cover element")
+            a, b = _as_int_pair(pair, "cover", "cover element")
             if not (1 <= a <= n and 1 <= b <= n):
                 raise ValueError(f"cover ({a},{b}) out of range 1..{n}")
             if a == b:

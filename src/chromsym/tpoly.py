@@ -133,7 +133,3 @@ class TPoly:
                 terms.append(("+" if c > 0 else "-") + body)
         return "".join(terms)
 
-
-ZERO = TPoly()
-ONE = TPoly((1,))
-T = TPoly((0, 1))

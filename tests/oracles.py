@@ -35,7 +35,7 @@ from chromsym import (
     partitions_of,
     sink_profile,
 )
-from chromsym.chromatic import _coloring_profile, _orientation_compositions, _sink_counts
+from chromsym.chromatic import _coloring_profile, _orientation_compositions
 from chromsym.partitions import check_composition, check_partition, multiplicities
 from chromsym.symfunc import _schur_h_table
 
@@ -288,7 +288,7 @@ def chromatic_polynomial_by_colorings(graph: Graph, k: int) -> int:
 
 def sink_hook_coefficient(graph: Graph, k: int) -> int:
     """The sum over acyclic orientations of C(sinks - 1, k - 1)."""
-    return sum(comb(j - 1, k - 1) * a for j, a in _sink_counts(graph))
+    return sum(comb(j - 1, k - 1) * a for j, a in sink_profile(graph).counts)
 
 
 def orientation_hook_polys(graph: Graph, zeta) -> tuple[TPoly, ...]:

@@ -577,6 +577,23 @@ def test_sink_profile_is_an_immutable_value():
         profile.extra = 1
 
 
+def test_route_values_are_computed_once_per_graph_and_shared():
+    g = path_graph(4)
+    assert csf_monomial(g) is csf_monomial(Graph(4, [(3, 4), (1, 2), (2, 3)]))
+    assert sink_profile(g) is sink_profile(Graph(4, [(3, 4), (1, 2), (2, 3)]))
+
+
+def test_csf_schur_hands_out_a_fresh_dict():
+    g = path_graph(4)
+    first = csf_schur(g)
+    expected = dict(first)
+    first[(2, 2)] += 100
+    first[(9,)] = 1
+    del first[(1, 1, 1, 1)]
+    second = csf_schur(g)
+    assert second == expected and second is not first
+
+
 @pytest.mark.parametrize("n", range(1, 5))
 def test_hook_routes_agree_with_identity_labeling(n):
     for g in all_graphs(n):

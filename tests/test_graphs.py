@@ -62,6 +62,15 @@ def test_graph_rejects_non_integers(n, edges, bad):
         Graph(n, edges)
 
 
+@pytest.mark.parametrize(
+    "edge, shown",
+    [((1, 2, 3), r"\(1, 2, 3\)"), ((1,), r"\(1,\)"), (5, "5"), ("12", "'12'"), ({1, 2}, r"\{1, 2\}"), (None, "None")],
+)
+def test_graph_rejects_edges_that_are_not_pairs(edge, shown):
+    with pytest.raises(ValueError, match=f"^edge must be a pair of integers, got {shown}$"):
+        Graph(3, [edge])
+
+
 def test_graph_accepts_numpy_integers():
     np = pytest.importorskip("numpy")
     g = Graph(np.int64(3), [(np.int32(2), np.uint8(1))])

@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every
-private function or class it defines is used somewhere in the package,
-and every public one is used outside its own body by library code other
-than ``__init__``, or is named in ``PUBLIC_API`` with the reason it is kept.
+private function, class or module-level name it defines is used somewhere
+in the package, and every public one is used outside its own body by
+library code other than ``__init__``, or is named in ``PUBLIC_API`` with
+the reason it is kept.
 Every method of a library class is called by live library code, or is
 named in ``PUBLIC_API`` too.
 
@@ -20,6 +21,23 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "chromsym"
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def top_level_names(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """(name, statement) for each function, class and plain name that a
+    module-level statement of tree defines; an assignment's statement is
+    its body, so its own value is no reference to its names."""
+    names = []
+    for statement in tree.body:
+        if isinstance(statement, DEFINITIONS):
+            names.append((statement.name, statement))
+        elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+            targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+            for target in targets:
+                for node in target.elts if isinstance(target, ast.Tuple) else [target]:
+                    if isinstance(node, ast.Name):
+                        names.append((node.id, statement))
+    return names
 
 
 def unused_imports(source: str) -> list[str]:
@@ -49,7 +67,7 @@ def test_every_import_is_used(module):
 
 
 def unreferenced_definitions(sources: dict[str, str], private: bool) -> list[str]:
-    """The module-level functions and classes of sources, named with one
+    """The module-level functions, classes and names of sources, named with one
     leading underscore when private and with none otherwise, that no code
     refers to outside their own body.  A private definition may be used by
     any module of sources; a public one only by a module of sources other
@@ -63,9 +81,8 @@ def unreferenced_definitions(sources: dict[str, str], private: bool) -> list[str
     ]
     unused = []
     for module in sorted(sources):
-        for definition in trees[module].body:
-            name = getattr(definition, "name", "")
-            if not isinstance(definition, DEFINITIONS) or name.startswith("__"):
+        for name, definition in top_level_names(trees[module]):
+            if name.startswith("__"):
                 continue
             if name.startswith("_") != private:
                 continue
@@ -86,6 +103,17 @@ def test_the_check_finds_an_unused_private_definition():
         "b.py": "from .a import _used\n_used()\n",
     }
     assert unreferenced_definitions(sources, private=True) == ["a.py: _rec", "a.py: _Gone"]
+
+
+def test_the_check_finds_an_unused_module_level_name():
+    sources = {
+        "__init__.py": "from .a import EXPORTED\n",
+        "a.py": "EXPORTED = 1\nUSED: int = 2\nLIMIT, _SPARE = USED + 1, 0\nLOOP = LOOP + 1\n_CAP = 3\n"
+        "def size():\n    return LIMIT + _CAP\n__all__ = []\n",
+        "b.py": "from .a import size\nsize()\n",
+    }
+    assert unreferenced_definitions(sources, private=False) == ["a.py: EXPORTED", "a.py: LOOP"]
+    assert unreferenced_definitions(sources, private=True) == ["a.py: _SPARE"]
 
 
 def test_every_private_definition_is_used():
@@ -143,10 +171,8 @@ def unreferenced_methods(sources: dict[str, str], dead: list[str]) -> list[str]:
     definitions, methods, slots = {}, {}, {}
     for module, tree in trees.items():
         slots[module] = set()
-        for definition in tree.body:
-            if not isinstance(definition, DEFINITIONS):
-                continue
-            definitions[f"{module}: {definition.name}"] = definition
+        for name, definition in top_level_names(tree):
+            definitions[f"{module}: {name}"] = definition
             for node in definition.body if isinstance(definition, ast.ClassDef) else ():
                 if isinstance(node, DEFINITIONS[:2]) and not node.name.startswith("__"):
                     methods[f"{module}: {definition.name}.{node.name}"] = node

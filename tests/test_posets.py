@@ -67,6 +67,15 @@ def test_from_covers_rejects_non_integers():
     assert Poset.from_covers(np.int64(2), [(np.int8(1), np.int16(2))]) == Poset(2, (0b10, 0))
 
 
+@pytest.mark.parametrize(
+    "cover, shown",
+    [((1, 2, 3), r"\(1, 2, 3\)"), ((1,), r"\(1,\)"), (5, "5"), ("12", "'12'"), ({1, 2}, r"\{1, 2\}"), (None, "None")],
+)
+def test_from_covers_rejects_covers_that_are_not_pairs(cover, shown):
+    with pytest.raises(ValueError, match=f"^cover must be a pair of integers, got {shown}$"):
+        Poset.from_covers(3, [cover])
+
+
 def test_incomparable():
     assert CHAIN_PLUS_FREE.incomparable(1, 4)
     assert not CHAIN_PLUS_FREE.incomparable(1, 3)

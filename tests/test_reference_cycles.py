@@ -19,9 +19,9 @@ from chromsym.chromatic import (
     _below,
     _coloring_counts,
     _order_counts,
-    _sink_counts,
     dual_linear_extensions,
     sink_minimal_increasing_labeling,
+    sink_profile,
 )
 from chromsym.graphs import Graph, Labeling, acyclic_orientation_masks, acyclic_orientations, stable_partitions_by_type
 from chromsym.partitions import partitions_of
@@ -49,7 +49,7 @@ KERNELS = {
     "_coloring_profile, eight vertices": lambda: _coloring_counts.__wrapped__(GRAPH_8, BELOW_8),
     "_orientation_compositions": lambda: _order_counts.__wrapped__(GRAPH, BELOW, False),
     "_orientation_compositions, hooks": lambda: _order_counts.__wrapped__(GRAPH, BELOW, True),
-    "_sink_counts": lambda: _sink_counts.__wrapped__(GRAPH),
+    "sink_profile": lambda: sink_profile.__wrapped__(GRAPH),
     "stable_partitions_by_type": lambda: stable_partitions_by_type(GRAPH),
     "stable_partitions_by_type, sub-states looked up in the store": lambda: [
         stable_partitions_by_type(GRAPH) for _ in range(2)

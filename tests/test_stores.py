@@ -20,7 +20,7 @@ from random import Random
 import pytest
 
 from chromsym import chromatic, cli, graphs, posets, symfunc
-from chromsym.chromatic import _coloring_counts, _monomial_terms, _schur_terms, _sink_counts, sink_profile
+from chromsym.chromatic import _coloring_counts, _schur_terms, csf_monomial, sink_profile
 from chromsym.graphs import Labeling, complete_graph, path_graph, stable_partitions_by_type
 from chromsym.posets import Poset, _hook_tableau_counts, all_posets
 from oracles import (
@@ -239,7 +239,7 @@ def _check_partitions(g):
 
 
 def _check_sinks(g):
-    _sink_counts.cache_clear()
+    sink_profile.cache_clear()
     assert sink_profile(g).counts == _subset_dp_oracles()[g][1]
 
 
@@ -296,8 +296,8 @@ def test_a_sweep_of_five_vertices_computes_each_partition_and_sink_state_once(mo
     partitions, sinks = _CountingStore(), _CountingStore()
     monkeypatch.setattr(graphs, "_PARTITION_STATES", partitions)
     monkeypatch.setattr(chromatic, "_SINK_STATES", sinks)
-    _monomial_terms.cache_clear()  # the sweep reaches the partition DP through it
-    _sink_counts.cache_clear()
+    csf_monomial.cache_clear()  # the sweep reaches the partition DP through it
+    sink_profile.cache_clear()
     assert list(cli._sweep_results(5, ("hook-1", "e-sink"), 1)) == [[]] * 1024
     # The recursion removes a block holding the lowest vertex first, so the
     # proper sets it reaches are the ones without vertex 1: their

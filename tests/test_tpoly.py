@@ -1,7 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from chromsym.tpoly import ONE, T, ZERO, TPoly
+from chromsym.tpoly import TPoly
+
+ZERO = TPoly()
+ONE = TPoly((1,))
+T = TPoly((0, 1))
 
 polys = st.builds(TPoly, st.lists(st.integers(-20, 20), max_size=6))
 
