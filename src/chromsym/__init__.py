@@ -4,19 +4,23 @@ simple graphs, with hook coefficients verified along independent routes."""
 from .chromatic import (
     SinkProfile,
     chromatic_polynomial_via_colorings,
+    chromatic_polynomial_via_specialization,
     cqf_fundamental_via_orientations,
     cqf_monomial,
     csf_monomial,
     csf_schur,
     dual_linear_extensions,
+    e_sums_by_length,
     hook_coefficients_via_colorings_t,
     hook_coefficients_via_extensions_t,
+    hook_coefficients_via_kostka,
     hook_coefficients_via_orientations_t,
+    hook_coefficients_via_schur,
     hook_coefficients_via_sinks,
     hook_coefficient_via_sinks,
+    orientations_by_sinks,
     sink_minimal_increasing_labeling,
     sink_profile,
-    verify_e_sink_identity,
 )
 from .graphs import (
     Graph,
@@ -44,10 +48,11 @@ from .posets import (
     Poset,
     all_posets,
     count_p_tableaux_hook,
+    count_p_tableaux_hooks,
     incomparability_graph,
+    incomparability_schur_hooks,
     load_poset,
     parse_poset_text,
-    verify_hook_proposition,
 )
 from .symfunc import (
     QuasisymmetricF,

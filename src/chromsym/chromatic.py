@@ -49,14 +49,16 @@ from .graphs import (
     acyclic_orientations,  # noqa: F401  (perfbench/shim.py wraps this binding)
     stable_partitions_by_type,
 )
-from .partitions import _binomials, _compositions_by_mask, hook_partition, multiplicities
+from .partitions import Partition, _binomials, _compositions_by_mask, _hooks, hook_partition, multiplicities, partitions_of
 from .symfunc import (
     QuasisymmetricF,
     QuasisymmetricM,
     SymmetricFunctionM,
+    _monomials_at_ones,
     _s_to_e,
     m_to_s,
 )
+from .tableaux import kostka
 from .tpoly import TPoly
 
 
@@ -126,6 +128,46 @@ def _schur_terms(graph: Graph) -> dict[tuple[int, ...], int]:
     return m_to_s(csf_monomial(graph))
 
 
+def hook_coefficients_via_schur(graph: Graph) -> tuple[int, ...]:
+    """Entry k - 1 is the coefficient of the hook (k, 1, ..., 1) in
+    ``csf_schur(graph)``, for k in 1..n."""
+    schur = csf_schur(graph)
+    return tuple(schur.get(hook, 0) for hook in _hooks(graph.n))
+
+
+def hook_coefficients_via_kostka(graph: Graph) -> tuple[int, ...]:
+    """Entry k - 1 is the coefficient of the hook (k, 1, ..., 1) read back
+    through Kostka numbers, for k in 1..n: the m_hook coordinate of X_G =
+    sum c_lam s_lam is the sum of c_lam K(lam, hook) over lam with lam_1 >= k,
+    and K(hook, hook) = 1.  It reads the expansion that
+    ``hook_coefficients_via_schur`` reads, so it checks ``m_to_s`` alone."""
+    schur, monomial = csf_schur(graph), csf_monomial(graph).coeffs
+    return tuple(
+        monomial.get(hook, 0) - sum(schur.get(lam, 0) * K for lam, K in others)
+        for hook, others in zip(_hooks(graph.n), _hook_kostka(graph.n))
+    )
+
+
+@lru_cache(maxsize=8)
+def _hook_kostka(n: int) -> tuple[tuple[tuple[Partition, int], ...], ...]:
+    """Entry k - 1 holds the pairs (lam, K(lam, hook)) for the hook (k, 1,
+    ..., 1) of weight n and every other partition lam of n with lam_1 >= k."""
+    return tuple(
+        tuple((lam, kostka(lam, hook)) for lam in partitions_of(n) if lam[0] >= hook[0] and lam != hook)
+        for hook in _hooks(n)
+    )
+
+
+def e_sums_by_length(graph: Graph) -> tuple[int, ...]:
+    """Entry k - 1 is the sum of the e-coefficients of X_G over the
+    partitions of length k, for k in 1..n; by Stanley's sink theorem it
+    counts the acyclic orientations with k sinks."""
+    by_length = [0] * (graph.n + 1)
+    for lam, coeff in _s_to_e(graph.n, csf_schur(graph)).items():
+        by_length[len(lam)] += coeff
+    return tuple(by_length[1:])
+
+
 # a(U) of the vertex sets U of graphs with at most _STORED_N vertices, keyed
 # by the induced subgraph and shared by every such graph of the process;
 # values are ints.  Cleared on entry to sink_profile once it holds more
@@ -187,6 +229,12 @@ def sink_profile(graph: Graph) -> SinkProfile:
     return SinkProfile(tuple(counts))
 
 
+def orientations_by_sinks(graph: Graph) -> tuple[int, ...]:
+    """Entry k - 1 counts the acyclic orientations with k sinks, for k in 1..n."""
+    profile = sink_profile(graph)
+    return tuple(profile[k] for k in range(1, graph.n + 1))
+
+
 def hook_coefficient_via_sinks(graph: Graph, k: int) -> int:
     """Binomial-weighted sink enumeration for the hook coefficient."""
     hook_partition(graph.n, k)  # rejects k outside 1..n
@@ -198,6 +246,14 @@ def hook_coefficients_via_sinks(graph: Graph) -> tuple[int, ...]:
     k - 1), ``hook_coefficient_via_sinks(graph, k)``, for k in 1..n."""
     binom, counts = _binomials(graph.n), sink_profile(graph).counts
     return tuple(sum(binom[j - 1][k] * a for j, a in counts) for k in range(graph.n))
+
+
+def chromatic_polynomial_via_specialization(graph: Graph) -> tuple[int, ...]:
+    """Entry k is X_G at x_1 = ... = x_k = 1 and every other variable 0,
+    for k in 0..n: the chromatic polynomial at k, read from the monomial
+    coordinates."""
+    terms, ones = csf_monomial(graph).coeffs.items(), _monomials_at_ones(graph.n)
+    return tuple(sum(c * ones[lam][k] for lam, c in terms) for k in range(graph.n + 1))
 
 
 def chromatic_polynomial_via_colorings(graph: Graph) -> tuple[int, ...]:
@@ -533,14 +589,3 @@ def hook_coefficients_via_colorings_t(graph: Graph, zeta: Labeling | None) -> tu
         polys.append(TPoly._trusted(acc if (n - k) & 1 else [-a for a in acc]))
     return tuple(reversed(polys))
 
-
-def verify_e_sink_identity(graph: Graph) -> list[tuple[int, int, int]]:
-    """Rows (k, a_k, sum of the e-coefficients b_lam over partitions lam of
-    length k) for k in 1..n, with a_k the acyclic orientations with k sinks;
-    the identity holds when both values of every row are equal."""
-    n = graph.n
-    profile = sink_profile(graph)
-    by_length = [0] * (n + 1)
-    for lam, coeff in _s_to_e(n, csf_schur(graph)).items():
-        by_length[len(lam)] += coeff
-    return [(k, profile[k], by_length[k]) for k in range(1, n + 1)]

@@ -19,34 +19,18 @@ from functools import lru_cache
 from itertools import chain, combinations
 from typing import Callable, Iterable, NamedTuple
 
+from . import chromatic, posets
 from .chromatic import (
-    chromatic_polynomial_via_colorings,
     cqf_fundamental_via_orientations,
     cqf_monomial,
     csf_monomial,
-    csf_schur,
+    csf_schur,  # noqa: F401  (perfbench/shim.py wraps this binding)
     dual_linear_extensions,
-    hook_coefficients_via_colorings_t,
-    hook_coefficients_via_extensions_t,
-    hook_coefficients_via_orientations_t,
-    hook_coefficients_via_sinks,
     sink_minimal_increasing_labeling,
-    verify_e_sink_identity,
 )
 from .graphs import _STORED_N, Graph, Labeling, _acyclic_orientation, acyclic_orientation_masks, descents, load_graph
-from .partitions import Partition, _hooks, partitions_of
-from .posets import Poset, all_posets, load_poset, verify_hook_proposition
-from .symfunc import (
-    _monomials_at_ones,
-    _terms_json,
-    canonical_items,
-    collapse_t,
-    is_symmetric,
-    m_to_e,
-    m_to_s,
-    qsym_M_to_F,
-)
-from .tableaux import kostka
+from .posets import Poset, all_posets, load_poset
+from .symfunc import _terms_json, canonical_items, collapse_t, is_symmetric, m_to_e, m_to_s, qsym_M_to_F
 from .tpoly import TPoly
 
 EXIT_OK = 0
@@ -265,74 +249,45 @@ def _orientation_records(graph: Graph, zeta: Labeling):
 
 
 class Check(NamedTuple):
-    """A two-route identity.  ``rows(target, zeta)`` returns one
-    ``(k, *values)`` row per k; the row fails unless its values are all
-    equal.  ``values`` names them in failure records, and the verify table
-    shows the first two."""
+    """A two-route identity: ``readers`` maps each value's name to a reader
+    of (target, zeta), which gives the value at every k from ``first_k`` to
+    n and looks its function up in that function's module at each call.  A
+    row fails unless its values are all equal; verify shows the first two."""
 
-    rows: Callable
-    values: tuple[str, ...]
+    readers: dict[str, Callable]
     on_posets: bool = False
+    first_k: int = 1
 
-
-def _hook_t_rows(graph: Graph, zeta: Labeling | None) -> list[tuple]:
-    return list(
-        zip(
-            range(1, graph.n + 1),
-            hook_coefficients_via_extensions_t(graph, zeta),
-            hook_coefficients_via_orientations_t(graph, zeta),
-            hook_coefficients_via_colorings_t(graph, zeta),
-        )
-    )
-
-
-def _hook_1_rows(graph: Graph, zeta) -> list[tuple]:
-    schur = csf_schur(graph)
-    monomial = csf_monomial(graph).coeffs
-    rows = []
-    # The m_hook coordinate of X_G = sum c_lam s_lam is the sum of
-    # c_lam K(lam, hook) over lam with lam_1 >= k, and K(hook, hook) = 1,
-    # so the third value reads c_hook back through Kostka numbers.
-    for hook, sinks, others in zip(_hooks(graph.n), hook_coefficients_via_sinks(graph), _hook_kostka(graph.n)):
-        by_kostka = monomial.get(hook, 0) - sum(schur.get(lam, 0) * K for lam, K in others)
-        rows.append((hook[0], schur.get(hook, 0), sinks, by_kostka))
-    return rows
-
-
-@lru_cache(maxsize=8)
-def _hook_kostka(n: int) -> tuple[tuple[tuple[Partition, int], ...], ...]:
-    """Entry k - 1 holds the pairs (lam, K(lam, hook)) for the hook (k, 1,
-    ..., 1) of weight n and every other partition lam of n with lam_1 >= k."""
-    return tuple(
-        tuple((lam, kostka(lam, hook)) for lam in partitions_of(n) if lam[0] >= hook[0] and lam != hook)
-        for hook in _hooks(n)
-    )
-
-
-def _e_sink_rows(graph: Graph, zeta) -> list[tuple]:
-    return verify_e_sink_identity(graph)
-
-
-def _chrompoly_rows(graph: Graph, zeta) -> list[tuple]:
-    # X_G at x_1 = ... = x_k = 1 and all other variables 0, for every k
-    terms, ones = csf_monomial(graph).coeffs.items(), _monomials_at_ones(graph.n)
-    specialized = [sum(c * ones[lam][k] for lam, c in terms) for k in range(graph.n + 1)]
-    return list(zip(range(graph.n + 1), specialized, chromatic_polynomial_via_colorings(graph)))
-
-
-def _ptableaux_rows(poset, zeta) -> list[tuple]:
-    return verify_hook_proposition(poset)
+    def rows(self, target, zeta) -> list[tuple]:
+        """One ``(k, *values)`` row per k."""
+        values = (read(target, zeta) for read in self.readers.values())
+        return list(zip(range(self.first_k, target.n + 1), *values, strict=True))
 
 
 CHECKS = {
-    "hook-t": Check(_hook_t_rows, ("f_expansion", "orientation_sum", "coloring_route")),
-    "hook-1": Check(_hook_1_rows, ("schur", "sinks", "kostka")),
-    "e-sink": Check(_e_sink_rows, ("orientations", "e_sum")),
-    "chrompoly": Check(_chrompoly_rows, ("specialized", "enumerated")),
-    "ptableaux": Check(_ptableaux_rows, ("tableaux", "schur"), on_posets=True),
+    "hook-t": Check({
+        "f_expansion": lambda graph, zeta: chromatic.hook_coefficients_via_extensions_t(graph, zeta),
+        "orientation_sum": lambda graph, zeta: chromatic.hook_coefficients_via_orientations_t(graph, zeta),
+        "coloring_route": lambda graph, zeta: chromatic.hook_coefficients_via_colorings_t(graph, zeta),
+    }),
+    "hook-1": Check({
+        "schur": lambda graph, _: chromatic.hook_coefficients_via_schur(graph),
+        "sinks": lambda graph, _: chromatic.hook_coefficients_via_sinks(graph),
+        "kostka": lambda graph, _: chromatic.hook_coefficients_via_kostka(graph),
+    }),
+    "e-sink": Check({
+        "orientations": lambda graph, _: chromatic.orientations_by_sinks(graph),
+        "e_sum": lambda graph, _: chromatic.e_sums_by_length(graph),
+    }),
+    "chrompoly": Check({
+        "specialized": lambda graph, _: chromatic.chromatic_polynomial_via_specialization(graph),
+        "enumerated": lambda graph, _: chromatic.chromatic_polynomial_via_colorings(graph),
+    }, first_k=0),
+    "ptableaux": Check({
+        "tableaux": lambda poset, _: posets.count_p_tableaux_hooks(poset),
+        "schur": lambda poset, _: posets.incomparability_schur_hooks(poset),
+    }, on_posets=True),
 }
-GRAPH_CHECKS = tuple(name for name, check in CHECKS.items() if not check.on_posets)
-POSET_CHECKS = tuple(name for name, check in CHECKS.items() if check.on_posets)
 
 
 def _row_fails(values) -> bool:
@@ -349,7 +304,7 @@ def _failures(check: Check, target, rows) -> list[dict]:
     else:
         subject = {"edges": [list(e) for e in target.edges]}
     return [
-        {**subject, "k": k, **{name: _plain(v) for name, v in zip(check.values, values)}}
+        {**subject, "k": k, **{name: _plain(v) for name, v in zip(check.readers, values)}}
         for k, *values in failing
     ]
 
@@ -411,8 +366,8 @@ def _sweep_results(n: int, checks: tuple[str, ...], jobs: int):
     """The failure records of each case in turn: every graph on n
     vertices, then every poset on n elements.  Both go to at most
     min(jobs, CPUs) worker processes, each with its own kernel stores."""
-    graph_checks = tuple(c for c in checks if c in GRAPH_CHECKS)
-    poset_checks = tuple(c for c in checks if c in POSET_CHECKS)
+    graph_checks = tuple(c for c in checks if not CHECKS[c].on_posets)
+    poset_checks = tuple(c for c in checks if CHECKS[c].on_posets)
     graphs = range(1 << (n * (n - 1) // 2)) if graph_checks else ()
     posets = all_posets(n) if poset_checks else ()
     tasks = chain(

@@ -34,7 +34,7 @@ from .partitions import _decode_type
 class Graph:
     """A simple graph with vertices 1..n and a canonical edge tuple."""
 
-    __slots__ = ("n", "edges", "_hash")
+    __slots__ = ("n", "edges", "_hash", "_adj")
 
     def __init__(self, n: int, edges=()):
         n = _as_int(n, "vertex count")
@@ -57,13 +57,14 @@ class Graph:
         self.n = n
         self.edges = tuple(sorted(normalized))
         self._hash = hash((n, self.edges))
+        self._adj = None
 
     @classmethod
     def _trusted(cls, n: int, edges: tuple[tuple[int, int], ...]) -> "Graph":
         """A graph from a canonical edge tuple, sorted pairs (u, v) with
         1 <= u < v <= n in ascending order, as built; nothing is checked."""
         g = object.__new__(cls)
-        g.n, g.edges, g._hash = n, edges, hash((n, edges))
+        g.n, g.edges, g._hash, g._adj = n, edges, hash((n, edges)), None
         return g
 
     @property
@@ -74,12 +75,14 @@ class Graph:
         return (self.n, self.edges)
 
     def adjacency_masks(self) -> tuple[int, ...]:
-        """Bitmask of neighbours per vertex, 0-indexed bits."""
-        adj = [0] * self.n
-        for u, v in self.edges:
-            adj[u - 1] |= 1 << (v - 1)
-            adj[v - 1] |= 1 << (u - 1)
-        return tuple(adj)
+        """Bitmask of neighbours per vertex, 0-indexed bits; built once."""
+        if self._adj is None:
+            adj = [0] * self.n
+            for u, v in self.edges:
+                adj[u - 1] |= 1 << (v - 1)
+                adj[v - 1] |= 1 << (u - 1)
+            self._adj = tuple(adj)
+        return self._adj
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         mask = self.adjacency_masks()[v - 1]

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .chromatic import csf_schur
+from .chromatic import csf_schur  # noqa: F401  (perfbench/shim.py wraps this binding)
+from .chromatic import hook_coefficients_via_schur
 from .graphs import (
     Graph,
     _as_int,
@@ -37,14 +38,14 @@ from .graphs import (
     _shared_states,
     _transpose,
 )
-from .partitions import _hooks, hook_partition
+from .partitions import hook_partition
 
 
 class Poset:
     """A partial order on {1..n}; above[i] is the bitmask of elements
     strictly greater than i+1."""
 
-    __slots__ = ("n", "above")
+    __slots__ = ("n", "above", "_below")
 
     def __init__(self, n: int, above):
         n = _as_int(n, "element count")
@@ -64,12 +65,13 @@ class Poset:
             raise ValueError("relation is not transitively closed")
         self.n = n
         self.above = above
+        self._below = None
 
     @classmethod
     def _trusted(cls, n: int, above: tuple[int, ...]) -> "Poset":
         """A poset from above-masks closed and acyclic by construction; nothing is checked."""
         p = object.__new__(cls)
-        p.n, p.above = n, above
+        p.n, p.above, p._below = n, above, None
         return p
 
     @classmethod
@@ -90,6 +92,12 @@ class Poset:
         if above is None:
             raise ValueError("cover relations contain a cycle")
         return cls._trusted(n, tuple(above))
+
+    def below_masks(self) -> tuple[int, ...]:
+        """Entry i is the bitmask of elements strictly less than i+1; built once."""
+        if self._below is None:
+            self._below = tuple(_transpose(self.above))
+        return self._below
 
     def less(self, a: int, b: int) -> bool:
         return bool(self.above[a - 1] >> (b - 1) & 1)
@@ -162,12 +170,12 @@ def incomparability_graph(poset: Poset) -> Graph:
     return _graph_of(poset.n, _incomparability_bits(poset))
 
 
-def _incomparability_bits(poset: Poset, below: list[int] | None = None) -> int:
+def _incomparability_bits(poset: Poset) -> int:
     """The incomparability relation, with each element incomparable to
     itself, as ``_relation_bits`` holds it; it tells the element counts
-    apart.  below, when given, is the poset's transpose."""
+    apart."""
     full = (1 << poset.n) - 1
-    return _relation_bits([full ^ (up | down) for up, down in zip(poset.above, below or _transpose(poset.above))])
+    return _relation_bits([full ^ (up | down) for up, down in zip(poset.above, poset.below_masks())])
 
 
 def count_p_tableaux_hook(poset: Poset, k: int) -> int:
@@ -184,9 +192,8 @@ _LEGS: dict[int, int] = {}
 _LEGS_CAP = 1 << 17
 
 
-def _hook_tableau_counts(poset: Poset, below: list[int] | None = None) -> list[int]:
-    """Entry k counts the hook fillings of arm length k, for k in 0..n;
-    below, when given, is the poset's transpose.
+def _hook_tableau_counts(poset: Poset) -> list[int]:
+    """Entry k counts the hook fillings of arm length k, for k in 0..n.
 
     One walk visits every chain once, from its bottom cell upward, and
     adds the column fillings above that cell to the count of the chain's
@@ -198,7 +205,7 @@ def _hook_tableau_counts(poset: Poset, below: list[int] | None = None) -> list[i
     """
     n = poset.n
     above = poset.above
-    below = below or _transpose(above)  # below[x]: the elements strictly less than x
+    below = poset.below_masks()  # below[x]: the elements strictly less than x
     full = (1 << n) - 1
     store, rel, sets = _shared_states(_LEGS, _LEGS_CAP, above)
 
@@ -238,25 +245,26 @@ def _hook_tableau_counts(poset: Poset, below: list[int] | None = None) -> list[i
     return counts
 
 
-def verify_hook_proposition(poset: Poset) -> list[tuple[int, int, int]]:
-    """Rows (k, hook tableaux of arm length k, Schur coefficient of the
-    hook (k, 1, ..., 1) in the incomparability graph) for k in 1..n; the
-    proposition holds when both values of every row are equal."""
-    below = _transpose(poset.above)
-    counts = _hook_tableau_counts(poset, below)
-    schur = _schur_hooks(poset.n, _incomparability_bits(poset, below))
-    return [(k, counts[k], schur[k - 1]) for k in range(1, poset.n + 1)]
+def count_p_tableaux_hooks(poset: Poset) -> tuple[int, ...]:
+    """Entry k - 1 counts the hook fillings of arm length k, for k in 1..n:
+    the tableau side of the hook proposition."""
+    return tuple(_hook_tableau_counts(poset)[1:])
+
+
+def incomparability_schur_hooks(poset: Poset) -> tuple[int, ...]:
+    """Entry k - 1 is the Schur coefficient of the hook (k, 1, ..., 1) in
+    the chromatic symmetric function of the incomparability graph, for k
+    in 1..n: the Schur side of the hook proposition."""
+    return _schur_hooks(poset.n, _incomparability_bits(poset))
 
 
 @lru_cache(maxsize=1 << 15)  # the 30164 distinct incomparability graphs on 6 elements fit
 def _schur_hooks(n: int, bits: int) -> tuple[int, ...]:
-    """Entry k - 1 is the Schur coefficient of the hook (k, 1, ..., 1) in
-    the chromatic symmetric function of the graph ``_graph_of(n, bits)``,
-    for k in 1..n.  Posets that share an incomparability graph share this
-    value: the 4231 labeled posets on 5 elements have 1012 distinct ones,
-    and the graph is built only for those."""
-    schur = csf_schur(_graph_of(n, bits))
-    return tuple(schur.get(hook, 0) for hook in _hooks(n))
+    """``hook_coefficients_via_schur`` of the graph ``_graph_of(n, bits)``.
+    Posets that share an incomparability graph share this value: the 4231
+    labeled posets on 5 elements have 1012 distinct ones, and the graph is
+    built only for those."""
+    return hook_coefficients_via_schur(_graph_of(n, bits))
 
 
 # ---------------------------------------------------------------------------

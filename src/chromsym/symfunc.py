@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
+from types import MappingProxyType
 
 from .partitions import (
     Composition,
@@ -49,8 +50,9 @@ def _as_poly(value) -> TPoly:
 
 
 class _CoefficientMap:
-    """A homogeneous value of one degree as a mapping from keys to nonzero
-    coefficients; values are equal when class, degree and mapping are.
+    """A homogeneous value of one degree as a read-only mapping from keys to
+    nonzero coefficients, so that a cached value is safe to share; values
+    are equal when class, degree and mapping are.
 
     A subclass names its keys (``_kind``), checks one (``_check_key``) and
     coerces a coefficient (``_coerce``)."""
@@ -67,16 +69,19 @@ class _CoefficientMap:
             if c:
                 cleaned[key] = c
         self.degree = degree
-        self.coeffs = cleaned
+        self.coeffs = MappingProxyType(cleaned)
 
     @classmethod
     def _trusted(cls, degree: int, coeffs: dict):
         """A value whose keys are valid keys of weight degree and whose
         coefficients are nonzero, as the kernels build them; nothing is
-        checked or copied."""
+        checked or copied, so the builder must not change coeffs after."""
         f = object.__new__(cls)
-        f.degree, f.coeffs = degree, coeffs
+        f.degree, f.coeffs = degree, MappingProxyType(coeffs)
         return f
+
+    def __reduce__(self):  # a mappingproxy does not pickle
+        return type(self), (self.degree, dict(self.coeffs))
 
     def coefficient(self, key):
         return self.coeffs.get(tuple(key), self._zero)
@@ -92,7 +97,7 @@ class _CoefficientMap:
         return hash((type(self).__name__, self.degree, frozenset(self.coeffs.items())))
 
     def __repr__(self):
-        return f"{type(self).__name__}({self.degree}, {self.coeffs!r})"
+        return f"{type(self).__name__}({self.degree}, {dict(self.coeffs)!r})"
 
 
 class SymmetricFunctionM(_CoefficientMap):

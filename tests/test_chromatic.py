@@ -1,3 +1,4 @@
+import pickle
 from collections import Counter
 from itertools import permutations
 from math import comb, factorial
@@ -5,6 +6,7 @@ from random import Random
 
 import pytest
 
+from chromsym import cli
 from chromsym.chromatic import (
     SinkProfile,
     _coloring_counts,
@@ -22,9 +24,7 @@ from chromsym.chromatic import (
     hook_coefficient_via_sinks,
     sink_minimal_increasing_labeling,
     sink_profile,
-    verify_e_sink_identity,
 )
-from chromsym.cli import _hook_t_rows
 from chromsym.graphs import (
     Graph,
     Labeling,
@@ -226,7 +226,7 @@ def _assert_hook_t_rows_match_the_full_transforms(g, zetas):
             for sinks, des, count in falling:
                 arr[des] += comb(sinks - 1, k - 1) * count
             expected.append((k, hook_coefficient_of_F(walked, k), TPoly(arr), hook_coefficient_of_F(converted, k)))
-        assert _hook_t_rows(g, zeta) == expected
+        assert cli.CHECKS["hook-t"].rows(g, zeta) == expected
         assert all(a == b == c for _, a, b, c in expected)  # the routes agree
 
 
@@ -248,7 +248,7 @@ def test_the_hook_t_readers_give_no_terms_on_the_empty_graph():
     assert hook_coefficients_via_extensions_t(g, None) == ()
     assert hook_coefficients_via_colorings_t(g, None) == ()
     assert hook_coefficients_via_orientations_t(g, None) == ()
-    assert _hook_t_rows(g, None) == []
+    assert cli.CHECKS["hook-t"].rows(g, None) == []
 
 
 def test_the_route_kernels_are_cached_on_the_orientation_the_labeling_induces():
@@ -583,6 +583,19 @@ def test_route_values_are_computed_once_per_graph_and_shared():
     assert sink_profile(g) is sink_profile(Graph(4, [(3, 4), (1, 2), (2, 3)]))
 
 
+def test_shared_route_values_are_read_only_and_pickle():
+    g = star_graph(3)
+    schur = csf_schur(g)
+    with pytest.raises(TypeError):
+        csf_monomial(g).coeffs[(4,)] = 7
+    assert csf_schur(g) == schur
+    for value in (csf_monomial(g), cqf_monomial(g, Labeling((2, 1, 4, 3)))):
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and copy is not value
+        with pytest.raises(TypeError):
+            copy.coeffs[(4,)] = 7
+
+
 def test_csf_schur_hands_out_a_fresh_dict():
     g = path_graph(4)
     first = csf_schur(g)
@@ -612,8 +625,8 @@ def test_labeling_independence_at_t_equal_1(n):
 
 
 def test_verify_e_sink_identity_examples():
-    assert verify_e_sink_identity(path_graph(3)) == [(1, 3, 3), (2, 1, 1), (3, 0, 0)]
-    rows = verify_e_sink_identity(edgeless_graph(3))
+    assert cli.CHECKS["e-sink"].rows(path_graph(3), None) == [(1, 3, 3), (2, 1, 1), (3, 0, 0)]
+    rows = cli.CHECKS["e-sink"].rows(edgeless_graph(3), None)
     assert rows[2] == (3, 1, 1)
     assert all(a == b for _, a, b in rows)
 

@@ -6,10 +6,9 @@ import sys
 
 import pytest
 
-from chromsym import cli
+from chromsym import chromatic, cli, posets
 from chromsym.cli import main
 from chromsym.posets import Poset
-from chromsym.tpoly import TPoly
 
 CLAW_JSON = '{"n": 4, "edges": [[1, 2], [1, 3], [1, 4]]}'
 P3_EDGES = "1 2\n2 3\n"
@@ -324,13 +323,13 @@ def test_verify_hook_t_uses_labels_from_the_file(capsys, tmp_path):
 
 def test_mathematical_mismatch_exits_1(capsys, claw_file, monkeypatch):
     # force a fake counterexample through the check registry
-    rows = [(1, 0, 1), (2, 3, 3)]
-    monkeypatch.setitem(cli.CHECKS, "hook-1", cli.CHECKS["hook-1"]._replace(rows=lambda graph, zeta: rows))
+    readers = {"schur": lambda graph, zeta: (0, 3, 3, 1), "sinks": lambda graph, zeta: (1, 3, 3, 1)}
+    monkeypatch.setitem(cli.CHECKS, "hook-1", cli.CHECKS["hook-1"]._replace(readers=readers))
     code, out, _ = run_cli(capsys, "verify", claw_file, "hook-1", "--json")
     assert code == 1
     payload = json.loads(out)
     assert payload["status"] == "mismatch"
-    assert payload["outputs"]["table"] == [[1, 0, 1], [2, 3, 3]]
+    assert payload["outputs"]["table"] == [[1, 0, 1], [2, 3, 3], [3, 3, 3], [4, 1, 1]]
     assert payload["outputs"]["failures"] == [
         {"edges": [[1, 2], [1, 3], [1, 4]], "k": 1, "schur": 0, "sinks": 1}
     ]
@@ -345,11 +344,12 @@ def test_mathematical_mismatch_exits_1(capsys, claw_file, monkeypatch):
     ],
 )
 def test_running_out_of_memory_exits_2(capsys, claw_file, monkeypatch, check, error):
-    # a rows function that raises stands in for an input too large to check
+    # a reader that raises stands in for an input too large to check
     def exhausted(graph, zeta):
         raise error
 
-    monkeypatch.setitem(cli.CHECKS, check, cli.CHECKS[check]._replace(rows=exhausted))
+    readers = dict.fromkeys(cli.CHECKS[check].readers, exhausted)
+    monkeypatch.setitem(cli.CHECKS, check, cli.CHECKS[check]._replace(readers=readers))
     code, out, err = run_cli(capsys, "verify", claw_file, check)
     cause = "recursion too deep" if error is RecursionError else "out of memory"
     assert code == 2
@@ -431,30 +431,64 @@ def test_verify_chrompoly_counts_one_coloring_of_the_empty_graph(capsys, tmp_pat
     assert out.splitlines()[2:] == ["  0  1  1", "status: ok"]
 
 
-def test_verify_hook_t_marks_a_row_where_only_the_coloring_route_fails(capsys, claw_file, monkeypatch):
-    # The table shows the F-expansion and orientation-sum columns; the
-    # coloring route is compared too, and a row failing there is marked.
-    real = cli.hook_coefficients_via_colorings_t
+# The function each value's reader calls, by the module that binds it.
+READER_BINDINGS = {
+    ("hook-t", "f_expansion"): (chromatic, "hook_coefficients_via_extensions_t"),
+    ("hook-t", "orientation_sum"): (chromatic, "hook_coefficients_via_orientations_t"),
+    ("hook-t", "coloring_route"): (chromatic, "hook_coefficients_via_colorings_t"),
+    ("hook-1", "schur"): (chromatic, "hook_coefficients_via_schur"),
+    ("hook-1", "sinks"): (chromatic, "hook_coefficients_via_sinks"),
+    ("hook-1", "kostka"): (chromatic, "hook_coefficients_via_kostka"),
+    ("e-sink", "orientations"): (chromatic, "orientations_by_sinks"),
+    ("e-sink", "e_sum"): (chromatic, "e_sums_by_length"),
+    ("chrompoly", "specialized"): (chromatic, "chromatic_polynomial_via_specialization"),
+    ("chrompoly", "enumerated"): (chromatic, "chromatic_polynomial_via_colorings"),
+    ("ptableaux", "tableaux"): (posets, "count_p_tableaux_hooks"),
+    ("ptableaux", "schur"): (posets, "incomparability_schur_hooks"),
+}
 
-    def drop_hook_2(graph, zeta):
-        return tuple(TPoly() if k == 2 else poly for k, poly in enumerate(real(graph, zeta), 1))
 
-    monkeypatch.setattr(cli, "hook_coefficients_via_colorings_t", drop_hook_2)
-    code, out, _ = run_cli(capsys, "verify", claw_file, "hook-t")
+def test_every_value_has_a_reader_binding():
+    assert list(READER_BINDINGS) == [(name, value) for name, check in cli.CHECKS.items() for value in check.readers]
+
+
+@pytest.mark.parametrize("check, value", [pytest.param(*pair, id="-".join(pair)) for pair in READER_BINDINGS])
+def test_verify_marks_a_row_where_only_one_reader_fails(capsys, claw_file, tmp_path, monkeypatch, check, value):
+    # Each value is compared, shown in the table or not: a reader that goes
+    # wrong at its second k alone marks that row.  The reader is replaced
+    # where its module binds it, so a reader that the check captured at
+    # import, out of reach of a tracer too, would leave the row unmarked.
+    module, name = READER_BINDINGS[check, value]
+    real = getattr(module, name)
+
+    def wrong_at_second_k(*args):
+        got = real(*args)
+        return (got[0], got[1] + 1, *got[2:])
+
+    monkeypatch.setattr(module, name, wrong_at_second_k)
+    if cli.CHECKS[check].on_posets:
+        target = tmp_path / "chain3.json"
+        target.write_text(CHAIN3_POSET)
+    else:
+        target = claw_file
+    code, out, _ = run_cli(capsys, "verify", str(target), check)
     assert code == 1
     rows = out.splitlines()[2:-1]
-    assert [row.endswith("<- MISMATCH") for row in rows] == [False, True, False, False]
+    assert [row.endswith("<- MISMATCH") for row in rows] == [i == 1 for i in range(len(rows))]
     assert out.endswith("status: mismatch\n")
-    code, out, _ = run_cli(capsys, "verify", claw_file, "hook-t", "--json")
+    code, out, _ = run_cli(capsys, "verify", str(target), check, "--json")
     failures = json.loads(out)["outputs"]["failures"]
-    assert [f["k"] for f in failures] == [2]
-    assert failures[0]["f_expansion"] == failures[0]["orientation_sum"] != failures[0]["coloring_route"]
+    k = cli.CHECKS[check].first_k + 1
+    assert [f["k"] for f in failures] == [k]
+    others = {json.dumps(v) for key, v in failures[0].items() if key in cli.CHECKS[check].readers and key != value}
+    assert len(others) == 1  # every other value agrees, and the wrong one does not
+    assert json.dumps(failures[0][value]) not in others
 
 
 def test_verify_hook_1_reads_the_hooks_back_through_kostka_numbers(capsys, claw_file, monkeypatch):
     # A wrong non-hook Schur coefficient leaves the two shown columns equal;
     # the Kostka value of each hook it dominates (k <= 2 for (2, 2)) moves.
-    real = cli.csf_schur
+    real = chromatic.csf_schur
 
     def bump_22(graph):
         schur = dict(real(graph))
@@ -464,7 +498,7 @@ def test_verify_hook_1_reads_the_hooks_back_through_kostka_numbers(capsys, claw_
     code, out, _ = run_cli(capsys, "verify", claw_file, "hook-1", "--json")
     assert code == 0
     table = json.loads(out)["outputs"]["table"]
-    monkeypatch.setattr(cli, "csf_schur", bump_22)
+    monkeypatch.setattr(chromatic, "csf_schur", bump_22)
     code, out, _ = run_cli(capsys, "verify", claw_file, "hook-1", "--json")
     assert code == 1
     outputs = json.loads(out)["outputs"]
@@ -485,12 +519,19 @@ RECORD_KEYS = {
 
 
 def _fail_on_nonempty_targets(monkeypatch, check):
-    # one failing row on every target with an edge (a relation for posets)
-    def rows(target, zeta):
-        size = target.m if hasattr(target, "edges") else sum(map(int.bit_count, target.above))
-        return [(1, *range(len(cli.CHECKS[check].values)))] if size else [(1, 0, 0)]
+    # one failing row, k = 1, on every target with an edge (a relation for
+    # posets): value i reads i there and 0 everywhere else
+    first_k = cli.CHECKS[check].first_k
 
-    monkeypatch.setitem(cli.CHECKS, check, cli.CHECKS[check]._replace(rows=rows))
+    def reader(i):
+        def read(target, zeta):
+            size = target.m if hasattr(target, "edges") else sum(map(int.bit_count, target.above))
+            return tuple(i if size and k == 1 else 0 for k in range(first_k, target.n + 1))
+
+        return read
+
+    readers = {name: reader(i) for i, name in enumerate(cli.CHECKS[check].readers)}
+    monkeypatch.setitem(cli.CHECKS, check, cli.CHECKS[check]._replace(readers=readers))
 
 
 @pytest.mark.parametrize("check", sorted(RECORD_KEYS))

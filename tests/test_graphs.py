@@ -80,6 +80,13 @@ def test_graph_accepts_numpy_integers():
         Graph(3, [(np.bool_(True), 2)])
 
 
+def test_the_adjacency_tuple_is_built_once_per_graph():
+    for g in (Graph(4, [(1, 2), (1, 3), (1, 4)]), Graph._trusted(4, ((1, 2), (1, 3), (1, 4)))):
+        first = g.adjacency_masks()
+        assert first == (0b1110, 0b0001, 0b0001, 0b0001)
+        assert g.adjacency_masks() is first
+
+
 def test_labeling_rejects_non_integers():
     for labels, bad in (([1.0, 2.0], "1.0"), (["2", "1"], "'2'"), ([True, 2], "True")):
         with pytest.raises(ValueError, match=f"label must be an integer, got {bad}"):

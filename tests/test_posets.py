@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from chromsym import cli
 from chromsym.chromatic import csf_schur
 from chromsym.graphs import Graph, complete_graph, edgeless_graph, is_claw_free
 from chromsym.partitions import hook_partition
@@ -15,7 +16,6 @@ from chromsym.posets import (
     count_p_tableaux_hook,
     incomparability_graph,
     parse_poset_text,
-    verify_hook_proposition,
 )
 
 from oracles import all_posets_scan, count_p_tableaux_hook_brute
@@ -25,6 +25,10 @@ ANTICHAIN3 = Poset(3, (0, 0, 0))
 # A 3-chain plus one element incomparable to everything: its
 # incomparability graph is the claw.
 CHAIN_PLUS_FREE = Poset.from_covers(4, [[1, 2], [2, 3]])
+
+
+def hook_proposition_rows(poset):
+    return cli.CHECKS["ptableaux"].rows(poset, None)
 
 
 def test_from_covers_takes_the_transitive_closure():
@@ -131,7 +135,7 @@ def test_mirrored_column_rule_is_ruled_out_by_the_identity():
 
     counts = {k: count_p_tableaux_hook_brute(CHAIN_PLUS_FREE, k, mirrored) for k in range(1, 5)}
     assert counts[2] == 4
-    schur = {k: coeff for k, _, coeff in verify_hook_proposition(CHAIN_PLUS_FREE)}
+    schur = {k: coeff for k, _, coeff in hook_proposition_rows(CHAIN_PLUS_FREE)}
     assert counts != schur
 
 
@@ -142,11 +146,18 @@ def test_top_arm_counts_chains_covering_everything():
 
 
 def test_verify_hook_proposition_examples():
-    assert verify_hook_proposition(CHAIN3) == [(1, 1, 1), (2, 2, 2), (3, 1, 1)]
-    rows = verify_hook_proposition(ANTICHAIN3)
+    assert hook_proposition_rows(CHAIN3) == [(1, 1, 1), (2, 2, 2), (3, 1, 1)]
+    rows = hook_proposition_rows(ANTICHAIN3)
     assert rows[0] == (1, 6, 6)
     assert all(a == b for _, a, b in rows)
-    assert all(a == b for _, a, b in verify_hook_proposition(CHAIN_PLUS_FREE))
+    assert all(a == b for _, a, b in hook_proposition_rows(CHAIN_PLUS_FREE))
+
+
+def test_the_transpose_is_built_once_per_poset():
+    for poset in (CHAIN_PLUS_FREE, Poset(4, CHAIN_PLUS_FREE.above), Poset._trusted(4, CHAIN_PLUS_FREE.above)):
+        first = poset.below_masks()
+        assert first == (0, 0b0001, 0b0011, 0)
+        assert poset.below_masks() is first
 
 
 def test_all_posets_counts():
@@ -159,7 +170,7 @@ def test_all_posets_counts():
 @pytest.mark.parametrize("n", range(1, 5))
 def test_hook_proposition_holds_for_every_small_poset(n):
     for poset in all_posets(n):
-        assert all(a == b for _, a, b in verify_hook_proposition(poset))
+        assert all(a == b for _, a, b in hook_proposition_rows(poset))
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -183,7 +194,7 @@ def test_hook_proposition_rows_match_the_schur_expansion_of_each_poset(n):
         schur = csf_schur(Graph(n, pairs))
         counts = [count_p_tableaux_hook(poset, k) for k in range(1, n + 1)]
         expected = [(k, counts[k - 1], schur.get(hook_partition(n, k), 0)) for k in range(1, n + 1)]
-        assert verify_hook_proposition(poset) == expected
+        assert hook_proposition_rows(poset) == expected
 
 
 def test_the_schur_hook_memo_is_bounded():
