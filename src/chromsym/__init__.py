@@ -47,7 +47,6 @@ from .partitions import (
 from .posets import (
     Poset,
     all_posets,
-    count_p_tableaux_hook,
     count_p_tableaux_hooks,
     incomparability_graph,
     incomparability_schur_hooks,

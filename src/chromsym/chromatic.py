@@ -11,10 +11,11 @@ The same quantities are reachable along two independent routes:
   coloring at a time; on graphs of sweep size its states are stored per
   induced subgraph and shared;
 * orientations: acyclic orientations weighted by sinks and descents,
-  assembled into fundamental coordinates through linear extensions.  The
-  sink histogram is a 3^n subset sum over the acyclic orientations of
-  the induced subgraphs, counted without listing one; on graphs of sweep
-  size those counts go to a store of their own.  One
+  assembled into fundamental coordinates through linear extensions.  One
+  sink kernel, ``_sink_counts``, counts the orientations by (sinks,
+  descents) with a 3^n subset sum over the induced subgraphs, without
+  listing one; ``sink_profile`` is its t = 1 sum, and on graphs of sweep
+  size its counts go to a store of their own.  One
   recursion over vertex orders, in ``_order_counts``, meets every
   (orientation, linear extension) pair once and tallies it in place: an
   order is an extension of the one orientation whose arcs run from its
@@ -26,9 +27,10 @@ The same quantities are reachable along two independent routes:
   orders.  ``dual_linear_extensions`` lists the extensions of one given
   orientation with a recursion of its own.
 
-Both kernels read the labeling only through the orientation it induces
+The kernels read the labeling only through the orientation it induces
 on the edges, and are cached on that.  ``hook-t`` reads its three values
-off their tallies at the hooks alone, with no quasisymmetric map built.
+off the walk, the sink kernel and the coloring pass at the hooks alone,
+with no quasisymmetric map built.
 Hook coefficients computed both ways must agree, which is what the
 ``verify``/``sweep`` commands and the test suite exercise exhaustively
 at small vertex counts.
@@ -38,7 +40,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
+from types import MappingProxyType
+from typing import Mapping
 
 from .graphs import (
     Graph,
@@ -116,16 +120,11 @@ def csf_monomial(graph: Graph) -> SymmetricFunctionM:
     return SymmetricFunctionM._trusted(graph.n, terms)
 
 
-def csf_schur(graph: Graph) -> dict[tuple[int, ...], int]:
-    """Schur coefficients of the chromatic symmetric function, as a fresh
-    dict that the caller may keep."""
-    return dict(_schur_terms(graph))
-
-
 @lru_cache(maxsize=8)
-def _schur_terms(graph: Graph) -> dict[tuple[int, ...], int]:
-    """The coefficients of ``csf_schur``, computed once per graph."""
-    return m_to_s(csf_monomial(graph))
+def csf_schur(graph: Graph) -> Mapping[tuple[int, ...], int]:
+    """Schur coefficients of the chromatic symmetric function, computed
+    once per graph: a read-only view, the same object for every caller."""
+    return MappingProxyType(m_to_s(csf_monomial(graph)))
 
 
 def hook_coefficients_via_schur(graph: Graph) -> tuple[int, ...]:
@@ -168,65 +167,101 @@ def e_sums_by_length(graph: Graph) -> tuple[int, ...]:
     return tuple(by_length[1:])
 
 
-# a(U) of the vertex sets U of graphs with at most _STORED_N vertices, keyed
-# by the induced subgraph and shared by every such graph of the process;
-# values are ints.  Cleared on entry to sink_profile once it holds more
-# than _SINK_STATES_CAP.
+@lru_cache(maxsize=8)
+def sink_profile(graph: Graph) -> SinkProfile:
+    """Sink histogram over all acyclic orientations, computed once per
+    graph and shared by every caller: the t = 1 sums of ``_sink_counts``."""
+    counts: defaultdict[int, int] = defaultdict(int)
+    for (sinks, _), count in _sink_counts(graph, tuple(_below(graph, None))):
+        counts[sinks] += count
+    return SinkProfile(tuple(counts.items()))
+
+
+# a(U; t) of the vertex sets U of graphs with at most _STORED_N vertices, packed
+# as in _sink_counts, keyed by the induced subgraph with its orientation and
+# shared by every such graph of the process; values are ints.  Cleared on
+# entry to _sink_counts once it holds more than _SINK_STATES_CAP.
 _SINK_STATES: dict[int, int] = {}
 _SINK_STATES_CAP = 1 << 13
 
 
-@lru_cache(maxsize=8)
-def sink_profile(graph: Graph) -> SinkProfile:
-    """Sink histogram over all acyclic orientations, computed once per
-    graph and shared by every caller."""
-    # No orientation is listed.  With a(U) the number of acyclic orientations
-    # of the induced subgraph G[U], sink removal gives (Stanley 1973)
-    #   a(U) = sum over nonempty stable T within U of (-1)^(|T|+1) a(U - T),
-    # since the orientations of G[U] whose sinks include T are those of
-    # G[U - T] with every edge to T pointing into T.  Summing all stable T,
-    # the empty one included,
-    #   P(y) = sum_T y^|T| a(V - T) = sum over orientations O of (1 + y)^sinks(O),
-    # so the histogram is the coefficient list of P(x - 1).  This is the
-    # 3^n subset-sum scheme of Bjorklund, Husfeldt and Koivisto, "Set
-    # partitioning via inclusion-exclusion" (SIAM J. Comput. 2009).  a(U)
-    # depends only on G[U], so the values of proper subsets are shared
-    # through _shared_states; the whole graph's is met once, last.
+@lru_cache(maxsize=4)
+def _sink_counts(graph: Graph, below: tuple[int, ...]) -> tuple[tuple[tuple[int, int], int], ...]:
+    """((sinks, descents), orientations) over the acyclic orientations, one
+    entry per distinct pair, ascending; a descent is an arc u -> v with v in
+    below[u], as ``_below`` gives it.
+
+    No orientation is listed.  With a(U; t) the descent polynomial of the
+    acyclic orientations of the induced subgraph G[U], sink removal gives
+    (Stanley 1973, graded by Shareshian and Wachs 2016)
+      a(U; t) = sum over nonempty stable T within U of
+                (-1)^(|T|+1) t^d(T, U - T) a(U - T; t),
+    since the orientations of G[U] whose sinks include T are those of
+    G[U - T] with every edge to T pointing into T, and d(T, R) counts those
+    edges whose lower end under the labeling is in T.  Summing all stable T,
+    the empty one included,
+      P(y; t) = sum_T y^|T| t^d(T, V - T) a(V - T; t)
+              = sum over orientations O of (1 + y)^sinks(O) t^descents(O),
+    so the histogram is read off P(y - 1; t).  This is the 3^n subset-sum
+    scheme of Bjorklund, Husfeldt and Koivisto, "Set partitioning via
+    inclusion-exclusion" (SIAM J. Comput. 2009).  Each a(U; t) is one int,
+    the polynomial at t = 2^w, with w bits per power of t: a power of t is
+    a shift, and since every coefficient of the histogram lies in 0..n!,
+    w = n!.bit_length() reads it back exactly however the signed terms
+    before it carried.  w depends on n alone, so on graphs of at most
+    ``_STORED_N`` vertices the values of the proper subsets are kept in
+    ``_SINK_STATES``, keyed by the oriented induced subgraph, and shared by
+    every graph; the whole graph's is met once, last.
+    """
     n = graph.n
     adj = graph.adjacency_masks()
+    lower, upper = [0] * n, [0] * n  # bits of the edges whose lower (upper) end under the labeling is v
+    for e, (lo, hi) in enumerate(graph.edges):
+        if not below[hi - 1] >> (lo - 1) & 1:
+            lo, hi = hi, lo
+        lower[lo - 1] |= 1 << e
+        upper[hi - 1] |= 1 << e
     full = (1 << n) - 1
     stable = [True] * (full + 1)  # stable[T]: no edge inside T
-    size = [0] * (full + 1)
+    starts = [0] * (full + 1)  # starts[T]: the edges whose lower end is in T
+    ends = [0] * (full + 1)  # ends[U]: the edges whose upper end is in U
     for t in range(1, full + 1):
         low = (t & -t).bit_length() - 1
         rest = t & (t - 1)
         stable[t] = stable[rest] and not adj[low] & rest
-        size[t] = size[rest] + 1
-    store, rel, sets = _shared_states(_SINK_STATES, _SINK_STATES_CAP, adj)
+        starts[t] = starts[rest] | lower[low]
+        ends[t] = ends[rest] | upper[low]
+    width = factorial(n).bit_length()
+    store, rel, sets = _shared_states(_SINK_STATES, _SINK_STATES_CAP, _transpose(below))  # bit a·n + b: a below b
     keys = [rel & mask for mask in sets]
     a = [1] * (full + 1)
     for u in range(1, full + 1):
         total = store.get(keys[u])
         if total is None:
-            total = 0
-            t = u
+            total, t, up = 0, u, ends[u]  # T is stable: no edge of T ends in T
             while t:
                 if stable[t]:
-                    total += a[u ^ t] if size[t] & 1 else -a[u ^ t]
+                    term = a[u ^ t] << width * (starts[t] & up).bit_count()
+                    total += term if t.bit_count() & 1 else -term
                 t = (t - 1) & u
             if u != full:
                 store[keys[u]] = total
         a[u] = total
-    p = [0] * (n + 1)  # coefficients of P(y)
+    p = [0] * (n + 1)  # coefficients of P(y; t)
     for t in range(full + 1):
         if stable[t]:
-            p[size[t]] += a[full ^ t]
-    counts = []
-    for s in range(n + 1):
-        h = sum(p[j] * comb(j, s) * (-1) ** (j - s) for j in range(s, n + 1))
-        if h:
-            counts.append((s, h))
-    return SinkProfile(tuple(counts))
+            p[t.bit_count()] += a[full ^ t] << width * (starts[t] & ends[full]).bit_count()
+    for i in range(n):  # P(y - 1; t), by Taylor shift
+        for j in range(n - 1, i - 1, -1):
+            p[j] -= p[j + 1]
+    digit, counts = (1 << width) - 1, []
+    for s, h in enumerate(p):
+        d = 0
+        while h:
+            if h & digit:
+                counts.append(((s, d), h & digit))
+            h, d = h >> width, d + 1
+    return tuple(counts)
 
 
 def orientations_by_sinks(graph: Graph) -> tuple[int, ...]:
@@ -442,10 +477,10 @@ def dual_linear_extensions(o: Orientation, omega: Labeling) -> tuple[tuple[int, 
 
 
 def _orientation_compositions(graph: Graph, zeta: Labeling | None, *, hooks: bool = False) -> tuple:
-    """((composition, descents, sinks), orders) over the pairs of an acyclic
+    """((composition, descents), orders) over the pairs of an acyclic
     orientation and one of its linear extensions, one entry per distinct
-    triple, ascending in (descent mask of the composition, descents, sinks),
-    from one walk over the vertex orders.  The descents are the orientation's
+    pair, ascending in (descent mask of the composition, descents), from one
+    walk over the vertex orders.  The descents are the orientation's
     arcs u -> v with v below u under zeta (by index when zeta is None); the
     composition is that of the order's reflected descent set
     {i : n - i in Des} under the height labeling.  Every labeling that
@@ -466,22 +501,21 @@ def _order_counts(graph: Graph, below: tuple[int, ...], hooks: bool) -> tuple:
     linear extension of the orientation whose arcs run from the earlier to
     the later end of each edge.  Vertices are placed from the last position
     to the first, so the neighbours of v already placed are the heads of its
-    arcs: down counts the arcs v -> u with u in below[v], and sinks the
-    vertices placed with no neighbour after them.  Each vertex is labeled by
+    arcs: down counts the arcs v -> u with u in below[v].  Each vertex is labeled by
     its height, the longest directed path to a sink, ties broken by index;
     bit n - 2 - i of des is set when the label at position i is larger than
     the one at i + 1.  With hooks, only the orders whose labels fall and then
     rise are met: read from the back, an ascent after a descent ends the
     branch.  Placing position 0 completes an order, counted in
-    tally[des, down, sinks]."""
+    tally[des, down]."""
     n = graph.n
     adj = graph.adjacency_masks()
-    tally: defaultdict[tuple[int, int, int], int] = defaultdict(int)
+    tally: defaultdict[tuple[int, int], int] = defaultdict(int)
     full = (1 << n) - 1
     height = [0] * n + [n]  # the sentinel height[n] puts no descent after the last position
     level = [0] * n  # level[d]: the placed vertices of height d
 
-    def rec(placed: int, i: int, down: int, last: int, des: int, sinks: int, rise: int):
+    def rec(placed: int, i: int, down: int, last: int, des: int, rise: int):
         top = height[last]
         rest = full ^ placed
         while rest:
@@ -501,18 +535,18 @@ def _order_counts(graph: Graph, below: tuple[int, ...], hooks: bool) -> tuple:
             if i:
                 height[v] = h
                 level[h] |= low
-                rec(placed | low, i - 1, arcs_down, v, fell, sinks + (not h), rise + (h == rise))
+                rec(placed | low, i - 1, arcs_down, v, fell, rise + (h == rise))
                 level[h] ^= low
             else:
-                tally[fell, arcs_down, sinks + (not h)] += 1
+                tally[fell, arcs_down] += 1
 
     if n:
-        rec(0, n - 1, 0, n, 0, 0, 0)
+        rec(0, n - 1, 0, n, 0, 0)
     else:
-        tally[0, 0, 0] = 1  # the empty order
+        tally[0, 0] = 1  # the empty order
     del rec  # rec refers to itself: break the cycle so the tables are freed at once
     table = _compositions_by_mask(n)
-    return tuple(((table[des], down, sinks), tally[des, down, sinks]) for des, down, sinks in sorted(tally))
+    return tuple(((table[des], down), tally[des, down]) for des, down in sorted(tally))
 
 
 def cqf_fundamental_via_orientations(graph: Graph, zeta: Labeling | None = None) -> QuasisymmetricF:
@@ -521,7 +555,7 @@ def cqf_fundamental_via_orientations(graph: Graph, zeta: Labeling | None = None)
     terms of its dual linear extensions."""
     m = graph.m
     acc: dict[tuple[int, ...], list[int]] = {}
-    for (comp, des, _), count in _orientation_compositions(graph, zeta):
+    for (comp, des), count in _orientation_compositions(graph, zeta):
         arr = acc.get(comp)
         if arr is None:
             arr = acc[comp] = [0] * (m + 1)
@@ -538,7 +572,7 @@ def hook_coefficients_via_extensions_t(graph: Graph, zeta: Labeling | None) -> t
     if not n:
         return ()
     arrays = [[0] * (m + 1) for _ in range(n)]  # arrays[k - 1][descents]
-    for (comp, des, _), count in _orientation_compositions(graph, zeta, hooks=True):
+    for (comp, des), count in _orientation_compositions(graph, zeta, hooks=True):
         arrays[comp[0] - 1][des] += count
     return tuple(TPoly._trusted(arr) for arr in arrays)
 
@@ -546,17 +580,12 @@ def hook_coefficients_via_extensions_t(graph: Graph, zeta: Labeling | None) -> t
 def hook_coefficients_via_orientations_t(graph: Graph, zeta: Labeling | None) -> tuple[TPoly, ...]:
     """Entry k - 1 is the binomial-weighted descent generating polynomial
     over acyclic orientations, sum of C(sinks-1, k-1) t^(descents), for k in
-    1..n.  It reads the cached hook walk that
-    ``hook_coefficients_via_extensions_t`` also reads, which meets every
-    orientation once with k = 1, through the one extension whose labels
-    only fall.  One pass bins those entries by (sinks, descents); each bin
-    then serves every k."""
+    1..n.  It bins the entries of the sink kernel, ``_sink_counts``, by
+    (sinks, descents); each bin then serves every k."""
     n, m = graph.n, graph.m
-    falling = (1,) * n
     bins = [[0] * (m + 1) for _ in range(n + 1)]  # bins[sinks][descents]
-    for (comp, des, sinks_), count in _orientation_compositions(graph, zeta, hooks=True):
-        if comp == falling:
-            bins[sinks_][des] += count
+    for (sinks, des), count in _sink_counts(graph, tuple(_below(graph, zeta))):
+        bins[sinks][des] = count
     binom = _binomials(n)
     polys = []
     for k in range(n):

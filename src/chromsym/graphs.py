@@ -13,7 +13,7 @@ for each that orientations and posets share; ``_relation_bits`` holds it
 as one integer that one AND restricts to a set, with a mask from the
 cached table ``_subset_pair_masks``, and ``_graph_of`` turns a symmetric
 one back into a graph.  ``_shared_states`` gives every subset DP of the
-package (the stable-partition DP here, the coloring pass and the sink DP
+package (the stable-partition DP here, the coloring pass and the sink kernel
 in ``chromatic``, the hook tableau walk in ``posets``) its store and those
 keys on structures of sweep size, and a memo of its own otherwise, so no
 other module computes with the bit layout or decides when a store is
@@ -199,9 +199,6 @@ class Orientation:
     def sinks(self) -> int:
         """Number of vertices with no outgoing arc (isolated ones count)."""
         return self.out_masks().count(0)
-
-    def reverse(self) -> "Orientation":
-        return Orientation(self.graph, tuple((v, u) for u, v in self.arcs))
 
     def __eq__(self, other):
         return (

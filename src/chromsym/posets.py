@@ -38,7 +38,6 @@ from .graphs import (
     _shared_states,
     _transpose,
 )
-from .partitions import hook_partition
 
 
 class Poset:
@@ -98,12 +97,6 @@ class Poset:
         if self._below is None:
             self._below = tuple(_transpose(self.above))
         return self._below
-
-    def less(self, a: int, b: int) -> bool:
-        return bool(self.above[a - 1] >> (b - 1) & 1)
-
-    def incomparable(self, a: int, b: int) -> bool:
-        return a != b and not self.less(a, b) and not self.less(b, a)
 
     def __eq__(self, other):
         return isinstance(other, Poset) and self.n == other.n and self.above == other.above
@@ -176,13 +169,6 @@ def _incomparability_bits(poset: Poset) -> int:
     apart."""
     full = (1 << poset.n) - 1
     return _relation_bits([full ^ (up | down) for up, down in zip(poset.above, poset.below_masks())])
-
-
-def count_p_tableaux_hook(poset: Poset, k: int) -> int:
-    """Bijective hook-shape fillings: bottom row a chain read left to
-    right, column above its first cell never increasing upward."""
-    hook_partition(poset.n, k)  # rejects k outside 1..n
-    return _hook_tableau_counts(poset)[k]
 
 
 # Column fillings by lower cell and induced sub-order, shared through

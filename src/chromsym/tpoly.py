@@ -31,20 +31,6 @@ class TPoly:
         p.coeffs = _normalize(coeffs)
         return p
 
-    @classmethod
-    def t_power(cls, k: int, coeff: int = 1) -> "TPoly":
-        if k < 0:
-            raise ValueError("powers of t must be nonnegative")
-        return cls((0,) * k + (coeff,))
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 

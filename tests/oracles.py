@@ -17,6 +17,7 @@ from random import Random
 
 from chromsym import (
     Graph,
+    Orientation,
     Poset,
     QuasisymmetricF,
     QuasisymmetricM,
@@ -35,7 +36,7 @@ from chromsym import (
     partitions_of,
     sink_profile,
 )
-from chromsym.chromatic import _coloring_profile, _orientation_compositions
+from chromsym.chromatic import _coloring_profile
 from chromsym.partitions import check_composition, check_partition, multiplicities
 from chromsym.symfunc import _schur_h_table
 
@@ -293,15 +294,14 @@ def sink_hook_coefficient(graph: Graph, k: int) -> int:
 
 def orientation_hook_polys(graph: Graph, zeta) -> tuple[TPoly, ...]:
     """Entry k - 1 is the sum over acyclic orientations of C(sinks - 1,
-    k - 1) t^(descents), for k in 1..n, each orientation read from the hook
-    walk as its one extension whose composition is (1, ..., 1)."""
-    n = graph.n
+    k - 1) t^(descents), for k in 1..n, the orientations found by the mask
+    scan."""
+    counts = sink_descent_counts_scan(graph, zeta)
     polys = []
-    for k in range(1, n + 1):
+    for k in range(1, graph.n + 1):
         coeffs = [0] * (graph.m + 1)
-        for (comp, des, sinks), count in _orientation_compositions(graph, zeta, hooks=True):
-            if comp == (1,) * n:
-                coeffs[des] += comb(sinks - 1, k - 1) * count
+        for (sinks, des), count in counts:
+            coeffs[des] += comb(sinks - 1, k - 1) * count
         polys.append(TPoly(coeffs))
     return tuple(polys)
 
@@ -637,7 +637,7 @@ def count_p_tableaux_hook_brute(poset, k: int, column_ok) -> int:
     total = 0
     for w in permutations(range(1, poset.n + 1)):
         row, column = w[:k], (w[0],) + w[k:]
-        if all(poset.less(a, b) for a, b in zip(row, row[1:])) and all(
+        if all(less(poset, a, b) for a, b in zip(row, row[1:])) and all(
             column_ok(lower, upper) for lower, upper in zip(column, column[1:])
         ):
             total += 1
@@ -814,6 +814,19 @@ def sink_histogram(oriented) -> tuple[tuple[int, int], ...]:
 def sink_counts_scan(graph: Graph) -> tuple[tuple[int, int], ...]:
     """The sink histogram of the mask scan."""
     return sink_histogram(acyclic_orientations_scan(graph))
+
+
+def sink_descent_counts_scan(graph: Graph, zeta) -> tuple[tuple[tuple[int, int], int], ...]:
+    """((sinks, descents), orientations) over the mask scan, ascending; a
+    descent is an arc u -> v with v labeled below u by zeta, or by index
+    when zeta is None."""
+    n = graph.n
+    label = zeta.labels if zeta is not None else range(1, n + 1)
+    counts: Counter = Counter()
+    for _, out in acyclic_orientations_scan(graph):
+        des = sum(label[v] < label[u] for u in range(n) for v in range(n) if out[u] >> v & 1)
+        counts[out.count(0), des] += 1
+    return tuple(sorted(counts.items()))
 
 
 def seeded_graphs(count: int, seed: int, max_edges: int = 13, sizes=(6, 7, 8)):
@@ -1077,3 +1090,37 @@ def hooks_of_e_expansion(expansion: dict, n: int) -> list[tuple[int, ...]]:
         for k in range(1, len(lam) + 1):
             hooks[k - 1] = _t_add(hooks[k - 1], _t_mul((comb(len(lam) - 1, k - 1),), c))
     return hooks
+
+
+# ---------------------------------------------------------------------------
+# Readings of library values that only the tests use.
+
+
+def reverse(o: Orientation) -> Orientation:
+    """The orientation with every arc turned round."""
+    return Orientation(o.graph, tuple((v, u) for u, v in o.arcs))
+
+
+def less(poset: Poset, a: int, b: int) -> bool:
+    """Whether a < b in poset, elements by number."""
+    return bool(poset.above[a - 1] >> (b - 1) & 1)
+
+
+def incomparable(poset: Poset, a: int, b: int) -> bool:
+    return a != b and not less(poset, a, b) and not less(poset, b, a)
+
+
+def t_power(k: int, coeff: int = 1) -> TPoly:
+    """coeff · t^k."""
+    if k < 0:
+        raise ValueError("powers of t must be nonnegative")
+    return TPoly((0,) * k + (coeff,))
+
+
+def degree(p: TPoly) -> int:
+    """The degree of p, with -1 for the zero polynomial."""
+    return len(p.coeffs) - 1
+
+
+def is_zero(p: TPoly) -> bool:
+    return not p.coeffs

@@ -9,10 +9,12 @@ import pytest
 from chromsym import cli
 from chromsym.chromatic import (
     SinkProfile,
+    _below,
     _coloring_counts,
     _coloring_profile,
     _order_counts,
     _orientation_compositions,
+    _sink_counts,
     cqf_fundamental_via_orientations,
     cqf_monomial,
     csf_monomial,
@@ -61,6 +63,7 @@ from oracles import (
     orientation_compositions_by_words,
     seeded_graphs,
     sink_counts_scan,
+    sink_descent_counts_scan,
     sink_histogram,
     sink_minimal_labels,
 )
@@ -150,13 +153,13 @@ def _assert_orientation_compositions_match_the_oracle(g, zetas):
     words = [(Orientation.from_mask(g, mask), counts) for mask, counts in orientation_compositions_by_words(g)]
     for zeta in zetas:
         entries = _orientation_compositions(g, zeta)
-        keys = [(_descent_mask(comp), des, sinks) for (comp, des, sinks), _ in entries]
+        keys = [(_descent_mask(comp), des) for (comp, des), _ in entries]
         assert keys == sorted(set(keys))
         labels = zeta or Labeling.identity(g.n)
         expected: Counter = Counter()
         for o, counts in words:
             for comp, count in counts:
-                expected[comp, descents(o, labels), o.sinks()] += count
+                expected[comp, descents(o, labels)] += count
         assert dict(entries) == expected
         assert sum(count for _, count in entries) == factorial(g.n)
 
@@ -177,19 +180,24 @@ def test_orientation_compositions_match_the_word_oracle_on_seeded_graphs_and_k7(
 def _assert_hook_walk_matches_the_full_walk(g, zetas):
     n = g.n
     hooks = {hook_partition(n, k) for k in range(1, n + 1)}
-    profile = sink_profile(g).counts
     for zeta in zetas:
         hook_entries = _orientation_compositions(g, zeta, hooks=True)
         full_entries = _orientation_compositions(g, zeta)
         assert hook_entries == tuple(entry for entry in full_entries if entry[0][0] in hooks)
-        falling: Counter = Counter()  # sinks -> orientations, each met once through its falling extension
-        orders: Counter = Counter()  # sinks -> hook orders
-        for (comp, _, sinks), count in hook_entries:
-            orders[sinks] += count
+        falling: Counter = Counter()  # descents -> orientations, each met once through its falling extension
+        orders: Counter = Counter()  # descents -> hook orders
+        for (comp, des), count in hook_entries:
+            orders[des] += count
             if comp == (1,) * n:
-                falling[sinks] += count
-        assert sorted(falling.items()) == list(profile)
-        assert sorted(orders.items()) == [(s, 2 ** (s - 1) * a) for s, a in profile]
+                falling[des] += count
+        # the sink kernel counts the same orientations, 2^(sinks - 1) hook orders each
+        expected_falling: Counter = Counter()
+        expected_orders: Counter = Counter()
+        for (sinks, des), count in _sink_counts(g, tuple(_below(g, zeta))):
+            expected_falling[des] += count
+            expected_orders[des] += 2 ** (sinks - 1) * count
+        assert falling == expected_falling
+        assert orders == expected_orders
         full = cqf_fundamental_via_orientations(g, zeta)
         walked = hook_coefficients_via_extensions_t(g, zeta)
         assert walked == tuple(hook_coefficient_of_F(full, k) for k in range(1, n + 1))
@@ -212,19 +220,19 @@ def test_hook_walk_matches_the_full_walk_on_seeded_graphs_k7_and_path_8():
 def _assert_hook_t_rows_match_the_full_transforms(g, zetas):
     # Each value of a hook-t row against the route it stands for, computed
     # in full: the F-expansion of the full walk, the binomial sum over the
-    # full walk's falling orders, and the M -> F transform of every
-    # composition of the coloring route.
+    # acyclic orientations listed one by one, and the M -> F transform of
+    # every composition of the coloring route.
     n = g.n
     for zeta in zetas:
         walked = cqf_fundamental_via_orientations(g, zeta)
         converted = qsym_M_to_F(cqf_monomial(g, zeta))
-        entries = _orientation_compositions(g, zeta)
-        falling = [(sinks, des, count) for (comp, des, sinks), count in entries if comp == (1,) * n]
+        labels = zeta or Labeling.identity(n)
+        oriented = [(o.sinks(), descents(o, labels)) for o in acyclic_orientations(g)]
         expected = []
         for k in range(1, n + 1):
             arr = [0] * (g.m + 1)
-            for sinks, des, count in falling:
-                arr[des] += comb(sinks - 1, k - 1) * count
+            for sinks, des in oriented:
+                arr[des] += comb(sinks - 1, k - 1)
             expected.append((k, hook_coefficient_of_F(walked, k), TPoly(arr), hook_coefficient_of_F(converted, k)))
         assert cli.CHECKS["hook-t"].rows(g, zeta) == expected
         assert all(a == b == c for _, a, b, c in expected)  # the routes agree
@@ -257,11 +265,14 @@ def test_the_route_kernels_are_cached_on_the_orientation_the_labeling_induces():
     first, second = Labeling([1, 2, 3, 4]), Labeling([1, 4, 2, 3])
     _coloring_counts.cache_clear()
     _order_counts.cache_clear()
+    _sink_counts.cache_clear()
     assert _coloring_profile(CLAW, first) is _coloring_profile(CLAW, second)
     assert _orientation_compositions(CLAW, first) is _orientation_compositions(CLAW, second)
     assert _orientation_compositions(CLAW, first, hooks=True) is _orientation_compositions(CLAW, second, hooks=True)
+    assert hook_coefficients_via_orientations_t(CLAW, first) == hook_coefficients_via_orientations_t(CLAW, second)
     assert _coloring_counts.cache_info().misses == 1
     assert _order_counts.cache_info().misses == 2
+    assert _sink_counts.cache_info().misses == 1
     # a labeling that turns an edge round is a new entry
     turned = Labeling([2, 1, 3, 4])
     assert _coloring_profile(CLAW, turned) != _coloring_profile(CLAW, first)
@@ -272,14 +283,16 @@ def test_the_route_kernels_are_cached_on_the_orientation_the_labeling_induces():
     assert first == Labeling.identity(4)
     assert _coloring_profile(CLAW, None) is _coloring_profile(CLAW, first)
     assert _orientation_compositions(CLAW, None) is _orientation_compositions(CLAW, first)
+    assert sink_profile.__wrapped__(CLAW).total == 8  # past its own cache: reads the entry for zeta omitted
     assert _coloring_counts.cache_info().misses == 2
     assert _order_counts.cache_info().misses == 3
+    assert _sink_counts.cache_info().misses == 1
 
 
 def test_the_hook_walk_of_k8_holds_one_entry_per_composition_and_descent_count():
     # Every orientation of K8 has one sink, so the hook walk meets all 8!
-    # orders; it keeps one entry per (composition, descents, sinks), not
-    # one per orientation.
+    # orders; it keeps one entry per (composition, descents), not one per
+    # orientation.
     g = complete_graph(8)
     entries = _orientation_compositions(g, None, hooks=True)
     assert len(entries) <= (g.m + 1) * 2 ** (g.n - 1)
@@ -332,6 +345,24 @@ def test_sink_profile_matches_the_mask_scan_on_every_small_graph(n):
 def test_sink_profile_matches_the_mask_scan_on_seeded_graphs():
     for g in seeded_graphs(60, seed=12):
         assert sink_profile(g).counts == sink_counts_scan(g)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_sink_counts_match_the_scan_on_every_small_graph(n):
+    # by (sinks, descents), under the identity and the reversed labeling
+    for g in all_graphs(n):
+        for zeta in _zetas(n):
+            assert _sink_counts(g, tuple(_below(g, zeta))) == sink_descent_counts_scan(g, zeta)
+
+
+def test_sink_counts_match_the_scan_on_seeded_graphs_under_random_labelings():
+    # the graphs on 8 vertices take the kernel's own memo, not the store
+    rng = Random(27)
+    graphs = list(seeded_graphs(24, seed=27))
+    assert {g.n for g in graphs} == {6, 7, 8}
+    for g in graphs:
+        zeta = _zetas(g.n, rng)[2]
+        assert _sink_counts(g, tuple(_below(g, zeta))) == sink_descent_counts_scan(g, zeta)
 
 
 @pytest.mark.parametrize("g, count", [(complete_graph(7), 5040), (path_graph(12), 2**11)])
@@ -596,15 +627,16 @@ def test_shared_route_values_are_read_only_and_pickle():
             copy.coeffs[(4,)] = 7
 
 
-def test_csf_schur_hands_out_a_fresh_dict():
+def test_csf_schur_hands_out_one_read_only_mapping_per_graph():
     g = path_graph(4)
     first = csf_schur(g)
     expected = dict(first)
-    first[(2, 2)] += 100
-    first[(9,)] = 1
-    del first[(1, 1, 1, 1)]
-    second = csf_schur(g)
-    assert second == expected and second is not first
+    with pytest.raises(TypeError):
+        first[(9,)] = 1
+    with pytest.raises(TypeError):
+        del first[(1, 1, 1, 1)]
+    second = csf_schur(Graph(4, [(3, 4), (1, 2), (2, 3)]))
+    assert second is first and second == expected
 
 
 @pytest.mark.parametrize("n", range(1, 5))

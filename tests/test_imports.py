@@ -131,16 +131,9 @@ PUBLIC_API = {
     "acyclic_orientations": "the binding perfbench/shim.py wraps",
     "is_claw_free": "the claw-free graphs of the positivity survey (ROADMAP item 8)",
     "incomparability_graph": "the graph whose X_G ptableaux reads for a poset; the check keys it as an int",
-    "count_p_tableaux_hook": "the tableau side of the hook proposition at one arm length k",
     "hook_coefficient_via_sinks": "the sink route at one k; perfbench/shim.py wraps it to count orientations",
     "Graph.neighbors": "the neighbours of one vertex as numbers, for is_claw_free and library users",
-    "Orientation.reverse": "the reversed orientation; its descents complement the original's",
-    "Poset.less": "the order relation between two elements, by number",
-    "Poset.incomparable": "the incomparability relation between two elements, by number",
     "SinkProfile.total": "the number of acyclic orientations; perfbench/shim.py reads it",
-    "TPoly.t_power": "the constructor of c t^k",
-    "TPoly.degree": "the degree of a t-polynomial, -1 for zero",
-    "TPoly.is_zero": "whether a t-polynomial is zero, by name",
 }
 
 

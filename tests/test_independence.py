@@ -76,18 +76,11 @@ ALLOWED = {
 }
 
 # What two values of a check share outside ALLOWED today; every other pair
-# shares nothing.  ROADMAP items 3 and 7 give each pair a route of its own.
+# shares nothing.  ROADMAP item 7 gives this pair a route of its own.
 KNOWN_SHARING = {
-    # both read the hook walk over vertex orders
-    ("hook-t", "f_expansion", "orientation_sum"): {
-        "chromatic._orientation_compositions",
-        "chromatic._order_counts",
-        "chromatic._order_counts.rec",
-    },
     # kostka reads back the expansion that schur reads: it checks m_to_s
     ("hook-1", "schur", "kostka"): {
         "chromatic.csf_schur",
-        "chromatic._schur_terms",
         "chromatic.csf_monomial",
         "graphs.stable_partitions_by_type",
         "graphs.stable_partitions_by_type.g",
@@ -219,18 +212,23 @@ def test_every_allowed_helper_is_a_function_that_two_values_share(values):
     assert set(ALLOWED) - set().union(*(a & b for a, b in pairs)) == set()
 
 
-# A reader replaced by one that gives the right values through the other
-# route's kernel: the sink counts read back from the e-expansion, and the
-# coloring route's hook polynomials read off the walk.
+# Readers replaced by ones that give the right values through another
+# route's kernel, until every two values of the check share one: the sink
+# counts read back from the e-expansion, and the coloring route's and the
+# sink kernel's hook polynomials both read off the walk.
 CROSSED = {
-    "e-sink": ("orientations_by_sinks", lambda graph: chromatic.e_sums_by_length(graph)),
-    "hook-t": ("hook_coefficients_via_colorings_t", lambda *args: chromatic.hook_coefficients_via_extensions_t(*args)),
+    "e-sink": [("orientations_by_sinks", lambda graph: chromatic.e_sums_by_length(graph))],
+    "hook-t": [
+        ("hook_coefficients_via_colorings_t", lambda *args: chromatic.hook_coefficients_via_extensions_t(*args)),
+        ("hook_coefficients_via_orientations_t", lambda *args: chromatic.hook_coefficients_via_extensions_t(*args)),
+    ],
 }
 
 
 @pytest.mark.parametrize("check", sorted(CROSSED))
 def test_the_gate_fails_when_a_reader_calls_the_other_routes_kernel(monkeypatch, check):
-    monkeypatch.setattr(chromatic, *CROSSED[check])
+    for name, reader in CROSSED[check]:
+        monkeypatch.setattr(chromatic, name, reader)
     problems = gate_failures(traced_values())
     assert problems
     assert all(problem.startswith(check) for problem in problems)

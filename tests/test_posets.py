@@ -13,12 +13,12 @@ from chromsym.posets import (
     _incomparability_bits,
     _schur_hooks,
     all_posets,
-    count_p_tableaux_hook,
+    count_p_tableaux_hooks,
     incomparability_graph,
     parse_poset_text,
 )
 
-from oracles import all_posets_scan, count_p_tableaux_hook_brute
+from oracles import all_posets_scan, count_p_tableaux_hook_brute, incomparable, less
 
 CHAIN3 = Poset.from_covers(3, [[1, 2], [2, 3]])
 ANTICHAIN3 = Poset(3, (0, 0, 0))
@@ -32,8 +32,8 @@ def hook_proposition_rows(poset):
 
 
 def test_from_covers_takes_the_transitive_closure():
-    assert CHAIN3.less(1, 3)
-    assert not CHAIN3.less(3, 1)
+    assert less(CHAIN3, 1, 3)
+    assert not less(CHAIN3, 3, 1)
     assert CHAIN3.above == (0b110, 0b100, 0)
 
 
@@ -81,9 +81,9 @@ def test_from_covers_rejects_covers_that_are_not_pairs(cover, shown):
 
 
 def test_incomparable():
-    assert CHAIN_PLUS_FREE.incomparable(1, 4)
-    assert not CHAIN_PLUS_FREE.incomparable(1, 3)
-    assert not CHAIN_PLUS_FREE.incomparable(2, 2)
+    assert incomparable(CHAIN_PLUS_FREE, 1, 4)
+    assert not incomparable(CHAIN_PLUS_FREE, 1, 3)
+    assert not incomparable(CHAIN_PLUS_FREE, 2, 2)
 
 
 def test_incomparability_graph_examples():
@@ -100,38 +100,32 @@ def test_incomparability_graph_of_chain_plus_free_element_is_a_claw():
 
 
 def test_tableau_counts_for_the_3_chain():
-    assert count_p_tableaux_hook(CHAIN3, 3) == 1
-    assert count_p_tableaux_hook(CHAIN3, 2) == 2
-    assert count_p_tableaux_hook(CHAIN3, 1) == 1
-    with pytest.raises(ValueError):
-        count_p_tableaux_hook(CHAIN3, 4)
+    assert count_p_tableaux_hooks(CHAIN3) == (1, 2, 1)  # k = 1, 2, 3; none for k = 4
 
 
 def test_tableau_counts_for_the_3_antichain():
-    assert count_p_tableaux_hook(ANTICHAIN3, 1) == 6
-    assert count_p_tableaux_hook(ANTICHAIN3, 2) == 0
-    assert count_p_tableaux_hook(ANTICHAIN3, 3) == 0
+    assert count_p_tableaux_hooks(ANTICHAIN3) == (6, 0, 0)
 
 
 def test_tableau_counts_for_chain_plus_free_element():
-    counts = [count_p_tableaux_hook(CHAIN_PLUS_FREE, k) for k in (1, 2, 3, 4)]
-    assert counts == [8, 5, 1, 0]
+    assert count_p_tableaux_hooks(CHAIN_PLUS_FREE) == (8, 5, 1, 0)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_tableau_counts_match_the_permutation_oracle(n):
     for poset in all_posets(n):
         def column_ok(lower, upper):
-            return not poset.less(upper, lower)
+            return not less(poset, upper, lower)
 
+        counts = count_p_tableaux_hooks(poset)
         for k in range(1, n + 1):
-            assert count_p_tableaux_hook(poset, k) == count_p_tableaux_hook_brute(poset, k, column_ok)
+            assert counts[k - 1] == count_p_tableaux_hook_brute(poset, k, column_ok)
 
 
 def test_mirrored_column_rule_is_ruled_out_by_the_identity():
     # the mirrored reading undercounts shape (2,1,1) on the claw poset
     def mirrored(lower, upper):
-        return not CHAIN_PLUS_FREE.less(lower, upper)
+        return not less(CHAIN_PLUS_FREE, lower, upper)
 
     counts = {k: count_p_tableaux_hook_brute(CHAIN_PLUS_FREE, k, mirrored) for k in range(1, 5)}
     assert counts[2] == 4
@@ -140,9 +134,9 @@ def test_mirrored_column_rule_is_ruled_out_by_the_identity():
 
 
 def test_top_arm_counts_chains_covering_everything():
-    assert count_p_tableaux_hook(CHAIN3, 3) == 1
-    assert count_p_tableaux_hook(ANTICHAIN3, 3) == 0
-    assert count_p_tableaux_hook(CHAIN_PLUS_FREE, 4) == 0
+    assert count_p_tableaux_hooks(CHAIN3)[-1] == 1
+    assert count_p_tableaux_hooks(ANTICHAIN3)[-1] == 0
+    assert count_p_tableaux_hooks(CHAIN_PLUS_FREE)[-1] == 0
 
 
 def test_verify_hook_proposition_examples():
@@ -178,7 +172,7 @@ def test_built_incomparability_graphs_equal_validated_ones(n):
     # incomparability_graph skips the checks of Graph(n, edges)
     for poset in all_posets(n):
         built = incomparability_graph(poset)
-        validated = Graph(n, [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if poset.incomparable(a, b)])
+        validated = Graph(n, [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if incomparable(poset, a, b)])
         assert built == validated
         assert hash(built) == hash(validated)
         assert built.edges == validated.edges
@@ -190,9 +184,9 @@ def test_hook_proposition_rows_match_the_schur_expansion_of_each_poset(n):
     # the Schur side comes from a memo shared by posets with one
     # incomparability graph; each poset is checked against its own expansion
     for poset in all_posets(n):
-        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if poset.incomparable(a, b)]
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if incomparable(poset, a, b)]
         schur = csf_schur(Graph(n, pairs))
-        counts = [count_p_tableaux_hook(poset, k) for k in range(1, n + 1)]
+        counts = count_p_tableaux_hooks(poset)
         expected = [(k, counts[k - 1], schur.get(hook_partition(n, k), 0)) for k in range(1, n + 1)]
         assert hook_proposition_rows(poset) == expected
 

@@ -1,11 +1,11 @@
 """The kernel stores never change an answer.
 
 ``posets._LEGS`` holds column fillings by induced sub-order,
-``chromatic._STATES`` the coloring pass's states by induced, oriented
-subgraph, ``graphs._PARTITION_STATES`` the stable-partition recursion's
-states and ``chromatic._SINK_STATES`` the sink DP's acyclic-orientation
-counts, both by induced subgraph; every case a process runs shares them.
-Each test runs
+``chromatic._STATES`` the coloring pass's states and
+``chromatic._SINK_STATES`` the sink kernel's descent polynomials of the
+acyclic orientations, both by induced, oriented subgraph, and
+``graphs._PARTITION_STATES`` the stable-partition recursion's states by
+induced subgraph; every case a process runs shares them.  Each test runs
 a kernel over many cases with its store emptied before every case, shared
 from empty, warmed by a first pass, or capped low so that it is cleared
 between cases, in order, reversed and with the sizes interleaved, and
@@ -20,17 +20,19 @@ from random import Random
 import pytest
 
 from chromsym import chromatic, cli, graphs, posets, symfunc
-from chromsym.chromatic import _coloring_counts, _schur_terms, csf_monomial, sink_profile
-from chromsym.graphs import Labeling, complete_graph, path_graph, stable_partitions_by_type
+from chromsym.chromatic import _below, _coloring_counts, _sink_counts, csf_monomial, csf_schur, sink_profile
+from chromsym.graphs import Graph, Labeling, complete_graph, path_graph, stable_partitions_by_type
 from chromsym.posets import Poset, _hook_tableau_counts, all_posets
 from oracles import (
     all_graphs,
     coloring_profile_pruned,
     count_p_tableaux_hook_brute,
     hook_tableau_counts_per_poset,
+    less,
     seeded_graphs,
     seeded_relations,
     sink_counts_scan,
+    sink_descent_counts_scan,
     stable_partitions_recursive,
 )
 from test_chromatic import _assert_coloring_profile_matches
@@ -78,7 +80,7 @@ def _seeded_posets(sizes=(6, 7)):
 
 def _brute_counts(poset) -> list[int]:
     def column_ok(lower, upper):
-        return not poset.less(upper, lower)
+        return not less(poset, upper, lower)
 
     return [0] + [count_p_tableaux_hook_brute(poset, k, column_ok) for k in range(1, poset.n + 1)]
 
@@ -240,6 +242,7 @@ def _check_partitions(g):
 
 def _check_sinks(g):
     sink_profile.cache_clear()
+    _sink_counts.cache_clear()  # every call runs the kernel, not its lru_cache
     assert sink_profile(g).counts == _subset_dp_oracles()[g][1]
 
 
@@ -292,13 +295,28 @@ def test_graphs_above_seven_vertices_leave_the_partition_and_sink_stores_empty(m
     assert graphs._PARTITION_STATES == {} and chromatic._SINK_STATES == {}
 
 
+def test_two_labelings_that_orient_a_subgraph_differently_keep_two_sink_states(monkeypatch):
+    # one edge and an isolated vertex: the reversed labeling turns the edge
+    # of {1, 2} round and orients no other proper subset differently
+    store = _CountingStore()
+    monkeypatch.setattr(chromatic, "_SINK_STATES", store)
+    g = Graph(3, [(1, 2)])
+    for zeta in (None, Labeling((3, 2, 1))):
+        _sink_counts.cache_clear()
+        assert _sink_counts(g, tuple(_below(g, zeta))) == sink_descent_counts_scan(g, zeta)
+    # the 6 nonempty proper subsets, and {1, 2} once more, oriented the other way
+    assert len(store) == len(store.writes) == 7
+    assert set(store.writes.values()) == {1}
+
+
 def test_a_sweep_of_five_vertices_computes_each_partition_and_sink_state_once(monkeypatch):
     partitions, sinks = _CountingStore(), _CountingStore()
     monkeypatch.setattr(graphs, "_PARTITION_STATES", partitions)
     monkeypatch.setattr(chromatic, "_SINK_STATES", sinks)
     csf_monomial.cache_clear()  # the sweep reaches the partition DP through it
     sink_profile.cache_clear()
-    assert list(cli._sweep_results(5, ("hook-1", "e-sink"), 1)) == [[]] * 1024
+    _sink_counts.cache_clear()
+    assert list(cli._sweep_results(5, ("hook-1", "e-sink", "hook-t"), 1)) == [[]] * 1024
     # The recursion removes a block holding the lowest vertex first, so the
     # proper sets it reaches are the ones without vertex 1: their
     # 1 + 4 + 6·2 + 4·8 + 64 = 113 induced subgraphs, each computed once.
@@ -306,7 +324,9 @@ def test_a_sweep_of_five_vertices_computes_each_partition_and_sink_state_once(mo
     assert set(partitions.writes.values()) == {1}
     assert all(not key & 1 for key in partitions)  # bit 0·5 + 0: vertex 1
     _assert_partition_states_are_immutable(partitions)
-    # The sink DP visits every set: the 425 nonempty proper induced subgraphs.
+    # The sink kernel visits every set: the 425 nonempty proper induced
+    # subgraphs, each oriented by index, as the sweep labels every graph;
+    # hook-1, e-sink and hook-t's orientation sum read one kernel call.
     assert len(sinks) == len(sinks.writes) == 425
     assert set(sinks.writes.values()) == {1}
     _assert_sink_states_are_ints(sinks)
@@ -324,6 +344,6 @@ def test_a_sweep_of_five_vertices_expands_each_graph_in_schur_functions_once(mon
 
     monkeypatch.setattr(chromatic, "m_to_s", counted)
     monkeypatch.setattr(symfunc, "m_to_s", counted)  # the binding m_to_e reads
-    _schur_terms.cache_clear()
+    csf_schur.cache_clear()
     assert list(cli._sweep_results(5, ("hook-1", "e-sink"), 1)) == [[]] * 1024
     assert len(calls) == 1024  # hook-1 and e-sink read one cached expansion
