@@ -5,32 +5,36 @@ The same quantities are reachable along two independent routes:
 * colorings: monomial coordinates from stable partitions and the Schur
   coefficients from an exact basis change, each computed once per graph;
   the quasisymmetric refinement and the chromatic polynomial's
-  enumeration side come from ``_coloring_profile``, one ascending pass
+  enumeration side come from ``_coloring_counts``, one ascending pass
   over the vertex sets that adds one stable color class at a time and
   counts colorings per distinct (composition, ascents) pair, never one
-  coloring at a time; on graphs of sweep size its states are stored per
-  induced subgraph and shared;
+  coloring at a time, each pair packed into one int key; on graphs of
+  sweep size its states are stored per induced subgraph and shared;
 * orientations: acyclic orientations weighted by sinks and descents,
   assembled into fundamental coordinates through linear extensions.  One
-  sink kernel, ``_sink_counts``, counts the orientations by (sinks,
+  sink kernel, ``_sink_polys``, counts the orientations by (sinks,
   descents) with a 3^n subset sum over the induced subgraphs, without
-  listing one; ``sink_profile`` is its t = 1 sum, and on graphs of sweep
-  size its counts go to a store of their own.  One
+  listing one, each count of one sink number packed into one int;
+  ``sink_profile`` is its t = 1 sum, and on graphs of sweep size its
+  counts go to a store of their own.  One
   recursion over vertex orders, in ``_order_counts``, meets every
-  (orientation, linear extension) pair once and tallies it in place: an
-  order is an extension of the one orientation whose arcs run from its
-  earlier to its later ends.  It places vertices from the last position
-  to the first and labels them by height, so each order's descents, and
-  the orientation's descents under the labeling, are known as it is
-  built; in its hook mode it meets only the extensions whose descent
-  composition is a hook, 2^(sinks - 1) per orientation instead of all n!
-  orders.  ``dual_linear_extensions`` lists the extensions of one given
-  orientation with a recursion of its own.
+  (orientation, linear extension) pair once and tallies it in place by
+  (descent mask, descents): an order is an extension of the one
+  orientation whose arcs run from its earlier to its later ends.  It
+  places vertices from the last position to the first and labels them by
+  height, so each order's descents, and the orientation's descents under
+  the labeling, are known as it is built; in its hook mode it meets only
+  the extensions whose descent composition is a hook, 2^(sinks - 1) per
+  orientation instead of all n! orders.  ``dual_linear_extensions`` lists
+  the extensions of one given orientation with a recursion of its own.
 
 The kernels read the labeling only through the orientation it induces
-on the edges, and are cached on that.  ``hook-t`` reads its three values
-off the walk, the sink kernel and the coloring pass at the hooks alone,
-with no quasisymmetric map built.
+on the edges, and are cached on that.  The readers project the kernels'
+packed counts: ``hook-t`` reads its three values off the walk's descent
+masks, the sink kernel's packed polynomials and the coloring pass's keys
+at the hooks alone, with no quasisymmetric map built, and ``chrompoly``
+reads the number of color classes off the keys.  Only ``cqf`` decodes
+compositions, in ``_coloring_profile`` and ``_orientation_compositions``.
 Hook coefficients computed both ways must agree, which is what the
 ``verify``/``sweep`` commands and the test suite exercise exhaustively
 at small vertex counts.
@@ -41,6 +45,7 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import lru_cache
 from math import factorial
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
@@ -177,19 +182,43 @@ def sink_profile(graph: Graph) -> SinkProfile:
     return SinkProfile(tuple(counts.items()))
 
 
+def _sink_counts(graph: Graph, below: tuple[int, ...]) -> tuple[tuple[tuple[int, int], int], ...]:
+    """((sinks, descents), orientations) over the acyclic orientations, one
+    entry per distinct pair, ascending; a descent is an arc u -> v with v in
+    below[u], as ``_below`` gives it.  Read off ``_sink_polys``: the
+    histogram is P(y - 1; t), by Taylor shift."""
+    width, p = _sink_polys(graph, below)
+    p = list(p)
+    for i in range(graph.n):
+        for j in range(graph.n - 1, i - 1, -1):
+            p[j] -= p[j + 1]
+    return tuple(((s, d), c) for s, h in enumerate(p) for d, c in enumerate(_digits(h, width)) if c)
+
+
+def _digits(h: int, width: int) -> list[int]:
+    """The coefficients of a polynomial with coefficients in 0..2^width - 1
+    from its value at t = 2^width, lowest power first."""
+    digit, out = (1 << width) - 1, []
+    while h:
+        out.append(h & digit)
+        h >>= width
+    return out
+
+
 # a(U; t) of the vertex sets U of graphs with at most _STORED_N vertices, packed
-# as in _sink_counts, keyed by the induced subgraph with its orientation and
+# as in _sink_polys, keyed by the induced subgraph with its orientation and
 # shared by every such graph of the process; values are ints.  Cleared on
-# entry to _sink_counts once it holds more than _SINK_STATES_CAP.
+# entry to _sink_polys once it holds more than _SINK_STATES_CAP.
 _SINK_STATES: dict[int, int] = {}
 _SINK_STATES_CAP = 1 << 13
 
 
 @lru_cache(maxsize=4)
-def _sink_counts(graph: Graph, below: tuple[int, ...]) -> tuple[tuple[tuple[int, int], int], ...]:
-    """((sinks, descents), orientations) over the acyclic orientations, one
-    entry per distinct pair, ascending; a descent is an arc u -> v with v in
-    below[u], as ``_below`` gives it.
+def _sink_polys(graph: Graph, below: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(w, P) with P[j] the sum over the acyclic orientations O of
+    C(sinks(O), j) t^descents(O) at t = 2^w, for j in 0..n: the
+    coefficients of P(y; t) = sum over O of (1 + y)^sinks(O) t^descents(O).
+    A descent is an arc u -> v with v in below[u], as ``_below`` gives it.
 
     No orientation is listed.  With a(U; t) the descent polynomial of the
     acyclic orientations of the induced subgraph G[U], sink removal gives
@@ -202,16 +231,17 @@ def _sink_counts(graph: Graph, below: tuple[int, ...]) -> tuple[tuple[tuple[int,
     the empty one included,
       P(y; t) = sum_T y^|T| t^d(T, V - T) a(V - T; t)
               = sum over orientations O of (1 + y)^sinks(O) t^descents(O),
-    so the histogram is read off P(y - 1; t).  This is the 3^n subset-sum
-    scheme of Bjorklund, Husfeldt and Koivisto, "Set partitioning via
-    inclusion-exclusion" (SIAM J. Comput. 2009).  Each a(U; t) is one int,
-    the polynomial at t = 2^w, with w bits per power of t: a power of t is
-    a shift, and since every coefficient of the histogram lies in 0..n!,
-    w = n!.bit_length() reads it back exactly however the signed terms
-    before it carried.  w depends on n alone, so on graphs of at most
+    and the sink histogram is read off P(y - 1; t).  This is the 3^n
+    subset-sum scheme of Bjorklund, Husfeldt and Koivisto, "Set partitioning
+    via inclusion-exclusion" (SIAM J. Comput. 2009).  Each a(U; t) is one
+    int, the polynomial at t = 2^w, with w bits per power of t: a power of t
+    is a shift, and since every coefficient that a reader decodes lies in
+    0..n!, w = n!.bit_length() reads it back exactly however the signed
+    terms before it carried.  w depends on n alone, so on graphs of at most
     ``_STORED_N`` vertices the values of the proper subsets are kept in
     ``_SINK_STATES``, keyed by the oriented induced subgraph, and shared by
-    every graph; the whole graph's is met once, last.
+    every graph.  The whole graph's, a(V; t) = P(0; t), is not summed
+    itself: P(-1; t) = 0 gives it from the other coefficients.
     """
     n = graph.n
     adj = graph.adjacency_masks()
@@ -235,7 +265,7 @@ def _sink_counts(graph: Graph, below: tuple[int, ...]) -> tuple[tuple[tuple[int,
     store, rel, sets = _shared_states(_SINK_STATES, _SINK_STATES_CAP, _transpose(below))  # bit a·n + b: a below b
     keys = [rel & mask for mask in sets]
     a = [1] * (full + 1)
-    for u in range(1, full + 1):
+    for u in range(1, full):  # the proper subsets
         total = store.get(keys[u])
         if total is None:
             total, t, up = 0, u, ends[u]  # T is stable: no edge of T ends in T
@@ -244,24 +274,15 @@ def _sink_counts(graph: Graph, below: tuple[int, ...]) -> tuple[tuple[tuple[int,
                     term = a[u ^ t] << width * (starts[t] & up).bit_count()
                     total += term if t.bit_count() & 1 else -term
                 t = (t - 1) & u
-            if u != full:
-                store[keys[u]] = total
+            store[keys[u]] = total
         a[u] = total
     p = [0] * (n + 1)  # coefficients of P(y; t)
-    for t in range(full + 1):
-        if stable[t]:
-            p[t.bit_count()] += a[full ^ t] << width * (starts[t] & ends[full]).bit_count()
-    for i in range(n):  # P(y - 1; t), by Taylor shift
-        for j in range(n - 1, i - 1, -1):
-            p[j] -= p[j + 1]
-    digit, counts = (1 << width) - 1, []
-    for s, h in enumerate(p):
-        d = 0
-        while h:
-            if h & digit:
-                counts.append(((s, d), h & digit))
-            h, d = h >> width, d + 1
-    return tuple(counts)
+    for t in range(1, full + 1):
+        if stable[t]:  # every edge leaving T ends in V - T
+            p[t.bit_count()] += a[full ^ t] << width * starts[t].bit_count()
+    # P(-1; t) counts the orientations with no sink: none, unless n = 0
+    p[0] = sum(p[j] if j & 1 else -p[j] for j in range(1, n + 1)) if n else 1
+    return width, tuple(p)
 
 
 def orientations_by_sinks(graph: Graph) -> tuple[int, ...]:
@@ -294,11 +315,13 @@ def chromatic_polynomial_via_specialization(graph: Graph) -> tuple[int, ...]:
 def chromatic_polynomial_via_colorings(graph: Graph) -> tuple[int, ...]:
     """Entry k counts the proper colorings with at most k colors, for k in
     0..n, by enumeration: a coloring onto the colors 1..j stands for the
-    C(k, j) ways to choose its j colors.  No stable partition is used."""
+    C(k, j) ways to choose its j colors.  No stable partition is used: j is
+    the number of partial sums that a key of ``_coloring_counts`` holds."""
+    width, keys, counts = _coloring_counts(graph, tuple(_below(graph, None)))
     by_size = [0] * (graph.n + 1)  # by_size[j]: the colorings onto 1..j
-    for (comp, _), count in _coloring_profile(graph, None):
-        by_size[len(comp)] += count
-    return tuple(sum(count * c for count, c in zip(by_size, row)) for row in _binomials(graph.n))
+    for key, count in zip(keys, counts):
+        by_size[(key >> width).bit_count()] += count
+    return tuple(sum(map(mul, by_size, row)) for row in _binomials(graph.n))
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +348,12 @@ def _coloring_profile(graph: Graph, zeta: Labeling | None) -> tuple[tuple[tuple[
     distinct pair, ascending in (descent mask of the composition, ascents).
     An ascent is an edge whose end with the smaller label under zeta (the
     smaller index when zeta is None) has the smaller color, so the profile
-    depends on zeta only through the orientation it induces, and is cached
-    on that."""
-    return _coloring_counts(graph, tuple(_below(graph, zeta)))
+    depends on zeta only through the orientation it induces.  Decoded from
+    the keys of ``_coloring_counts``, which is cached on that."""
+    width, keys, counts = _coloring_counts(graph, tuple(_below(graph, zeta)))
+    table = _compositions_by_mask(graph.n)
+    low, asc = len(table) - 1, (1 << width) - 1  # the partial sum n is dropped
+    return tuple(((table[key >> width & low], key & asc), count) for key, count in sorted(zip(keys, counts)))
 
 
 # States of the vertex sets of graphs with at most _STORED_N vertices, keyed
@@ -339,20 +365,22 @@ _STATES_CAP = 1 << 13
 
 
 @lru_cache(maxsize=4)
-def _coloring_counts(graph: Graph, below: tuple[int, ...]) -> tuple:
-    """The profile of ``_coloring_profile`` under the labeling whose
-    ``_below`` is below.
+def _coloring_counts(graph: Graph, below: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(w, keys, counts): the colorings onto an initial segment 1..j under
+    the labeling whose ``_below`` is below, counted by one int key each:
+    the ascents in the low w bits, and bit w + p - 1 above them for each
+    partial sum p of the class-size composition, n included.  The keys are
+    distinct and in no fixed order.
 
     A coloring onto 1..j is a sequence of j nonempty stable color classes
     (Stanley 1995).  The state of a vertex set S counts the colorings of S
-    by one int key: the ascents in the low bits, and bit w + p - 1 above
-    them for each partial sum p of the composition.  One pass over the
-    sets in ascending order sums it over the last color class T, a
-    nonempty stable subset of S, from the state of S - T, met before S as
-    a smaller integer; its keys gain the partial sum |S| and the ascents
-    of the edges that run up the labeling from S - T into T.  The work is
-    one step per (S, T, key of S - T), however many colorings a key
-    counts.  The whole graph comes last, and its state is the result.
+    by such keys.  One pass over the sets in ascending order sums it over
+    the last color class T, a nonempty stable subset of S, from the state
+    of S - T, met before S as a smaller integer; its keys gain the partial
+    sum |S| and the ascents of the edges that run up the labeling from
+    S - T into T.  The work is one step per (S, T, key of S - T), however
+    many colorings a key counts.  The whole graph comes last, and its state
+    is the result.
 
     The state of S depends only on the subgraph S induces and the
     orientation its edges get, so on graphs of at most ``_STORED_N``
@@ -399,9 +427,7 @@ def _coloring_counts(graph: Graph, below: tuple[int, ...]) -> tuple:
             sums[0] = 1  # the empty coloring
         if s != full:  # the whole graph's state is met once, last: not stored
             store[keys[s]] = (tuple(sums), tuple(sums.values()))
-    table = _compositions_by_mask(n)  # sums is the whole graph's state
-    low, asc = len(table) - 1, (1 << width) - 1  # the partial sum n is dropped
-    return tuple(((table[key >> width & low], key & asc), sums[key]) for key in sorted(sums))
+    return width, tuple(sums), tuple(sums.values())
 
 
 def cqf_monomial(graph: Graph, zeta: Labeling | None = None) -> QuasisymmetricM:
@@ -489,13 +515,15 @@ def _orientation_compositions(graph: Graph, zeta: Labeling | None, *, hooks: boo
     whose composition is a hook (k, 1^(n-k)) are walked: 2^(sinks - 1) per
     orientation, exactly one of them with k = 1.  The walk reads zeta only
     through the orientation it induces, and is cached on that."""
-    return _order_counts(graph, tuple(_below(graph, zeta)), hooks)
+    table, tally = _compositions_by_mask(graph.n), _order_counts(graph, tuple(_below(graph, zeta)), hooks)
+    return tuple(((table[des], down), count) for (des, down), count in tally)
 
 
 @lru_cache(maxsize=4)
-def _order_counts(graph: Graph, below: tuple[int, ...], hooks: bool) -> tuple:
+def _order_counts(graph: Graph, below: tuple[int, ...], hooks: bool) -> tuple[tuple[tuple[int, int], int], ...]:
     """The entries of ``_orientation_compositions`` under the labeling whose
-    ``_below`` is below.
+    ``_below`` is below, each composition given by its descent mask (bit
+    i - 1 for descent i), ascending.
 
     One recursion meets every order of the vertices once, each of them a
     linear extension of the orientation whose arcs run from the earlier to
@@ -506,8 +534,9 @@ def _order_counts(graph: Graph, below: tuple[int, ...], hooks: bool) -> tuple:
     bit n - 2 - i of des is set when the label at position i is larger than
     the one at i + 1.  With hooks, only the orders whose labels fall and then
     rise are met: read from the back, an ascent after a descent ends the
-    branch.  Placing position 0 completes an order, counted in
-    tally[des, down]."""
+    branch.  Placing position 1 leaves one vertex, u, for position 0: its
+    height, descent and falling arcs are read there and the order counted in
+    tally[des, down], with no call for position 0."""
     n = graph.n
     adj = graph.adjacency_masks()
     tally: defaultdict[tuple[int, int], int] = defaultdict(int)
@@ -517,7 +546,8 @@ def _order_counts(graph: Graph, below: tuple[int, ...], hooks: bool) -> tuple:
 
     def rec(placed: int, i: int, down: int, last: int, des: int, rise: int):
         top = height[last]
-        rest = full ^ placed
+        free = full ^ placed
+        rest = free
         while rest:
             low = rest & -rest
             rest ^= low
@@ -532,21 +562,33 @@ def _order_counts(graph: Graph, below: tuple[int, ...], hooks: bool) -> tuple:
             else:
                 fell = des
             arcs_down = down + (heads & below[v]).bit_count()
-            if i:
+            if i > 1:
                 height[v] = h
                 level[h] |= low
                 rec(placed | low, i - 1, arcs_down, v, fell, rise + (h == rise))
                 level[h] ^= low
-            else:
-                tally[fell, arcs_down] += 1
+                continue
+            ubit = free ^ low  # i == 1: u, the one vertex left, goes to position 0
+            u = ubit.bit_length() - 1
+            g, heads = rise, adj[u] & placed
+            while g and not heads & level[g - 1]:
+                g -= 1
+            if adj[u] & low:
+                heads |= low
+                if g <= h:
+                    g = h + 1
+            if g > h or g == h and u > v:
+                fell |= 1 << (n - 2)
+            elif hooks and fell:
+                continue
+            tally[fell, arcs_down + (heads & below[u]).bit_count()] += 1
 
-    if n:
+    if n > 1:
         rec(0, n - 1, 0, n, 0, 0)
     else:
-        tally[0, 0] = 1  # the empty order
+        tally[0, 0] = 1  # the empty order, or the one order of one vertex
     del rec  # rec refers to itself: break the cycle so the tables are freed at once
-    table = _compositions_by_mask(n)
-    return tuple(((table[des], down), tally[des, down]) for des, down in sorted(tally))
+    return tuple(sorted(tally.items()))
 
 
 def cqf_fundamental_via_orientations(graph: Graph, zeta: Labeling | None = None) -> QuasisymmetricF:
@@ -567,34 +609,32 @@ def hook_coefficients_via_extensions_t(graph: Graph, zeta: Labeling | None) -> t
     """Entry k - 1 is the coefficient of F_(k,1^(n-k)) in
     ``cqf_fundamental_via_orientations(graph, zeta)``, for k in 1..n, read
     from the hook walk, which meets only the orders of those compositions:
-    one pass bins its entries by (k, descents)."""
+    one pass bins its entries by (k, descents).  The hook (k, 1^(n-k)) has
+    the descents k..n-1, so k is one more than the lowest bit of its
+    descent mask, or n when the mask is empty."""
     n, m = graph.n, graph.m
     if not n:
         return ()
     arrays = [[0] * (m + 1) for _ in range(n)]  # arrays[k - 1][descents]
-    for (comp, des), count in _orientation_compositions(graph, zeta, hooks=True):
-        arrays[comp[0] - 1][des] += count
+    for (mask, des), count in _order_counts(graph, tuple(_below(graph, zeta)), True):
+        arrays[((mask & -mask).bit_length() or n) - 1][des] += count
     return tuple(TPoly._trusted(arr) for arr in arrays)
 
 
 def hook_coefficients_via_orientations_t(graph: Graph, zeta: Labeling | None) -> tuple[TPoly, ...]:
     """Entry k - 1 is the binomial-weighted descent generating polynomial
     over acyclic orientations, sum of C(sinks-1, k-1) t^(descents), for k in
-    1..n.  It bins the entries of the sink kernel, ``_sink_counts``, by
-    (sinks, descents); each bin then serves every k."""
-    n, m = graph.n, graph.m
-    bins = [[0] * (m + 1) for _ in range(n + 1)]  # bins[sinks][descents]
-    for (sinks, des), count in _sink_counts(graph, tuple(_below(graph, zeta))):
-        bins[sinks][des] = count
-    binom = _binomials(n)
-    polys = []
-    for k in range(n):
-        arr = [0] * (m + 1)
-        for s in range(k + 1, n + 1):
-            w = binom[s - 1][k]
-            arr = [a + w * count for a, count in zip(arr, bins[s])]
-        polys.append(TPoly._trusted(arr))
-    return tuple(polys)
+    1..n.  That is the coefficient of y^(k-1) in the sum over orientations
+    of (1 + y)^(sinks - 1) t^descents, which is P(y; t) / (1 + y) with P from
+    the sink kernel, ``_sink_polys``: every orientation has a sink.  The
+    division runs on P's packed ints, from the top coefficient down, and
+    each quotient coefficient is decoded once."""
+    width, p = _sink_polys(graph, tuple(_below(graph, zeta)))
+    quotient, h = [], 0
+    for j in range(graph.n, 0, -1):
+        h = p[j] - h
+        quotient.append(TPoly._trusted(_digits(h, width)))
+    return tuple(reversed(quotient))
 
 
 def hook_coefficients_via_colorings_t(graph: Graph, zeta: Labeling | None) -> tuple[TPoly, ...]:
@@ -603,14 +643,18 @@ def hook_coefficients_via_colorings_t(graph: Graph, zeta: Labeling | None) -> tu
     Moebius sum taken at the hooks only.  The descent set of a composition
     alpha lies within the hook's, {k..n-1}, exactly when alpha_1 >= k, so
         [F_(k,1^(n-k))] = sum over alpha_1 >= k of (-1)^(n-k+1-len(alpha)) c_alpha(t).
-    One pass over the coloring profile bins c_alpha (-1)^len(alpha) by
-    alpha_1; the sums over alpha_1 >= k then run from k = n down."""
+    One pass over the keys of ``_coloring_counts`` bins c_alpha
+    (-1)^len(alpha) by alpha_1, the lowest partial sum a key holds; the sums
+    over alpha_1 >= k then run from k = n down."""
     n, m = graph.n, graph.m
     if not n:
         return ()
+    width, keys, counts = _coloring_counts(graph, tuple(_below(graph, zeta)))
+    asc = (1 << width) - 1
     bins = [[0] * (m + 1) for _ in range(n + 1)]  # bins[alpha_1][ascents]
-    for (comp, asc), count in _coloring_profile(graph, zeta):
-        bins[comp[0]][asc] += -count if len(comp) & 1 else count
+    for key, count in zip(keys, counts):
+        sums = key >> width
+        bins[(sums & -sums).bit_length()][key & asc] += -count if sums.bit_count() & 1 else count
     polys = []
     acc = [0] * (m + 1)
     for k in range(n, 0, -1):

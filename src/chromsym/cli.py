@@ -129,10 +129,13 @@ def _resolve_labeling(args, loaded: Labeling | None, n: int) -> Labeling:
 
 
 def _load_bounded_graph(args):
+    if args.max_n < 0:
+        raise ValueError(f"--max-n must be at least 0, got {args.max_n}")
     loaded = load_graph(args.graph)
-    if loaded.graph.n > args.max_n:
+    n = loaded.graph.n
+    if n > args.max_n:
         raise ValueError(
-            f"graph has {loaded.graph.n} vertices, above the limit {args.max_n}; "
+            f"graph has {n} {'vertex' if n == 1 else 'vertices'}, above the limit {args.max_n}; "
             "raise it with --max-n"
         )
     return loaded

@@ -28,15 +28,12 @@ from chromsym import (
     conjugate,
     csf_monomial,
     csf_schur,
-    hook_coefficients_via_colorings_t,
-    hook_coefficients_via_extensions_t,
     hook_partition,
     kostka,
     partition_of,
     partitions_of,
     sink_profile,
 )
-from chromsym.chromatic import _coloring_profile
 from chromsym.partitions import check_composition, check_partition, multiplicities
 from chromsym.symfunc import _schur_h_table
 
@@ -272,14 +269,22 @@ def chromatic_polynomial_value(graph: Graph, k: int) -> int:
 
 def chromatic_polynomial_by_colorings(graph: Graph, k: int) -> int:
     """Number of proper colorings with at most k colors, by enumeration:
-    a coloring onto the colors 1..j stands for the C(k, j) ways to choose
-    its j colors.  No stable partition is used."""
+    a coloring onto the colors 1..j, as the pruned recursion lists it,
+    stands for the C(k, j) ways to choose its j colors.  No stable
+    partition and no library kernel is used."""
     if k < 0:
         raise ValueError("k must be nonnegative")
+    return sum(count * comb(k, j) for j, count in enumerate(colorings_by_class_count(graph)))
+
+
+@lru_cache(maxsize=64)
+def colorings_by_class_count(graph: Graph) -> tuple[int, ...]:
+    """Entry j counts the proper colorings onto the colors 1..j, for j in
+    0..n, from ``coloring_profile_pruned``."""
     by_size = [0] * (graph.n + 1)
-    for (comp, _), count in _coloring_profile(graph, None):
+    for (comp, _), count in coloring_profile_pruned(graph):
         by_size[len(comp)] += count
-    return sum(count * comb(k, j) for j, count in enumerate(by_size))
+    return tuple(by_size)
 
 
 # ---------------------------------------------------------------------------
@@ -292,18 +297,45 @@ def sink_hook_coefficient(graph: Graph, k: int) -> int:
     return sum(comb(j - 1, k - 1) * a for j, a in sink_profile(graph).counts)
 
 
-def orientation_hook_polys(graph: Graph, zeta) -> tuple[TPoly, ...]:
-    """Entry k - 1 is the sum over acyclic orientations of C(sinks - 1,
-    k - 1) t^(descents), for k in 1..n, the orientations found by the mask
-    scan."""
-    counts = sink_descent_counts_scan(graph, zeta)
-    polys = []
-    for k in range(1, graph.n + 1):
-        coeffs = [0] * (graph.m + 1)
-        for (sinks, des), count in counts:
-            coeffs[des] += comb(sinks - 1, k - 1) * count
-        polys.append(TPoly(coeffs))
-    return tuple(polys)
+def orientation_hook_rows(graph: Graph, zeta) -> list[tuple[TPoly, TPoly]]:
+    """Entry k - 1 pairs two sums over the acyclic orientations that the
+    mask scan finds, each term t^(descents under zeta), for k in 1..n: the
+    number of the orientation's linear extensions whose reflected descent
+    set under the sink-minimal labels is {k, ..., n - 1}, that is, whose
+    composition is the hook (k, 1^(n-k)); and C(sinks - 1, k - 1)."""
+    n, m = graph.n, graph.m
+    if not n:
+        return []
+    walked = [[0] * (m + 1) for _ in range(n)]
+    summed = [[0] * (m + 1) for _ in range(n)]
+    for mask, out in acyclic_orientations_scan(graph):
+        des = scan_descents(out, zeta)
+        sinks = out.count(0)
+        for k in range(1, sinks + 1):
+            summed[k - 1][des] += comb(sinks - 1, k - 1)
+        o = Orientation.from_mask(graph, mask)
+        for word in extension_words(o, sink_minimal_labels(o)):
+            reflected = {n - i for i in descent_set(word)}
+            k = min(reflected, default=n)
+            if reflected == set(range(k, n)):
+                walked[k - 1][des] += 1
+    return [(TPoly(a), TPoly(b)) for a, b in zip(walked, summed)]
+
+
+def coloring_hook_polys(graph: Graph, zeta) -> list[TPoly]:
+    """Entry k - 1 is the coefficient of F_(k,1^(n-k)) in the fundamental
+    expansion of X_G(x, t), for k in 1..n, by signed refinement of the
+    monomial coordinates that the pruned coloring recursion counts."""
+    n = graph.n
+    label = zeta.labels if zeta is not None else range(1, n + 1)
+    acc: dict[tuple[int, ...], list[int]] = {}
+    for (comp, bits), count in coloring_profile_pruned(graph):
+        # bit e: edge e runs from its lower color to its higher one, along
+        # its canonical (low -> high vertex) direction
+        asc = sum((bits >> e & 1) == (label[a - 1] < label[b - 1]) for e, (a, b) in enumerate(graph.edges))
+        acc.setdefault(comp, [0] * (graph.m + 1))[asc] += count
+    converted = qsym_M_to_F_by_refinement(QuasisymmetricM(n, {comp: TPoly(c) for comp, c in acc.items()}))
+    return [hook_coefficient_of_F(converted, k) for k in range(1, n + 1)]
 
 
 def s_to_e_by_conjugates(n: int, schur: dict) -> dict[tuple[int, ...], int]:
@@ -329,14 +361,12 @@ def hook_1_rows(graph: Graph) -> list[tuple]:
 
 
 def hook_t_rows(graph: Graph, zeta) -> list[tuple]:
-    return list(
-        zip(
-            range(1, graph.n + 1),
-            hook_coefficients_via_extensions_t(graph, zeta),
-            orientation_hook_polys(graph, zeta),
-            hook_coefficients_via_colorings_t(graph, zeta),
-        )
-    )
+    """Each value from an oracle that shares no kernel with the library's
+    reader: the walk's value from the extension words of the scanned
+    orientations, the sink sum from the same scan, and the coloring route's
+    from the pruned coloring recursion."""
+    rows = zip(orientation_hook_rows(graph, zeta), coloring_hook_polys(graph, zeta))
+    return [(k, walked, summed, colored) for k, ((walked, summed), colored) in enumerate(rows, 1)]
 
 
 def e_sink_rows(graph: Graph) -> list[tuple]:
@@ -816,16 +846,21 @@ def sink_counts_scan(graph: Graph) -> tuple[tuple[int, int], ...]:
     return sink_histogram(acyclic_orientations_scan(graph))
 
 
+def scan_descents(out, zeta) -> int:
+    """The arcs u -> v of the out-neighbour masks out with v labeled below
+    u by zeta, or by index when zeta is None."""
+    n = len(out)
+    label = zeta.labels if zeta is not None else range(1, n + 1)
+    return sum(label[v] < label[u] for u in range(n) for v in range(n) if out[u] >> v & 1)
+
+
 def sink_descent_counts_scan(graph: Graph, zeta) -> tuple[tuple[tuple[int, int], int], ...]:
     """((sinks, descents), orientations) over the mask scan, ascending; a
     descent is an arc u -> v with v labeled below u by zeta, or by index
     when zeta is None."""
-    n = graph.n
-    label = zeta.labels if zeta is not None else range(1, n + 1)
     counts: Counter = Counter()
     for _, out in acyclic_orientations_scan(graph):
-        des = sum(label[v] < label[u] for u in range(n) for v in range(n) if out[u] >> v & 1)
-        counts[out.count(0), des] += 1
+        counts[out.count(0), scan_descents(out, zeta)] += 1
     return tuple(sorted(counts.items()))
 
 

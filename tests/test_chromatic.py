@@ -15,6 +15,8 @@ from chromsym.chromatic import (
     _order_counts,
     _orientation_compositions,
     _sink_counts,
+    _sink_polys,
+    chromatic_polynomial_via_colorings,
     cqf_fundamental_via_orientations,
     cqf_monomial,
     csf_monomial,
@@ -87,8 +89,9 @@ def test_csf_monomial_agrees_with_direct_coloring_sum(n):
 def test_coloring_count_matches_brute_force(n):
     # n = 0 too: the empty graph has exactly one coloring, with any k.
     for g in all_graphs(n):
-        for k in range(n + 2):
-            assert chromatic_polynomial_by_colorings(g, k) == count_colorings_brute(g, k)
+        brute = [count_colorings_brute(g, k) for k in range(n + 2)]
+        assert [chromatic_polynomial_by_colorings(g, k) for k in range(n + 2)] == brute
+        assert list(chromatic_polynomial_via_colorings(g)) == brute[: n + 1]
 
 
 def _zetas(n, rng=None):
@@ -263,16 +266,19 @@ def test_the_route_kernels_are_cached_on_the_orientation_the_labeling_induces():
     # Centre 1 has the smallest label under both labelings, so both orient
     # every edge of the claw the same way.
     first, second = Labeling([1, 2, 3, 4]), Labeling([1, 4, 2, 3])
+    below = {zeta: tuple(_below(CLAW, zeta)) for zeta in (None, first, second)}
     _coloring_counts.cache_clear()
     _order_counts.cache_clear()
-    _sink_counts.cache_clear()
-    assert _coloring_profile(CLAW, first) is _coloring_profile(CLAW, second)
-    assert _orientation_compositions(CLAW, first) is _orientation_compositions(CLAW, second)
-    assert _orientation_compositions(CLAW, first, hooks=True) is _orientation_compositions(CLAW, second, hooks=True)
+    _sink_polys.cache_clear()
+    assert _coloring_profile(CLAW, first) == _coloring_profile(CLAW, second)
+    assert _coloring_counts(CLAW, below[first]) is _coloring_counts(CLAW, below[second])
+    assert _orientation_compositions(CLAW, first) == _orientation_compositions(CLAW, second)
+    assert _order_counts(CLAW, below[first], False) is _order_counts(CLAW, below[second], False)
+    assert hook_coefficients_via_extensions_t(CLAW, first) == hook_coefficients_via_extensions_t(CLAW, second)
     assert hook_coefficients_via_orientations_t(CLAW, first) == hook_coefficients_via_orientations_t(CLAW, second)
     assert _coloring_counts.cache_info().misses == 1
     assert _order_counts.cache_info().misses == 2
-    assert _sink_counts.cache_info().misses == 1
+    assert _sink_polys.cache_info().misses == 1
     # a labeling that turns an edge round is a new entry
     turned = Labeling([2, 1, 3, 4])
     assert _coloring_profile(CLAW, turned) != _coloring_profile(CLAW, first)
@@ -281,12 +287,12 @@ def test_the_route_kernels_are_cached_on_the_orientation_the_labeling_induces():
     assert _order_counts.cache_info().misses == 3
     # zeta omitted orients every edge by index, as the identity does: the same entry
     assert first == Labeling.identity(4)
-    assert _coloring_profile(CLAW, None) is _coloring_profile(CLAW, first)
-    assert _orientation_compositions(CLAW, None) is _orientation_compositions(CLAW, first)
+    assert _coloring_counts(CLAW, below[None]) is _coloring_counts(CLAW, below[first])
+    assert _order_counts(CLAW, below[None], False) is _order_counts(CLAW, below[first], False)
     assert sink_profile.__wrapped__(CLAW).total == 8  # past its own cache: reads the entry for zeta omitted
     assert _coloring_counts.cache_info().misses == 2
     assert _order_counts.cache_info().misses == 3
-    assert _sink_counts.cache_info().misses == 1
+    assert _sink_polys.cache_info().misses == 1
 
 
 def test_the_hook_walk_of_k8_holds_one_entry_per_composition_and_descent_count():

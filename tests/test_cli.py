@@ -88,6 +88,29 @@ def test_expand_refuses_large_graphs(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["expand", "cqf"])
+@pytest.mark.parametrize("max_n", ["-1", "-7"])
+def test_a_negative_max_n_is_rejected_by_name(capsys, tmp_path, command, max_n):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"n": 0, "edges": []}))
+    code, out, err = run_cli(capsys, command, str(path), "--max-n", max_n)
+    assert (code, out) == (2, "")
+    assert err == f"error: --max-n must be at least 0, got {max_n}\n"
+
+
+@pytest.mark.parametrize("command", ["expand", "cqf"])
+def test_the_vertex_limit_message_counts_one_vertex_in_the_singular(capsys, tmp_path, command):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"n": 1, "edges": []}))
+    code, out, err = run_cli(capsys, command, str(path), "--max-n", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: graph has 1 vertex, above the limit 0; raise it with --max-n\n"
+    path.write_text(json.dumps({"n": 2, "edges": []}))
+    code, _, err = run_cli(capsys, command, str(path), "--max-n", "1")
+    assert code == 2
+    assert err == "error: graph has 2 vertices, above the limit 1; raise it with --max-n\n"
+
+
 def test_input_errors_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "expand", str(tmp_path / "missing.json"))
     assert code == 2

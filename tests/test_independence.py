@@ -66,8 +66,6 @@ ALLOWED = {
     "partitions._hooks": TABLE,
     "partitions.hook_partition": TABLE + ": the hooks",
     "partitions._binomials": TABLE,
-    "partitions._compositions_by_mask": TABLE,
-    "partitions.composition_from_descents": TABLE + ": the compositions by descent mask",
     "partitions.partitions_of": TABLE,
     "partitions.partitions_of.rec": TABLE + ": the partitions",
     "tpoly.TPoly._trusted": VALUE,

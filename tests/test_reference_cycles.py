@@ -19,7 +19,7 @@ from chromsym.chromatic import (
     _below,
     _coloring_counts,
     _order_counts,
-    _sink_counts,
+    _sink_polys,
     dual_linear_extensions,
     sink_minimal_increasing_labeling,
 )
@@ -49,7 +49,7 @@ KERNELS = {
     "_coloring_profile, eight vertices": lambda: _coloring_counts.__wrapped__(GRAPH_8, BELOW_8),
     "_orientation_compositions": lambda: _order_counts.__wrapped__(GRAPH, BELOW, False),
     "_orientation_compositions, hooks": lambda: _order_counts.__wrapped__(GRAPH, BELOW, True),
-    "_sink_counts": lambda: _sink_counts.__wrapped__(GRAPH, BELOW),
+    "_sink_counts": lambda: _sink_polys.__wrapped__(GRAPH, BELOW),
     "stable_partitions_by_type": lambda: stable_partitions_by_type(GRAPH),
     "stable_partitions_by_type, sub-states looked up in the store": lambda: [
         stable_partitions_by_type(GRAPH) for _ in range(2)

@@ -20,7 +20,7 @@ from random import Random
 import pytest
 
 from chromsym import chromatic, cli, graphs, posets, symfunc
-from chromsym.chromatic import _below, _coloring_counts, _sink_counts, csf_monomial, csf_schur, sink_profile
+from chromsym.chromatic import _below, _coloring_counts, _sink_counts, _sink_polys, csf_monomial, csf_schur, sink_profile
 from chromsym.graphs import Graph, Labeling, complete_graph, path_graph, stable_partitions_by_type
 from chromsym.posets import Poset, _hook_tableau_counts, all_posets
 from oracles import (
@@ -242,7 +242,7 @@ def _check_partitions(g):
 
 def _check_sinks(g):
     sink_profile.cache_clear()
-    _sink_counts.cache_clear()  # every call runs the kernel, not its lru_cache
+    _sink_polys.cache_clear()  # every call runs the kernel, not its lru_cache
     assert sink_profile(g).counts == _subset_dp_oracles()[g][1]
 
 
@@ -302,7 +302,7 @@ def test_two_labelings_that_orient_a_subgraph_differently_keep_two_sink_states(m
     monkeypatch.setattr(chromatic, "_SINK_STATES", store)
     g = Graph(3, [(1, 2)])
     for zeta in (None, Labeling((3, 2, 1))):
-        _sink_counts.cache_clear()
+        _sink_polys.cache_clear()
         assert _sink_counts(g, tuple(_below(g, zeta))) == sink_descent_counts_scan(g, zeta)
     # the 6 nonempty proper subsets, and {1, 2} once more, oriented the other way
     assert len(store) == len(store.writes) == 7
@@ -315,7 +315,7 @@ def test_a_sweep_of_five_vertices_computes_each_partition_and_sink_state_once(mo
     monkeypatch.setattr(chromatic, "_SINK_STATES", sinks)
     csf_monomial.cache_clear()  # the sweep reaches the partition DP through it
     sink_profile.cache_clear()
-    _sink_counts.cache_clear()
+    _sink_polys.cache_clear()
     assert list(cli._sweep_results(5, ("hook-1", "e-sink", "hook-t"), 1)) == [[]] * 1024
     # The recursion removes a block holding the lowest vertex first, so the
     # proper sets it reaches are the ones without vertex 1: their
