@@ -15,8 +15,9 @@ The same quantities are reachable along two independent routes:
   sink kernel, ``_sink_polys``, counts the orientations by (sinks,
   descents) with a 3^n subset sum over the induced subgraphs, without
   listing one, each count of one sink number packed into one int;
-  ``sink_profile`` is its t = 1 sum, and on graphs of sweep size its
-  counts go to a store of their own.  One
+  ``sink_profile`` takes the sink histogram at t = 1 off those ints by a
+  Taylor shift and one remainder per sink number, and on graphs of sweep
+  size the kernel's counts go to a store of their own.  One
   recursion over vertex orders, in ``_order_counts``, meets every
   (orientation, linear extension) pair once and tallies it in place by
   (descent mask, descents): an order is an extension of the one
@@ -32,8 +33,9 @@ The kernels read the labeling only through the orientation it induces
 on the edges, and are cached on that.  The readers project the kernels'
 packed counts: ``hook-t`` reads its three values off the walk's descent
 masks, the sink kernel's packed polynomials and the coloring pass's keys
-at the hooks alone, with no quasisymmetric map built, and ``chrompoly``
-reads the number of color classes off the keys.  Only ``cqf`` decodes
+at the hooks alone, with no quasisymmetric map built, summing packed
+polynomials and decoding each value once, and ``chrompoly`` reads the
+number of color classes off the keys.  Only ``cqf`` decodes
 compositions, in ``_coloring_profile`` and ``_orientation_compositions``.
 Hook coefficients computed both ways must agree, which is what the
 ``verify``/``sweep`` commands and the test suite exercise exhaustively
@@ -58,7 +60,15 @@ from .graphs import (
     acyclic_orientations,  # noqa: F401  (perfbench/shim.py wraps this binding)
     stable_partitions_by_type,
 )
-from .partitions import Partition, _binomials, _compositions_by_mask, _hooks, hook_partition, multiplicities, partitions_of
+from .partitions import (
+    Partition,
+    _binomials,
+    _compositions_by_mask,
+    _hooks,
+    _multiplicity_factorials,
+    hook_partition,
+    partitions_of,
+)
 from .symfunc import (
     QuasisymmetricF,
     QuasisymmetricM,
@@ -116,12 +126,9 @@ def csf_monomial(graph: Graph) -> SymmetricFunctionM:
     exactly lam: stable partitions of type lam times the permutations of
     equal-size blocks among their colors.
     """
-    terms = {}
-    for lam, count in stable_partitions_by_type(graph).items():
-        ways = count
-        for mult in multiplicities(lam).values():
-            ways *= factorial(mult)
-        terms[lam] = ways
+    types = stable_partitions_by_type(graph)
+    orders = _multiplicity_factorials(graph.n)  # after the DP: a graph too large for it builds no table
+    terms = {lam: count * orders[lam] for lam, count in types.items()}
     return SymmetricFunctionM._trusted(graph.n, terms)
 
 
@@ -175,24 +182,23 @@ def e_sums_by_length(graph: Graph) -> tuple[int, ...]:
 @lru_cache(maxsize=8)
 def sink_profile(graph: Graph) -> SinkProfile:
     """Sink histogram over all acyclic orientations, computed once per
-    graph and shared by every caller: the t = 1 sums of ``_sink_counts``."""
-    counts: defaultdict[int, int] = defaultdict(int)
-    for (sinks, _), count in _sink_counts(graph, tuple(_below(graph, None))):
-        counts[sinks] += count
-    return SinkProfile(tuple(counts.items()))
-
-
-def _sink_counts(graph: Graph, below: tuple[int, ...]) -> tuple[tuple[tuple[int, int], int], ...]:
-    """((sinks, descents), orientations) over the acyclic orientations, one
-    entry per distinct pair, ascending; a descent is an arc u -> v with v in
-    below[u], as ``_below`` gives it.  Read off ``_sink_polys``: the
-    histogram is P(y - 1; t), by Taylor shift."""
-    width, p = _sink_polys(graph, below)
+    graph and shared by every caller, read off ``_sink_polys``.  The
+    Taylor shift to P(y - 1; t), whose coefficient of y^s counts the
+    orientations with s sinks by descents, runs on the packed ints, and the
+    count at t = 1 is the sum of the digits of that int.  Since 2^w is 1
+    modulo 2^w - 1, the sum is the int modulo 2^w - 1: it is exact, as the
+    sum is at most n! < 2^w - 1 when n >= 2.  With fewer vertices there is
+    no edge, and the int is its one digit."""
+    n = graph.n
+    width, p = _sink_polys(graph, tuple(_below(graph, None)))
     p = list(p)
-    for i in range(graph.n):
-        for j in range(graph.n - 1, i - 1, -1):
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
             p[j] -= p[j + 1]
-    return tuple(((s, d), c) for s, h in enumerate(p) for d, c in enumerate(_digits(h, width)) if c)
+    if n >= 2:
+        ones = (1 << width) - 1
+        p = [h % ones for h in p]
+    return SinkProfile(tuple((sinks, count) for sinks, count in enumerate(p) if count))
 
 
 def _digits(h: int, width: int) -> list[int]:
@@ -202,6 +208,18 @@ def _digits(h: int, width: int) -> list[int]:
     while h:
         out.append(h & digit)
         h >>= width
+    return out
+
+
+def _signed_digits(h: int, width: int) -> list[int]:
+    """The coefficients of a polynomial with coefficients in -2^(width - 1)
+    .. 2^(width - 1) - 1 from its value at t = 2^width, lowest power first;
+    width is at least 2."""
+    digit, half, out = (1 << width) - 1, 1 << (width - 1), []
+    while h:
+        d = (h + half & digit) - half
+        out.append(d)
+        h = (h - d) >> width
     return out
 
 
@@ -643,22 +661,33 @@ def hook_coefficients_via_colorings_t(graph: Graph, zeta: Labeling | None) -> tu
     Moebius sum taken at the hooks only.  The descent set of a composition
     alpha lies within the hook's, {k..n-1}, exactly when alpha_1 >= k, so
         [F_(k,1^(n-k))] = sum over alpha_1 >= k of (-1)^(n-k+1-len(alpha)) c_alpha(t).
-    One pass over the keys of ``_coloring_counts`` bins c_alpha
-    (-1)^len(alpha) by alpha_1, the lowest partial sum a key holds; the sums
-    over alpha_1 >= k then run from k = n down."""
-    n, m = graph.n, graph.m
+    One pass over the keys of ``_coloring_counts`` bins c_alpha(t) by
+    alpha_1, the lowest partial sum a key holds, and the parity of
+    len(alpha), both read from ``_hook_slots``.  Each c_alpha(t) is one int,
+    the polynomial at t = 2^w: every coefficient of every sum below is at
+    most the number of colorings counted in absolute value, and w leaves a
+    sign bit above that.  The sums over alpha_1 >= k then run on those ints
+    from k = n down, and each is decoded once."""
+    n = graph.n
     if not n:
         return ()
     width, keys, counts = _coloring_counts(graph, tuple(_below(graph, zeta)))
-    asc = (1 << width) - 1
-    bins = [[0] * (m + 1) for _ in range(n + 1)]  # bins[alpha_1][ascents]
+    asc, slots = (1 << width) - 1, _hook_slots(n)
+    w = sum(counts).bit_length() + 1
+    bins = [0] * (2 * n + 2)  # bins[2 alpha_1 + (len(alpha) & 1)]
     for key, count in zip(keys, counts):
-        sums = key >> width
-        bins[(sums & -sums).bit_length()][key & asc] += -count if sums.bit_count() & 1 else count
-    polys = []
-    acc = [0] * (m + 1)
+        bins[slots[key >> width]] += count << w * (key & asc)
+    polys, acc = [], 0
     for k in range(n, 0, -1):
-        acc = [a + b for a, b in zip(acc, bins[k])]
-        polys.append(TPoly._trusted(acc if (n - k) & 1 else [-a for a in acc]))
+        acc += bins[2 * k] - bins[2 * k + 1]  # the sum of c_alpha (-1)^len(alpha) over alpha_1 >= k
+        polys.append(TPoly._trusted(_signed_digits(acc if (n - k) & 1 else -acc, w)))
     return tuple(reversed(polys))
 
+
+@lru_cache(maxsize=8)
+def _hook_slots(n: int) -> tuple[int, ...]:
+    """Entry S is 2 alpha_1 + (len(alpha) & 1) for the composition alpha of
+    n whose partial sums p, n included, are the bits p - 1 of S, for every
+    S below 2^n: alpha_1 is the lowest partial sum, and len(alpha) counts
+    them."""
+    return tuple(2 * (s & -s).bit_length() + (s.bit_count() & 1) for s in range(1 << n))

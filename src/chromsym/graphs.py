@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
-from .partitions import _decode_type
+from .partitions import _partitions_by_code
 
 
 class Graph:
@@ -395,7 +395,8 @@ def stable_partitions_by_type(graph: Graph) -> dict[tuple[int, ...], int]:
     # g(S), the stable partitions of the vertex set S by type, is the sum over
     # stable T within S that hold the lowest vertex of S of g(S - T) with |T|
     # added to each type.  A type is coded as sum over its parts k of
-    # (n + 1)^(k - 1), so adding a part is adding an integer.  Only the sets S
+    # (n + 1)^(k - 1), so adding a part is adding an integer, and read back
+    # through the table of the partitions of n by code.  Only the sets S
     # reached from V are visited; each costs one pass over the subsets of the
     # non-neighbours of its lowest vertex.  g(S) depends only on the subgraph
     # S induces, so the states of proper subsets are shared through
@@ -436,7 +437,7 @@ def stable_partitions_by_type(graph: Graph) -> dict[tuple[int, ...], int]:
 
     types = g(full)
     del g  # g refers to itself and may hold the memo: break the cycle so the memo is freed at once
-    return dict(sorted(((_decode_type(code, n), c) for code, c in types.items()), reverse=True))
+    return {lam: types[code] for code, lam in _partitions_by_code(n).items() if code in types}
 
 
 def is_claw_free(graph: Graph) -> bool:

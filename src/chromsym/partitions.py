@@ -17,7 +17,7 @@ bit mask.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import comb, factorial, prod
 
 Partition = tuple[int, ...]
 Composition = tuple[int, ...]
@@ -127,14 +127,21 @@ def partition_of(alpha) -> Partition:
     return tuple(sorted(check_composition(alpha), reverse=True))
 
 
-def _decode_type(code: int, n: int) -> Partition:
-    """The partition of weight at most n coded as the sum over its parts k
-    of (n + 1)^(k - 1), so that adding a part is adding an integer."""
+@lru_cache(maxsize=8)
+def _partitions_by_code(n: int) -> dict[int, Partition]:
+    """code -> partition, for every partition of n in canonical order.  A
+    partition is coded as the sum over its parts k of (n + 1)^(k - 1), so
+    that adding a part is adding an integer."""
     base = n + 1
-    parts: list[int] = []
-    for k in range(n, 0, -1):
-        parts += [k] * (code // base ** (k - 1) % base)
-    return tuple(parts)
+    return {sum(base ** (k - 1) for k in lam): lam for lam in partitions_of(n)}
+
+
+@lru_cache(maxsize=8)
+def _multiplicity_factorials(n: int) -> dict[Partition, int]:
+    """lam -> the product of the factorials of its part multiplicities, for
+    every partition lam of n: the orders of its equal parts among
+    themselves."""
+    return {lam: prod(factorial(lam.count(part)) for part in set(lam)) for lam in partitions_of(n)}
 
 
 def multiplicities(lam) -> dict[int, int]:

@@ -14,9 +14,9 @@ so they are stored under the key ``graphs._shared_states`` gives that
 sub-order, as the graph kernels store theirs; the cost follows the chains
 and the distinct sub-orders rather than the n! orders of the elements.
 The Schur side of the identity is computed once per distinct
-incomparability relation, held by ``graphs._relation_bits`` as one
-integer, and shared by the posets that have it; the graph is built only
-the first time.
+incomparability relation, held as one integer in the layout of
+``graphs._relation_bits``, and shared by the posets that have it; the
+graph is built only the first time.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .graphs import (
     _graph_of,
     _load_json_object,
     _read_input,
-    _relation_bits,
     _shared_states,
     _transpose,
 )
@@ -166,9 +165,11 @@ def incomparability_graph(poset: Poset) -> Graph:
 def _incomparability_bits(poset: Poset) -> int:
     """The incomparability relation, with each element incomparable to
     itself, as ``_relation_bits`` holds it; it tells the element counts
-    apart."""
-    full = (1 << poset.n) - 1
-    return _relation_bits([full ^ (up | down) for up, down in zip(poset.above, poset.below_masks())])
+    apart.  Row a is the set of elements neither above nor below a, which
+    holds a itself."""
+    n = poset.n
+    full = (1 << n) - 1
+    return sum((full ^ (up | down)) << a * n for a, (up, down) in enumerate(zip(poset.above, poset.below_masks())))
 
 
 # Column fillings by lower cell and induced sub-order, shared through

@@ -32,8 +32,8 @@ from .partitions import (
     Partition,
     _binomials,
     _compositions_by_mask,
-    _decode_type,
     _descent_mask,
+    _partitions_by_code,
     check_composition,
     check_partition,
     conjugate,
@@ -164,16 +164,8 @@ def _schur_h_table(n: int) -> dict[Partition, tuple[tuple[Partition, int], ...]]
             memo[lam] = got
         return got
 
-    decoded: dict[int, Partition] = {}
-    table = {}
-    for lam in partitions_of(n):
-        row = []
-        for code, c in expand(lam).items():
-            nu = decoded.get(code)
-            if nu is None:
-                nu = decoded[code] = _decode_type(code, n)
-            row.append((nu, c))
-        table[lam] = tuple(row)
+    by_code = _partitions_by_code(n)  # every nu of a row is a partition of n
+    table = {lam: tuple((by_code[code], c) for code, c in expand(lam).items()) for lam in partitions_of(n)}
     del expand  # expand refers to itself: break the cycle so the memo is freed at once
     return table
 

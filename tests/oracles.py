@@ -34,6 +34,7 @@ from chromsym import (
     partitions_of,
     sink_profile,
 )
+from chromsym.chromatic import _digits, _sink_polys
 from chromsym.partitions import check_composition, check_partition, multiplicities
 from chromsym.symfunc import _schur_h_table
 
@@ -862,6 +863,46 @@ def sink_descent_counts_scan(graph: Graph, zeta) -> tuple[tuple[tuple[int, int],
     for _, out in acyclic_orientations_scan(graph):
         counts[out.count(0), scan_descents(out, zeta)] += 1
     return tuple(sorted(counts.items()))
+
+
+def decode_type(code: int, n: int) -> tuple[int, ...]:
+    """The partition of weight at most n coded as the sum over its parts k
+    of (n + 1)^(k - 1), read off one part size at a time."""
+    base = n + 1
+    parts: list[int] = []
+    for k in range(n, 0, -1):
+        parts += [k] * (code // base ** (k - 1) % base)
+    return tuple(parts)
+
+
+def multiplicity_factorial_product(lam) -> int:
+    """The product of the factorials of the part multiplicities of lam."""
+    out = 1
+    for mult in multiplicities(lam).values():
+        out *= factorial(mult)
+    return out
+
+
+def hook_slot(sums: int) -> int:
+    """2 alpha_1 + (len(alpha) mod 2) for the composition alpha whose
+    partial sums p are the bits p - 1 of sums, built as a composition."""
+    partial = [p + 1 for p in range(sums.bit_length()) if sums >> p & 1]
+    alpha = [b - a for a, b in zip([0] + partial, partial)]
+    return 2 * (alpha[0] if alpha else 0) + len(alpha) % 2
+
+
+def sink_counts(graph: Graph, below: tuple[int, ...]) -> tuple[tuple[tuple[int, int], int], ...]:
+    """((sinks, descents), orientations) over the acyclic orientations, one
+    entry per distinct pair, ascending; a descent is an arc u -> v with v in
+    below[u], as ``_below`` gives it.  Decoded from the sink kernel,
+    ``_sink_polys``: the histogram is P(y - 1; t), by Taylor shift, and
+    every digit of its packed ints is decoded."""
+    width, p = _sink_polys(graph, below)
+    p = list(p)
+    for i in range(graph.n):
+        for j in range(graph.n - 1, i - 1, -1):
+            p[j] -= p[j + 1]
+    return tuple(((s, d), c) for s, h in enumerate(p) for d, c in enumerate(_digits(h, width)) if c)
 
 
 def seeded_graphs(count: int, seed: int, max_edges: int = 13, sizes=(6, 7, 8)):

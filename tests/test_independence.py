@@ -53,7 +53,6 @@ VALUE = "builds a returned value from finished coefficients"
 ALLOWED = {
     "graphs.Graph.__hash__": "hashes the input graph for an lru_cache key",
     "graphs.Graph.adjacency_masks": INPUT,
-    "graphs.Graph.m": INPUT,
     "graphs.Labeling.label": INPUT,
     "graphs.Labeling.n": INPUT,
     "chromatic._below": INPUT + ": the orientation that the labeling gives the edges",
@@ -68,6 +67,8 @@ ALLOWED = {
     "partitions._binomials": TABLE,
     "partitions.partitions_of": TABLE,
     "partitions.partitions_of.rec": TABLE + ": the partitions",
+    "partitions._partitions_by_code": TABLE + ": the partitions of n by type code",
+    "partitions._multiplicity_factorials": TABLE + ": the orders of equal parts, per partition",
     "tpoly.TPoly._trusted": VALUE,
     "tpoly._normalize": VALUE,
     "symfunc._CoefficientMap._trusted": VALUE,
@@ -82,8 +83,6 @@ KNOWN_SHARING = {
         "chromatic.csf_monomial",
         "graphs.stable_partitions_by_type",
         "graphs.stable_partitions_by_type.g",
-        "partitions._decode_type",
-        "partitions.multiplicities",
         "symfunc.m_to_s",
         "symfunc._schur_h_table",
         "symfunc._schur_h_table.expand",

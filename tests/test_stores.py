@@ -20,7 +20,7 @@ from random import Random
 import pytest
 
 from chromsym import chromatic, cli, graphs, posets, symfunc
-from chromsym.chromatic import _below, _coloring_counts, _sink_counts, _sink_polys, csf_monomial, csf_schur, sink_profile
+from chromsym.chromatic import _below, _coloring_counts, _sink_polys, csf_monomial, csf_schur, sink_profile
 from chromsym.graphs import Graph, Labeling, complete_graph, path_graph, stable_partitions_by_type
 from chromsym.posets import Poset, _hook_tableau_counts, all_posets
 from oracles import (
@@ -31,6 +31,7 @@ from oracles import (
     less,
     seeded_graphs,
     seeded_relations,
+    sink_counts,
     sink_counts_scan,
     sink_descent_counts_scan,
     stable_partitions_recursive,
@@ -303,7 +304,7 @@ def test_two_labelings_that_orient_a_subgraph_differently_keep_two_sink_states(m
     g = Graph(3, [(1, 2)])
     for zeta in (None, Labeling((3, 2, 1))):
         _sink_polys.cache_clear()
-        assert _sink_counts(g, tuple(_below(g, zeta))) == sink_descent_counts_scan(g, zeta)
+        assert sink_counts(g, tuple(_below(g, zeta))) == sink_descent_counts_scan(g, zeta)
     # the 6 nonempty proper subsets, and {1, 2} once more, oriented the other way
     assert len(store) == len(store.writes) == 7
     assert set(store.writes.values()) == {1}

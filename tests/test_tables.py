@@ -1,7 +1,9 @@
 """The graph checks read their arithmetic from tables built once per
-vertex count: Kostka numbers at the hooks, binomials, m_lam(1^k) and the
-Jacobi-Trudi rows at conjugate shapes.  Their rows must be the rows that
-the definitions one k at a time give, in ``oracles``."""
+vertex count: Kostka numbers at the hooks, binomials, m_lam(1^k), the
+Jacobi-Trudi rows at conjugate shapes, the partitions by type code, the
+orders of equal parts, and alpha_1 with the parity of len(alpha) by
+partial sums.  Their rows must be the rows that the definitions one k, one
+partition or one composition at a time give, in ``oracles``."""
 
 from itertools import chain
 from math import comb
@@ -11,14 +13,25 @@ import pytest
 
 from chromsym import cli
 from chromsym.graphs import Labeling, complete_graph
-from chromsym.partitions import _binomials, _hooks, hook_partition, partitions_of
+from chromsym.chromatic import _hook_slots
+from chromsym.partitions import (
+    _binomials,
+    _hooks,
+    _multiplicity_factorials,
+    _partitions_by_code,
+    hook_partition,
+    partitions_of,
+)
 from chromsym.symfunc import SymmetricFunctionM, _monomials_at_ones
 from oracles import (
     all_graphs,
     chrompoly_rows,
+    decode_type,
     e_sink_rows,
     hook_1_rows,
+    hook_slot,
     hook_t_rows,
+    multiplicity_factorial_product,
     seeded_graphs,
     specialize_w_k,
 )
@@ -60,3 +73,12 @@ def test_the_tables_hold_their_definitions(n):
         ones = tuple(specialize_w_k(SymmetricFunctionM(n, {lam: 1}), k) for k in range(n + 1))
         assert _monomials_at_ones(n)[lam] == ones
     assert cli._vertex_pairs(n) == tuple((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1))
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_the_partition_and_composition_tables_hold_their_definitions(n):
+    by_code = _partitions_by_code(n)
+    assert tuple(by_code.values()) == partitions_of(n)  # in canonical order
+    assert all(decode_type(code, n) == lam for code, lam in by_code.items())
+    assert _multiplicity_factorials(n) == {lam: multiplicity_factorial_product(lam) for lam in partitions_of(n)}
+    assert _hook_slots(n) == tuple(hook_slot(sums) for sums in range(1 << n))
