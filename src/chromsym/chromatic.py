@@ -557,8 +557,9 @@ def _order_counts(graph: Graph, below: tuple[int, ...], hooks: bool) -> tuple[tu
     tally[des, down], with no call for position 0."""
     n = graph.n
     adj = graph.adjacency_masks()
-    tally: defaultdict[tuple[int, int], int] = defaultdict(int)
+    tally: dict[tuple[int, int], int] = {}
     full = (1 << n) - 1
+    bit = [1 << (n - 2 - i) for i in range(n - 1)]  # bit[i]: a descent at position i
     height = [0] * n + [n]  # the sentinel height[n] puts no descent after the last position
     level = [0] * n  # level[d]: the placed vertices of height d
 
@@ -574,7 +575,7 @@ def _order_counts(graph: Graph, below: tuple[int, ...], hooks: bool) -> tuple[tu
             while h and not heads & level[h - 1]:
                 h -= 1
             if h > top or h == top and v > last:
-                fell = des | 1 << (n - 2 - i)
+                fell = des | bit[i]
             elif hooks and des:
                 continue
             else:
@@ -596,10 +597,11 @@ def _order_counts(graph: Graph, below: tuple[int, ...], hooks: bool) -> tuple[tu
                 if g <= h:
                     g = h + 1
             if g > h or g == h and u > v:
-                fell |= 1 << (n - 2)
+                fell |= bit[0]
             elif hooks and fell:
                 continue
-            tally[fell, arcs_down + (heads & below[u]).bit_count()] += 1
+            key = fell, arcs_down + (heads & below[u]).bit_count()
+            tally[key] = tally.get(key, 0) + 1
 
     if n > 1:
         rec(0, n - 1, 0, n, 0, 0)

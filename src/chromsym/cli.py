@@ -299,7 +299,8 @@ CHECKS = {
 
 # A vertex set is an int with one bit per vertex, and the kernels index
 # tables by vertex sets: past this many vertices a set no longer fits an
-# index, so a larger graph is refused before any labeling is built.
+# index, so a larger graph is refused before any labeling is built, and a
+# larger poset before any check runs.
 _MAX_VERTICES = sys.maxsize.bit_length()
 
 
@@ -332,6 +333,8 @@ def cmd_verify(args) -> int:
         if args.labeling is not None:
             raise ValueError(f"--labeling does not apply to the {args.check} check, which reads a poset")
         target = load_poset(args.input)
+        if target.n > _MAX_VERTICES:
+            raise ValueError(f"poset has {target.n} elements, above the limit {_MAX_VERTICES} of the {args.check} check")
         inputs = {"poset": repr(target)}
         zeta = None
     else:

@@ -7,12 +7,13 @@ increases going up.  The mirror reading of the column rule is told apart
 only by the counting identity itself; the test suite keeps it as an
 oracle and shows that it fails.
 
-The fillings of every arm length are counted in one walk over the chains
-of the poset.  The column fillings above each chain's bottom cell depend
-only on that cell and the order restricted to the elements left with it,
-so they are stored under the key ``graphs._shared_states`` gives that
-sub-order, as the graph kernels store theirs; the cost follows the chains
-and the distinct sub-orders rather than the n! orders of the elements.
+The fillings of every arm length are counted from one vector per set of
+elements, its column fillings stacked on each element of the set, and one
+walk over the chains of the poset that reads one vector per chain.  A
+set's vector depends only on the order restricted to it, so it is stored
+under the key ``graphs._shared_states`` gives that sub-order, as the graph
+kernels store theirs; the cost follows the chains and the distinct
+sub-orders rather than the n! orders of the elements.
 The Schur side of the identity is computed once per distinct
 incomparability relation, held as one integer in the layout of
 ``graphs._relation_bits``, and shared by the posets that have it; the
@@ -172,63 +173,86 @@ def _incomparability_bits(poset: Poset) -> int:
     return sum((full ^ (up | down)) << a * n for a, (up, down) in enumerate(zip(poset.above, poset.below_masks())))
 
 
-# Column fillings by lower cell and induced sub-order, shared through
+# Column fillings of each proper sub-order, shared through
 # graphs._shared_states by every poset of at most graphs._STORED_N elements in the
-# process; keys as in legs below, values ints.
-_LEGS: dict[int, int] = {}
+# process; keyed by the sub-order as _shared_states keys a set, values
+# tuples of one count per element, L_S in _hook_tableau_counts below.
+_LEGS: dict[int, tuple[int, ...]] = {}
 _LEGS_CAP = 1 << 17
 
 
 def _hook_tableau_counts(poset: Poset) -> list[int]:
     """Entry k counts the hook fillings of arm length k, for k in 0..n.
 
-    One walk visits every chain once, from its bottom cell upward, and
-    adds the column fillings above that cell to the count of the chain's
-    length.  Those depend only on the order restricted to the bottom cell
-    and the elements left, so on posets of sweep size they are stored on
-    that sub-order, which posets sharing it share: the 4231 posets on 5
-    elements need 5010 states, about 72 per poset otherwise.  A larger
+    Entry x of L_S, for a set S of elements and x in S, counts the column
+    fillings of S stacked on x: the orderings of S with x at the bottom in
+    which no element lies directly on one it is less than.  So L_S[x] is
+    the sum of L_{S-x}[y] over the y in S - x not less than x, and 1 when
+    S = {x}.  Arm length 1 counts the sum of L_V over the whole poset V.
+    A longer arm is a bottom cell b and a chain X above it, with V - X
+    filling the column stacked on b: one walk over the nonempty chains,
+    each grown upward from its minimum m, adds the sum of L_{V-X}[b] over
+    the b less than m to arm length |X| + 1, one store read per chain.
+
+    L_S depends only on the order restricted to S, so on posets of sweep
+    size it is stored on that sub-order, which posets sharing it share: the
+    4231 posets on 5 elements need 1320 states, one per labeled order on a
+    nonempty proper subset.  L_V is computed and never stored.  A larger
     poset keeps a memo of its own, keyed by the set alone.
     """
     n = poset.n
+    if not n:
+        return [0]
     above = poset.above
     below = poset.below_masks()  # below[x]: the elements strictly less than x
     full = (1 << n) - 1
     store, rel, sets = _shared_states(_LEGS, _LEGS_CAP, above)
 
-    def legs(lower: int, left: int) -> int:
-        # Orderings of the elements of left other than lower stacked above
-        # lower, none of them placed directly on an element it is less than.
-        remaining = left ^ 1 << lower
-        if not remaining:
-            return 1
-        key = (rel & sets[left]) * n + lower  # one key per sub-order and lower cell
-        got = store.get(key)
-        if got is None:
-            got = 0
-            allowed = remaining & ~below[lower]
-            while allowed:
-                low = allowed & -allowed
-                got += legs(low.bit_length() - 1, remaining)
-                allowed ^= low
-            if left != full:  # a state of the whole poset is met once: not stored
-                store[key] = got
-        return got
+    def column(s: int) -> list[int]:
+        # L_s for a nonempty set s, storing each L_{s-x} it reads, so every
+        # nonempty subset of a stored set is stored: the walk below finds
+        # the vector of each proper subset it reads
+        out = [0] * n
+        if not s & (s - 1):
+            out[s.bit_length() - 1] = 1
+            return out
+        rest = s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            left = s ^ low
+            key = rel & sets[left]
+            sub = store.get(key)
+            if sub is None:
+                sub = store[key] = tuple(column(left))
+            x = low.bit_length() - 1
+            downs, total = left & below[x], sum(sub)  # sub is 0 off left
+            while downs:
+                top = downs & -downs
+                total -= sub[top.bit_length() - 1]
+                downs ^= top
+            out[x] = total
+        return out
 
     counts = [0] * (n + 1)
-
-    def chains(bottom: int, top: int, left: int, length: int):
-        # left: bottom and the elements off the chain
-        counts[length] += legs(bottom, left)
+    counts[1] = sum(column(full))
+    del column  # it refers to itself and may hold the memo: break the cycle
+    # (top, chain, arm length |chain| + 1, the elements below the chain's minimum)
+    stack = [(m, 1 << m, 2, below[m]) for m in range(n) if below[m]]
+    while stack:
+        top, chain, arm, lower = stack.pop()
+        sub = store[rel & sets[full ^ chain]]
+        rest, total = lower, 0
+        while rest:
+            low = rest & -rest
+            total += sub[low.bit_length() - 1]
+            rest ^= low
+        counts[arm] += total
         ups = above[top]
         while ups:
             low = ups & -ups
-            chains(bottom, low.bit_length() - 1, left ^ low, length + 1)
             ups ^= low
-
-    for bottom in range(n):
-        chains(bottom, bottom, full, 1)
-    del legs, chains  # each refers to itself and legs may hold the memo: break the cycles
+            stack.append((low.bit_length() - 1, chain | low, arm + 1, lower))
     return counts
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -275,6 +276,17 @@ def test_sweep_ptableaux(capsys):
     assert "cases run: 19" in out
 
 
+def test_the_six_element_ptableaux_sweep_prints_its_reference_bytes():
+    # The md5 of the bytes that the per-cell tableau walk printed, before
+    # the walk read one column-filling vector per sub-order; 130,023 posets.
+    run = subprocess.run(
+        [sys.executable, "-m", "chromsym", "sweep", "--max-n", "6", "--checks", "ptableaux"],
+        capture_output=True,
+    )
+    assert run.returncode == 0
+    assert hashlib.md5(run.stdout).hexdigest() == "907ed9651ce8115436c368b30a0e500a"
+
+
 def test_passing_sweep_builds_no_failure_subject(capsys, monkeypatch):
     # The poset's repr only goes into failure records.
     built = []
@@ -389,11 +401,11 @@ def test_running_out_of_memory_exits_2(capsys, claw_file, monkeypatch, check, er
         ('{"n": 63}', ["verify", "chrompoly"], "out of memory: the input is too large for the chrompoly check"),
         ('{"n": 100}', ["expand", "--max-n", "100"], "out of memory: the input is too large for expand"),
         ('{"n": 100}', ["cqf", "--max-n", "100"], "out of memory: the input is too large for cqf"),
-        # a recursion one level per element
+        # a poset is refused by its element count before the walk's recursion
         (
             json.dumps({"n": 1500, "covers": [[i, i + 1] for i in range(1, 1500)]}),
             ["verify", "ptableaux"],
-            "recursion too deep: the input is too large for the ptableaux check",
+            "poset has 1500 elements, above the limit 63 of the ptableaux check",
         ),
         # a graph is refused by its vertex count before the walk's recursion
         (
@@ -432,6 +444,21 @@ def test_verify_refuses_a_graph_of_more_than_63_vertices_at_once(tmp_path, n, ch
     assert run.returncode == 2
     assert run.stdout == b""
     assert run.stderr.decode() == f"error: graph has {n} vertices, above the limit 63 of the graph checks\n"
+
+
+@pytest.mark.parametrize("n", [64, 70])
+def test_verify_refuses_a_poset_of_more_than_63_elements_at_once(tmp_path, n):
+    # Before the bound, n = 64 ran past the timeout in the tableau walk.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": n, "covers": []}))
+    run = subprocess.run(
+        [sys.executable, "-m", "chromsym", "verify", str(path), "ptableaux"],
+        capture_output=True,
+        timeout=10,
+    )
+    assert run.returncode == 2
+    assert run.stdout == b""
+    assert run.stderr.decode() == f"error: poset has {n} elements, above the limit 63 of the ptableaux check\n"
 
 
 @pytest.mark.parametrize("readers", ["one", "every"])

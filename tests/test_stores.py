@@ -1,6 +1,6 @@
 """The kernel stores never change an answer.
 
-``posets._LEGS`` holds column fillings by induced sub-order,
+``posets._LEGS`` holds column fillings per element by induced sub-order,
 ``chromatic._STATES`` the coloring pass's states and
 ``chromatic._SINK_STATES`` the sink kernel's descent polynomials of the
 acyclic orientations, both by induced, oriented subgraph, and
@@ -102,7 +102,7 @@ def test_tableau_counts_match_the_per_poset_kernel_on_every_small_poset(monkeypa
         assert _hook_tableau_counts(poset) == _poset_oracle()[poset]
 
     store = _run(monkeypatch, posets, "_LEGS", "_LEGS_CAP", mode, _ordered(POSETS, order), check)
-    assert store and all(type(value) is int for value in store.values())
+    _assert_tableau_states_are_int_tuples(store)
 
 
 SEEDED_POSETS = list(_seeded_posets())
@@ -116,7 +116,14 @@ def test_tableau_counts_match_the_permutation_oracle_on_seeded_posets(monkeypatc
     def check(poset):
         assert _hook_tableau_counts(poset) == _poset_oracle()[poset]
 
-    _run(monkeypatch, posets, "_LEGS", "_LEGS_CAP", mode, cases, check)
+    store = _run(monkeypatch, posets, "_LEGS", "_LEGS_CAP", mode, cases, check)
+    _assert_tableau_states_are_int_tuples(store)
+
+
+def _assert_tableau_states_are_int_tuples(store: dict):
+    assert store
+    for value in store.values():
+        assert type(value) is tuple and all(type(count) is int for count in value)
 
 
 def test_posets_above_seven_elements_neither_read_nor_write_the_store(monkeypatch):
@@ -126,21 +133,24 @@ def test_posets_above_seven_elements_neither_read_nor_write_the_store(monkeypatc
     assert posets._LEGS == {}
 
 
-def test_posets_of_five_elements_share_5010_tableau_states_and_each_size_keys_its_own(monkeypatch):
+def test_posets_of_five_elements_share_1320_tableau_states_and_each_size_keys_its_own(monkeypatch):
     store = _CountingStore()
     monkeypatch.setattr(posets, "_LEGS", store)
     for poset in POSETS[5]:
         _hook_tableau_counts(poset)
-    # one state per sub-order and lower cell met: a key that merged or split
-    # states would change the count
-    assert len(store) == len(store.writes) == 5010
+    # one state per labeled order on a nonempty proper subset, 5·1 + 10·3 +
+    # 10·19 + 5·219: a key that merged or split states would change the count
+    assert len(store) == len(store.writes) == 1320
     assert set(store.writes.values()) == {1}
+    # each vector has one entry per element of the poset
+    assert all(len(value) == 5 for value in store.values())
     for poset in chain(*POSETS[1:5]):
         _hook_tableau_counts(poset)
-    # the posets of 3 and 4 elements add their own 18 and 264 states: no key
-    # of one size meets a key of another
-    assert len(store) == len(store.writes) == 5292
+    # the posets of 2, 3 and 4 elements add their own 2, 12 and 98 states:
+    # no key of one size meets a key of another
+    assert len(store) == len(store.writes) == 1432
     assert set(store.writes.values()) == {1}
+    _assert_tableau_states_are_int_tuples(store)
 
 
 def _zetas(n: int, rng: Random) -> list:
