@@ -17,22 +17,22 @@ The same quantities are reachable along two independent routes:
   listing one, each count of one sink number packed into one int;
   ``sink_profile`` takes the sink histogram at t = 1 off those ints by a
   Taylor shift and one remainder per sink number, and on graphs of sweep
-  size the kernel's counts go to a store of their own.  One
-  recursion over vertex orders, in ``_order_counts``, meets every
-  (orientation, linear extension) pair once and tallies it in place by
-  (descent mask, descents): an order is an extension of the one
-  orientation whose arcs run from its earlier to its later ends.  It
-  places vertices from the last position to the first and labels them by
-  height, so each order's descents, and the orientation's descents under
-  the labeling, are known as it is built; in its hook mode it meets only
-  the extensions whose descent composition is a hook, 2^(sinks - 1) per
-  orientation instead of all n! orders.  ``dual_linear_extensions`` lists
-  the extensions of one given orientation with a recursion of its own.
+  size the kernel's counts go to a store of their own.  Vertex orders,
+  each a linear extension of the one orientation whose arcs run from its
+  earlier to its later ends, are placed from the last position to the
+  first and labeled by height, so each order's descents, and the
+  orientation's descents under the labeling, are known as it is built.
+  ``_order_counts`` walks all n! orders for ``cqf``, tallying each by
+  (descent mask, descents); ``_hook_polys`` counts only the orders whose
+  descent composition is a hook, for ``hook-t``, by a DP over the vertex
+  sets left to place, whose states go to a store of their own on graphs
+  of sweep size.  ``dual_linear_extensions`` lists the extensions of one
+  given orientation with a recursion of its own.
 
 The kernels read the labeling only through the orientation it induces
 on the edges, and are cached on that.  The readers project the kernels'
-packed counts: ``hook-t`` reads its three values off the walk's descent
-masks, the sink kernel's packed polynomials and the coloring pass's keys
+packed counts: ``hook-t`` reads its three values off the hook DP's and
+the sink kernel's packed polynomials and off the coloring pass's keys
 at the hooks alone, with no quasisymmetric map built, summing packed
 polynomials and decoding each value once, and ``chrompoly`` reads the
 number of color classes off the keys.  Only ``cqf`` decodes
@@ -520,7 +520,7 @@ def dual_linear_extensions(o: Orientation, omega: Labeling) -> tuple[tuple[int, 
     return tuple(sorted(words))
 
 
-def _orientation_compositions(graph: Graph, zeta: Labeling | None, *, hooks: bool = False) -> tuple:
+def _orientation_compositions(graph: Graph, zeta: Labeling | None) -> tuple:
     """((composition, descents), orders) over the pairs of an acyclic
     orientation and one of its linear extensions, one entry per distinct
     pair, ascending in (descent mask of the composition, descents), from one
@@ -529,16 +529,14 @@ def _orientation_compositions(graph: Graph, zeta: Labeling | None, *, hooks: boo
     composition is that of the order's reflected descent set
     {i : n - i in Des} under the height labeling.  Every labeling that
     decreases along the arcs gives an orientation the same descent sets
-    over its linear extensions (Stanley 1972).  With hooks, only the orders
-    whose composition is a hook (k, 1^(n-k)) are walked: 2^(sinks - 1) per
-    orientation, exactly one of them with k = 1.  The walk reads zeta only
+    over its linear extensions (Stanley 1972).  The walk reads zeta only
     through the orientation it induces, and is cached on that."""
-    table, tally = _compositions_by_mask(graph.n), _order_counts(graph, tuple(_below(graph, zeta)), hooks)
+    table, tally = _compositions_by_mask(graph.n), _order_counts(graph, tuple(_below(graph, zeta)))
     return tuple(((table[des], down), count) for (des, down), count in tally)
 
 
 @lru_cache(maxsize=4)
-def _order_counts(graph: Graph, below: tuple[int, ...], hooks: bool) -> tuple[tuple[tuple[int, int], int], ...]:
+def _order_counts(graph: Graph, below: tuple[int, ...]) -> tuple[tuple[tuple[int, int], int], ...]:
     """The entries of ``_orientation_compositions`` under the labeling whose
     ``_below`` is below, each composition given by its descent mask (bit
     i - 1 for descent i), ascending.
@@ -547,14 +545,12 @@ def _order_counts(graph: Graph, below: tuple[int, ...], hooks: bool) -> tuple[tu
     linear extension of the orientation whose arcs run from the earlier to
     the later end of each edge.  Vertices are placed from the last position
     to the first, so the neighbours of v already placed are the heads of its
-    arcs: down counts the arcs v -> u with u in below[v].  Each vertex is labeled by
-    its height, the longest directed path to a sink, ties broken by index;
-    bit n - 2 - i of des is set when the label at position i is larger than
-    the one at i + 1.  With hooks, only the orders whose labels fall and then
-    rise are met: read from the back, an ascent after a descent ends the
-    branch.  Placing position 1 leaves one vertex, u, for position 0: its
-    height, descent and falling arcs are read there and the order counted in
-    tally[des, down], with no call for position 0."""
+    arcs: down counts the arcs v -> u with u in below[v].  Each vertex is
+    labeled by its height, the longest directed path to a sink, ties broken
+    by index; bit n - 2 - i of des is set when the label at position i is
+    larger than the one at i + 1.  Placing position 1 leaves one vertex, u,
+    for position 0: its height, descent and falling arcs are read there and
+    the order counted in tally[des, down], with no call for position 0."""
     n = graph.n
     adj = graph.adjacency_masks()
     tally: dict[tuple[int, int], int] = {}
@@ -574,12 +570,7 @@ def _order_counts(graph: Graph, below: tuple[int, ...], hooks: bool) -> tuple[tu
             h, heads = rise, adj[v] & placed  # rise is one more than the largest height placed
             while h and not heads & level[h - 1]:
                 h -= 1
-            if h > top or h == top and v > last:
-                fell = des | bit[i]
-            elif hooks and des:
-                continue
-            else:
-                fell = des
+            fell = des | bit[i] if h > top or h == top and v > last else des
             arcs_down = down + (heads & below[v]).bit_count()
             if i > 1:
                 height[v] = h
@@ -598,8 +589,6 @@ def _order_counts(graph: Graph, below: tuple[int, ...], hooks: bool) -> tuple[tu
                     g = h + 1
             if g > h or g == h and u > v:
                 fell |= bit[0]
-            elif hooks and fell:
-                continue
             key = fell, arcs_down + (heads & below[u]).bit_count()
             tally[key] = tally.get(key, 0) + 1
 
@@ -609,6 +598,79 @@ def _order_counts(graph: Graph, below: tuple[int, ...], hooks: bool) -> tuple[tu
         tally[0, 0] = 1  # the empty order, or the one order of one vertex
     del rec  # rec refers to itself: break the cycle so the tables are freed at once
     return tuple(sorted(tally.items()))
+
+
+# F(U, A, B, C) of _hook_polys on graphs with at most _STORED_N vertices, an
+# int keyed by the induced subgraph of U with its orientation and the three
+# masks, and shared by every such graph of the process.  Cleared on entry to
+# _hook_polys once it holds more than _ORDER_STATES_CAP.
+_ORDER_STATES: dict[int, int] = {}
+_ORDER_STATES_CAP = 1 << 14
+
+
+@lru_cache(maxsize=4)
+def _hook_polys(graph: Graph, below: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(w, P): P[k - 1] sums t^descents over the orders whose descent
+    composition is the hook (k, 1^(n-k)), at t = 2^w, for k in 1..n, as
+    ``_order_counts`` labels and counts them.
+
+    Built from the back, such an order places first a stable set T of
+    sinks with falling index, k = |T|, and then only vertices above the
+    last one, at the top level H of heights: v rises to H + 1 when it has a
+    neighbour at H, and stays at H when it has none there, one at H - 1
+    (any vertex will do at H = 0) and an index above the last one.  So
+    what is left depends only on the set U to place and three masks within
+    it: A, its neighbours at H; B, those at H - 1, or U at H = 0; C, the
+    indices above the last one.  Every edge from v to the vertices placed
+    after it runs into v, so placing v adds the descents into[v] & (U - v),
+    and F(U, A, B, C), the sum of t^descents over the ways to place U,
+    depends only on the subgraph U induces with its orientation.  Each
+    coefficient is at most n!, so w = n!.bit_length().  On graphs of at
+    most ``_STORED_N`` vertices the states go to ``_ORDER_STATES``, shared
+    by every graph; larger ones keep a memo of their own.
+    """
+    n = graph.n
+    adj = graph.adjacency_masks()
+    into = _transpose(below)  # into[v]: the neighbours above v
+    width = factorial(n).bit_length()
+    store, rel, sets = _shared_states(_ORDER_STATES, _ORDER_STATES_CAP, into)  # bit a·n + b: a below b
+    shift = n * n + 1
+
+    def count(u: int, a: int, b: int, c: int) -> int:
+        key = rel & sets[u] | (a | b << n | c << 2 * n) << shift
+        total = store.get(key)
+        if total is None:
+            total, rest = 0, u
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                left = u ^ low
+                v = low.bit_length() - 1
+                if a & low:  # v rises to the new top level
+                    top, under = adj[v] & left, a ^ low
+                elif b & c & low:  # v stays at the top level
+                    top, under = (a | adj[v]) & left, b ^ low
+                else:
+                    continue
+                term = count(left, top, under, left & -(low << 1)) if left else 1
+                total += term << width * (into[v] & left).bit_count()
+            store[key] = total
+        return total
+
+    polys = [0] * n
+    full = (1 << n) - 1
+    stack = [(0, 0, 0, n)]  # (T, its neighbours, the descents into it, its lowest index, or n)
+    while stack:
+        t, near, down, last = stack.pop()
+        for v in range(last):
+            if not near >> v & 1:  # T + v is stable, and v is placed next
+                low, grown, more = 1 << v, near | adj[v], down + into[v].bit_count()
+                u = full ^ t ^ low
+                term = count(u, grown & u, u, u & -(low << 1)) if u else 1
+                polys[(t | low).bit_count() - 1] += term << width * more
+                stack.append((t | low, grown, more, v))
+    del count  # count refers to itself: break the cycle so the store reference is freed at once
+    return width, tuple(polys)
 
 
 def cqf_fundamental_via_orientations(graph: Graph, zeta: Labeling | None = None) -> QuasisymmetricF:
@@ -627,18 +689,18 @@ def cqf_fundamental_via_orientations(graph: Graph, zeta: Labeling | None = None)
 
 def hook_coefficients_via_extensions_t(graph: Graph, zeta: Labeling | None) -> tuple[TPoly, ...]:
     """Entry k - 1 is the coefficient of F_(k,1^(n-k)) in
-    ``cqf_fundamental_via_orientations(graph, zeta)``, for k in 1..n, read
-    from the hook walk, which meets only the orders of those compositions:
-    one pass bins its entries by (k, descents).  The hook (k, 1^(n-k)) has
-    the descents k..n-1, so k is one more than the lowest bit of its
-    descent mask, or n when the mask is empty."""
-    n, m = graph.n, graph.m
-    if not n:
-        return ()
-    arrays = [[0] * (m + 1) for _ in range(n)]  # arrays[k - 1][descents]
-    for (mask, des), count in _order_counts(graph, tuple(_below(graph, zeta)), True):
-        arrays[((mask & -mask).bit_length() or n) - 1][des] += count
-    return tuple(TPoly._trusted(arr) for arr in arrays)
+    ``cqf_fundamental_via_orientations(graph, zeta)``, for k in 1..n,
+    decoded once each from the packed polynomials of the hook DP,
+    ``_hook_polys``, which counts only the orders of those compositions."""
+    width, polys = _hook_polys(graph, tuple(_below(graph, zeta)))
+    digit, out = (1 << width) - 1, []
+    for h in polys:
+        coeffs = []
+        while h:
+            coeffs.append(h & digit)
+            h >>= width
+        out.append(TPoly._trusted(coeffs))
+    return tuple(out)
 
 
 def hook_coefficients_via_orientations_t(graph: Graph, zeta: Labeling | None) -> tuple[TPoly, ...]:

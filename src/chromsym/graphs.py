@@ -13,11 +13,11 @@ for each that orientations and posets share; ``_relation_bits`` holds it
 as one integer that one AND restricts to a set, with a mask from the
 cached table ``_subset_pair_masks``, and ``_graph_of`` turns a symmetric
 one back into a graph.  ``_shared_states`` gives every subset DP of the
-package (the stable-partition DP here, the coloring pass and the sink kernel
-in ``chromatic``, the hook tableau walk in ``posets``) its store and those
-keys on structures of sweep size, and a memo of its own otherwise, so no
-other module computes with the bit layout or decides when a store is
-cleared.
+package (the stable-partition DP here, the coloring pass, the sink kernel
+and the hook DP in ``chromatic``, the hook tableau walk in ``posets``) its
+store and those keys on structures of sweep size, and a memo of its own
+otherwise, so no other module computes with the bit layout or decides when
+a store is cleared.
 """
 
 from __future__ import annotations
@@ -258,8 +258,9 @@ def _closure(masks) -> list[int] | None:
 
 
 # The most vertices a structure may have for the stores that the sweep
-# kernels share (``_PARTITION_STATES`` here, ``chromatic._STATES`` and
-# ``chromatic._SINK_STATES``, ``posets._LEGS``) to hold its sub-structures
+# kernels share (``_PARTITION_STATES`` here, ``chromatic._STATES``,
+# ``chromatic._SINK_STATES`` and ``chromatic._ORDER_STATES``,
+# ``posets._LEGS``) to hold its sub-structures
 # under ``_relation_bits`` keys; larger ones keep their own.
 _STORED_N = 7
 

@@ -6,12 +6,13 @@ from random import Random
 
 import pytest
 
-from chromsym import cli
+from chromsym import chromatic, cli
 from chromsym.chromatic import (
     SinkProfile,
     _below,
     _coloring_counts,
     _coloring_profile,
+    _hook_polys,
     _order_counts,
     _orientation_compositions,
     _sink_polys,
@@ -180,27 +181,48 @@ def test_orientation_compositions_match_the_word_oracle_on_seeded_graphs_and_k7(
         _assert_orientation_compositions_match_the_oracle(g, _zetas(g.n, rng))
 
 
+def _hook_orders(g, zeta) -> list[Counter]:
+    """Entry k - 1 counts the orders of the hook DP with tail k by
+    descents, decoded digit by digit from its packed polynomials."""
+    width, polys = _hook_polys(g, tuple(_below(g, zeta)))
+    digit, by_k = (1 << width) - 1, []
+    for h in polys:
+        row, d = Counter(), 0
+        while h:
+            if h & digit:
+                row[d] = h & digit
+            h, d = h >> width, d + 1
+        by_k.append(row)
+    return by_k
+
+
+def _full_walk_hooks(g, zeta) -> list[Counter]:
+    """Entry k - 1 counts the orders of the full walk whose composition is
+    the hook (k, 1^(n-k)) by descents."""
+    hooks = {hook_partition(g.n, k): k for k in range(1, g.n + 1)}
+    by_k = [Counter() for _ in range(g.n)]
+    for (comp, des), count in _orientation_compositions(g, zeta):
+        if comp in hooks:
+            by_k[hooks[comp] - 1][des] += count
+    return by_k
+
+
 def _assert_hook_walk_matches_the_full_walk(g, zetas):
+    # The hook DP counts the orders of the full walk whose composition is a
+    # hook, each with the descents of its orientation, without walking one.
     n = g.n
-    hooks = {hook_partition(n, k) for k in range(1, n + 1)}
     for zeta in zetas:
-        hook_entries = _orientation_compositions(g, zeta, hooks=True)
-        full_entries = _orientation_compositions(g, zeta)
-        assert hook_entries == tuple(entry for entry in full_entries if entry[0][0] in hooks)
-        falling: Counter = Counter()  # descents -> orientations, each met once through its falling extension
-        orders: Counter = Counter()  # descents -> hook orders
-        for (comp, des), count in hook_entries:
-            orders[des] += count
-            if comp == (1,) * n:
-                falling[des] += count
-        # the sink kernel counts the same orientations, 2^(sinks - 1) hook orders each
+        by_k = _hook_orders(g, zeta)
+        assert by_k == _full_walk_hooks(g, zeta)
+        # the sink kernel counts the same orientations, 2^(sinks - 1) hook
+        # orders each, exactly one of them falling all the way (k = 1)
         expected_falling: Counter = Counter()
         expected_orders: Counter = Counter()
         for (sinks, des), count in sink_counts(g, tuple(_below(g, zeta))):
             expected_falling[des] += count
             expected_orders[des] += 2 ** (sinks - 1) * count
-        assert falling == expected_falling
-        assert orders == expected_orders
+        assert by_k[0] == expected_falling
+        assert sum(by_k, Counter()) == expected_orders
         full = cqf_fundamental_via_orientations(g, zeta)
         walked = hook_coefficients_via_extensions_t(g, zeta)
         assert walked == tuple(hook_coefficient_of_F(full, k) for k in range(1, n + 1))
@@ -208,16 +230,38 @@ def _assert_hook_walk_matches_the_full_walk(g, zetas):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_hook_walk_matches_the_full_walk(n):
+    rng = Random(40 + n)
     for g in all_graphs(n):
-        _assert_hook_walk_matches_the_full_walk(g, (Labeling.identity(n), Labeling(range(n, 0, -1))))
+        _assert_hook_walk_matches_the_full_walk(g, _zetas(n, rng))
 
 
-def test_hook_walk_matches_the_full_walk_on_seeded_graphs_k7_and_path_8():
+def test_hook_walk_matches_the_full_walk_on_seeded_graphs_and_k8():
     rng = Random(12)
-    for g in [*seeded_graphs(6, seed=12), complete_graph(7), path_graph(8)]:
-        labels = list(range(1, g.n + 1))
-        rng.shuffle(labels)
-        _assert_hook_walk_matches_the_full_walk(g, (Labeling(labels),))
+    for g in [*seeded_graphs(8, seed=12, sizes=(6, 7)), complete_graph(8)]:
+        _assert_hook_walk_matches_the_full_walk(g, _zetas(g.n, rng))
+
+
+@pytest.mark.parametrize("family", [complete_graph, path_graph])
+def test_the_hook_dp_needs_at_most_n_2_to_the_n_states_on_k_n_and_path_n(monkeypatch, family):
+    # ROADMAP item 2's bound: the DP's states, not the n! orders, set its cost
+    stores, shared_states = [], chromatic._shared_states
+
+    def spy(store, cap, masks):
+        states = shared_states(store, cap, masks)
+        stores.append(states[0])
+        return states
+
+    monkeypatch.setattr(chromatic, "_shared_states", spy)
+    monkeypatch.setattr(chromatic, "_ORDER_STATES", {})
+    counts = []
+    for n in range(1, 13):
+        chromatic._ORDER_STATES.clear()
+        _hook_polys.cache_clear()
+        g = family(n)
+        _hook_polys(g, tuple(_below(g, None)))
+        counts.append(len(stores.pop()))
+    assert all(count <= n * 2**n for n, count in enumerate(counts, 1))
+    assert counts[9] == (2815 if family is complete_graph else 5563)  # K10 and path_10
 
 
 def _assert_hook_t_rows_match_the_full_transforms(g, zetas):
@@ -269,40 +313,37 @@ def test_the_route_kernels_are_cached_on_the_orientation_the_labeling_induces():
     below = {zeta: tuple(_below(CLAW, zeta)) for zeta in (None, first, second)}
     _coloring_counts.cache_clear()
     _order_counts.cache_clear()
+    _hook_polys.cache_clear()
     _sink_polys.cache_clear()
     assert _coloring_profile(CLAW, first) == _coloring_profile(CLAW, second)
     assert _coloring_counts(CLAW, below[first]) is _coloring_counts(CLAW, below[second])
     assert _orientation_compositions(CLAW, first) == _orientation_compositions(CLAW, second)
-    assert _order_counts(CLAW, below[first], False) is _order_counts(CLAW, below[second], False)
+    assert _order_counts(CLAW, below[first]) is _order_counts(CLAW, below[second])
     assert hook_coefficients_via_extensions_t(CLAW, first) == hook_coefficients_via_extensions_t(CLAW, second)
+    assert _hook_polys(CLAW, below[first]) is _hook_polys(CLAW, below[second])
     assert hook_coefficients_via_orientations_t(CLAW, first) == hook_coefficients_via_orientations_t(CLAW, second)
     assert _coloring_counts.cache_info().misses == 1
-    assert _order_counts.cache_info().misses == 2
+    assert _order_counts.cache_info().misses == 1
+    assert _hook_polys.cache_info().misses == 1
     assert _sink_polys.cache_info().misses == 1
     # a labeling that turns an edge round is a new entry
     turned = Labeling([2, 1, 3, 4])
     assert _coloring_profile(CLAW, turned) != _coloring_profile(CLAW, first)
     assert _orientation_compositions(CLAW, turned) != _orientation_compositions(CLAW, first)
+    assert hook_coefficients_via_extensions_t(CLAW, turned) != hook_coefficients_via_extensions_t(CLAW, first)
     assert _coloring_counts.cache_info().misses == 2
-    assert _order_counts.cache_info().misses == 3
+    assert _order_counts.cache_info().misses == 2
+    assert _hook_polys.cache_info().misses == 2
     # zeta omitted orients every edge by index, as the identity does: the same entry
     assert first == Labeling.identity(4)
     assert _coloring_counts(CLAW, below[None]) is _coloring_counts(CLAW, below[first])
-    assert _order_counts(CLAW, below[None], False) is _order_counts(CLAW, below[first], False)
+    assert _order_counts(CLAW, below[None]) is _order_counts(CLAW, below[first])
+    assert _hook_polys(CLAW, below[None]) is _hook_polys(CLAW, below[first])
     assert sink_profile.__wrapped__(CLAW).total == 8  # past its own cache: reads the entry for zeta omitted
     assert _coloring_counts.cache_info().misses == 2
-    assert _order_counts.cache_info().misses == 3
+    assert _order_counts.cache_info().misses == 2
+    assert _hook_polys.cache_info().misses == 2
     assert _sink_polys.cache_info().misses == 1
-
-
-def test_the_hook_walk_of_k8_holds_one_entry_per_composition_and_descent_count():
-    # Every orientation of K8 has one sink, so the hook walk meets all 8!
-    # orders; it keeps one entry per (composition, descents), not one per
-    # orientation.
-    g = complete_graph(8)
-    entries = _orientation_compositions(g, None, hooks=True)
-    assert len(entries) <= (g.m + 1) * 2 ** (g.n - 1)
-    assert sum(count for _, count in entries) == factorial(8)
 
 
 @pytest.mark.parametrize("n", range(5))

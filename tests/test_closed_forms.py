@@ -59,8 +59,8 @@ def test_all_three_hook_t_values_match_the_closed_form(graph, expansion):
         assert [h.coeffs for h in reader(graph, None)] == expected, reader.__name__
 
 
-# Past the walk's reach (it took 0.7 to 9 s on path_12 to path_14), the sink
-# kernel alone: the orientation sum against the closed form.
+# The sink kernel and the hook DP reach 12 to 14 vertices, the coloring pass
+# does not: the orientation sum and the F-expansion against the closed form.
 LARGE_CASES = {
     **{f"path_{n}": (path_graph(n), path_e_expansion(n)) for n in range(11, 15)},
     **{f"K_{n}": (complete_graph(n), complete_e_expansion(n)) for n in (9, 10)},
@@ -72,3 +72,10 @@ def test_the_orientation_sum_matches_the_closed_form_past_the_walk(name):
     graph, expansion = LARGE_CASES[name]
     expected = hooks_of_e_expansion(expansion, graph.n)
     assert [h.coeffs for h in hook_coefficients_via_orientations_t(graph, None)] == expected
+
+
+@pytest.mark.parametrize("name", LARGE_CASES)
+def test_the_f_expansion_matches_the_closed_form_on_large_graphs(name):
+    graph, expansion = LARGE_CASES[name]
+    expected = hooks_of_e_expansion(expansion, graph.n)
+    assert [h.coeffs for h in hook_coefficients_via_extensions_t(graph, None)] == expected

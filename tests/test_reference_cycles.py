@@ -18,6 +18,7 @@ import pytest
 from chromsym.chromatic import (
     _below,
     _coloring_counts,
+    _hook_polys,
     _order_counts,
     _sink_polys,
     dual_linear_extensions,
@@ -34,6 +35,8 @@ GRAPH = Graph(6, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5), (4, 6), (5, 6)
 POSET = Poset.from_covers(6, [[1, 2], [1, 3], [2, 4], [3, 4], [4, 5]])
 ORIENTATION = acyclic_orientations(GRAPH)[7]
 BELOW = tuple(_below(GRAPH, Labeling([4, 1, 6, 2, 5, 3])))
+GRAPH_7 = Graph(7, [(1, 2), (1, 4), (2, 3), (2, 5), (3, 6), (4, 5), (5, 6), (5, 7), (6, 7)])
+BELOW_7 = tuple(_below(GRAPH_7, Labeling([5, 2, 7, 1, 4, 6, 3])))
 POSET_8 = Poset.from_covers(8, [[1, 2], [1, 3], [2, 4], [3, 4], [4, 5], [2, 6], [6, 7], [5, 8]])
 GRAPH_8 = Graph(8, [(1, 2), (1, 5), (2, 3), (2, 6), (3, 4), (3, 7), (4, 8), (5, 6), (6, 7), (7, 8)])
 BELOW_8 = tuple(_below(GRAPH_8, Labeling([3, 8, 1, 6, 2, 7, 4, 5])))
@@ -47,8 +50,10 @@ KERNELS = {
     ],
     # above seven vertices the pass keeps a memo of its own
     "_coloring_profile, eight vertices": lambda: _coloring_counts.__wrapped__(GRAPH_8, BELOW_8),
-    "_orientation_compositions": lambda: _order_counts.__wrapped__(GRAPH, BELOW, False),
-    "_orientation_compositions, hooks": lambda: _order_counts.__wrapped__(GRAPH, BELOW, True),
+    "_orientation_compositions": lambda: _order_counts.__wrapped__(GRAPH, BELOW),
+    "_hook_polys": lambda: _hook_polys.__wrapped__(GRAPH_7, BELOW_7),
+    # above seven vertices the DP keeps a memo of its own
+    "_hook_polys, eight vertices": lambda: _hook_polys.__wrapped__(GRAPH_8, BELOW_8),
     "_sink_counts": lambda: _sink_polys.__wrapped__(GRAPH, BELOW),
     "stable_partitions_by_type": lambda: stable_partitions_by_type(GRAPH),
     "stable_partitions_by_type, sub-states looked up in the store": lambda: [

@@ -3,7 +3,9 @@
 ``posets._LEGS`` holds column fillings per element by induced sub-order,
 ``chromatic._STATES`` the coloring pass's states and
 ``chromatic._SINK_STATES`` the sink kernel's descent polynomials of the
-acyclic orientations, both by induced, oriented subgraph, and
+acyclic orientations and ``chromatic._ORDER_STATES`` the hook DP's
+polynomials of the orders left to place, all three by induced, oriented
+subgraph, and
 ``graphs._PARTITION_STATES`` the stable-partition recursion's states by
 induced subgraph; every case a process runs shares them.  Each test runs
 a kernel over many cases with its store emptied before every case, shared
@@ -20,7 +22,15 @@ from random import Random
 import pytest
 
 from chromsym import chromatic, cli, graphs, posets, symfunc
-from chromsym.chromatic import _below, _coloring_counts, _sink_polys, csf_monomial, csf_schur, sink_profile
+from chromsym.chromatic import (
+    _below,
+    _coloring_counts,
+    _hook_polys,
+    _sink_polys,
+    csf_monomial,
+    csf_schur,
+    sink_profile,
+)
 from chromsym.graphs import Graph, Labeling, complete_graph, path_graph, stable_partitions_by_type
 from chromsym.posets import Poset, _hook_tableau_counts, all_posets
 from oracles import (
@@ -36,7 +46,7 @@ from oracles import (
     sink_descent_counts_scan,
     stable_partitions_recursive,
 )
-from test_chromatic import _assert_coloring_profile_matches
+from test_chromatic import _assert_coloring_profile_matches, _full_walk_hooks, _hook_orders
 
 RUNS = [
     ("in order", "emptied"),
@@ -257,8 +267,22 @@ def _check_sinks(g):
     assert sink_profile(g).counts == _subset_dp_oracles()[g][1]
 
 
-def _assert_sink_states_are_ints(store: dict):
+def _assert_int_states(store: dict):
     assert store and all(type(value) is int for value in store.values())
+
+
+@cache
+def _hook_oracle() -> dict:
+    return {
+        g: [(zeta, _full_walk_hooks(g, zeta)) for zeta in _zetas(g.n, Random(i))]
+        for i, g in enumerate(chain(*GRAPHS, SEEDED_GRAPHS))
+    }
+
+
+def _check_hook_orders(g):
+    _hook_polys.cache_clear()  # every call runs the kernel, not its lru_cache
+    for zeta, expected in _hook_oracle()[g]:
+        assert _hook_orders(g, zeta) == expected
 
 
 def _assert_partition_states_are_immutable(store: dict):
@@ -286,7 +310,7 @@ def test_stable_partitions_match_the_oracle_on_seeded_graphs(monkeypatch, mode):
 @pytest.mark.parametrize("order, mode", RUNS)
 def test_sink_counts_match_the_scan_on_every_small_graph(monkeypatch, order, mode):
     store = _run(monkeypatch, chromatic, "_SINK_STATES", "_SINK_STATES_CAP", mode, _ordered(GRAPHS, order), _check_sinks)
-    _assert_sink_states_are_ints(store)
+    _assert_int_states(store)
 
 
 @pytest.mark.parametrize("mode", ["shared", "warm", "low cap"])
@@ -294,7 +318,45 @@ def test_sink_counts_match_the_scan_on_seeded_graphs(monkeypatch, mode):
     assert {g.n for g in SINK_GRAPHS} == {6, 7, 8}
     cases = _ordered([GRAPHS[4], GRAPHS[5][::7], SINK_GRAPHS], "interleaved")
     store = _run(monkeypatch, chromatic, "_SINK_STATES", "_SINK_STATES_CAP", mode, cases, _check_sinks)
-    _assert_sink_states_are_ints(store)
+    _assert_int_states(store)
+
+
+@pytest.mark.parametrize("order, mode", RUNS)
+def test_hook_orders_match_the_full_walk_on_every_small_graph(monkeypatch, order, mode):
+    store = _run(
+        monkeypatch, chromatic, "_ORDER_STATES", "_ORDER_STATES_CAP", mode, _ordered(GRAPHS, order), _check_hook_orders
+    )
+    _assert_int_states(store)
+
+
+@pytest.mark.parametrize("mode", ["shared", "warm", "low cap"])
+def test_hook_orders_match_the_full_walk_on_seeded_graphs(monkeypatch, mode):
+    cases = _ordered([GRAPHS[4], GRAPHS[5][::7], SEEDED_GRAPHS], "interleaved")
+    store = _run(monkeypatch, chromatic, "_ORDER_STATES", "_ORDER_STATES_CAP", mode, cases, _check_hook_orders)
+    _assert_int_states(store)
+
+
+def test_graphs_above_seven_vertices_leave_the_order_store_empty(monkeypatch):
+    monkeypatch.setattr(chromatic, "_ORDER_STATES", {})
+    for g in SEEDED_GRAPHS[2::3]:  # 8 vertices
+        _check_hook_orders(g)
+    assert chromatic._ORDER_STATES == {}
+
+
+def test_a_sweep_of_five_vertices_computes_each_hook_order_state_once(monkeypatch):
+    store = _CountingStore()
+    monkeypatch.setattr(chromatic, "_ORDER_STATES", store)
+    _hook_polys.cache_clear()
+    assert list(cli._sweep_results(5, ("hook-t",), 1)) == [[]] * 1024
+    # one state per induced oriented subgraph of the vertices left to place
+    # and the masks (A, B, C) a graph reaches it with; the count is fixed by
+    # the 1,024 graphs, and a key that merged or split states would change it
+    assert len(store) == len(store.writes) == 13920
+    assert set(store.writes.values()) == {1}
+    # a nonempty tail is placed first: no key holds the whole graph
+    diagonal = sum(1 << a * 5 + a for a in range(5))
+    assert all(key & diagonal != diagonal for key in store)
+    _assert_int_states(store)
 
 
 def test_graphs_above_seven_vertices_leave_the_partition_and_sink_stores_empty(monkeypatch):
@@ -340,7 +402,7 @@ def test_a_sweep_of_five_vertices_computes_each_partition_and_sink_state_once(mo
     # hook-1, e-sink and hook-t's orientation sum read one kernel call.
     assert len(sinks) == len(sinks.writes) == 425
     assert set(sinks.writes.values()) == {1}
-    _assert_sink_states_are_ints(sinks)
+    _assert_int_states(sinks)
     # a whole graph's key keeps all five diagonal bits: neither store holds one
     diagonal = sum(1 << a * 5 + a for a in range(5))
     assert all(key & diagonal != diagonal for key in chain(partitions, sinks))
