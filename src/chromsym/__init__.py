@@ -28,12 +28,12 @@ from .graphs import (
     Orientation,
     acyclic_orientations,
     complete_graph,
-    descents,
     edgeless_graph,
     is_claw_free,
     load_graph,
     parse_graph_text,
     path_graph,
+    reference_orientation,
     stable_partitions_by_type,
     star_graph,
 )

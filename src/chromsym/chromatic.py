@@ -21,7 +21,7 @@ The same quantities are reachable along two independent routes:
   each a linear extension of the one orientation whose arcs run from its
   earlier to its later ends, are placed from the last position to the
   first and labeled by height, so each order's descents, and the
-  orientation's descents under the labeling, are known as it is built.
+  orientation's arcs against the reference one, are known as it is built.
   ``_order_counts`` walks all n! orders for ``cqf``, tallying each by
   (descent mask, descents); ``_hook_polys`` counts only the orders whose
   descent composition is a hook, for ``hook-t``, by a DP over the vertex
@@ -29,15 +29,18 @@ The same quantities are reachable along two independent routes:
   of sweep size.  ``dual_linear_extensions`` lists the extensions of one
   given orientation with a recursion of its own.
 
-The kernels read the labeling only through the orientation it induces
-on the edges, and are cached on that.  The readers project the kernels'
-packed counts: ``hook-t`` reads its three values off the hook DP's and
-the sink kernel's packed polynomials and off the coloring pass's keys
-at the hooks alone, with no quasisymmetric map built, summing packed
-polynomials and decoding each value once, and ``chrompoly`` reads the
-number of color classes off the keys.  Only ``cqf`` decodes
-compositions, in ``_coloring_profile`` and ``_orientation_compositions``.
-Hook coefficients computed both ways must agree, which is what the
+The t-graded values depend on a labeling only through the orientation
+it gives the edges (Shareshian and Wachs 2016), so they take that
+reference orientation, ``graphs.reference_orientation``, and no
+labeling: the CLI builds it once per input, and the kernels are cached
+on it.  The readers project the kernels' packed counts: ``hook-t``
+reads its three values off the hook DP's and the sink kernel's packed
+polynomials and off the coloring pass's keys at the hooks alone, with
+no quasisymmetric map built, summing packed polynomials and decoding
+each value once, and ``chrompoly`` reads the number of color classes
+off the keys.  Only ``cqf`` decodes compositions, in
+``_coloring_profile`` and ``_orientation_compositions``.  Hook
+coefficients computed both ways must agree, which is what the
 ``verify``/``sweep`` commands and the test suite exercise exhaustively
 at small vertex counts.
 """
@@ -58,6 +61,7 @@ from .graphs import (
     _shared_states,
     _transpose,
     acyclic_orientations,  # noqa: F401  (perfbench/shim.py wraps this binding)
+    reference_orientation,
     stable_partitions_by_type,
 )
 from .partitions import (
@@ -190,7 +194,7 @@ def sink_profile(graph: Graph) -> SinkProfile:
     sum is at most n! < 2^w - 1 when n >= 2.  With fewer vertices there is
     no edge, and the int is its one digit."""
     n = graph.n
-    width, p = _sink_polys(graph, tuple(_below(graph, None)))
+    width, p = _sink_polys(graph, reference_orientation(graph))
     p = list(p)
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
@@ -236,7 +240,7 @@ def _sink_polys(graph: Graph, below: tuple[int, ...]) -> tuple[int, tuple[int, .
     """(w, P) with P[j] the sum over the acyclic orientations O of
     C(sinks(O), j) t^descents(O) at t = 2^w, for j in 0..n: the
     coefficients of P(y; t) = sum over O of (1 + y)^sinks(O) t^descents(O).
-    A descent is an arc u -> v with v in below[u], as ``_below`` gives it.
+    A descent is an arc u -> v of the reference orientation, v in below[u].
 
     No orientation is listed.  With a(U; t) the descent polynomial of the
     acyclic orientations of the induced subgraph G[U], sink removal gives
@@ -245,8 +249,8 @@ def _sink_polys(graph: Graph, below: tuple[int, ...]) -> tuple[int, tuple[int, .
                 (-1)^(|T|+1) t^d(T, U - T) a(U - T; t),
     since the orientations of G[U] whose sinks include T are those of
     G[U - T] with every edge to T pointing into T, and d(T, R) counts those
-    edges whose lower end under the labeling is in T.  Summing all stable T,
-    the empty one included,
+    edges whose head in below is in T.  Summing all stable T, the empty
+    one included,
       P(y; t) = sum_T y^|T| t^d(T, V - T) a(V - T; t)
               = sum over orientations O of (1 + y)^sinks(O) t^descents(O),
     and the sink histogram is read off P(y - 1; t).  This is the 3^n
@@ -263,7 +267,7 @@ def _sink_polys(graph: Graph, below: tuple[int, ...]) -> tuple[int, tuple[int, .
     """
     n = graph.n
     adj = graph.adjacency_masks()
-    lower, upper = [0] * n, [0] * n  # bits of the edges whose lower (upper) end under the labeling is v
+    lower, upper = [0] * n, [0] * n  # bits of the edges whose lower (upper) end, head (tail) in below, is v
     for e, (lo, hi) in enumerate(graph.edges):
         if not below[hi - 1] >> (lo - 1) & 1:
             lo, hi = hi, lo
@@ -280,7 +284,7 @@ def _sink_polys(graph: Graph, below: tuple[int, ...]) -> tuple[int, tuple[int, .
         starts[t] = starts[rest] | lower[low]
         ends[t] = ends[rest] | upper[low]
     width = factorial(n).bit_length()
-    store, rel, sets = _shared_states(_SINK_STATES, _SINK_STATES_CAP, _transpose(below))  # bit a·n + b: a below b
+    store, rel, sets = _shared_states(_SINK_STATES, _SINK_STATES_CAP, below)  # bit a·n + b: b below a
     keys = [rel & mask for mask in sets]
     a = [1] * (full + 1)
     for u in range(1, full):  # the proper subsets
@@ -335,7 +339,7 @@ def chromatic_polynomial_via_colorings(graph: Graph) -> tuple[int, ...]:
     0..n, by enumeration: a coloring onto the colors 1..j stands for the
     C(k, j) ways to choose its j colors.  No stable partition is used: j is
     the number of partial sums that a key of ``_coloring_counts`` holds."""
-    width, keys, counts = _coloring_counts(graph, tuple(_below(graph, None)))
+    width, keys, counts = _coloring_counts(graph, reference_orientation(graph))
     by_size = [0] * (graph.n + 1)  # by_size[j]: the colorings onto 1..j
     for key, count in zip(keys, counts):
         by_size[(key >> width).bit_count()] += count
@@ -346,29 +350,14 @@ def chromatic_polynomial_via_colorings(graph: Graph) -> tuple[int, ...]:
 # quasisymmetric refinement
 
 
-def _below(graph: Graph, zeta: Labeling | None) -> list[int]:
-    """Entry v masks the neighbours of vertex v (0-indexed) with a smaller
-    label under zeta, or a smaller index when zeta is None."""
-    if zeta is not None and zeta.n != graph.n:
-        raise ValueError("labeling does not match the graph's vertex count")
-    below = [0] * graph.n
-    for a, b in graph.edges:
-        if zeta is None or zeta.label(a) < zeta.label(b):
-            below[b - 1] |= 1 << (a - 1)
-        else:
-            below[a - 1] |= 1 << (b - 1)
-    return below
-
-
-def _coloring_profile(graph: Graph, zeta: Labeling | None) -> tuple[tuple[tuple[tuple[int, ...], int], int], ...]:
+def _coloring_profile(graph: Graph, below: tuple[int, ...]) -> tuple[tuple[tuple[tuple[int, ...], int], int], ...]:
     """((class-size composition, ascents), colorings) over the proper
     colorings whose colors form an initial segment 1..j, one entry per
     distinct pair, ascending in (descent mask of the composition, ascents).
-    An ascent is an edge whose end with the smaller label under zeta (the
-    smaller index when zeta is None) has the smaller color, so the profile
-    depends on zeta only through the orientation it induces.  Decoded from
-    the keys of ``_coloring_counts``, which is cached on that."""
-    width, keys, counts = _coloring_counts(graph, tuple(_below(graph, zeta)))
+    An ascent is an arc u -> v of the reference orientation below, v in
+    below[u], whose head v has the smaller color.  Decoded from the keys
+    of ``_coloring_counts``."""
+    width, keys, counts = _coloring_counts(graph, below)
     table = _compositions_by_mask(graph.n)
     low, asc = len(table) - 1, (1 << width) - 1  # the partial sum n is dropped
     return tuple(((table[key >> width & low], key & asc), count) for key, count in sorted(zip(keys, counts)))
@@ -384,9 +373,9 @@ _STATES_CAP = 1 << 13
 
 @lru_cache(maxsize=4)
 def _coloring_counts(graph: Graph, below: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """(w, keys, counts): the colorings onto an initial segment 1..j under
-    the labeling whose ``_below`` is below, counted by one int key each:
-    the ascents in the low w bits, and bit w + p - 1 above them for each
+    """(w, keys, counts): the colorings onto an initial segment 1..j, with
+    ascents as in ``_coloring_profile``, counted by one int key each: the
+    ascents in the low w bits, and bit w + p - 1 above them for each
     partial sum p of the class-size composition, n included.  The keys are
     distinct and in no fixed order.
 
@@ -395,10 +384,10 @@ def _coloring_counts(graph: Graph, below: tuple[int, ...]) -> tuple[int, tuple[i
     by such keys.  One pass over the sets in ascending order sums it over
     the last color class T, a nonempty stable subset of S, from the state
     of S - T, met before S as a smaller integer; its keys gain the partial
-    sum |S| and the ascents of the edges that run up the labeling from
-    S - T into T.  The work is one step per (S, T, key of S - T), however
-    many colorings a key counts.  The whole graph comes last, and its state
-    is the result.
+    sum |S| and the ascents of the edges from their lower end in S - T to
+    their upper end in T.  The work is one step per (S, T, key of S - T),
+    however many colorings a key counts.  The whole graph comes last, and
+    its state is the result.
 
     The state of S depends only on the subgraph S induces and the
     orientation its edges get, so on graphs of at most ``_STORED_N``
@@ -409,7 +398,7 @@ def _coloring_counts(graph: Graph, below: tuple[int, ...]) -> tuple[int, tuple[i
     """
     n = graph.n
     adj = graph.adjacency_masks()
-    lower, upper = [0] * n, [0] * n  # bits of the edges whose lower (upper) end under the labeling is v
+    lower, upper = [0] * n, [0] * n  # bits of the edges whose lower (upper) end, head (tail) in below, is v
     for e, (a, b) in enumerate(graph.edges):
         if not below[b - 1] >> (a - 1) & 1:
             a, b = b, a
@@ -426,7 +415,7 @@ def _coloring_counts(graph: Graph, below: tuple[int, ...]) -> tuple[int, tuple[i
         starts[t] = starts[rest] | lower[low]
         ends[t] = ends[rest] | upper[low]
     width = (n * (n - 1) // 2).bit_length()  # the ascents number at most C(n, 2)
-    store, rel, sets = _shared_states(_STATES, _STATES_CAP, _transpose(below))  # bit a·n + b: a below b
+    store, rel, sets = _shared_states(_STATES, _STATES_CAP, below)  # bit a·n + b: b below a
     keys = [rel & mask for mask in sets]
     for s in range(full + 1):
         if keys[s] in store:
@@ -448,13 +437,13 @@ def _coloring_counts(graph: Graph, below: tuple[int, ...]) -> tuple[int, tuple[i
     return width, tuple(sums), tuple(sums.values())
 
 
-def cqf_monomial(graph: Graph, zeta: Labeling | None = None) -> QuasisymmetricM:
+def cqf_monomial(graph: Graph, below: tuple[int, ...]) -> QuasisymmetricM:
     """Monomial coordinates of the chromatic quasisymmetric function:
     the coefficient of M_alpha collects t^(ascents) over proper colorings
     surjective onto 1..len(alpha) with class sizes alpha."""
     m = graph.m
     acc: dict[tuple[int, ...], list[int]] = {}
-    for (comp, asc), count in _coloring_profile(graph, zeta):
+    for (comp, asc), count in _coloring_profile(graph, below):
         arr = acc.get(comp)
         if arr is None:
             arr = acc[comp] = [0] * (m + 1)
@@ -520,25 +509,24 @@ def dual_linear_extensions(o: Orientation, omega: Labeling) -> tuple[tuple[int, 
     return tuple(sorted(words))
 
 
-def _orientation_compositions(graph: Graph, zeta: Labeling | None) -> tuple:
+def _orientation_compositions(graph: Graph, below: tuple[int, ...]) -> tuple:
     """((composition, descents), orders) over the pairs of an acyclic
     orientation and one of its linear extensions, one entry per distinct
     pair, ascending in (descent mask of the composition, descents), from one
     walk over the vertex orders.  The descents are the orientation's
-    arcs u -> v with v below u under zeta (by index when zeta is None); the
+    arcs u -> v with v in below[u], those of the reference orientation; the
     composition is that of the order's reflected descent set
     {i : n - i in Des} under the height labeling.  Every labeling that
     decreases along the arcs gives an orientation the same descent sets
-    over its linear extensions (Stanley 1972).  The walk reads zeta only
-    through the orientation it induces, and is cached on that."""
-    table, tally = _compositions_by_mask(graph.n), _order_counts(graph, tuple(_below(graph, zeta)))
+    over its linear extensions (Stanley 1972)."""
+    table, tally = _compositions_by_mask(graph.n), _order_counts(graph, below)
     return tuple(((table[des], down), count) for (des, down), count in tally)
 
 
 @lru_cache(maxsize=4)
 def _order_counts(graph: Graph, below: tuple[int, ...]) -> tuple[tuple[tuple[int, int], int], ...]:
-    """The entries of ``_orientation_compositions`` under the labeling whose
-    ``_below`` is below, each composition given by its descent mask (bit
+    """The entries of ``_orientation_compositions`` under the reference
+    orientation below, each composition given by its descent mask (bit
     i - 1 for descent i), ascending.
 
     One recursion meets every order of the vertices once, each of them a
@@ -673,13 +661,13 @@ def _hook_polys(graph: Graph, below: tuple[int, ...]) -> tuple[int, tuple[int, .
     return width, tuple(polys)
 
 
-def cqf_fundamental_via_orientations(graph: Graph, zeta: Labeling | None = None) -> QuasisymmetricF:
+def cqf_fundamental_via_orientations(graph: Graph, below: tuple[int, ...]) -> QuasisymmetricF:
     """Fundamental coordinates assembled from acyclic orientations:
     each orientation contributes t^(descents) times the fundamental
     terms of its dual linear extensions."""
     m = graph.m
     acc: dict[tuple[int, ...], list[int]] = {}
-    for (comp, des), count in _orientation_compositions(graph, zeta):
+    for (comp, des), count in _orientation_compositions(graph, below):
         arr = acc.get(comp)
         if arr is None:
             arr = acc[comp] = [0] * (m + 1)
@@ -687,12 +675,12 @@ def cqf_fundamental_via_orientations(graph: Graph, zeta: Labeling | None = None)
     return QuasisymmetricF._trusted(graph.n, {comp: TPoly._trusted(arr) for comp, arr in acc.items()})
 
 
-def hook_coefficients_via_extensions_t(graph: Graph, zeta: Labeling | None) -> tuple[TPoly, ...]:
+def hook_coefficients_via_extensions_t(graph: Graph, below: tuple[int, ...]) -> tuple[TPoly, ...]:
     """Entry k - 1 is the coefficient of F_(k,1^(n-k)) in
-    ``cqf_fundamental_via_orientations(graph, zeta)``, for k in 1..n,
+    ``cqf_fundamental_via_orientations(graph, below)``, for k in 1..n,
     decoded once each from the packed polynomials of the hook DP,
     ``_hook_polys``, which counts only the orders of those compositions."""
-    width, polys = _hook_polys(graph, tuple(_below(graph, zeta)))
+    width, polys = _hook_polys(graph, below)
     digit, out = (1 << width) - 1, []
     for h in polys:
         coeffs = []
@@ -703,7 +691,7 @@ def hook_coefficients_via_extensions_t(graph: Graph, zeta: Labeling | None) -> t
     return tuple(out)
 
 
-def hook_coefficients_via_orientations_t(graph: Graph, zeta: Labeling | None) -> tuple[TPoly, ...]:
+def hook_coefficients_via_orientations_t(graph: Graph, below: tuple[int, ...]) -> tuple[TPoly, ...]:
     """Entry k - 1 is the binomial-weighted descent generating polynomial
     over acyclic orientations, sum of C(sinks-1, k-1) t^(descents), for k in
     1..n.  That is the coefficient of y^(k-1) in the sum over orientations
@@ -711,7 +699,7 @@ def hook_coefficients_via_orientations_t(graph: Graph, zeta: Labeling | None) ->
     the sink kernel, ``_sink_polys``: every orientation has a sink.  The
     division runs on P's packed ints, from the top coefficient down, and
     each quotient coefficient is decoded once."""
-    width, p = _sink_polys(graph, tuple(_below(graph, zeta)))
+    width, p = _sink_polys(graph, below)
     quotient, h = [], 0
     for j in range(graph.n, 0, -1):
         h = p[j] - h
@@ -719,9 +707,9 @@ def hook_coefficients_via_orientations_t(graph: Graph, zeta: Labeling | None) ->
     return tuple(reversed(quotient))
 
 
-def hook_coefficients_via_colorings_t(graph: Graph, zeta: Labeling | None) -> tuple[TPoly, ...]:
+def hook_coefficients_via_colorings_t(graph: Graph, below: tuple[int, ...]) -> tuple[TPoly, ...]:
     """Entry k - 1 is the coefficient of F_(k,1^(n-k)) in
-    ``qsym_M_to_F(cqf_monomial(graph, zeta))``, for k in 1..n, with the
+    ``qsym_M_to_F(cqf_monomial(graph, below))``, for k in 1..n, with the
     Moebius sum taken at the hooks only.  The descent set of a composition
     alpha lies within the hook's, {k..n-1}, exactly when alpha_1 >= k, so
         [F_(k,1^(n-k))] = sum over alpha_1 >= k of (-1)^(n-k+1-len(alpha)) c_alpha(t).
@@ -735,7 +723,7 @@ def hook_coefficients_via_colorings_t(graph: Graph, zeta: Labeling | None) -> tu
     n = graph.n
     if not n:
         return ()
-    width, keys, counts = _coloring_counts(graph, tuple(_below(graph, zeta)))
+    width, keys, counts = _coloring_counts(graph, below)
     asc, slots = (1 << width) - 1, _hook_slots(n)
     w = sum(counts).bit_length() + 1
     bins = [0] * (2 * n + 2)  # bins[2 alpha_1 + (len(alpha) & 1)]

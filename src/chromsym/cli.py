@@ -28,7 +28,9 @@ from .chromatic import (
     dual_linear_extensions,
     sink_minimal_increasing_labeling,
 )
-from .graphs import _STORED_N, Graph, Labeling, _acyclic_orientation, acyclic_orientation_masks, descents, load_graph
+from .graphs import (
+    _STORED_N, Graph, Labeling, _acyclic_orientation, acyclic_orientation_masks, load_graph, reference_orientation,
+)
 from .posets import Poset, all_posets, load_poset
 from .symfunc import _terms_json, canonical_items, collapse_t, is_symmetric, m_to_e, m_to_s, qsym_M_to_F
 from .tpoly import TPoly
@@ -164,9 +166,10 @@ def cmd_cqf(args) -> int:
     loaded = _load_bounded_graph(args)
     graph = loaded.graph
     zeta = _resolve_labeling(args, loaded.labeling, graph.n)
-    monomial = cqf_monomial(graph, zeta)
+    below = reference_orientation(graph, zeta)
+    monomial = cqf_monomial(graph, below)
     via_colorings = qsym_M_to_F(monomial)
-    via_orientations = cqf_fundamental_via_orientations(graph, zeta)
+    via_orientations = cqf_fundamental_via_orientations(graph, below)
     keys = sorted(set(via_colorings.coeffs) | set(via_orientations.coeffs), reverse=True)
     diffs = [
         k
@@ -214,7 +217,7 @@ def cmd_cqf(args) -> int:
     listing: Iterable[str] = ()
     streamed = None
     if args.verbose:
-        records = _orientation_records(graph, zeta)
+        records = _orientation_records(graph, below)
         if args.json:
             streamed = (
                 "orientations",
@@ -236,15 +239,15 @@ def cmd_cqf(args) -> int:
     return _finish(args, "cqf", _graph_inputs(graph, zeta, loaded.names), outputs, status, lines, streamed)
 
 
-def _orientation_records(graph: Graph, zeta: Labeling):
+def _orientation_records(graph: Graph, below: tuple[int, ...]):
     """(arcs, descents, sinks, canonical labels, extension words) for each
-    acyclic orientation in turn, as ``cqf --verbose`` lists them; each
-    orientation is built as the stream reaches it and dropped after."""
+    acyclic orientation in turn, as ``cqf --verbose`` lists them, built as
+    the stream reaches it: its descents are the arcs it shares with below."""
     for mask, out in acyclic_orientation_masks(graph):
         o = _acyclic_orientation(graph, mask, out)
         omega = sink_minimal_increasing_labeling(o)
         words = ["".join(str(x) for x in w) for w in dual_linear_extensions(o, omega)]
-        yield o.arcs, descents(o, zeta), o.sinks(), omega.labels, words
+        yield o.arcs, sum((h & d).bit_count() for h, d in zip(out, below)), o.sinks(), omega.labels, words
 
 
 # ---------------------------------------------------------------------------
@@ -253,17 +256,17 @@ def _orientation_records(graph: Graph, zeta: Labeling):
 
 class Check(NamedTuple):
     """A two-route identity: ``readers`` maps each value's name to a reader
-    of (target, zeta), which gives the value at every k from ``first_k`` to
-    n and looks its function up in that function's module at each call.  A
-    row fails unless its values are all equal; verify shows the first two."""
+    of (target, below), below a graph's reference orientation, which gives
+    the value at every k from ``first_k`` to n and looks its function up in
+    its module at each call.  A row fails unless its values are all equal."""
 
     readers: dict[str, Callable]
     on_posets: bool = False
     first_k: int = 1
 
-    def rows(self, target, zeta) -> list[tuple]:
+    def rows(self, target, below) -> list[tuple]:
         """One ``(k, *values)`` row per k."""
-        return self.rows_of(target, [read(target, zeta) for read in self.readers.values()])
+        return self.rows_of(target, [read(target, below) for read in self.readers.values()])
 
     def rows_of(self, target, values: list) -> list[tuple]:
         """The rows of values, one read by each reader in turn; a value
@@ -273,9 +276,9 @@ class Check(NamedTuple):
 
 CHECKS = {
     "hook-t": Check({
-        "f_expansion": lambda graph, zeta: chromatic.hook_coefficients_via_extensions_t(graph, zeta),
-        "orientation_sum": lambda graph, zeta: chromatic.hook_coefficients_via_orientations_t(graph, zeta),
-        "coloring_route": lambda graph, zeta: chromatic.hook_coefficients_via_colorings_t(graph, zeta),
+        "f_expansion": lambda graph, below: chromatic.hook_coefficients_via_extensions_t(graph, below),
+        "orientation_sum": lambda graph, below: chromatic.hook_coefficients_via_orientations_t(graph, below),
+        "coloring_route": lambda graph, below: chromatic.hook_coefficients_via_colorings_t(graph, below),
     }),
     "hook-1": Check({
         "schur": lambda graph, _: chromatic.hook_coefficients_via_schur(graph),
@@ -336,15 +339,15 @@ def cmd_verify(args) -> int:
         if target.n > _MAX_VERTICES:
             raise ValueError(f"poset has {target.n} elements, above the limit {_MAX_VERTICES} of the {args.check} check")
         inputs = {"poset": repr(target)}
-        zeta = None
+        below = None
     else:
         loaded = load_graph(args.input)
         target = loaded.graph
         if target.n > _MAX_VERTICES:
             raise ValueError(f"graph has {target.n} vertices, above the limit {_MAX_VERTICES} of the graph checks")
         inputs = _graph_inputs(target, names=loaded.names)
-        zeta = _resolve_labeling(args, loaded.labeling, target.n)
-    rows = check.rows(target, zeta)
+        below = reference_orientation(target, _resolve_labeling(args, loaded.labeling, target.n))
+    rows = check.rows(target, below)
     failures = _failures(check, target, rows)
     status = "ok" if not failures else "mismatch"
     table = [[k, *(str(v) if isinstance(v, TPoly) else v for v in values[:2])] for k, *values in rows]
@@ -361,7 +364,7 @@ def cmd_verify(args) -> int:
 # sweep
 
 
-def _case_failures(target, checks) -> list[dict]:
+def _case_failures(target, below, checks) -> list[dict]:
     """The failure records of one case.  A check's rows all match exactly
     when its values are equal and each has its n + 1 - first_k entries, so
     one comparison of whole values passes it; rows are built only for a
@@ -369,7 +372,7 @@ def _case_failures(target, checks) -> list[dict]:
     failures = []
     for name in checks:
         check = CHECKS[name]
-        values = [read(target, None) for read in check.readers.values()]
+        values = [read(target, below) for read in check.readers.values()]
         if len(values[0]) != target.n + 1 - check.first_k or _row_fails(values):
             failures += _failures(check, target, check.rows_of(target, values))
     return failures
@@ -377,12 +380,13 @@ def _case_failures(target, checks) -> list[dict]:
 
 def _sweep_worker(task) -> list[dict]:
     """The failure records of one case: (n, edge mask, checks) names a
-    graph, (n, above-masks, checks) a poset."""
+    graph, labeled by index, and (n, above-masks, checks) a poset."""
     n, case, checks = task
     if isinstance(case, tuple):
-        return _case_failures(Poset._trusted(n, case), checks)
+        return _case_failures(Poset._trusted(n, case), None, checks)
     pairs = _vertex_pairs(n)
-    return _case_failures(Graph._trusted(n, tuple(pair for i, pair in enumerate(pairs) if case >> i & 1)), checks)
+    graph = Graph._trusted(n, tuple(pair for i, pair in enumerate(pairs) if case >> i & 1))
+    return _case_failures(graph, reference_orientation(graph), checks)
 
 
 @lru_cache(maxsize=8)

@@ -375,11 +375,19 @@ def acyclic_orientations(graph: Graph) -> tuple[Orientation, ...]:
     return tuple(_acyclic_orientation(graph, mask, out) for mask, out in acyclic_orientation_masks(graph))
 
 
-def descents(o: Orientation, zeta: Labeling) -> int:
-    """Arcs (u, v) whose direction runs against the labeling: label(u) > label(v)."""
-    if zeta.n != o.graph.n:
-        raise ValueError("labeling and orientation live on different graphs")
-    return sum(1 for u, v in o.arcs if zeta.label(u) > zeta.label(v))
+def reference_orientation(graph: Graph, zeta: Labeling | None = None) -> tuple[int, ...]:
+    """The orientation zeta gives the edges, each toward its end with the
+    smaller label (index when zeta is None): entry v masks, as 0-indexed
+    bits, the heads of the arcs leaving vertex v + 1."""
+    if zeta is not None and zeta.n != graph.n:
+        raise ValueError("labeling does not match the graph's vertex count")
+    below = [0] * graph.n
+    for a, b in graph.edges:
+        if zeta is None or zeta.label(a) < zeta.label(b):
+            below[b - 1] |= 1 << (a - 1)
+        else:
+            below[a - 1] |= 1 << (b - 1)
+    return tuple(below)
 
 
 # States of the vertex sets of graphs with at most _STORED_N vertices, keyed

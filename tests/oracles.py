@@ -894,7 +894,7 @@ def hook_slot(sums: int) -> int:
 def sink_counts(graph: Graph, below: tuple[int, ...]) -> tuple[tuple[tuple[int, int], int], ...]:
     """((sinks, descents), orientations) over the acyclic orientations, one
     entry per distinct pair, ascending; a descent is an arc u -> v with v in
-    below[u], as ``_below`` gives it.  Decoded from the sink kernel,
+    below[u], as ``reference_orientation`` gives it.  Decoded from the sink kernel,
     ``_sink_polys``: the histogram is P(y - 1; t), by Taylor shift, and
     every digit of its packed ints is decoded."""
     width, p = _sink_polys(graph, below)
@@ -1031,6 +1031,13 @@ def ascents(graph: Graph, kappa, zeta) -> int:
         if (zeta.label(u) < zeta.label(v)) == (cu < cv):
             count += 1
     return count
+
+
+def descents(o: Orientation, zeta) -> int:
+    """Arcs (u, v) whose direction runs against the labeling: label(u) > label(v)."""
+    if zeta.n != o.graph.n:
+        raise ValueError("labeling and orientation live on different graphs")
+    return sum(1 for u, v in o.arcs if zeta.label(u) > zeta.label(v))
 
 
 def is_proper_coloring(graph: Graph, kappa) -> bool:

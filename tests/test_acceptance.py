@@ -33,6 +33,7 @@ from chromsym.graphs import (
     acyclic_orientations,
     is_claw_free,
     path_graph,
+    reference_orientation,
     star_graph,
     edgeless_graph,
 )
@@ -143,10 +144,10 @@ def test_criterion_4_hook_t_polynomials_all_labelings():
     for n in range(1, 6):
         for g in all_graphs(n):
             for perm in permutations(range(1, n + 1)):
-                zeta = Labeling(perm)
-                direct = cqf_fundamental_via_orientations(g, zeta)
-                converted = qsym_M_to_F(cqf_monomial(g, zeta))
-                sums = hook_coefficients_via_orientations_t(g, zeta)
+                below = reference_orientation(g, Labeling(perm))
+                direct = cqf_fundamental_via_orientations(g, below)
+                converted = qsym_M_to_F(cqf_monomial(g, below))
+                sums = hook_coefficients_via_orientations_t(g, below)
                 for k in range(1, n + 1):
                     a = hook_coefficient_of_F(direct, k)
                     b = sums[k - 1]

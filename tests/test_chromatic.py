@@ -9,7 +9,6 @@ import pytest
 from chromsym import chromatic, cli
 from chromsym.chromatic import (
     SinkProfile,
-    _below,
     _coloring_counts,
     _coloring_profile,
     _hook_polys,
@@ -36,9 +35,9 @@ from chromsym.graphs import (
     acyclic_orientation_masks,
     acyclic_orientations,
     complete_graph,
-    descents,
     edgeless_graph,
     path_graph,
+    reference_orientation,
     star_graph,
 )
 from chromsym.partitions import _descent_mask, composition_from_descents, hook_partition
@@ -59,6 +58,7 @@ from oracles import (
     count_colorings_brute,
     csf_monomial_by_colorings,
     descent_set,
+    descents,
     extension_words,
     hook_coefficient_of_F,
     monomial_to_quasi,
@@ -116,7 +116,7 @@ def _ascents(g, zeta, bits):
 
 def _assert_coloring_profile_matches(g, oracle, zetas):
     for zeta in zetas:
-        profile = _coloring_profile(g, zeta)
+        profile = _coloring_profile(g, reference_orientation(g, zeta))
         # one entry per distinct pair, in a fixed order: the bytes of every
         # verb that reads the profile must not depend on dict insertion order
         keys = [(_descent_mask(comp), asc) for (comp, asc), _ in profile]
@@ -156,7 +156,7 @@ def _assert_orientation_compositions_match_the_oracle(g, zetas):
     # reads the words of their extensions.
     words = [(Orientation.from_mask(g, mask), counts) for mask, counts in orientation_compositions_by_words(g)]
     for zeta in zetas:
-        entries = _orientation_compositions(g, zeta)
+        entries = _orientation_compositions(g, reference_orientation(g, zeta))
         keys = [(_descent_mask(comp), des) for (comp, des), _ in entries]
         assert keys == sorted(set(keys))
         labels = zeta or Labeling.identity(g.n)
@@ -184,7 +184,7 @@ def test_orientation_compositions_match_the_word_oracle_on_seeded_graphs_and_k7(
 def _hook_orders(g, zeta) -> list[Counter]:
     """Entry k - 1 counts the orders of the hook DP with tail k by
     descents, decoded digit by digit from its packed polynomials."""
-    width, polys = _hook_polys(g, tuple(_below(g, zeta)))
+    width, polys = _hook_polys(g, reference_orientation(g, zeta))
     digit, by_k = (1 << width) - 1, []
     for h in polys:
         row, d = Counter(), 0
@@ -201,7 +201,7 @@ def _full_walk_hooks(g, zeta) -> list[Counter]:
     the hook (k, 1^(n-k)) by descents."""
     hooks = {hook_partition(g.n, k): k for k in range(1, g.n + 1)}
     by_k = [Counter() for _ in range(g.n)]
-    for (comp, des), count in _orientation_compositions(g, zeta):
+    for (comp, des), count in _orientation_compositions(g, reference_orientation(g, zeta)):
         if comp in hooks:
             by_k[hooks[comp] - 1][des] += count
     return by_k
@@ -212,19 +212,20 @@ def _assert_hook_walk_matches_the_full_walk(g, zetas):
     # hook, each with the descents of its orientation, without walking one.
     n = g.n
     for zeta in zetas:
+        below = reference_orientation(g, zeta)
         by_k = _hook_orders(g, zeta)
         assert by_k == _full_walk_hooks(g, zeta)
         # the sink kernel counts the same orientations, 2^(sinks - 1) hook
         # orders each, exactly one of them falling all the way (k = 1)
         expected_falling: Counter = Counter()
         expected_orders: Counter = Counter()
-        for (sinks, des), count in sink_counts(g, tuple(_below(g, zeta))):
+        for (sinks, des), count in sink_counts(g, below):
             expected_falling[des] += count
             expected_orders[des] += 2 ** (sinks - 1) * count
         assert by_k[0] == expected_falling
         assert sum(by_k, Counter()) == expected_orders
-        full = cqf_fundamental_via_orientations(g, zeta)
-        walked = hook_coefficients_via_extensions_t(g, zeta)
+        full = cqf_fundamental_via_orientations(g, below)
+        walked = hook_coefficients_via_extensions_t(g, below)
         assert walked == tuple(hook_coefficient_of_F(full, k) for k in range(1, n + 1))
 
 
@@ -258,7 +259,7 @@ def test_the_hook_dp_needs_at_most_n_2_to_the_n_states_on_k_n_and_path_n(monkeyp
         chromatic._ORDER_STATES.clear()
         _hook_polys.cache_clear()
         g = family(n)
-        _hook_polys(g, tuple(_below(g, None)))
+        _hook_polys(g, reference_orientation(g))
         counts.append(len(stores.pop()))
     assert all(count <= n * 2**n for n, count in enumerate(counts, 1))
     assert counts[9] == (2815 if family is complete_graph else 5563)  # K10 and path_10
@@ -271,8 +272,9 @@ def _assert_hook_t_rows_match_the_full_transforms(g, zetas):
     # every composition of the coloring route.
     n = g.n
     for zeta in zetas:
-        walked = cqf_fundamental_via_orientations(g, zeta)
-        converted = qsym_M_to_F(cqf_monomial(g, zeta))
+        below = reference_orientation(g, zeta)
+        walked = cqf_fundamental_via_orientations(g, below)
+        converted = qsym_M_to_F(cqf_monomial(g, below))
         labels = zeta or Labeling.identity(n)
         oriented = [(o.sinks(), descents(o, labels)) for o in acyclic_orientations(g)]
         expected = []
@@ -281,7 +283,7 @@ def _assert_hook_t_rows_match_the_full_transforms(g, zetas):
             for sinks, des in oriented:
                 arr[des] += comb(sinks - 1, k - 1)
             expected.append((k, hook_coefficient_of_F(walked, k), TPoly(arr), hook_coefficient_of_F(converted, k)))
-        assert cli.CHECKS["hook-t"].rows(g, zeta) == expected
+        assert cli.CHECKS["hook-t"].rows(g, below) == expected
         assert all(a == b == c for _, a, b, c in expected)  # the routes agree
 
 
@@ -300,50 +302,88 @@ def test_hook_t_rows_match_the_full_transforms_on_seeded_graphs_and_k7():
 
 def test_the_hook_t_readers_give_no_terms_on_the_empty_graph():
     g = Graph(0)
-    assert hook_coefficients_via_extensions_t(g, None) == ()
-    assert hook_coefficients_via_colorings_t(g, None) == ()
-    assert hook_coefficients_via_orientations_t(g, None) == ()
-    assert cli.CHECKS["hook-t"].rows(g, None) == []
+    assert reference_orientation(g) == ()
+    assert hook_coefficients_via_extensions_t(g, ()) == ()
+    assert hook_coefficients_via_colorings_t(g, ()) == ()
+    assert hook_coefficients_via_orientations_t(g, ()) == ()
+    assert cli.CHECKS["hook-t"].rows(g, ()) == []
 
 
 def test_the_route_kernels_are_cached_on_the_orientation_the_labeling_induces():
     # Centre 1 has the smallest label under both labelings, so both orient
     # every edge of the claw the same way.
     first, second = Labeling([1, 2, 3, 4]), Labeling([1, 4, 2, 3])
-    below = {zeta: tuple(_below(CLAW, zeta)) for zeta in (None, first, second)}
+    turned = Labeling([2, 1, 3, 4])
+    omitted, one, two, other = (reference_orientation(CLAW, zeta) for zeta in (None, first, second, turned))
+    assert one == two != other
     _coloring_counts.cache_clear()
     _order_counts.cache_clear()
     _hook_polys.cache_clear()
     _sink_polys.cache_clear()
-    assert _coloring_profile(CLAW, first) == _coloring_profile(CLAW, second)
-    assert _coloring_counts(CLAW, below[first]) is _coloring_counts(CLAW, below[second])
-    assert _orientation_compositions(CLAW, first) == _orientation_compositions(CLAW, second)
-    assert _order_counts(CLAW, below[first]) is _order_counts(CLAW, below[second])
-    assert hook_coefficients_via_extensions_t(CLAW, first) == hook_coefficients_via_extensions_t(CLAW, second)
-    assert _hook_polys(CLAW, below[first]) is _hook_polys(CLAW, below[second])
-    assert hook_coefficients_via_orientations_t(CLAW, first) == hook_coefficients_via_orientations_t(CLAW, second)
+    assert _coloring_profile(CLAW, one) == _coloring_profile(CLAW, two)
+    assert _coloring_counts(CLAW, one) is _coloring_counts(CLAW, two)
+    assert _orientation_compositions(CLAW, one) == _orientation_compositions(CLAW, two)
+    assert _order_counts(CLAW, one) is _order_counts(CLAW, two)
+    assert hook_coefficients_via_extensions_t(CLAW, one) == hook_coefficients_via_extensions_t(CLAW, two)
+    assert _hook_polys(CLAW, one) is _hook_polys(CLAW, two)
+    assert hook_coefficients_via_orientations_t(CLAW, one) == hook_coefficients_via_orientations_t(CLAW, two)
     assert _coloring_counts.cache_info().misses == 1
     assert _order_counts.cache_info().misses == 1
     assert _hook_polys.cache_info().misses == 1
     assert _sink_polys.cache_info().misses == 1
     # a labeling that turns an edge round is a new entry
-    turned = Labeling([2, 1, 3, 4])
-    assert _coloring_profile(CLAW, turned) != _coloring_profile(CLAW, first)
-    assert _orientation_compositions(CLAW, turned) != _orientation_compositions(CLAW, first)
-    assert hook_coefficients_via_extensions_t(CLAW, turned) != hook_coefficients_via_extensions_t(CLAW, first)
+    assert _coloring_profile(CLAW, other) != _coloring_profile(CLAW, one)
+    assert _orientation_compositions(CLAW, other) != _orientation_compositions(CLAW, one)
+    assert hook_coefficients_via_extensions_t(CLAW, other) != hook_coefficients_via_extensions_t(CLAW, one)
     assert _coloring_counts.cache_info().misses == 2
     assert _order_counts.cache_info().misses == 2
     assert _hook_polys.cache_info().misses == 2
     # zeta omitted orients every edge by index, as the identity does: the same entry
     assert first == Labeling.identity(4)
-    assert _coloring_counts(CLAW, below[None]) is _coloring_counts(CLAW, below[first])
-    assert _order_counts(CLAW, below[None]) is _order_counts(CLAW, below[first])
-    assert _hook_polys(CLAW, below[None]) is _hook_polys(CLAW, below[first])
+    assert _coloring_counts(CLAW, omitted) is _coloring_counts(CLAW, one)
+    assert _order_counts(CLAW, omitted) is _order_counts(CLAW, one)
+    assert _hook_polys(CLAW, omitted) is _hook_polys(CLAW, one)
     assert sink_profile.__wrapped__(CLAW).total == 8  # past its own cache: reads the entry for zeta omitted
     assert _coloring_counts.cache_info().misses == 2
     assert _order_counts.cache_info().misses == 2
     assert _hook_polys.cache_info().misses == 2
     assert _sink_polys.cache_info().misses == 1
+
+
+T_GRADED = (
+    cqf_monomial,
+    cqf_fundamental_via_orientations,
+    hook_coefficients_via_extensions_t,
+    hook_coefficients_via_orientations_t,
+    hook_coefficients_via_colorings_t,
+)
+
+
+def _assert_the_labeling_acts_only_through_its_orientation(g, zeta):
+    # zeta(G), G with vertex v renamed zeta(v), carries by index the
+    # orientation that zeta gives G; no value may see the names
+    renamed = Graph(g.n, [(zeta.label(a), zeta.label(b)) for a, b in g.edges])
+    below, renamed_below = reference_orientation(g, zeta), reference_orientation(renamed)
+    for value in T_GRADED:
+        assert value(g, below) == value(renamed, renamed_below), (g, zeta, value.__name__)
+
+
+def test_a_labeling_acts_only_through_the_orientation_it_gives_the_edges():
+    cases = 0
+    for n in range(1, 5):
+        for g in all_graphs(n):
+            for perm in permutations(range(1, n + 1)):
+                _assert_the_labeling_acts_only_through_its_orientation(g, Labeling(perm))
+                cases += 1
+    assert cases == 1589
+
+
+def test_a_labeling_acts_only_through_its_orientation_on_seeded_graphs():
+    rng = Random(32)
+    graphs = list(seeded_graphs(12, seed=32, sizes=(6, 7)))
+    assert {g.n for g in graphs} == {6, 7}
+    for g in graphs:
+        _assert_the_labeling_acts_only_through_its_orientation(g, _zetas(g.n, rng)[2])
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -399,7 +439,7 @@ def test_sink_counts_match_the_scan_on_every_small_graph(n):
     # by (sinks, descents), under the identity and the reversed labeling
     for g in all_graphs(n):
         for zeta in _zetas(n):
-            assert sink_counts(g, tuple(_below(g, zeta))) == sink_descent_counts_scan(g, zeta)
+            assert sink_counts(g, reference_orientation(g, zeta)) == sink_descent_counts_scan(g, zeta)
 
 
 def test_sink_counts_match_the_scan_on_seeded_graphs_under_random_labelings():
@@ -409,7 +449,7 @@ def test_sink_counts_match_the_scan_on_seeded_graphs_under_random_labelings():
     assert {g.n for g in graphs} == {6, 7, 8}
     for g in graphs:
         zeta = _zetas(g.n, rng)[2]
-        assert sink_counts(g, tuple(_below(g, zeta))) == sink_descent_counts_scan(g, zeta)
+        assert sink_counts(g, reference_orientation(g, zeta)) == sink_descent_counts_scan(g, zeta)
 
 
 @pytest.mark.parametrize("g, count", [(complete_graph(7), 5040), (path_graph(12), 2**11)])
@@ -447,9 +487,9 @@ def test_chromatic_polynomial_matches_enumeration(n):
 
 
 def test_cqf_monomial_examples():
-    k2 = complete_graph(2)
-    assert cqf_monomial(k2).coeffs == {(1, 1): TPoly((1, 1))}
-    assert cqf_monomial(edgeless_graph(2)).coeffs == {
+    k2, e2 = complete_graph(2), edgeless_graph(2)
+    assert cqf_monomial(k2, reference_orientation(k2)).coeffs == {(1, 1): TPoly((1, 1))}
+    assert cqf_monomial(e2, reference_orientation(e2)).coeffs == {
         (2,): TPoly((1,)),
         (1, 1): TPoly((2,)),
     }
@@ -458,7 +498,7 @@ def test_cqf_monomial_examples():
 def test_cqf_monomial_collapses_to_symmetric():
     for g in (CLAW, path_graph(4), complete_graph(3)):
         for zeta in (None, Labeling((2, 1) + tuple(range(3, g.n + 1)))):
-            assert is_symmetric(collapse_t(cqf_monomial(g, zeta)))
+            assert is_symmetric(collapse_t(cqf_monomial(g, reference_orientation(g, zeta))))
 
 
 def test_sink_minimal_labeling_on_the_oriented_4_path():
@@ -512,9 +552,9 @@ def test_dual_linear_extensions_degenerate_cases():
 
 
 def test_cqf_fundamental_examples():
-    k2 = complete_graph(2)
-    assert cqf_fundamental_via_orientations(k2).coeffs == {(1, 1): TPoly((1, 1))}
-    assert cqf_fundamental_via_orientations(edgeless_graph(2)).coeffs == {
+    k2, e2 = complete_graph(2), edgeless_graph(2)
+    assert cqf_fundamental_via_orientations(k2, reference_orientation(k2)).coeffs == {(1, 1): TPoly((1, 1))}
+    assert cqf_fundamental_via_orientations(e2, reference_orientation(e2)).coeffs == {
         (2,): TPoly((1,)),
         (1, 1): TPoly((1,)),
     }
@@ -525,9 +565,8 @@ def test_route_equivalence_all_labelings(n):
     for g in all_graphs(n):
         for perm in permutations(range(1, n + 1)):
             zeta = Labeling(perm)
-            assert qsym_M_to_F(cqf_monomial(g, zeta)) == cqf_fundamental_via_orientations(
-                g, zeta
-            )
+            below = reference_orientation(g, zeta)
+            assert qsym_M_to_F(cqf_monomial(g, below)) == cqf_fundamental_via_orientations(g, below)
 
 
 def test_route_equivalence_on_5_vertices():
@@ -538,9 +577,8 @@ def test_route_equivalence_on_5_vertices():
     for g in all_graphs(5):
         zetas = [Labeling.identity(5)] + [Labeling(rng.choice(labelings))]
         for zeta in zetas:
-            assert qsym_M_to_F(cqf_monomial(g, zeta)) == cqf_fundamental_via_orientations(
-                g, zeta
-            )
+            below = reference_orientation(g, zeta)
+            assert qsym_M_to_F(cqf_monomial(g, below)) == cqf_fundamental_via_orientations(g, below)
 
 
 def test_route_equivalence_on_random_6_vertex_graphs():
@@ -554,9 +592,8 @@ def test_route_equivalence_on_random_6_vertex_graphs():
         perm = list(range(1, 7))
         rng.shuffle(perm)
         zeta = Labeling(perm)
-        assert qsym_M_to_F(cqf_monomial(g, zeta)) == cqf_fundamental_via_orientations(
-            g, zeta
-        )
+        below = reference_orientation(g, zeta)
+        assert qsym_M_to_F(cqf_monomial(g, below)) == cqf_fundamental_via_orientations(g, below)
 
 
 def _alternative_sink_labeling(o: Orientation) -> Labeling:
@@ -602,7 +639,7 @@ def test_any_valid_sink_minimal_labeling_gives_the_same_expansion(n):
                 arr = acc.setdefault(alpha, [0] * (g.m + 1))
                 arr[des] += 1
         rebuilt = QuasisymmetricF(n, {a: TPoly(c) for a, c in acc.items()})
-        assert rebuilt == cqf_fundamental_via_orientations(g)
+        assert rebuilt == cqf_fundamental_via_orientations(g, reference_orientation(g))
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -619,9 +656,10 @@ def test_extension_descent_counts_match_binomials(n):
 
 
 def test_hook_coefficient_via_orientations_t_examples():
-    assert hook_coefficients_via_orientations_t(complete_graph(2), None) == (TPoly((1, 1)), TPoly())
-    assert hook_coefficients_via_orientations_t(CLAW, None)[1].subs(1) == 5
-    assert hook_coefficients_via_orientations_t(Graph(0), None) == ()
+    k2 = complete_graph(2)
+    assert hook_coefficients_via_orientations_t(k2, reference_orientation(k2)) == (TPoly((1, 1)), TPoly())
+    assert hook_coefficients_via_orientations_t(CLAW, reference_orientation(CLAW))[1].subs(1) == 5
+    assert hook_coefficients_via_orientations_t(Graph(0), ()) == ()
 
 
 @pytest.mark.parametrize("n", range(0, 6))
@@ -636,7 +674,7 @@ def test_hook_t_single_pass_matches_a_sum_per_arm_length(n):
                 for sinks, des in oriented:
                     arr[des] += comb(sinks - 1, k - 1)
                 expected.append(TPoly(arr))
-            assert hook_coefficients_via_orientations_t(g, zeta) == tuple(expected)
+            assert hook_coefficients_via_orientations_t(g, reference_orientation(g, zeta)) == tuple(expected)
 
 
 def test_sink_profile_is_an_immutable_value():
@@ -667,7 +705,7 @@ def test_shared_route_values_are_read_only_and_pickle():
     with pytest.raises(TypeError):
         csf_monomial(g).coeffs[(4,)] = 7
     assert csf_schur(g) == schur
-    for value in (csf_monomial(g), cqf_monomial(g, Labeling((2, 1, 4, 3)))):
+    for value in (csf_monomial(g), cqf_monomial(g, reference_orientation(g, Labeling((2, 1, 4, 3))))):
         copy = pickle.loads(pickle.dumps(value))
         assert copy == value and copy is not value
         with pytest.raises(TypeError):
@@ -689,8 +727,9 @@ def test_csf_schur_hands_out_one_read_only_mapping_per_graph():
 @pytest.mark.parametrize("n", range(1, 5))
 def test_hook_routes_agree_with_identity_labeling(n):
     for g in all_graphs(n):
-        direct = cqf_fundamental_via_orientations(g)
-        polys = hook_coefficients_via_orientations_t(g, None)
+        below = reference_orientation(g)
+        direct = cqf_fundamental_via_orientations(g, below)
+        polys = hook_coefficients_via_orientations_t(g, below)
         for k in range(1, n + 1):
             assert hook_coefficient_of_F(direct, k) == polys[k - 1]
 
@@ -700,7 +739,7 @@ def test_labeling_independence_at_t_equal_1(n):
     for g in all_graphs(n):
         reference = monomial_to_quasi(csf_monomial(g))
         for perm in permutations(range(1, n + 1)):
-            assert collapse_t(cqf_monomial(g, Labeling(perm))) == reference
+            assert collapse_t(cqf_monomial(g, reference_orientation(g, Labeling(perm)))) == reference
 
 
 def test_verify_e_sink_identity_examples():
@@ -724,6 +763,6 @@ def test_schur_hook_equals_fundamental_hook_at_t_1(n):
     # fundamental coefficient via colorings and refinement inversion.
     for g in all_graphs(n):
         schur = csf_schur(g)
-        f = qsym_M_to_F(cqf_monomial(g))
+        f = qsym_M_to_F(cqf_monomial(g, reference_orientation(g)))
         for k in range(1, n + 1):
             assert schur.get(hook_partition(n, k), 0) == hook_coefficient_of_F(f, k).subs(1)

@@ -219,6 +219,23 @@ def test_cqf_labeling_flag(capsys, tmp_path):
     assert code == 2
 
 
+def test_cqf_under_a_labeling_gives_the_terms_of_the_graph_renamed_by_it(capsys, tmp_path):
+    # zeta(G), G with vertex v renamed zeta(v), orients each edge by index
+    # as zeta orients G, so both give the same F-expansion
+    edges, labels = [[1, 2], [1, 3], [2, 3], [2, 4], [3, 5], [4, 5]], [3, 1, 5, 2, 4]
+    graph, renamed = tmp_path / "g.json", tmp_path / "renamed.json"
+    graph.write_text(json.dumps({"n": 5, "edges": edges}))
+    renamed.write_text(json.dumps({"n": 5, "edges": [[labels[a - 1], labels[b - 1]] for a, b in edges]}))
+    code, out, _ = run_cli(capsys, "cqf", str(graph), "--labeling", ",".join(map(str, labels)), "--json")
+    assert code == 0
+    labeled = json.loads(out)["outputs"]["terms"]
+    code, out, _ = run_cli(capsys, "cqf", str(renamed), "--json")
+    assert code == 0
+    assert json.loads(out)["outputs"]["terms"] == labeled
+    code, out, _ = run_cli(capsys, "cqf", str(graph), "--json")
+    assert json.loads(out)["outputs"]["terms"] != labeled  # the labeling matters
+
+
 @pytest.mark.parametrize(
     "labeling, message",
     [

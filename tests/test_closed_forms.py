@@ -19,7 +19,7 @@ from chromsym.chromatic import (
     hook_coefficients_via_orientations_t,
 )
 from chromsym.cli import main
-from chromsym.graphs import complete_graph, edgeless_graph, path_graph
+from chromsym.graphs import complete_graph, edgeless_graph, path_graph, reference_orientation
 from oracles import complete_e_expansion, edgeless_e_expansion, hooks_of_e_expansion, path_e_expansion
 
 
@@ -56,7 +56,7 @@ def test_all_three_hook_t_values_match_the_closed_form(graph, expansion):
         hook_coefficients_via_orientations_t,
         hook_coefficients_via_colorings_t,
     ):
-        assert [h.coeffs for h in reader(graph, None)] == expected, reader.__name__
+        assert [h.coeffs for h in reader(graph, reference_orientation(graph))] == expected, reader.__name__
 
 
 # The sink kernel and the hook DP reach 12 to 14 vertices, the coloring pass
@@ -71,11 +71,11 @@ LARGE_CASES = {
 def test_the_orientation_sum_matches_the_closed_form_past_the_walk(name):
     graph, expansion = LARGE_CASES[name]
     expected = hooks_of_e_expansion(expansion, graph.n)
-    assert [h.coeffs for h in hook_coefficients_via_orientations_t(graph, None)] == expected
+    assert [h.coeffs for h in hook_coefficients_via_orientations_t(graph, reference_orientation(graph))] == expected
 
 
 @pytest.mark.parametrize("name", LARGE_CASES)
 def test_the_f_expansion_matches_the_closed_form_on_large_graphs(name):
     graph, expansion = LARGE_CASES[name]
     expected = hooks_of_e_expansion(expansion, graph.n)
-    assert [h.coeffs for h in hook_coefficients_via_extensions_t(graph, None)] == expected
+    assert [h.coeffs for h in hook_coefficients_via_extensions_t(graph, reference_orientation(graph))] == expected

@@ -12,11 +12,11 @@ from chromsym.graphs import (
     acyclic_orientation_masks,
     acyclic_orientations,
     complete_graph,
-    descents,
     edgeless_graph,
     is_claw_free,
     parse_graph_text,
     path_graph,
+    reference_orientation,
     stable_partitions_by_type,
     star_graph,
 )
@@ -26,6 +26,7 @@ from oracles import (
     ascents,
     closure_warshall,
     count_colorings_brute,
+    descents,
     interpolate_at,
     is_proper_coloring,
     proper_colorings_bounded,
@@ -282,6 +283,25 @@ def test_descents_of_reverse_complement():
         ident = Labeling.identity(4)
         for o in acyclic_orientations(g):
             assert descents(o, ident) + descents(reverse(o), ident) == g.m
+
+
+def test_reference_orientation_points_each_edge_to_its_smaller_label():
+    p3 = path_graph(3)
+    assert reference_orientation(p3) == (0, 0b001, 0b010)  # 2 -> 1, 3 -> 2
+    assert reference_orientation(p3, Labeling.identity(3)) == reference_orientation(p3)
+    assert reference_orientation(p3, Labeling((2, 3, 1))) == (0, 0b101, 0)  # 2 -> 1, 2 -> 3
+    assert reference_orientation(Graph(0)) == ()
+    with pytest.raises(ValueError, match="labeling does not match"):
+        reference_orientation(p3, Labeling.identity(4))
+
+
+def test_descents_count_the_arcs_an_orientation_shares_with_the_reference_one():
+    for g in all_graphs(4):
+        for zeta in (Labeling.identity(4), Labeling((3, 1, 4, 2))):
+            below = reference_orientation(g, zeta)
+            for o in acyclic_orientations(g):
+                shared = sum((heads & down).bit_count() for heads, down in zip(o.out_masks(), below))
+                assert shared == descents(o, zeta)
 
 
 def test_ascents():

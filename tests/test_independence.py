@@ -21,7 +21,7 @@ from itertools import combinations
 import pytest
 
 from chromsym import chromatic, cli
-from chromsym.graphs import Graph, Labeling
+from chromsym.graphs import Graph, Labeling, reference_orientation
 from chromsym.posets import Poset
 
 MODULES = [module for name, module in sorted(sys.modules.items()) if name.startswith("chromsym.")]
@@ -53,9 +53,6 @@ VALUE = "builds a returned value from finished coefficients"
 ALLOWED = {
     "graphs.Graph.__hash__": "hashes the input graph for an lru_cache key",
     "graphs.Graph.adjacency_masks": INPUT,
-    "graphs.Labeling.label": INPUT,
-    "graphs.Labeling.n": INPUT,
-    "chromatic._below": INPUT + ": the orientation that the labeling gives the edges",
     "posets.Poset.below_masks": INPUT + ": the order's transpose",
     "graphs._transpose": INPUT + ": it reverses a relation held as bitmasks",
     "graphs._shared_states": KEY_RULE,
@@ -151,11 +148,14 @@ def traced(call) -> set[str]:
 
 
 def _fresh_inputs(check: cli.Check) -> list[tuple]:
-    """(target, zeta) pairs built anew, so that no graph or poset brings in
-    a value that an earlier trace left in it."""
+    """(target, below) pairs built anew, so that no graph or poset brings in
+    a value that an earlier trace left in it.  A graph's reference
+    orientation is built here, outside the trace, as the CLI builds it
+    where it reads the input."""
     if check.on_posets:
         return [(Poset.from_covers(n, covers), None) for n, covers in POSETS]
-    return [(Graph(n, edges), Labeling(labels) if labels else None) for n, edges, labels in GRAPHS]
+    graphs = [(Graph(n, edges), Labeling(labels) if labels else None) for n, edges, labels in GRAPHS]
+    return [(graph, reference_orientation(graph, zeta)) for graph, zeta in graphs]
 
 
 def traced_values() -> dict[str, dict[str, set[str]]]:
@@ -165,8 +165,8 @@ def traced_values() -> dict[str, dict[str, set[str]]]:
         out[name] = {}
         for value, read in check.readers.items():
             out[name][value] = set()
-            for target, zeta in _fresh_inputs(check):
-                out[name][value] |= traced(lambda: read(target, zeta))
+            for target, below in _fresh_inputs(check):
+                out[name][value] |= traced(lambda: read(target, below))
     return out
 
 

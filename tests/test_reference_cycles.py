@@ -16,7 +16,6 @@ from types import FunctionType
 import pytest
 
 from chromsym.chromatic import (
-    _below,
     _coloring_counts,
     _hook_polys,
     _order_counts,
@@ -24,7 +23,14 @@ from chromsym.chromatic import (
     dual_linear_extensions,
     sink_minimal_increasing_labeling,
 )
-from chromsym.graphs import Graph, Labeling, acyclic_orientation_masks, acyclic_orientations, stable_partitions_by_type
+from chromsym.graphs import (
+    Graph,
+    Labeling,
+    acyclic_orientation_masks,
+    acyclic_orientations,
+    reference_orientation,
+    stable_partitions_by_type,
+)
 from chromsym.partitions import partitions_of
 from chromsym.posets import Poset, _hook_tableau_counts
 from chromsym.symfunc import _schur_h_table
@@ -34,12 +40,12 @@ from oracles import standard_tableaux
 GRAPH = Graph(6, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5), (4, 6), (5, 6)])
 POSET = Poset.from_covers(6, [[1, 2], [1, 3], [2, 4], [3, 4], [4, 5]])
 ORIENTATION = acyclic_orientations(GRAPH)[7]
-BELOW = tuple(_below(GRAPH, Labeling([4, 1, 6, 2, 5, 3])))
+BELOW = reference_orientation(GRAPH, Labeling([4, 1, 6, 2, 5, 3]))
 GRAPH_7 = Graph(7, [(1, 2), (1, 4), (2, 3), (2, 5), (3, 6), (4, 5), (5, 6), (5, 7), (6, 7)])
-BELOW_7 = tuple(_below(GRAPH_7, Labeling([5, 2, 7, 1, 4, 6, 3])))
+BELOW_7 = reference_orientation(GRAPH_7, Labeling([5, 2, 7, 1, 4, 6, 3]))
 POSET_8 = Poset.from_covers(8, [[1, 2], [1, 3], [2, 4], [3, 4], [4, 5], [2, 6], [6, 7], [5, 8]])
 GRAPH_8 = Graph(8, [(1, 2), (1, 5), (2, 3), (2, 6), (3, 4), (3, 7), (4, 8), (5, 6), (6, 7), (7, 8)])
-BELOW_8 = tuple(_below(GRAPH_8, Labeling([3, 8, 1, 6, 2, 7, 4, 5])))
+BELOW_8 = reference_orientation(GRAPH_8, Labeling([3, 8, 1, 6, 2, 7, 4, 5]))
 
 KERNELS = {
     # the cached kernels are called past their caches, so that each call walks

@@ -23,7 +23,6 @@ import pytest
 
 from chromsym import chromatic, cli, graphs, posets, symfunc
 from chromsym.chromatic import (
-    _below,
     _coloring_counts,
     _hook_polys,
     _sink_polys,
@@ -31,7 +30,7 @@ from chromsym.chromatic import (
     csf_schur,
     sink_profile,
 )
-from chromsym.graphs import Graph, Labeling, complete_graph, path_graph, stable_partitions_by_type
+from chromsym.graphs import Graph, Labeling, complete_graph, path_graph, reference_orientation, stable_partitions_by_type
 from chromsym.posets import Poset, _hook_tableau_counts, all_posets
 from oracles import (
     all_graphs,
@@ -376,7 +375,7 @@ def test_two_labelings_that_orient_a_subgraph_differently_keep_two_sink_states(m
     g = Graph(3, [(1, 2)])
     for zeta in (None, Labeling((3, 2, 1))):
         _sink_polys.cache_clear()
-        assert sink_counts(g, tuple(_below(g, zeta))) == sink_descent_counts_scan(g, zeta)
+        assert sink_counts(g, reference_orientation(g, zeta)) == sink_descent_counts_scan(g, zeta)
     # the 6 nonempty proper subsets, and {1, 2} once more, oriented the other way
     assert len(store) == len(store.writes) == 7
     assert set(store.writes.values()) == {1}

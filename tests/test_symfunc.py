@@ -24,7 +24,7 @@ from chromsym.chromatic import (
     csf_monomial,
     hook_coefficients_via_orientations_t,
 )
-from chromsym.graphs import Graph, Labeling, complete_graph, edgeless_graph, path_graph
+from chromsym.graphs import Graph, Labeling, complete_graph, edgeless_graph, path_graph, reference_orientation
 from chromsym.symfunc import _schur_h_table, _terms_json
 from oracles import (
     all_graphs,
@@ -198,12 +198,13 @@ def test_qsym_conversions_on_random_coefficients(n):
 
 
 def _assert_kernel_values_are_valid_and_M_to_F_matches_the_oracle(g, zeta=None):
-    m_value = cqf_monomial(g, zeta)
+    below = reference_orientation(g, zeta)
+    m_value = cqf_monomial(g, below)
     converted = qsym_M_to_F(m_value)
     assert converted == qsym_M_to_F_by_refinement(m_value)
     # values built without checks pass the public constructors unchanged
-    polys = list(hook_coefficients_via_orientations_t(g, zeta))
-    for value in (m_value, converted, qsym_F_to_M(converted), cqf_fundamental_via_orientations(g, zeta)):
+    polys = list(hook_coefficients_via_orientations_t(g, below))
+    for value in (m_value, converted, qsym_F_to_M(converted), cqf_fundamental_via_orientations(g, below)):
         assert type(value)(value.degree, value.coeffs) == value
         polys.extend(value.coeffs.values())
     for poly in polys:
